@@ -40,12 +40,9 @@ from .family import (
     curve_invariants_j,
     derive_family,
     fiber_at_s,
-    group_law,
-    negate,
     nontorsion_certificate,
     point_from_fiber,
     rational_3_torsion,
-    scalar_mul,
     scan_family,
     torsion_bound,
 )

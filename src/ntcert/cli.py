@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coverings, newton, qseries
-from .errors import NtcertError
+from .cubicfield import DEFAULT_WITNESS_BOUND
+from .errors import NtcertError, VerificationError
 from .exact import BiPoly, parse_rational
 from .family import derive_family, scan_family
 from .jsonio import SCHEMA_VERSION, dumps_canonical
@@ -28,7 +29,7 @@ _SCAN_DEFAULTS = {
     "a1": "1",
     "a4": "1",
     "s_height_max": 10,
-    "witness_bound": 1000,
+    "witness_bound": DEFAULT_WITNESS_BOUND,
     "torsion_primes": "2",
     "jobs": 1,
 }
@@ -248,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID_INPUT
     try:
         return args.func(args)
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
     except NtcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -23,6 +23,7 @@ from .errors import (
     InvalidExponentError,
     InvalidInputError,
     NoAutomorphismError,
+    VerificationError,
 )
 from .exact import BiPoly, EisensteinInt, UniPoly, is_prime, proj_equal
 
@@ -72,7 +73,8 @@ def superelliptic_model(p: int, r: int, s: int) -> SuperellipticModel:
             raise InvalidInputError(f"{name} = {value} is not coprime to {p}")
     w0, w1 = r % p, s % p
     w_inf = (-(r + s)) % p
-    assert (w0 + w1 + w_inf) % p == 0
+    if (w0 + w1 + w_inf) % p:
+        raise VerificationError("branch residues do not sum to 0 mod p")
     return SuperellipticModel(p, r, s, w0, w1, w_inf)
 
 
@@ -161,7 +163,8 @@ def triangle_checks(m: int) -> dict:
     fixed_projectively = all(proj_equal(_shift(P), P) for P in fixed_points)
     on_curve = [_triangle_value(m, P).is_zero for P in fixed_points]
     fixed_points_on_curve = all(on_curve)
-    assert on_curve[0] == on_curve[1]
+    if on_curve[0] != on_curve[1]:
+        raise VerificationError("the two fixed points disagree about lying on the curve")
 
     return {
         "m": m,
@@ -322,12 +325,14 @@ def quotient_genus(p: int) -> int:
         raise InvalidInputError(f"{p} is not prime")
     if p == 3:
         g = 1
-        assert rh_genus(RamificationData(3, g, ())) == superelliptic_genus(3)
+        if rh_genus(RamificationData(3, g, ())) != superelliptic_genus(3):
+            raise VerificationError("Riemann-Hurwitz disagrees with the genus at p = 3")
         return g
     if p % 6 != 1:
         raise NoAutomorphismError(f"no order-3 symmetry for p = {p}")
     g = (p - 1) // 6
-    assert rh_genus(RamificationData(3, g, ((3,), (3,)))) == superelliptic_genus(p)
+    if rh_genus(RamificationData(3, g, ((3,), (3,)))) != superelliptic_genus(p):
+        raise VerificationError(f"Riemann-Hurwitz disagrees with the quotient genus at p = {p}")
     return g
 
 

@@ -43,6 +43,17 @@ class SplitType(str, Enum):
     IRREDUCIBLE = "irreducible"
     LINEAR_TIMES_QUADRATIC = "linear_times_quadratic"
 
+    @classmethod
+    def from_root_count(cls, roots: int) -> "SplitType":
+        """Split type of a squarefree cubic mod p with this many roots in F_p:
+        3 roots, 0 roots, or 1 root with an irreducible quadratic cofactor.
+        """
+        if roots == 3:
+            return cls.SPLITS_COMPLETELY
+        if roots == 0:
+            return cls.IRREDUCIBLE
+        return cls.LINEAR_TIMES_QUADRATIC
+
 
 class Verdict(str, Enum):
     DISTINCT_FIELDS = "distinct_fields"
@@ -110,23 +121,18 @@ def _is_unramified(f: UniPoly, disc: Fraction, p: int) -> bool:
     return all(c.denominator % p != 0 for c in f.coeffs)
 
 
-def splitting_type_mod_p(f: UniPoly, p: int) -> SplitType:
-    """Splitting pattern of a monic cubic at an unramified prime p.
+def _split_type(f: UniPoly, p: int) -> SplitType:
+    return SplitType.from_root_count(count_distinct_roots(reduce_mod_p(f, p)))
 
-    The root count of the (squarefree) reduction decides everything:
-    3 roots, 0 roots, or 1 root with an irreducible quadratic cofactor.
-    """
+
+def splitting_type_mod_p(f: UniPoly, p: int) -> SplitType:
+    """Splitting pattern of a monic cubic at an unramified prime p."""
     if f.degree != 3 or not f.is_monic:
         raise InvalidInputError("a monic cubic is required")
     disc = f.discriminant()
     if not _is_unramified(f, disc, p):
         raise RamifiedPrimeError(f"prime {p} is ramified or bad for {f}")
-    roots = count_distinct_roots(reduce_mod_p(f, p))
-    if roots == 3:
-        return SplitType.SPLITS_COMPLETELY
-    if roots == 0:
-        return SplitType.IRREDUCIBLE
-    return SplitType.LINEAR_TIMES_QUADRATIC
+    return _split_type(f, p)
 
 
 @lru_cache(maxsize=None)
@@ -138,19 +144,10 @@ def _splitting_fingerprint(coeffs: tuple[Fraction, ...], bound: int) -> tuple:
     """
     f = UniPoly(coeffs)
     disc = f.discriminant()
-    out = []
-    for p in primes_up_to(bound):
-        if not _is_unramified(f, disc, p):
-            out.append(None)
-            continue
-        roots = count_distinct_roots(reduce_mod_p(f, p))
-        if roots == 3:
-            out.append(SplitType.SPLITS_COMPLETELY)
-        elif roots == 0:
-            out.append(SplitType.IRREDUCIBLE)
-        else:
-            out.append(SplitType.LINEAR_TIMES_QUADRATIC)
-    return tuple(out)
+    return tuple(
+        _split_type(f, p) if _is_unramified(f, disc, p) else None
+        for p in primes_up_to(bound)
+    )
 
 
 def distinctness_witness(

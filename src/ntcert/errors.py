@@ -67,3 +67,7 @@ class NoAutomorphismError(NtcertError, ValueError):
 
 class InconsistentRamificationError(NtcertError, ValueError):
     """Ramification data whose Riemann-Hurwitz genus is not a nonnegative integer."""
+
+
+class VerificationError(NtcertError):
+    """An exact check on a fact the output certifies came out false."""

@@ -2,15 +2,17 @@
 
 from .bipoly import BiPoly
 from .eisenstein import EisensteinInt, proj_equal
+from .finitefield import FqElem
 from .modpoly import ModPoly, count_distinct_roots, irreducible_mod_p, reduce_mod_p
 from .primes import divisors, is_prime, iter_primes, prime_factors, primes_up_to
-from .quotient import QuotientElem, irreducible_over_q, quotient_invert
+from .quotient import QuotientElem, irreducible_over_q
 from .rationals import format_rational, parse_rational, rational_is_square
-from .unipoly import UniPoly, poly_discriminant, poly_resultant, rational_roots
+from .unipoly import UniPoly
 
 __all__ = [
     "BiPoly",
     "EisensteinInt",
+    "FqElem",
     "ModPoly",
     "QuotientElem",
     "UniPoly",
@@ -22,13 +24,9 @@ __all__ = [
     "is_prime",
     "iter_primes",
     "parse_rational",
-    "poly_discriminant",
-    "poly_resultant",
     "prime_factors",
     "primes_up_to",
     "proj_equal",
-    "quotient_invert",
     "rational_is_square",
-    "rational_roots",
     "reduce_mod_p",
 ]

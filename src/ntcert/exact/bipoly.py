@@ -45,10 +45,6 @@ class BiPoly:
     def second(cls) -> "BiPoly":
         return cls({(0, 1): 1})
 
-    @classmethod
-    def from_unipoly_first(cls, f: UniPoly) -> "BiPoly":
-        return cls({(k, 0): c for k, c in enumerate(f.coeffs)})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

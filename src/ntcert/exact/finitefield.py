@@ -1,0 +1,87 @@
+"""Elements of the finite field F_p[x]/(m) for a monic irreducible m over F_p.
+
+With m = x - r this is F_p itself; with an irreducible cubic it is F_{p^3}.
+An element is its reduced representative as a tuple of deg(m) ints in
+[0, p), lowest degree first, so equality is tuple equality and a product is
+one multiply-and-reduce loop against the monic modulus.  Operands must share
+the modulus; FieldPoint checks that before it combines two points.
+"""
+
+from __future__ import annotations
+
+from ..errors import InvalidPrimeError
+from .modpoly import ModPoly
+
+
+class FqElem:
+    __slots__ = ("coeffs", "modulus")
+
+    def __init__(self, coeffs: tuple[int, ...], modulus: ModPoly):
+        self.coeffs = coeffs
+        self.modulus = modulus
+
+    @classmethod
+    def reduce(cls, f: ModPoly, modulus: ModPoly) -> "FqElem":
+        """The residue class of f modulo the monic modulus."""
+        cs = (f % modulus).coeffs
+        return cls(cs + (0,) * (modulus.degree - len(cs)), modulus)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FqElem):
+            return self.coeffs == other.coeffs and self.modulus == other.modulus
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FqElem({list(self.coeffs)!r}, mod {self.modulus})"
+
+    def __add__(self, other: "FqElem") -> "FqElem":
+        p = self.modulus.p
+        return FqElem(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), self.modulus)
+
+    def __neg__(self) -> "FqElem":
+        p = self.modulus.p
+        return FqElem(tuple(-a % p for a in self.coeffs), self.modulus)
+
+    def __sub__(self, other: "FqElem") -> "FqElem":
+        p = self.modulus.p
+        return FqElem(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)), self.modulus)
+
+    def __mul__(self, other: "FqElem | int") -> "FqElem":
+        p = self.modulus.p
+        a = self.coeffs
+        if isinstance(other, int):
+            return FqElem(tuple(other * c % p for c in a), self.modulus)
+        b = other.coeffs
+        n = len(a)
+        if n == 1:
+            return FqElem((a[0] * b[0] % p,), self.modulus)
+        prod = [0] * (2 * n - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    prod[i + j] += ca * cb
+        m = self.modulus.coeffs
+        for k in range(2 * n - 2, n - 1, -1):
+            top = prod[k] % p
+            if top:
+                for i in range(n):
+                    prod[k - n + i] -= top * m[i]
+        return FqElem(tuple(c % p for c in prod[:n]), self.modulus)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FqElem":
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero in a finite field")
+        p = self.modulus.p
+        if len(self.coeffs) == 1:
+            return FqElem((pow(self.coeffs[0], -1, p),), self.modulus)
+        g, u, _ = ModPoly(self.coeffs, p, check_prime=False).xgcd(self.modulus)
+        if g.degree != 0:
+            raise InvalidPrimeError("non-invertible element in reduced field")
+        # deg u < deg m, since the element is reduced
+        return FqElem(u.coeffs + (0,) * (len(self.coeffs) - len(u.coeffs)), self.modulus)

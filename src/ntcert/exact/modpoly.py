@@ -12,10 +12,10 @@ from typing import Iterable
 
 from ..errors import InvalidInputError
 from .primes import is_prime, prime_factors
-from .unipoly import UniPoly
+from .unipoly import Euclidean, UniPoly
 
 
-class ModPoly:
+class ModPoly(Euclidean):
     __slots__ = ("coeffs", "p")
 
     def __init__(self, coeffs: Iterable[int], p: int, *, check_prime: bool = True):
@@ -42,6 +42,12 @@ class ModPoly:
     @classmethod
     def x(cls, p: int) -> "ModPoly":
         return cls((0, 1), p, check_prime=False)
+
+    def _constant(self, c: int) -> "ModPoly":
+        return ModPoly((c,), self.p, check_prime=False)
+
+    def _lead_inverse(self) -> int:
+        return pow(self.coeffs[-1], -1, self.p)
 
     @property
     def degree(self) -> int:
@@ -118,36 +124,6 @@ class ModPoly:
 
     def __mod__(self, other: "ModPoly") -> "ModPoly":
         return divmod(self, other)[1]
-
-    def monic(self) -> "ModPoly":
-        if self.is_zero:
-            return self
-        inv = pow(self.coeffs[-1], -1, self.p)
-        return ModPoly([c * inv % self.p for c in self.coeffs], self.p, check_prime=False)
-
-    def gcd(self, other: "ModPoly") -> "ModPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def xgcd(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly", "ModPoly"]:
-        """Extended gcd over F_p: (g, u, v) with u*self + v*other = g, g monic."""
-        self._same_field(other)
-        p = self.p
-        r0, r1 = self, other
-        u0, u1 = ModPoly((1,), p, check_prime=False), ModPoly((), p, check_prime=False)
-        v0, v1 = ModPoly((), p, check_prime=False), ModPoly((1,), p, check_prime=False)
-        while not r1.is_zero:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, u0 - q * u1
-            v0, v1 = v1, v0 - q * v1
-        if r0.is_zero:
-            return r0, u0, v0
-        inv = pow(r0.coeffs[-1], -1, p)
-        scale = ModPoly((inv,), p, check_prime=False)
-        return r0.monic(), u0 * scale, v0 * scale
 
     def pow_mod(self, e: int, modulus: "ModPoly") -> "ModPoly":
         """self^e reduced mod modulus."""

@@ -174,7 +174,3 @@ class QuotientElem:
             k >>= 1
         return result
 
-
-def quotient_invert(z: QuotientElem) -> QuotientElem:
-    """Inverse of a nonzero element of Q[x]/(m) for irreducible m."""
-    return z.inverse()

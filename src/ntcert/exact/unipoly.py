@@ -21,7 +21,45 @@ from ..errors import InvalidInputError
 from .primes import divisors
 
 
-class UniPoly:
+class Euclidean:
+    """Monic form, gcd and extended gcd for a polynomial ring over a field.
+
+    A subclass supplies ``is_zero``, ``*``, ``-``, ``divmod``, a constant of
+    its own ring (``_constant``) and the inverse of its leading coefficient
+    (``_lead_inverse``).
+    """
+
+    __slots__ = ()
+
+    def monic(self):
+        if self.is_zero:
+            return self
+        return self * self._constant(self._lead_inverse())
+
+    def gcd(self, other):
+        """Monic gcd (monic zero convention: gcd(0,0) = 0)."""
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
+
+    def xgcd(self, other):
+        """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
+        r0, r1 = self, other
+        u0, u1 = self._constant(1), self._constant(0)
+        v0, v1 = u1, u0
+        while not r1.is_zero:
+            q, r = divmod(r0, r1)
+            r0, r1 = r1, r
+            u0, u1 = u1, u0 - q * u1
+            v0, v1 = v1, v0 - q * v1
+        if r0.is_zero:
+            return r0, u0, v0
+        scale = r0._constant(r0._lead_inverse())
+        return r0 * scale, u0 * scale, v0 * scale
+
+
+class UniPoly(Euclidean):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
@@ -53,6 +91,12 @@ class UniPoly:
         if k < 0:
             raise InvalidInputError("monomial exponent must be nonnegative")
         return cls((0,) * k + (c,))
+
+    def _constant(self, c: Fraction | int) -> "UniPoly":
+        return UniPoly.constant(c)
+
+    def _lead_inverse(self) -> Fraction:
+        return 1 / self.leading
 
     # -- structure ---------------------------------------------------------
 
@@ -226,12 +270,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        lc = self.leading
-        return UniPoly(tuple(c / lc for c in self.coeffs))
-
     def integer_primitive(self) -> tuple[Fraction, tuple[int, ...]]:
         """Factor self = unit * P with P a primitive integer polynomial.
 
@@ -247,31 +285,6 @@ class UniPoly:
         for v in ints:
             g = _int_gcd(g, v)
         return Fraction(g, den), tuple(v // g for v in ints)
-
-    # -- gcd ----------------------------------------------------------------
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd over Q (monic zero convention: gcd(0,0) = 0)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def xgcd(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly", "UniPoly"]:
-        """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
-        r0, r1 = self, other
-        u0, u1 = UniPoly.one(), UniPoly.zero()
-        v0, v1 = UniPoly.zero(), UniPoly.one()
-        while not r1.is_zero:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, u0 - q * u1
-            v0, v1 = v1, v0 - q * v1
-        if r0.is_zero:
-            return r0, u0, v0
-        lc = r0.leading
-        inv = 1 / lc
-        return r0.monic(), u0 * inv, v0 * inv
 
     # -- resultant / discriminant -------------------------------------------
 
@@ -416,17 +429,3 @@ def _subresultant_res(a: list[int], b: list[int]) -> int:
             h = _exact_div(g**delta, h ** (delta - 1))
     return s * _exact_div(b[0] ** (len(a) - 1), h ** (len(a) - 2)) if len(a) - 1 > 0 else s
 
-
-def poly_resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Resultant of f and g over Q."""
-    return f.resultant(g)
-
-
-def poly_discriminant(f: UniPoly) -> Fraction:
-    """Discriminant of f; raises InvalidInputError for degree < 2."""
-    return f.discriminant()
-
-
-def rational_roots(f: UniPoly) -> set[Fraction]:
-    """All rational roots of a nonzero f."""
-    return f.rational_roots()

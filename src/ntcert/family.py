@@ -31,9 +31,11 @@ from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
 
 from .cubicfield import (
+    DEFAULT_WITNESS_BOUND,
     CubicField,
     DisjointnessWitness,
     GaloisClass,
+    SplitType,
     Verdict,
     distinctness_witness,
     galois_class,
@@ -46,8 +48,10 @@ from .errors import (
     InvalidPrimeError,
     RationalFiberError,
     SingularCurveError,
+    VerificationError,
 )
 from .exact import (
+    FqElem,
     ModPoly,
     QuotientElem,
     UniPoly,
@@ -58,8 +62,6 @@ from .exact import (
     reduce_mod_p,
 )
 from .exact.primes import factorize
-
-DEFAULT_WITNESS_BOUND = 1000
 
 
 class WeierstrassCurve:
@@ -88,7 +90,8 @@ class WeierstrassCurve:
         )
         if self.disc == 0:
             raise SingularCurveError("discriminant vanishes")
-        assert 1728 * self.disc == self.c4**3 - self.c6**2
+        if 1728 * self.disc != self.c4**3 - self.c6**2:
+            raise VerificationError("1728*disc differs from c4^3 - c6^2")
         self.j = self.c4**3 / self.disc
 
     @property
@@ -149,7 +152,8 @@ def closed_form_j(a1: Fraction | int) -> Fraction:
 def curve_invariants_j(params: FamilyParams) -> WeierstrassCurve:
     """Build the Weierstrass model and check its j against the closed form."""
     curve = params.curve()
-    assert curve.j == closed_form_j(params.a1), "formulary j disagrees with closed form"
+    if curve.j != closed_form_j(params.a1):
+        raise VerificationError("formulary j disagrees with closed form")
     return curve
 
 
@@ -179,7 +183,8 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
     den = 1 + 3 * s**2
     u = (1 - 3 * s**2) / den
     v = 2 * s / den
-    assert u**2 + 3 * v**2 == 1
+    if u**2 + 3 * v**2 != 1:
+        raise VerificationError("(u, v) is off the conic u^2 + 3v^2 = 1")
     t = a1 * (v / 3 - a6 / a4 + 2 * a1**2 / 27)
     p = a4 - a1 * t
     if p == 0:
@@ -188,7 +193,8 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
     fiber = UniPoly((q, p, 0, 1))
     disc = fiber.discriminant()
     expected = u**2 * p**2
-    assert disc == expected, "fiber discriminant identity failed"
+    if disc != expected:
+        raise VerificationError("fiber discriminant identity failed")
     sqrt_disc = abs(u * p)
     return FiberData(s, t, u, v, fiber, disc, sqrt_disc)
 
@@ -196,129 +202,134 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
 # -- points and the group law --------------------------------------------------
 
 
-class FieldPoint:
-    """A point of the curve with coordinates in Q[x]/(modulus).
+def _chord_tangent(a, P, Q):
+    """P + Q on the curve with a-invariants a, all in one field; None is the identity.
 
-    Rational points use the degree-1 modulus x, so a single representation
-    covers Q and the cubic fiber fields.  The point at infinity is a
-    distinguished marker with no coordinates.
+    Points are coordinate pairs and field elements need only + - *, int
+    scaling, inverse(), is_zero and ==, so the same law runs over Q[x]/(f)
+    and over the residue fields F_p[x]/(m).
+    """
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    a1, a2, a3, a4, a6 = a
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2 + a1 * x1 + a3).is_zero:
+            return None
+        inv = (y1 + y1 + a1 * x1 + a3).inverse()
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv
+        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * inv
+    else:
+        inv = (x2 - x1).inverse()
+        lam = (y2 - y1) * inv
+        nu = (y1 * x2 - y2 * x1) * inv
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = -(lam + a1) * x3 - nu - a3
+    return x3, y3
+
+
+def _double_and_add(a, P, k: int):
+    """k*P for k >= 0 by the binary method over _chord_tangent."""
+    result = None
+    while k:
+        if k & 1:
+            result = _chord_tangent(a, result, P)
+        k >>= 1
+        if k:
+            P = _chord_tangent(a, P, P)
+    return result
+
+
+class FieldPoint:
+    """A point of the curve with coordinates in a field K.
+
+    K is Q[x]/(modulus) with QuotientElem coordinates (rational points use
+    the degree-1 modulus x), or a residue field F_p[x]/(modulus) with FqElem
+    coordinates.  ``a`` holds the curve's a-invariants as elements of K, so
+    one group law serves every field.  The point at infinity has
+    x = y = None.
     """
 
-    __slots__ = ("curve", "modulus", "x", "y", "_infinity")
+    __slots__ = ("curve", "modulus", "a", "x", "y")
 
-    def __init__(self, curve, modulus, x, y, *, infinity=False, check=True):
+    def __init__(self, curve, modulus, a, x=None, y=None, *, check=True):
         self.curve = curve
         self.modulus = modulus
+        self.a = a
         self.x = x
         self.y = y
-        self._infinity = infinity
-        if not infinity and check:
-            if not self._equation_value().is_zero:
-                raise InvalidInputError("point does not satisfy the curve equation")
-
-    @classmethod
-    def infinity(cls, curve: WeierstrassCurve, modulus: UniPoly) -> "FieldPoint":
-        return cls(curve, modulus, None, None, infinity=True, check=False)
+        if x is not None and check and not self._equation_value().is_zero:
+            raise InvalidInputError("point does not satisfy the curve equation")
 
     @classmethod
     def affine(
         cls, curve: WeierstrassCurve, modulus: UniPoly, x: QuotientElem, y: QuotientElem
     ) -> "FieldPoint":
-        return cls(curve, modulus, x, y)
+        a = tuple(
+            QuotientElem(UniPoly.constant(c), modulus, validate=False)
+            for c in curve.a_invariants
+        )
+        return cls(curve, modulus, a, x, y)
 
     @classmethod
     def from_rationals(
         cls, curve: WeierstrassCurve, x: Fraction | int, y: Fraction | int
     ) -> "FieldPoint":
-        modulus = UniPoly.x()
-        return cls(
-            curve,
-            modulus,
-            QuotientElem.constant(x, modulus),
-            QuotientElem.constant(y, modulus),
-        )
+        m = UniPoly.x()
+        return cls.affine(curve, m, QuotientElem.constant(x, m), QuotientElem.constant(y, m))
 
     @property
     def is_infinity(self) -> bool:
-        return self._infinity
+        return self.x is None
 
-    def _const(self, c: Fraction) -> QuotientElem:
-        return QuotientElem(UniPoly.constant(c), self.modulus, validate=False)
+    def _coords(self):
+        return None if self.x is None else (self.x, self.y)
 
-    def _equation_value(self) -> QuotientElem:
-        a1 = self._const(self.curve.a1)
-        a2 = self._const(self.curve.a2)
-        a3 = self._const(self.curve.a3)
-        a4 = self._const(self.curve.a4)
-        a6 = self._const(self.curve.a6)
+    def _sibling(self, coords) -> "FieldPoint":
+        """The point with these coordinates (None: infinity) on the same curve over K."""
+        x, y = coords or (None, None)
+        return FieldPoint(self.curve, self.modulus, self.a, x, y, check=False)
+
+    def _equation_value(self):
+        a1, a2, a3, a4, a6 = self.a
         x, y = self.x, self.y
         return y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6
 
     def to_rationals(self) -> tuple[Fraction, Fraction]:
-        if self.is_infinity or self.modulus.degree != 1:
+        if self.is_infinity or not isinstance(self.x, QuotientElem) or self.modulus.degree != 1:
             raise InvalidInputError("not an affine rational point")
         return self.x.rep.coefficient(0), self.y.rep.coefficient(0)
-
-    def _compatible(self, other: "FieldPoint") -> None:
-        if self.curve != other.curve or self.modulus != other.modulus:
-            raise IncompatiblePointsError("points on different curves or fields")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldPoint):
             return NotImplemented
         if self.curve != other.curve or self.modulus != other.modulus:
             return False
-        if self._infinity or other._infinity:
-            return self._infinity and other._infinity
         return self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
-        if self._infinity:
-            return hash((self.curve, self.modulus, "inf"))
         return hash((self.curve, self.modulus, self.x, self.y))
 
     def __repr__(self) -> str:
-        if self._infinity:
+        if self.is_infinity:
             return "FieldPoint(infinity)"
-        return f"FieldPoint(x={self.x.rep}, y={self.y.rep} mod {self.modulus})"
+        return f"FieldPoint(x={self.x}, y={self.y})"
 
     def __neg__(self) -> "FieldPoint":
-        if self._infinity:
+        if self.is_infinity:
             return self
-        a1 = self._const(self.curve.a1)
-        a3 = self._const(self.curve.a3)
-        return FieldPoint(
-            self.curve, self.modulus, self.x, -self.y - a1 * self.x - a3, check=False
-        )
+        a1, _, a3, _, _ = self.a
+        return self._sibling((self.x, -self.y - a1 * self.x - a3))
 
     def __add__(self, other: "FieldPoint") -> "FieldPoint":
         if not isinstance(other, FieldPoint):
             return NotImplemented
-        self._compatible(other)
-        if self._infinity:
-            return other
-        if other._infinity:
-            return self
-        a1 = self._const(self.curve.a1)
-        a2 = self._const(self.curve.a2)
-        a3 = self._const(self.curve.a3)
-        a4 = self._const(self.curve.a4)
-        a6 = self._const(self.curve.a6)
-        x1, y1 = self.x, self.y
-        x2, y2 = other.x, other.y
-        if x1 == x2:
-            if (y1 + y2 + a1 * x1 + a3).is_zero:
-                return FieldPoint.infinity(self.curve, self.modulus)
-            inv = (y1 + y1 + a1 * x1 + a3).inverse()
-            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv
-            nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * inv
-        else:
-            inv = (x2 - x1).inverse()
-            lam = (y2 - y1) * inv
-            nu = (y1 * x2 - y2 * x1) * inv
-        x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        y3 = -(lam + a1) * x3 - nu - a3
-        return FieldPoint(self.curve, self.modulus, x3, y3, check=False)
+        if self.curve != other.curve or self.modulus != other.modulus:
+            raise IncompatiblePointsError("points on different curves or fields")
+        return self._sibling(_chord_tangent(self.a, self._coords(), other._coords()))
 
     def __sub__(self, other: "FieldPoint") -> "FieldPoint":
         return self + (-other)
@@ -326,26 +337,7 @@ class FieldPoint:
     def scalar_mul(self, k: int) -> "FieldPoint":
         if k < 0:
             return (-self).scalar_mul(-k)
-        result = FieldPoint.infinity(self.curve, self.modulus)
-        base = self
-        while k:
-            if k & 1:
-                result = result + base
-            base = base + base
-            k >>= 1
-        return result
-
-
-def group_law(P: FieldPoint, Q: FieldPoint) -> FieldPoint:
-    return P + Q
-
-
-def negate(P: FieldPoint) -> FieldPoint:
-    return -P
-
-
-def scalar_mul(k: int, P: FieldPoint) -> FieldPoint:
-    return P.scalar_mul(k)
+        return self._sibling(_double_and_add(self.a, self._coords(), k))
 
 
 def rational_3_torsion(params: FamilyParams) -> FieldPoint:
@@ -353,8 +345,8 @@ def rational_3_torsion(params: FamilyParams) -> FieldPoint:
     curve = params.curve()
     P = FieldPoint.from_rationals(curve, 0, params.a4 / params.a1)
     double = P + P
-    assert not P.is_infinity and not double.is_infinity
-    assert double == -P, "doubling did not negate the 3-torsion point"
+    if double.is_infinity or double != -P:
+        raise VerificationError("doubling did not negate the 3-torsion point")
     return P
 
 
@@ -432,9 +424,14 @@ def trace_over_extension(a_p: int, p: int, k: int) -> int:
 
 
 def residue_degree(fiber: UniPoly, p: int) -> int:
-    """1 if the fiber cubic has a root mod p, else 3 (no quadratic factors for C3)."""
+    """Residue degree at an unramified p of the C3 field of the fiber: 1 or 3."""
     roots = count_distinct_roots(reduce_mod_p(fiber, p))
-    return 1 if roots >= 1 else 3
+    return 3 if SplitType.from_root_count(roots) is SplitType.IRREDUCIBLE else 1
+
+
+def _group_order(curve: WeierstrassCurve, p: int, d: int) -> int:
+    """|E(F_{p^d})| at a good prime p."""
+    return p**d + 1 - trace_over_extension(frobenius_trace(curve, p), p, d)
 
 
 def good_torsion_primes(
@@ -464,17 +461,12 @@ def torsion_bound(
     curve = params.curve()
     if len(primes) < 2 or len(set(primes)) != len(primes):
         raise InvalidPrimeError("at least two distinct primes are required")
-    bound = 0
     for p in primes:
         if not is_good_prime(curve, p):
             raise InvalidPrimeError(f"{p} is not a good-reduction prime")
         if not _fiber_unramified(fiber, p):
             raise InvalidPrimeError(f"{p} ramifies in the fiber cubic")
-        d = residue_degree(fiber, p)
-        a_p = frobenius_trace(curve, p)
-        order = p**d + 1 - trace_over_extension(a_p, p, d)
-        bound = _int_gcd(bound, order)
-    return bound
+    return _int_gcd(*(_group_order(curve, p, residue_degree(fiber, p)) for p in primes))
 
 
 def torsion_bound_adaptive(
@@ -484,13 +476,16 @@ def torsion_bound_adaptive(
     threshold: int = 30,
     max_primes: int = 12,
 ) -> tuple[int, tuple[int, ...]]:
-    """Torsion bound that keeps pulling in good primes while it stays large.
+    """Torsion bound over the first `base_count` (>= 2) good primes, pulling
+    in more while it stays large.
 
     The gcd over any superset of good primes is still a valid upper bound
     on the torsion order, and a couple of extra primes almost always
     collapse it to a small value; that keeps the non-torsion scan (whose
     point heights grow quadratically) cheap.
     """
+    if base_count < 2:
+        raise InvalidInputError("at least two torsion primes are required")
     curve = params.curve()
     disc_f = fiber.discriminant()
     primes: list[int] = []
@@ -499,69 +494,19 @@ def torsion_bound_adaptive(
         if not (is_good_prime(curve, p) and _fiber_unramified(fiber, p, disc_f)):
             continue
         primes.append(p)
-        if len(primes) < base_count:
-            continue
-        if len(primes) == base_count:
-            bound = torsion_bound(params, fiber, primes)
-        else:
-            d = residue_degree(fiber, p)
-            a_p = frobenius_trace(curve, p)
-            bound = _int_gcd(bound, p**d + 1 - trace_over_extension(a_p, p, d))
-        if bound <= threshold or len(primes) >= max_primes:
+        bound = _int_gcd(bound, _group_order(curve, p, residue_degree(fiber, p)))
+        if len(primes) >= base_count and (bound <= threshold or len(primes) >= max_primes):
             return bound, tuple(primes)
     raise InvalidPrimeError("prime search exhausted")  # pragma: no cover
 
 
-def _fq_inv(a: ModPoly, modulus: ModPoly) -> ModPoly:
-    g, u, _ = a.xgcd(modulus)
-    if g.degree != 0:
-        raise InvalidPrimeError("non-invertible element in reduced field")
-    return u % modulus
-
-
-def _fq_add(P, Q, consts, modulus: ModPoly):
-    """Chord-tangent addition over F_p[x]/(modulus); None is the identity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    a1, a2, a3, a4, a6 = consts
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if ((y1 + y2 + a1 * x1 + a3) % modulus).is_zero:
-            return None
-        inv = _fq_inv((y1 + y1 + a1 * x1 + a3) % modulus, modulus)
-        three = ModPoly((3,), modulus.p, check_prime=False)
-        two = ModPoly((2,), modulus.p, check_prime=False)
-        lam = ((three * x1 * x1 + two * a2 * x1 + a4 - a1 * y1) * inv) % modulus
-        nu = ((two * a6 - x1 * x1 * x1 + a4 * x1 - a3 * y1) * inv) % modulus
-    else:
-        inv = _fq_inv((x2 - x1) % modulus, modulus)
-        lam = ((y2 - y1) * inv) % modulus
-        nu = ((y1 * x2 - y2 * x1) * inv) % modulus
-    x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % modulus
-    y3 = (-(lam + a1) * x3 - nu - a3) % modulus
-    return (x3, y3)
-
-
-def _fq_scalar(k: int, P, consts, modulus: ModPoly):
-    result = None
-    base = P
-    while k:
-        if k & 1:
-            result = _fq_add(result, base, consts, modulus)
-        base = _fq_add(base, base, consts, modulus)
-        k >>= 1
-    return result
-
-
-def reduce_point_mod_p(P: FieldPoint, p: int):
+def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
     """Reduce P at a residue-field hom above p; None when p is unusable.
 
-    Returns ((x, y), consts, modulus, group_order): the image point in
-    F_p[x]/(modulus), the reduced curve constants, and the order of the
-    reduced group E(F_{p^d}).  Any root of the reduced modulus gives a
+    Returns (Pbar, group_order): the image point over F_p[x]/(modulus),
+    with Pbar.modulus = x - r for a root r of the reduced modulus or the
+    irreducible reduced modulus itself, and the order of the reduced group
+    E(F_{p^d}), d = deg(modulus).  Any root of the reduced modulus gives a
     genuine residue map, so ramified primes are fine; only bad reduction,
     non-p-integral coordinates, or an undecidable factor shape skip.
     """
@@ -575,38 +520,31 @@ def reduce_point_mod_p(P: FieldPoint, p: int):
     root = next((r for r in range(p) if fbar.evaluate(r) == 0), None)
     if root is not None:
         modulus = ModPoly((-root, 1), p, check_prime=False)
-        d = 1
     elif fbar.degree in (2, 3) or irreducible_mod_p(fbar):
         modulus = fbar
-        d = fbar.degree
     else:
         return None
-    consts = tuple(
-        ModPoly.from_unipoly(UniPoly.constant(c), p) % modulus
-        for c in curve.a_invariants
-    )
-    xbar = ModPoly.from_unipoly(P.x.rep, p) % modulus
-    ybar = ModPoly.from_unipoly(P.y.rep, p) % modulus
-    a1, a2, a3, a4, a6 = consts
-    on_curve = (
-        ybar * ybar + a1 * xbar * ybar + a3 * ybar
-        - xbar * xbar * xbar - a2 * xbar * xbar - a4 * xbar - a6
-    ) % modulus
-    assert on_curve.is_zero, "reduction left the curve"
-    a_p = frobenius_trace(curve, p)
-    order = p**d + 1 - trace_over_extension(a_p, p, d)
-    return (xbar, ybar), consts, modulus, order
+
+    def lift(f: UniPoly) -> FqElem:
+        return FqElem.reduce(ModPoly.from_unipoly(f, p), modulus)
+
+    a = tuple(lift(UniPoly.constant(c)) for c in curve.a_invariants)
+    Pbar = FieldPoint(curve, modulus, a, lift(P.x.rep), lift(P.y.rep), check=False)
+    if not Pbar._equation_value().is_zero:
+        raise VerificationError("reduction left the curve")
+    return Pbar, _group_order(curve, p, modulus.degree)
 
 
 def _reduced_point_order(P: FieldPoint, p: int) -> int | None:
     reduced = reduce_point_mod_p(P, p)
     if reduced is None:
         return None
-    point, consts, modulus, group_order = reduced
-    assert _fq_scalar(group_order, point, consts, modulus) is None
+    Pbar, group_order = reduced
+    if not Pbar.scalar_mul(group_order).is_infinity:
+        raise VerificationError("the reduced group order does not annihilate the point")
     o = group_order
     for ell in factorize(group_order):
-        while o % ell == 0 and _fq_scalar(o // ell, point, consts, modulus) is None:
+        while o % ell == 0 and Pbar.scalar_mul(o // ell).is_infinity:
             o //= ell
     return o
 
@@ -761,7 +699,8 @@ def evaluate_fiber(
     if fd.fiber.rational_roots():
         return FiberOutcome("reducible", s)
     K = galois_class(fd.fiber)
-    assert K.galois_class is GaloisClass.C3, "square discriminant must give C3"
+    if K.galois_class is not GaloisClass.C3:
+        raise VerificationError("square discriminant must give C3")
     point = point_from_fiber_data(params, fd)
     if isinstance(torsion_primes, int):
         bound, primes = torsion_bound_adaptive(params, fd.fiber, torsion_primes)

@@ -94,18 +94,12 @@ class LaurentSeries:
             return Fraction(0)
         return self.coeffs[e - self.valuation]
 
-    def known_range(self) -> tuple[int, int]:
-        return self.valuation, self.order
-
     def truncate(self, order: int) -> "LaurentSeries":
         if order > self.order:
             raise InvalidInputError("cannot extend a truncated series")
         if order <= self.valuation:
             return LaurentSeries.zero(order)
         return LaurentSeries(self.valuation, self.coeffs[: order - self.valuation], order)
-
-    def coefficients_from(self, start: int, count: int) -> list[Fraction]:
-        return [self.coefficient(start + i) for i in range(count)]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentSeries):

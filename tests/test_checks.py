@@ -1,0 +1,43 @@
+"""Certificate checks stay on in every way the code can run."""
+
+import ast
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from ntcert import cli, family
+from ntcert.cubicfield import GaloisClass
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ntcert"
+
+
+def test_no_assert_statements_in_the_package():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], "python -O strips these checks"
+
+
+def test_optimized_interpreter_emits_the_same_bytes():
+    argv = ["-m", "ntcert.cli", "family-scan", "--s-height-max", "3"]
+    runs = [
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True, timeout=120, check=True)
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout
+
+
+def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
+    real = family.galois_class
+    monkeypatch.setattr(
+        family, "galois_class", lambda f: replace(real(f), galois_class=GaloisClass.S3)
+    )
+    assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: square discriminant must give C3\n"

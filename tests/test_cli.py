@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ntcert import cli
 
 
@@ -155,6 +157,18 @@ def test_explicit_torsion_primes(capsys):
         ["family-scan", "--s-height-max", "2", "--torsion-primes", "5,7"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("count", [0, 1, -2])
+def test_torsion_prime_count_below_two_exits_2(tmp_path, capsys, count):
+    code, doc = run_cli(
+        ["family-scan", "--s-height-max", "2", "--torsion-primes", str(count)], capsys
+    )
+    assert (code, doc) == (2, None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s_height_max": 2, "torsion_primes": count}))
+    code, doc = run_cli(["family-scan", "--config", str(cfg)], capsys)
+    assert (code, doc) == (2, None)
 
 
 def test_console_entry_point():

@@ -345,6 +345,44 @@ def test_reduction_compatible_with_addition():
         done += 1
 
 
+def fp_coords(point):
+    """Integer coordinates of a point over F_p[x]/(x - r); None at infinity."""
+    return None if point.is_infinity else (point.x.coeffs[0], point.y.coeffs[0])
+
+
+def test_reduction_commutes_with_the_group_law_over_fp_and_fp3():
+    """reduce(k*P) == k*reduce(P) and |E(F_{p^d})| kills reduce(P), for d = 1 and 3."""
+    checked = {1: 0, 3: 0}
+    for a1, a4 in ((1, 1), (2, 3)):
+        params = derive_family(a1, a4)
+        curve = params.curve()
+        for s in enumerate_s_by_height(2):
+            fd = fiber_at_s(params, s)
+            if fd.fiber.rational_roots():
+                continue
+            P = point_from_fiber_data(params, fd)
+            multiples = {k: P.scalar_mul(k) for k in range(2, 6)}
+            for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+                reduced = reduce_point_mod_p(P, p)
+                if reduced is None:
+                    continue
+                Pbar, order = reduced
+                d = Pbar.modulus.degree
+                assert Pbar.scalar_mul(order).is_infinity
+                base = oracle = fp_coords(Pbar) if d == 1 else None
+                for k, kP in multiples.items():
+                    kPbar = Pbar.scalar_mul(k)
+                    if d == 1:  # the integer law above is an independent oracle over F_p
+                        oracle = modp_add(curve, oracle, base, p)
+                        assert oracle == fp_coords(kPbar)
+                    image = reduce_point_mod_p(kP, p)
+                    if image is None:
+                        continue  # k*P is not integral at every prime above p
+                    assert image == (kPbar, order)
+                    checked[d] += 1
+    assert checked[1] >= 20 and checked[3] >= 20, checked
+
+
 def test_point_count_contains_three_torsion():
     params = derive_family(1, 1)
     curve = params.curve()
@@ -439,8 +477,9 @@ def test_reduce_point_mod_p_stays_on_curve():
     Q = point_from_fiber(params, 1)
     reduced = reduce_point_mod_p(Q, 5)
     assert reduced is not None
-    point, consts, modulus, order = reduced
-    assert order == count_points_mod_p(params.curve(), 5) or modulus.degree == 3
+    point, order = reduced
+    assert point._equation_value().is_zero
+    assert order == count_points_mod_p(params.curve(), 5) or point.modulus.degree == 3
 
 
 # -- the scan -------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from ntcert.errors import InvalidInputError
-from ntcert.exact import UniPoly, poly_discriminant, poly_resultant, rational_roots
+from ntcert.exact import UniPoly
 
 
 def poly_from_roots(roots, lead=1):
@@ -17,15 +17,15 @@ def poly_from_roots(roots, lead=1):
 
 def test_discriminant_depressed_cubic():
     # -4 p^3 - 27 q^2 at p = q = 1
-    assert poly_discriminant(UniPoly((1, 1, 0, 1))) == -31
+    assert UniPoly((1, 1, 0, 1)).discriminant() == -31
 
 
 def test_discriminant_quadratic():
-    assert poly_discriminant(UniPoly((-1, 0, 1))) == 4
+    assert UniPoly((-1, 0, 1)).discriminant() == 4
 
 
 def test_discriminant_cyclic_cubic():
-    assert poly_discriminant(UniPoly((1, -3, 0, 1))) == 81
+    assert UniPoly((1, -3, 0, 1)).discriminant() == 81
 
 
 def test_depressed_cubic_formula_random():
@@ -34,12 +34,12 @@ def test_depressed_cubic_formula_random():
         p = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         f = UniPoly((q, p, 0, 1))
-        assert poly_discriminant(f) == -4 * p**3 - 27 * q**2
+        assert f.discriminant() == -4 * p**3 - 27 * q**2
 
 
 def test_discriminant_requires_degree_two():
     with pytest.raises(InvalidInputError):
-        poly_discriminant(UniPoly((1, 2)))
+        UniPoly((1, 2)).discriminant()
 
 
 def test_resultant_zero_iff_common_root():
@@ -54,7 +54,7 @@ def test_resultant_zero_iff_common_root():
         f = poly_from_roots(rf, rng.choice((1, 2, -3)))
         g = poly_from_roots(rg, rng.choice((1, -1, 5)))
         share = bool(set(rf) & set(rg))
-        assert (poly_resultant(f, g) == 0) == share
+        assert (f.resultant(g) == 0) == share
 
 
 def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
@@ -83,7 +83,7 @@ def test_resultant_matches_sylvester_determinant():
         f, g = UniPoly(cf), UniPoly(cg)
         if f.degree < 1 or g.degree < 1:
             continue
-        assert poly_resultant(f, g) == sylvester_resultant(f, g)
+        assert f.resultant(g) == sylvester_resultant(f, g)
 
 
 def test_discriminant_scaling():
@@ -95,15 +95,15 @@ def test_discriminant_scaling():
             continue
         c = Fraction(rng.choice([v for v in range(-5, 6) if v]), rng.randint(1, 3))
         n = f.degree
-        assert poly_discriminant(c * f) == c ** (2 * n - 2) * poly_discriminant(f)
+        assert (c * f).discriminant() == c ** (2 * n - 2) * f.discriminant()
 
 
 def test_rational_roots_examples():
-    assert rational_roots(UniPoly((0, -1, 0, 1))) == {-1, 0, 1}
-    assert rational_roots(UniPoly((1, -3, 0, 1))) == set()
-    assert rational_roots(UniPoly((-3, 2))) == {Fraction(3, 2)}
+    assert UniPoly((0, -1, 0, 1)).rational_roots() == {-1, 0, 1}
+    assert UniPoly((1, -3, 0, 1)).rational_roots() == set()
+    assert UniPoly((-3, 2)).rational_roots() == {Fraction(3, 2)}
     with pytest.raises(InvalidInputError):
-        rational_roots(UniPoly.zero())
+        UniPoly.zero().rational_roots()
 
 
 def test_rational_roots_random_reconstruction():
@@ -112,7 +112,7 @@ def test_rational_roots_random_reconstruction():
     for _ in range(60):
         roots = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
         f = poly_from_roots(roots, rng.choice((1, 2, -6)))
-        assert rational_roots(f) == set(roots)
+        assert f.rational_roots() == set(roots)
 
 
 def test_divmod_and_gcd():
@@ -152,4 +152,4 @@ def test_compose_evaluate_consistency():
 def test_shift_preserves_discriminant():
     f = UniPoly((1, -3, 0, 1))
     for c in (Fraction(1), Fraction(-2, 3), Fraction(7, 5)):
-        assert poly_discriminant(f.shift(c)) == poly_discriminant(f)
+        assert f.shift(c).discriminant() == f.discriminant()
