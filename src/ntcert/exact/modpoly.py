@@ -126,17 +126,28 @@ class ModPoly(Euclidean):
         return divmod(self, other)[1]
 
     def pow_mod(self, e: int, modulus: "ModPoly") -> "ModPoly":
-        """self^e reduced mod modulus."""
+        """self^e reduced mod modulus (nonconstant).
+
+        Square-and-multiply runs on FqElem, the one multiply-and-reduce loop,
+        which needs only a monic modulus: a remainder mod the monic multiple
+        of modulus is the same remainder.
+        """
+        from .finitefield import FqElem
+
         if e < 0:
             raise InvalidInputError("negative exponent")
-        result = ModPoly((1,), self.p, check_prime=False)
-        base = self % modulus
+        if modulus.degree < 1:
+            raise InvalidInputError("pow_mod needs a nonconstant modulus")
+        m = modulus.monic()
+        base = FqElem.reduce(self, m)
+        result = FqElem.reduce(self._constant(1), m)
         while e:
             if e & 1:
-                result = result * base % modulus
-            base = base * base % modulus
+                result = result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return ModPoly(result.coeffs, self.p, check_prime=False)
 
     def evaluate(self, x: int) -> int:
         acc = 0

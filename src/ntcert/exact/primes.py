@@ -2,10 +2,16 @@
 
 Everything here is desk scale: trial division and a deterministic
 Miller-Rabin (valid far beyond 64-bit inputs) are all that is needed.
+primes_up_to and iter_primes read one cached sieve of Eratosthenes, which
+grows on demand, so a scan that asks for the same primes per fiber pair
+sieves them once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
+from math import isqrt
 from typing import Iterator
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -35,25 +41,43 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes p <= limit, by sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+# The cached sieve as (limit, every prime up to limit, ascending), replaced
+# whole when it grows, to at least twice its limit so growth is amortised.
+# Its tuples are never mutated, so a caller may keep the one it was handed.
+_MIN_SIEVE = 1 << 10
+_sieve: tuple[int, tuple[int, ...]] = (1, ())
+
+
+def _sieve_through(limit: int) -> tuple[int, ...]:
+    """The cached primes, after extending the sieve of Eratosthenes to cover limit."""
+    global _sieve
+    sieved_to, primes = _sieve
+    if limit > sieved_to:
+        n = max(limit, 2 * sieved_to, _MIN_SIEVE)
+        flags = bytearray([1]) * (n + 1)
+        flags[0] = flags[1] = 0
+        for p in range(2, isqrt(n) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+        primes = tuple(compress(range(n + 1), flags))
+        _sieve = (n, primes)
+    return primes
+
+
+def primes_up_to(limit: int) -> tuple[int, ...]:
+    """All primes p <= limit, ascending, read from the cached sieve."""
+    primes = _sieve_through(limit)
+    return primes[: bisect_right(primes, limit)]
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:
-    """Ascending primes >= start, unbounded."""
+    """Ascending primes >= start, unbounded; walks the cached sieve, extending it as needed."""
     n = max(2, start)
     while True:
-        if is_prime(n):
-            yield n
-        n += 1
+        # Bertrand: (n, 2n] holds a prime, so every round yields at least one.
+        primes = _sieve_through(2 * n)
+        yield from islice(primes, bisect_left(primes, n), None)
+        n = primes[-1] + 1
 
 
 def prime_factors(n: int) -> list[int]:

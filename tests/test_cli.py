@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -216,3 +217,21 @@ def test_certificate_fiber_round_trips(tmp_path):
         # the certified point satisfies the reconstructed fiber: y = t is the
         # curve section, x is the generator, so fiber(theta) = 0 by definition
         assert parse_rational(cert["t"]) == parse_rational(cert["point"]["y"][0])
+
+
+# sha256 of the stdout of the benchmark's two seed-0 scans (the values in
+# perfbench/workloads.py), so that a kernel change that alters any output
+# byte fails here, not only in the benchmark.
+PINNED_SCANS = {
+    ("family-scan", "--a1", "1", "--a4", "1", "--s-height-max", "8"):
+        "1b4fa48b342bc9d26e0ba00b0c795aa625c27825d0609962389f80d9e8446ed1",
+    ("family-scan", "--a1", "2", "--a4", "3", "--s-height-max", "8", "--jobs", "2"):
+        "92824165cd20b587ead3754001690b8b1c0ece944d13865030b3b78916a49e00",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_SCANS), ids=["serial", "jobs2"])
+def test_scan_output_bytes_are_pinned(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == PINNED_SCANS[argv]

@@ -1,0 +1,179 @@
+"""The fast F_p kernels against the generic code they replace.
+
+The vectorised Frobenius fingerprint is checked prime by prime against
+splitting_type_mod_p (which counts roots with gcd(x^p - x, f)), and the
+degree-3 FqElem multiply and inverse against ModPoly's product-and-divmod
+and xgcd.
+"""
+
+import inspect
+import random
+import tracemalloc
+from fractions import Fraction
+from itertools import islice
+
+import pytest
+
+from ntcert.cubicfield import (
+    _GRID_CAP,
+    GaloisClass,
+    SplitType,
+    _grid_chunks,
+    _splitting_fingerprint,
+    galois_class,
+    splitting_type_mod_p,
+)
+from ntcert.errors import InvalidInputError, InvalidPrimeError, RamifiedPrimeError
+from ntcert.exact import FqElem, ModPoly, UniPoly, is_prime, iter_primes, primes_up_to
+
+
+def shanks_cubic(t: int) -> UniPoly:
+    """x^3 - t x^2 - (t+3) x - 1, cyclic for every integer t."""
+    return UniPoly((-1, -(t + 3), -t, 1))
+
+
+def rescaled(f: UniPoly, scale: Fraction, shift: Fraction) -> UniPoly:
+    """The monic cubic scale^3 * f(x/scale + shift): the same field, other coefficients."""
+    g = f.compose(UniPoly((shift, 1 / scale)))
+    return g * (1 / g.leading)
+
+
+FIELDS = [
+    shanks_cubic(-1),
+    shanks_cubic(4),
+    shanks_cubic(11),
+    UniPoly((-2, 0, 0, 1)),  # S3: x^3 - 2
+    UniPoly((1, 1, 0, 1)),  # S3: x^3 + x + 1, disc -31
+    UniPoly((1, -1, 1, 1)),  # S3, not depressed
+    rescaled(shanks_cubic(2), Fraction(2), Fraction(1, 3)),  # C3, a denominator 27
+    rescaled(UniPoly((-3, 1, 0, 1)), Fraction(-3, 5), Fraction(-1, 2)),  # S3, denominators to 1000
+]
+# Well above _GRID_CAP residues, so the grid is evaluated in several chunks.
+CHUNKED_BOUND = 1500
+
+
+def fingerprint(f: UniPoly, bound: int) -> tuple:
+    return _splitting_fingerprint(f, f.discriminant(), bound)
+
+
+def per_prime_fingerprint(f: UniPoly, bound: int) -> tuple:
+    out = []
+    for p in primes_up_to(bound):
+        try:
+            out.append(splitting_type_mod_p(f, p))
+        except RamifiedPrimeError:
+            out.append(None)
+    return tuple(out)
+
+
+def is_bad(f: UniPoly, p: int) -> bool:
+    disc = f.discriminant()
+    dens = [c.denominator for c in f.coeffs]
+    return any(n % p == 0 for n in (disc.numerator, disc.denominator, *dens))
+
+
+def test_fixture_fields_cover_both_classes_and_rational_coefficients():
+    classes = {galois_class(f).galois_class for f in FIELDS}
+    assert classes == {GaloisClass.C3, GaloisClass.S3}
+    assert any(c.denominator > 1 for f in FIELDS for c in f.coeffs)
+    assert sum(primes_up_to(CHUNKED_BOUND)) > _GRID_CAP
+    assert len(list(_grid_chunks(primes_up_to(CHUNKED_BOUND)))) >= 2
+
+
+@pytest.mark.parametrize("bound", [2, 3, 97, 1000, CHUNKED_BOUND])
+def test_vectorised_fingerprint_matches_per_prime_split_types(bound):
+    seen = set()
+    for f in FIELDS:
+        fp = fingerprint(f, bound)
+        assert fp == per_prime_fingerprint(f, bound), f
+        for p, split in zip(primes_up_to(bound), fp):
+            assert (split is None) == is_bad(f, p), (f, p)
+        seen.update(fp)
+    if bound >= 97:
+        assert seen == {None, *SplitType}
+
+
+def test_fingerprint_at_two_and_three():
+    # x^3 + x + 1 has no root mod 2 and one root (x = 1) mod 3.
+    assert fingerprint(UniPoly((1, 1, 0, 1)), 3) == (
+        SplitType.IRREDUCIBLE,
+        SplitType.LINEAR_TIMES_QUADRATIC,
+    )
+    # Shanks t = 0 has discriminant 81: 3 ramifies, 2 is inert.
+    assert fingerprint(shanks_cubic(0), 3) == (SplitType.IRREDUCIBLE, None)
+    # 2 divides the discriminant 23104 and 3 the denominator 27: both are bad.
+    assert fingerprint(FIELDS[6], 3) == (None, None)
+
+
+def test_fingerprint_temporaries_stay_bounded_for_large_witness_bounds():
+    bound = 20000
+    unchunked = sum(primes_up_to(bound)) * 8  # two int32 grids over every pair
+    assert unchunked > 150 * 2**20
+    tracemalloc.start()
+    try:
+        fp = fingerprint(shanks_cubic(3), bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fp) == len(primes_up_to(bound))
+    assert peak < 24 * 2**20
+
+
+def irreducible_cubic(rng: random.Random, p: int) -> ModPoly:
+    while True:
+        m = ModPoly([rng.randrange(p) for _ in range(3)] + [1], p)
+        if all(m.evaluate(r) for r in range(p)):
+            return m
+
+
+def test_fq3_multiply_and_inverse_match_modpoly():
+    rng = random.Random(2024)
+    primes = [5, 7, 11, 13, 101, 997] + rng.sample(primes_up_to(997)[3:], 10)
+    for p in primes:
+        m = irreducible_cubic(rng, p)
+        one = FqElem.reduce(ModPoly((1,), p), m)
+        for _ in range(15):
+            a, b = (FqElem.reduce(ModPoly([rng.randrange(p) for _ in range(3)], p), m)
+                    for _ in range(2))
+            expected = FqElem.reduce(ModPoly(a.coeffs, p) * ModPoly(b.coeffs, p), m)
+            assert a * b == expected
+            if a.is_zero:
+                continue
+            _, u, _ = ModPoly(a.coeffs, p).xgcd(m)
+            inv = a.inverse()
+            assert inv == FqElem.reduce(u, m)
+            assert a * inv == one
+        with pytest.raises(ZeroDivisionError):
+            FqElem((0, 0, 0), m).inverse()
+
+
+def test_fq3_inverse_rejects_a_reducible_modulus():
+    m = ModPoly((0, 0, 0, 1), 7)  # x^3: x has no inverse
+    with pytest.raises(InvalidPrimeError):
+        FqElem((0, 1, 0), m).inverse()
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_pow_mod_matches_repeated_multiplication_for_any_modulus(p):
+    rng = random.Random(p)
+    for degree in (1, 2, 3, 4):
+        for lead in {1, p - 1}:
+            m = ModPoly([rng.randrange(p) for _ in range(degree)] + [lead], p)
+            f = ModPoly([rng.randrange(p) for _ in range(degree + 2)], p)
+            acc = ModPoly((1,), p)
+            for e in range(12):
+                assert f.pow_mod(e, m) == acc % m
+                acc = acc * f % m
+    with pytest.raises(InvalidInputError):
+        ModPoly.x(p).pow_mod(3, ModPoly((1,), p))
+
+
+def test_cached_sieve_matches_primality():
+    assert inspect.isfunction(primes_up_to)
+    for limit in (-1, 0, 1, 2, 97, 1000, 5000):
+        primes = primes_up_to(limit)
+        assert isinstance(primes, tuple)
+        assert primes == tuple(n for n in range(limit + 1) if is_prime(n))
+    for start in (0, 5, 98, 1000, 300_007):
+        expected = [n for n in range(max(start, 0), start + 2000) if is_prime(n)][:50]
+        assert list(islice(iter_primes(start), 50)) == expected
