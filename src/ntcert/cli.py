@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import coverings, newton, qseries
 from .cubicfield import DEFAULT_WITNESS_BOUND
-from .errors import NtcertError, VerificationError
+from .errors import InvalidInputError, NtcertError, VerificationError
 from .exact import BiPoly, parse_rational
 from .family import derive_family, scan_family
 from .jsonio import SCHEMA_VERSION, dumps_canonical
@@ -33,6 +33,9 @@ _SCAN_DEFAULTS = {
     "torsion_primes": "2",
     "jobs": 1,
 }
+# JSON types a --config value may have; other keys take integers.  JSON
+# true/false load as bools, which Python counts as ints, and are rejected.
+_CONFIG_TYPES = {"a1": (str, int), "a4": (str, int), "torsion_primes": (int, str, list)}
 
 
 @dataclass(frozen=True)
@@ -76,22 +79,29 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merged(args: argparse.Namespace, key: str, defaults: dict):
-    value = getattr(args, key.replace("-", "_"), None)
+def _merged(args: argparse.Namespace, key: str):
+    value = getattr(args, key, None)
     if value is not None:
         return value
     cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cfg[key]
-    return defaults[key]
+    if key not in cfg:
+        return _SCAN_DEFAULTS[key]
+    value = cfg[key]
+    types = _CONFIG_TYPES.get(key, (int,))
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise InvalidInputError(f"config value {key}={value!r} must be {names}")
+    return value
 
 
 def _parse_torsion_primes(raw) -> int | tuple[int, ...]:
     """Plain integer = how many good primes to pick; comma list = explicit primes."""
     if isinstance(raw, int):
         return raw
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(v) for v in raw)
+    if isinstance(raw, list):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in raw):
+            raise InvalidInputError(f"torsion_primes list {raw!r} must hold integers")
+        return tuple(raw)
     text = str(raw).strip()
     if "," in text:
         return tuple(int(part) for part in text.split(",") if part.strip())
@@ -100,16 +110,14 @@ def _parse_torsion_primes(raw) -> int | tuple[int, ...]:
 
 def cmd_family_scan(args: argparse.Namespace) -> int:
     config = ScanConfig(
-        a1=parse_rational(str(_merged(args, "a1", _SCAN_DEFAULTS))),
-        a4=parse_rational(str(_merged(args, "a4", _SCAN_DEFAULTS))),
-        s_height_max=int(_merged(args, "s_height_max", _SCAN_DEFAULTS)),
-        witness_bound=int(_merged(args, "witness_bound", _SCAN_DEFAULTS)),
-        torsion_primes=_parse_torsion_primes(
-            _merged(args, "torsion_primes", _SCAN_DEFAULTS)
-        ),
+        a1=parse_rational(str(_merged(args, "a1"))),
+        a4=parse_rational(str(_merged(args, "a4"))),
+        s_height_max=_merged(args, "s_height_max"),
+        witness_bound=_merged(args, "witness_bound"),
+        torsion_primes=_parse_torsion_primes(_merged(args, "torsion_primes")),
         output_path=args.out,
     )
-    jobs = int(_merged(args, "jobs", _SCAN_DEFAULTS))
+    jobs = _merged(args, "jobs")
 
     params = derive_family(config.a1, config.a4)
     result = scan_family(

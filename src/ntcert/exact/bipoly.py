@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ..errors import InvalidInputError
+from .power import _power
 from .unipoly import UniPoly
 
 
@@ -116,14 +117,7 @@ class BiPoly:
     def __pow__(self, k: int) -> "BiPoly":
         if k < 0:
             raise InvalidInputError("negative BiPoly power")
-        result = BiPoly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, BiPoly.constant(1))
 
     def substitute(self, first: "BiPoly", second: "BiPoly") -> "BiPoly":
         """Evaluate self at (first, second); powers are cached per exponent."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .power import _power
+
 
 class EisensteinInt:
     __slots__ = ("a", "b")
@@ -93,14 +95,7 @@ class EisensteinInt:
     def __pow__(self, k: int) -> "EisensteinInt":
         if k < 0:
             return self.inverse() ** (-k)
-        result = EisensteinInt(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, EisensteinInt(1, 0))
 
     def conjugate(self) -> "EisensteinInt":
         return EisensteinInt(self.a - self.b, -self.b)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..errors import InvalidInputError
+from .power import _power
 from .primes import is_prime, prime_factors
 from .unipoly import Euclidean, UniPoly
 
@@ -139,14 +140,7 @@ class ModPoly(Euclidean):
         if modulus.degree < 1:
             raise InvalidInputError("pow_mod needs a nonconstant modulus")
         m = modulus.monic()
-        base = FqElem.reduce(self, m)
-        result = FqElem.reduce(self._constant(1), m)
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        result = _power(FqElem.reduce(self, m), e, FqElem.reduce(self._constant(1), m))
         return ModPoly(result.coeffs, self.p, check_prime=False)
 
     def evaluate(self, x: int) -> int:

@@ -1,0 +1,17 @@
+"""Square-and-multiply, written once for every ring type in the package."""
+
+
+def _power(base, k: int, one):
+    """base**k for k >= 0; `one` is the result for k = 0.
+
+    The first product is base itself, not one * base, which keeps a truncated
+    series' precision, and the unused last squaring is skipped.
+    """
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one if result is None else result

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from ..errors import InvalidInputError, MixedModulusError, ReducibleModulusError
 from .modpoly import irreducible_mod_p, reduce_mod_p
+from .power import _power
 from .primes import primes_up_to
 from .unipoly import UniPoly
 
@@ -165,12 +166,5 @@ class QuotientElem:
     def __pow__(self, k: int) -> "QuotientElem":
         if k < 0:
             return self.inverse() ** (-k)
-        result = self._wrap(UniPoly.one())
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, self._wrap(UniPoly.one()))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from ..errors import InvalidInputError
+
 
 def rational_is_square(q: Fraction | int) -> Fraction | None:
     """Return the nonnegative square root of q if q is a rational square.
@@ -40,4 +42,7 @@ def format_rational(q: Fraction | int) -> str:
 
 def parse_rational(s: str) -> Fraction:
     """Inverse of format_rational; accepts plain integers and "a/b"."""
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"not a rational number: {s!r}") from exc

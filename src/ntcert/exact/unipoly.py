@@ -18,6 +18,7 @@ from math import gcd as _int_gcd
 from typing import Iterable
 
 from ..errors import InvalidInputError
+from .power import _power
 from .primes import divisors
 
 
@@ -212,14 +213,7 @@ class UniPoly(Euclidean):
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise InvalidInputError("negative polynomial power")
-        result = UniPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, UniPoly.one())
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if not isinstance(other, UniPoly):

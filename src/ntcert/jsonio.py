@@ -9,8 +9,6 @@ identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .exact import UniPoly, format_rational, parse_rational
@@ -19,24 +17,18 @@ SCHEMA_VERSION = "v1"
 
 
 def to_jsonable(obj):
-    """Recursively convert toolkit values into JSON-serializable data."""
+    """The JSON form of one toolkit value that the json module cannot encode.
+
+    Used as ``json.dumps(default=...)``, so dicts, lists, tuples, strings,
+    numbers and str-valued enums are left to the encoder, which calls this
+    only for the leaves below.
+    """
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, UniPoly):
         return [format_rational(c) for c in obj.coeffs]
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in seq]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "to_json_dict"):
-            return obj.to_json_dict()
-        return to_jsonable(asdict(obj))
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -48,4 +40,4 @@ def poly_from_list(items: list[str]) -> UniPoly:
 
 def dumps_canonical(doc: dict) -> str:
     """Stable bytes: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(to_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, default=to_jsonable, sort_keys=True, indent=2) + "\n"

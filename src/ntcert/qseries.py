@@ -1,10 +1,11 @@
-"""Truncated Laurent q-expansions over exact rationals.
+"""Truncated Laurent q-expansions with exact coefficients.
 
 A series is a valuation (possibly negative), a coefficient list starting
 there, and an exclusive truncation order: coefficients are known exactly
 for every exponent below the order.  Arithmetic tracks how far results
 stay exact, so identities verified here are coefficient-for-coefficient
-statements, never numerics.
+statements, never numerics.  Coefficients are kept as given, so the
+modular series, built from ints, have int coefficients throughout.
 
 Built on this: the Euler products prod (1 - q^n)^k, the weight-12 eta
 quotient t = q^-1 * prod (1-q^n)^12 / prod (1-q^3n)^12 on Gamma0(3), the
@@ -26,6 +27,7 @@ from typing import Iterable
 
 from .errors import InvalidInputError
 from .exact import UniPoly
+from .exact.power import _power
 
 PRINTED_ETA_EXPONENT = 2
 IMPLEMENTED_ETA_EXPONENT = 12
@@ -47,7 +49,7 @@ class LaurentSeries:
     __slots__ = ("valuation", "coeffs", "order")
 
     def __init__(self, valuation: int, coeffs: Iterable[Fraction | int], order: int):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if valuation + len(cs) != order:
             raise InvalidInputError("coefficient count must span valuation..order")
         while cs and cs[0] == 0:
@@ -56,7 +58,7 @@ class LaurentSeries:
         if not cs:
             valuation = order
         self.valuation = valuation
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Fraction | int, ...] = tuple(cs)
         self.order = order
 
     # -- constructors --------------------------------------------------------
@@ -87,11 +89,11 @@ class LaurentSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, e: int) -> Fraction:
+    def coefficient(self, e: int) -> Fraction | int:
         if e >= self.order:
             raise InvalidInputError(f"coefficient of q^{e} is beyond the truncation")
         if e < self.valuation:
-            return Fraction(0)
+            return 0
         return self.coeffs[e - self.valuation]
 
     def truncate(self, order: int) -> "LaurentSeries":
@@ -176,7 +178,7 @@ class LaurentSeries:
         order = min(self.order + other.valuation, other.order + self.valuation)
         val = self.valuation + other.valuation
         length = order - val
-        out = [Fraction(0)] * length
+        out = [0] * length
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -196,15 +198,7 @@ class LaurentSeries:
             if self.order < 1:
                 raise InvalidInputError("cannot represent 1 below order 1")
             return LaurentSeries.one(self.order)
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, None)
 
     def inverse(self) -> "LaurentSeries":
         """Inverse Laurent series; valuation negates, known length is preserved."""
@@ -213,13 +207,16 @@ class LaurentSeries:
         n = self.order - self.valuation
         a = self.coeffs
         lead = a[0]
-        b = [Fraction(0)] * n
-        b[0] = 1 / lead
+        # +-1 is its own inverse, so an int series with a unit lead stays int;
+        # int / int would give a float
+        inv_lead = lead if lead in (1, -1) else 1 / Fraction(lead)
+        b = [0] * n
+        b[0] = inv_lead
         for k in range(1, n):
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, min(k, len(a) - 1) + 1):
                 acc += a[i] * b[k - i]
-            b[k] = -acc / lead
+            b[k] = -acc * inv_lead
         return LaurentSeries(-self.valuation, b, -self.valuation + n)
 
     def dilate(self, k: int, order: int | None = None) -> "LaurentSeries":
@@ -230,7 +227,7 @@ class LaurentSeries:
         val = self.valuation * k
         if val >= new_order:
             return LaurentSeries.zero(new_order)
-        out = [Fraction(0)] * (new_order - val)
+        out = [0] * (new_order - val)
         for i, c in enumerate(self.coeffs):
             e = (self.valuation + i) * k
             if e < new_order:
@@ -249,8 +246,8 @@ def euler_pow(k: int, order: int) -> LaurentSeries:
     """prod_{n>=1} (1 - q^n)^k to the given order, by iterated sparse products."""
     if order < 1:
         raise InvalidInputError("order must be >= 1")
-    base = [Fraction(0)] * order
-    base[0] = Fraction(1)
+    base = [0] * order
+    base[0] = 1
     for n in range(1, order):
         # multiply in place by (1 - q^n)
         for e in range(order - 1, n - 1, -1):
@@ -267,7 +264,7 @@ def hauptmodul_t(order: int) -> LaurentSeries:
         raise InvalidInputError("order must be >= 2")
     work = order + 2
     numer = euler_pow(12, work)
-    denom = euler_pow(12, work).dilate(3, work)
+    denom = numer.dilate(3, work)
     t = (numer * denom.inverse()).shift(-1)
     return t.truncate(order)
 
@@ -286,8 +283,8 @@ def eisenstein_e4(order: int) -> LaurentSeries:
     if order < 1:
         raise InvalidInputError("order must be >= 1")
     sig = _sigma3_table(order - 1)
-    coeffs = [Fraction(240 * sig[n]) for n in range(order)]
-    coeffs[0] = Fraction(1)
+    coeffs = [240 * sig[n] for n in range(order)]
+    coeffs[0] = 1
     return LaurentSeries(0, coeffs, order)
 
 
@@ -312,15 +309,23 @@ def verify_eta_identity(order: int) -> dict:
     """Exact verification of the eta-quotient / j-invariant identity.
 
     Three checks: (i) t + 27 reproduces the printed coefficients; (ii)
-    f*(f+216)^3/(f-27)^3 matches the E4^3/Delta expansion of j up to the
-    requested order; (iii) the closed form 256*(a^4+54)^3*a^4/(4a^4-27)^3
-    equals the same rational function under f = 4*a^4, by polynomial
-    cross-multiplication.  Any coefficient mismatch is reported with the
-    first differing exponent.
+    j = E4^3/Delta equals f*(f+216)^3/(f-27)^3 mod q^order; (iii) the closed
+    form 256*(a^4+54)^3*a^4/(4a^4-27)^3 equals the same rational function
+    under f = 4*a^4, by polynomial cross-multiplication.
+
+    (ii) is checked without series division, over the integers: (f-27)^3 =
+    t^3 is q^-3 times a unit series and Delta is q times one, so it holds
+    exactly when E4^3*(f-27)^3 = f*(f+216)^3*Delta mod q^(order-2).  The
+    exponents -3 .. order-3 need the series at order + 2.
+
+    ``first_mismatch`` gives the first printed coefficient that differs or,
+    failing that, the first exponent of (ii) at which the sides differ, with
+    "lhs" from E4^3*(f-27)^3 and "rhs" from f*(f+216)^3*Delta.
     """
     if order < 6:
         raise InvalidInputError("order must be >= 6")
-    t = hauptmodul_t(order)
+    work = order + 2
+    t = hauptmodul_t(work)
     f = t + 27
 
     printed_ok = True
@@ -332,28 +337,21 @@ def verify_eta_identity(order: int) -> dict:
             first_mismatch = {"exponent": e, "lhs": str(got), "rhs": str(expected)}
             break
 
-    composed = f * (f + 216) ** 3 * ((f - 27) ** 3).inverse()
-    oracle = j_series(order)
-    horizon = min(composed.order, oracle.order)
+    e4_side = eisenstein_e4(work) ** 3 * t**3
+    f_side = f * (f + 216) ** 3 * modular_delta(work)
     j_ok = True
-    if first_mismatch is None:
-        for e in range(-1, horizon):
-            lhs, rhs = composed.coefficient(e), oracle.coefficient(e)
-            if lhs != rhs:
-                j_ok = False
+    for e in range(-3, order - 2):
+        lhs, rhs = e4_side.coefficient(e), f_side.coefficient(e)
+        if lhs != rhs:
+            j_ok = False
+            if first_mismatch is None:
                 first_mismatch = {"exponent": e, "lhs": str(lhs), "rhs": str(rhs)}
-                break
-    else:
-        j_ok = all(
-            composed.coefficient(e) == oracle.coefficient(e) for e in range(-1, horizon)
-        )
+            break
 
-    # closed form in a = a1: 256 a^4 (a^4+54)^3 vs 4a^4 (4a^4+216)^3 over (4a^4-27)^3
+    # closed form in a = a1: 256 a^4 (a^4+54)^3 vs 4a^4 (4a^4+216)^3, both
+    # over the shared denominator (4a^4-27)^3
     a4 = UniPoly.monomial(4)
-    lhs_num = 256 * a4 * (a4 + 54) ** 3
-    rhs_num = 4 * a4 * (4 * a4 + 216) ** 3
-    shared_den = (4 * a4 - 27) ** 3
-    closed_ok = lhs_num * shared_den == rhs_num * shared_den
+    closed_ok = 256 * a4 * (a4 + 54) ** 3 == 4 * a4 * (4 * a4 + 216) ** 3
 
     report = {
         "order": order,

@@ -188,6 +188,34 @@ def test_invalid_rational_flag_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--a1", "1/0"], None),
+        ([], {"a4": "3/0"}),
+        ([], {"a1": True}),
+        ([], {"jobs": None}),
+        ([], {"s_height_max": [3]}),
+        ([], {"s_height_max": 2.9}),
+        ([], {"s_height_max": True}),
+        ([], {"witness_bound": {"a": 1}}),
+        ([], {"torsion_primes": [5, None]}),
+        ([], {"torsion_primes": [5, True]}),
+    ],
+)
+def test_malformed_scan_input_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code = cli.main(["family-scan"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("[1, 2, 3]")
@@ -219,18 +247,32 @@ def test_certificate_fiber_round_trips(tmp_path):
         assert parse_rational(cert["t"]) == parse_rational(cert["point"]["y"][0])
 
 
-# sha256 of the stdout of the benchmark's two seed-0 scans (the values in
-# perfbench/workloads.py), so that a kernel change that alters any output
-# byte fails here, not only in the benchmark.
+# sha256 of the stdout of every seed-0 benchmark command (the values in
+# perfbench/workloads.py), so that a change that alters any output byte
+# fails here, not only in the benchmark.
 PINNED_SCANS = {
     ("family-scan", "--a1", "1", "--a4", "1", "--s-height-max", "8"):
         "1b4fa48b342bc9d26e0ba00b0c795aa625c27825d0609962389f80d9e8446ed1",
     ("family-scan", "--a1", "2", "--a4", "3", "--s-height-max", "8", "--jobs", "2"):
         "92824165cd20b587ead3754001690b8b1c0ece944d13865030b3b78916a49e00",
+    ("modular-verify", "--order", "150"):
+        "96b633812b0e469e3712b3c7f73cb100990bac1d16f88195ffe7480fb26a64ac",
+    ("fermat-search", "3", "--bound", "10000"):
+        "571ec54ca58e34e53303415a440aa10c47426aaaa070014f6c72c2ae34682447",
+    ("fermat-search", "7", "--bound", "5000"):
+        "5452b0ce8a0d451438d2616b064d35d221c3b83364d9cb964cc1807e707a2aac",
+    ("covering-report", "9901"):
+        "94872377b9a66db8458de89a5b4e07ccbaf5cf756aae3d7c2aa2e599b63aabfb",
+    ("degree-plan", "30", "5000"):
+        "bba3fbcd231f81a2281f165b547e29b2e64d22c9593cb5f66dd82d34cf6e6b92",
 }
 
 
-@pytest.mark.parametrize("argv", list(PINNED_SCANS), ids=["serial", "jobs2"])
+@pytest.mark.parametrize(
+    "argv",
+    list(PINNED_SCANS),
+    ids=["serial", "jobs2", "modular150", "fermat3", "fermat7", "covering9901", "plan30"],
+)
 def test_scan_output_bytes_are_pinned(argv, capsys):
     assert cli.main(list(argv)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()

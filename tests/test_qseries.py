@@ -169,3 +169,55 @@ def test_shift_and_truncate():
     assert [cut.coefficient(e) for e in range(4)] == [
         s.coefficient(e) for e in range(4)
     ]
+
+
+@pytest.mark.parametrize("order", [8, 24])
+def test_identity_check_reaches_exactly_q_to_the_order_minus_1(monkeypatch, order):
+    """A change to f at q^(order-1) is caught; one at q^order is beyond the check.
+
+    hauptmodul_t may be asked for more than `order` terms; a change past its
+    truncation is no change.
+    """
+    from ntcert import qseries
+
+    real = qseries.hauptmodul_t
+
+    def perturbed(exponent):
+        def t(n):
+            return real(n) + LaurentSeries.q_power(exponent, n) if exponent < n else real(n)
+
+        return t
+
+    monkeypatch.setattr(qseries, "hauptmodul_t", perturbed(order - 1))
+    report = verify_eta_identity(order)
+    assert report["printed_coefficients_match"] is True
+    assert report["j_identity_match"] is False
+    assert report["first_mismatch"] is not None
+
+    monkeypatch.setattr(qseries, "hauptmodul_t", perturbed(order))
+    report = verify_eta_identity(order)
+    assert report["printed_coefficients_match"] is True
+    assert report["j_identity_match"] is True
+    assert report["first_mismatch"] is None
+
+
+def test_modular_series_have_int_coefficients():
+    for series in (
+        euler_pow(24, 30),
+        hauptmodul_t(30),
+        eisenstein_e4(30),
+        modular_delta(30),
+        j_series(30),
+    ):
+        assert series.coeffs and all(type(c) is int for c in series.coeffs)
+
+
+def test_inverse_of_int_series_with_lead_2_is_exact():
+    A = LaurentSeries(-1, [2, 3, -1, 5, 0, 7, 1, -4], 7)
+    inv = A.inverse()
+    assert all(isinstance(c, Fraction) for c in inv.coeffs)
+    assert inv.coefficient(1) == Fraction(1, 2)
+    prod = A * inv
+    assert prod.valuation == 0
+    for e in range(prod.order):
+        assert prod.coefficient(e) == (1 if e == 0 else 0)
