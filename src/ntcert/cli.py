@@ -76,6 +76,9 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise NtcertError("config file must hold a flat JSON object")
+    unknown = sorted(set(cfg) - set(_SCAN_DEFAULTS))
+    if unknown:
+        raise InvalidInputError(f"unknown config key {unknown[0]!r}")
     return cfg
 
 

@@ -178,10 +178,10 @@ def count_distinct_roots(f: ModPoly) -> int:
     return g.degree
 
 
-def reduce_mod_p(f: UniPoly, p: int, *, require_same_degree: bool = True) -> ModPoly:
-    """Reduce f mod p, optionally insisting the degree does not drop."""
+def reduce_mod_p(f: UniPoly, p: int) -> ModPoly:
+    """Reduce f mod p, insisting the degree does not drop."""
     g = ModPoly.from_unipoly(f, p)
-    if require_same_degree and g.degree != f.degree:
+    if g.degree != f.degree:
         raise InvalidInputError(f"leading coefficient vanishes mod {p}")
     return g
 

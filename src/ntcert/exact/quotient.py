@@ -27,7 +27,7 @@ IRREDUCIBILITY_WITNESS_BOUND = 200
 
 
 @lru_cache(maxsize=None)
-def _irreducible_over_q_cached(coeffs: tuple[Fraction, ...], bound: int) -> bool | None:
+def _irreducible_over_q_cached(coeffs: tuple[Fraction, ...]) -> bool | None:
     f = UniPoly(coeffs)
     n = f.degree
     if n <= 0:
@@ -36,7 +36,7 @@ def _irreducible_over_q_cached(coeffs: tuple[Fraction, ...], bound: int) -> bool
         return True
     if n <= 3:
         return not f.rational_roots()
-    for p in primes_up_to(bound):
+    for p in primes_up_to(IRREDUCIBILITY_WITNESS_BOUND):
         if f.leading.numerator % p == 0:
             continue
         try:
@@ -48,9 +48,9 @@ def _irreducible_over_q_cached(coeffs: tuple[Fraction, ...], bound: int) -> bool
     return None
 
 
-def irreducible_over_q(f: UniPoly, bound: int = IRREDUCIBILITY_WITNESS_BOUND) -> bool | None:
+def irreducible_over_q(f: UniPoly) -> bool | None:
     """True / False when decided, None when no mod-p witness certifies it."""
-    return _irreducible_over_q_cached(f.coeffs, bound)
+    return _irreducible_over_q_cached(f.coeffs)
 
 
 class QuotientElem:

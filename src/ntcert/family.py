@@ -14,8 +14,8 @@ and the leading factor completes to a square on the rational curve
 1 = u^2 + 3*v^2.  Rational s parametrizes that conic; every fiber therefore
 has square discriminant, so its irreducible specializations generate cyclic
 cubic fields.  The modules here construct those fibers, put exact points on
-the curve over the resulting cubic fields, bound torsion by reduction at two
-good primes, and assemble audit certificates.
+the curve over the resulting cubic fields, bound torsion by reduction modulo
+at least two good primes, and assemble audit certificates.
 
 The j-invariant of the family depends on a1 alone:
 
@@ -25,8 +25,9 @@ The j-invariant of the family depends on a1 alone:
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice, repeat
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
 
@@ -37,6 +38,7 @@ from .cubicfield import (
     GaloisClass,
     SplitType,
     Verdict,
+    _bad_part,
     distinctness_witness,
     galois_class,
 )
@@ -47,6 +49,7 @@ from .errors import (
     InvalidInputError,
     InvalidPrimeError,
     RationalFiberError,
+    ReducibleCubicError,
     SingularCurveError,
     VerificationError,
 )
@@ -377,13 +380,6 @@ def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
     return curve.disc.numerator % p != 0
 
 
-def _fiber_unramified(fiber: UniPoly, p: int, disc: Fraction | None = None) -> bool:
-    if any(c.denominator % p == 0 for c in fiber.coeffs):
-        return False
-    d = fiber.discriminant() if disc is None else disc
-    return d.numerator % p != 0 and d.denominator % p != 0
-
-
 def count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
     """|E(F_p)| by summing the quadratic character of the completed square.
 
@@ -434,18 +430,17 @@ def _group_order(curve: WeierstrassCurve, p: int, d: int) -> int:
     return p**d + 1 - trace_over_extension(frobenius_trace(curve, p), p, d)
 
 
+def _torsion_primes(curve: WeierstrassCurve, fiber: UniPoly):
+    """Ascending primes > 3 of good reduction for the curve, unramified in the fiber."""
+    bad = _bad_part(fiber, fiber.discriminant())
+    return (p for p in iter_primes(5) if bad % p and is_good_prime(curve, p))
+
+
 def good_torsion_primes(
     params: FamilyParams, fiber: UniPoly, count: int = 2
 ) -> list[int]:
     """The `count` smallest primes > 3 of good reduction, unramified in the fiber."""
-    curve = params.curve()
-    out: list[int] = []
-    for p in iter_primes(5):
-        if is_good_prime(curve, p) and _fiber_unramified(fiber, p):
-            out.append(p)
-            if len(out) == count:
-                return out
-    raise InvalidPrimeError("prime search exhausted")  # pragma: no cover
+    return list(islice(_torsion_primes(params.curve(), fiber), count))
 
 
 def torsion_bound(
@@ -461,20 +456,23 @@ def torsion_bound(
     curve = params.curve()
     if len(primes) < 2 or len(set(primes)) != len(primes):
         raise InvalidPrimeError("at least two distinct primes are required")
+    bad = _bad_part(fiber, fiber.discriminant())
     for p in primes:
         if not is_good_prime(curve, p):
             raise InvalidPrimeError(f"{p} is not a good-reduction prime")
-        if not _fiber_unramified(fiber, p):
+        if bad % p == 0:
             raise InvalidPrimeError(f"{p} ramifies in the fiber cubic")
     return _int_gcd(*(_group_order(curve, p, residue_degree(fiber, p)) for p in primes))
 
 
+# torsion_bound_adaptive adds good primes while the bound exceeds the
+# target, up to this many primes in all.
+_TORSION_BOUND_TARGET = 30
+_MAX_TORSION_PRIMES = 12
+
+
 def torsion_bound_adaptive(
-    params: FamilyParams,
-    fiber: UniPoly,
-    base_count: int = 2,
-    threshold: int = 30,
-    max_primes: int = 12,
+    params: FamilyParams, fiber: UniPoly, base_count: int = 2
 ) -> tuple[int, tuple[int, ...]]:
     """Torsion bound over the first `base_count` (>= 2) good primes, pulling
     in more while it stays large.
@@ -487,15 +485,14 @@ def torsion_bound_adaptive(
     if base_count < 2:
         raise InvalidInputError("at least two torsion primes are required")
     curve = params.curve()
-    disc_f = fiber.discriminant()
     primes: list[int] = []
     bound = 0
-    for p in iter_primes(5):
-        if not (is_good_prime(curve, p) and _fiber_unramified(fiber, p, disc_f)):
-            continue
+    for p in _torsion_primes(curve, fiber):
         primes.append(p)
         bound = _int_gcd(bound, _group_order(curve, p, residue_degree(fiber, p)))
-        if len(primes) >= base_count and (bound <= threshold or len(primes) >= max_primes):
+        if len(primes) >= base_count and (
+            bound <= _TORSION_BOUND_TARGET or len(primes) >= _MAX_TORSION_PRIMES
+        ):
             return bound, tuple(primes)
     raise InvalidPrimeError("prime search exhausted")  # pragma: no cover
 
@@ -578,16 +575,6 @@ def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
     return True
 
 
-def torsion_order_up_to(P: FieldPoint, bound: int) -> int | None:
-    """Smallest 1 <= k <= bound with k*P the identity, if any."""
-    acc = P
-    for k in range(1, bound + 1):
-        if acc.is_infinity:
-            return k
-        acc = acc + P
-    return None
-
-
 # -- certificates and the scan --------------------------------------------------
 
 
@@ -634,18 +621,6 @@ class ExtensionCertificate:
         }
 
 
-@dataclass(frozen=True)
-class FiberOutcome:
-    kind: str  # "candidate" | "reducible" | "torsion"
-    s: Fraction
-    data: FiberData | None = None
-    cubic: CubicField | None = None
-    point: FieldPoint | None = None
-    torsion_primes: tuple[int, ...] = ()
-    torsion_bound: int = 0
-    torsion_order: int | None = None
-
-
 @dataclass
 class ScanResult:
     params: FamilyParams
@@ -690,15 +665,19 @@ def evaluate_fiber(
     params: FamilyParams,
     s: Fraction,
     torsion_primes: int | Sequence[int] = 2,
-) -> FiberOutcome:
-    """Run the per-fiber pipeline; independent of every other fiber."""
+) -> ExtensionCertificate | str:
+    """Run the per-fiber pipeline; independent of every other fiber.
+
+    Returns "reducible" when the fiber degenerates to x^3 or has a rational
+    root, "torsion" when its point has finite order (at most the torsion
+    bound), and otherwise the fiber's certificate with disjointness=(),
+    which the scan's distinctness fold fills in.
+    """
     try:
         fd = fiber_at_s(params, s)
-    except DegenerateFiberError:
-        return FiberOutcome("reducible", s)
-    if fd.fiber.rational_roots():
-        return FiberOutcome("reducible", s)
-    K = galois_class(fd.fiber)
+        K = galois_class(fd.fiber)
+    except (DegenerateFiberError, ReducibleCubicError):
+        return "reducible"
     if K.galois_class is not GaloisClass.C3:
         raise VerificationError("square discriminant must give C3")
     point = point_from_fiber_data(params, fd)
@@ -708,30 +687,20 @@ def evaluate_fiber(
         primes = tuple(torsion_primes)
         bound = torsion_bound(params, fd.fiber, primes)
     if not nontorsion_certificate(point, bound):
-        return FiberOutcome(
-            "torsion",
-            s,
-            data=fd,
-            cubic=K,
-            point=point,
-            torsion_primes=primes,
-            torsion_bound=bound,
-            torsion_order=torsion_order_up_to(point, bound),
-        )
-    return FiberOutcome(
-        "candidate",
-        s,
-        data=fd,
-        cubic=K,
+        return "torsion"
+    return ExtensionCertificate(
+        s=fd.s,
+        t=fd.t,
+        fiber=fd.fiber,
+        disc=fd.disc,
+        sqrt_disc=fd.sqrt_disc,
+        galois_class=K.galois_class,
         point=point,
         torsion_primes=primes,
         torsion_bound=bound,
+        nontorsion_checked_to=bound,
+        disjointness=(),
     )
-
-
-def _fiber_worker(args) -> FiberOutcome:
-    params, s, torsion_primes = args
-    return evaluate_fiber(params, s, torsion_primes)
 
 
 def scan_family(
@@ -753,50 +722,33 @@ def scan_family(
     if witness_bound < 2:
         raise InvalidInputError("witness_bound must be >= 2")
     s_values = enumerate_s_by_height(s_height_max)
-    tasks = [(params, s, torsion_primes) for s in s_values]
+    tasks = (evaluate_fiber, repeat(params), s_values, repeat(torsion_primes))
     if jobs > 1:
-        chunk = max(1, len(tasks) // (4 * jobs))
+        chunk = max(1, len(s_values) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_fiber_worker, tasks, chunksize=chunk))
+            outcomes = list(pool.map(*tasks, chunksize=chunk))
     else:
-        outcomes = [_fiber_worker(task) for task in tasks]
+        outcomes = map(*tasks)
 
     result = ScanResult(params)
     accepted_fields: list[tuple[Fraction, CubicField]] = []
     for outcome in outcomes:
         result.fibers_tested += 1
-        if outcome.kind == "reducible":
+        if outcome == "reducible":
             result.skipped_reducible += 1
             continue
-        if outcome.kind == "torsion":
+        if outcome == "torsion":
             result.skipped_torsion += 1
             continue
-        fd = outcome.data
-        K = outcome.cubic
+        K = outcome.cubic_field()
         witnesses: list[tuple[Fraction, DisjointnessWitness]] = []
-        presumed_equal = False
         for prev_s, prev_K in accepted_fields:
             w = distinctness_witness(K, prev_K, witness_bound)
             if w.verdict is Verdict.PRESUMED_EQUAL:
-                presumed_equal = True
+                result.skipped_presumed_equal += 1
                 break
             witnesses.append((prev_s, w))
-        if presumed_equal:
-            result.skipped_presumed_equal += 1
-            continue
-        cert = ExtensionCertificate(
-            s=fd.s,
-            t=fd.t,
-            fiber=fd.fiber,
-            disc=fd.disc,
-            sqrt_disc=fd.sqrt_disc,
-            galois_class=K.galois_class,
-            point=outcome.point,
-            torsion_primes=outcome.torsion_primes,
-            torsion_bound=outcome.torsion_bound,
-            nontorsion_checked_to=outcome.torsion_bound,
-            disjointness=tuple(witnesses),
-        )
-        result.certificates.append(cert)
-        accepted_fields.append((fd.s, K))
+        else:  # distinct from every accepted field
+            result.certificates.append(replace(outcome, disjointness=tuple(witnesses)))
+            accepted_fields.append((outcome.s, K))
     return result

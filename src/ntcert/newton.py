@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, VerificationError
 from .exact import BiPoly, UniPoly, irreducible_over_q
 
 
@@ -113,7 +113,7 @@ def plan_degrees(n: int, d_max: int) -> set[int]:
     lower = min_universal_degree(n)
     missing = [d for d in range(lower, d_max + 1) if d not in achievable]
     if missing:
-        raise AssertionError(f"degree plan gap at {missing}")
+        raise VerificationError(f"degree plan gap at {missing}")
     return achievable
 
 

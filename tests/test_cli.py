@@ -36,6 +36,16 @@ def test_degree_plan(capsys):
     assert doc["checks"] == {"corner": True, "degree_law": True}
 
 
+def test_degree_plan_gap_exits_3_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(cli.newton, "min_universal_degree", lambda n: 2)
+    code = cli.main(["degree-plan", "3", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_modular_verify(capsys):
     code, doc = run_cli(["modular-verify", "--order", "12"], capsys)
     assert code == 0
@@ -201,6 +211,7 @@ def test_invalid_rational_flag_exits_2(capsys):
         ([], {"witness_bound": {"a": 1}}),
         ([], {"torsion_primes": [5, None]}),
         ([], {"torsion_primes": [5, True]}),
+        ([], {"s_height_max": 1, "witnes_bound": 5}),
     ],
 )
 def test_malformed_scan_input_exits_2(tmp_path, capsys, argv, config):
@@ -265,13 +276,29 @@ PINNED_SCANS = {
         "94872377b9a66db8458de89a5b4e07ccbaf5cf756aae3d7c2aa2e599b63aabfb",
     ("degree-plan", "30", "5000"):
         "bba3fbcd231f81a2281f165b547e29b2e64d22c9593cb5f66dd82d34cf6e6b92",
+    # two reducible and four presumed-equal fibers, through the pool
+    ("family-scan", "--a1", "3/2", "--a4", "1", "--s-height-max", "3", "--jobs", "2"):
+        "63b9cffadc048696fdfdf4a39550f3d16f7569b112bd2bc968ec7d033cd30c77",
+    # explicit torsion primes
+    ("family-scan", "--s-height-max", "4", "--torsion-primes", "5,17"):
+        "ce79c9c84b42a050832db8f54e0b4217787253c5a85e37aaf0444f26aca670a7",
 }
 
 
 @pytest.mark.parametrize(
     "argv",
     list(PINNED_SCANS),
-    ids=["serial", "jobs2", "modular150", "fermat3", "fermat7", "covering9901", "plan30"],
+    ids=[
+        "serial",
+        "jobs2",
+        "modular150",
+        "fermat3",
+        "fermat7",
+        "covering9901",
+        "plan30",
+        "reducible_jobs2",
+        "primes5_17",
+    ],
 )
 def test_scan_output_bytes_are_pinned(argv, capsys):
     assert cli.main(list(argv)) == 0

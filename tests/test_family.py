@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ntcert import family
 from ntcert.cubicfield import GaloisClass, Verdict, galois_class
 from ntcert.errors import (
     DegenerateFamilyError,
@@ -22,6 +23,7 @@ from ntcert.family import (
     curve_invariants_j,
     derive_family,
     enumerate_s_by_height,
+    evaluate_fiber,
     fiber_at_s,
     frobenius_trace,
     good_torsion_primes,
@@ -518,14 +520,32 @@ def test_scan_family_small():
 
 
 def test_scan_family_parallel_matches_serial():
-    params = derive_family(1, 1)
-    serial = scan_family(params, 3)
-    parallel = scan_family(params, 3, jobs=2)
-    assert serial.summary() == parallel.summary()
-    assert [c.s for c in serial.certificates] == [c.s for c in parallel.certificates]
-    assert [c.to_json_dict() for c in serial.certificates] == [
-        c.to_json_dict() for c in parallel.certificates
-    ]
+    for a1 in (1, Fraction(3, 2)):
+        params = derive_family(a1, 1)
+        serial = scan_family(params, 3)
+        parallel = scan_family(params, 3, jobs=2)
+        assert serial.summary() == parallel.summary()
+        assert [c.s for c in serial.certificates] == [c.s for c in parallel.certificates]
+        assert [c.to_json_dict() for c in serial.certificates] == [
+            c.to_json_dict() for c in parallel.certificates
+        ]
+
+
+def test_scan_family_counts_reducible_and_presumed_equal_fibers():
+    params = derive_family(Fraction(3, 2), 1)
+    summary = scan_family(params, 3).summary()
+    assert (summary["fibers_tested"], summary["accepted"]) == (15, 9)
+    assert (summary["skipped_reducible"], summary["skipped_presumed_equal"]) == (2, 4)
+    assert summary["skipped_torsion"] == 0
+    reducible = [s for s in enumerate_s_by_height(3) if evaluate_fiber(params, s) == "reducible"]
+    assert reducible == [Fraction(-1), Fraction(-1, 3)]
+
+
+def test_scan_family_counts_torsion_skips(monkeypatch):
+    monkeypatch.setattr(family, "nontorsion_certificate", lambda P, bound: False)
+    result = scan_family(derive_family(1, 1), 2)
+    assert result.certificates == []
+    assert result.skipped_torsion == result.fibers_tested == len(enumerate_s_by_height(2))
 
 
 def test_point_count_against_direct_equation_oracle():
