@@ -6,11 +6,12 @@ An element is its reduced representative as a tuple of deg(m) ints in
 one multiply-and-reduce loop against the monic modulus.  Operands must share
 the modulus; FieldPoint checks that before it combines two points.
 
-The residue fields of cyclic cubic fibers are F_p and F_{p^3}, so degree 3
-has straight-line kernels: the product is reduced by x^3 = -(m2*x^2 + m1*x
-+ m0) in closed form, and the inverse of a is the first column of the
-adjugate of its multiplication matrix (columns a, a*x, a*x^2) divided by
-the determinant, which is the norm of a.
+The residue fields of cyclic cubic fibers are F_p and F_{p^3}, so both
+degrees add and subtract in straight lines, and degree 3 has straight-line
+kernels: the product is reduced by x^3 = -(m2*x^2 + m1*x + m0) in closed
+form, and the inverse of a is the first column of the adjugate of its
+multiplication matrix (columns a, a*x, a*x^2) divided by the determinant,
+which is the norm of a.
 Other degrees multiply with the general loop and invert with ModPoly.xgcd.
 """
 
@@ -30,7 +31,7 @@ class FqElem:
     @classmethod
     def reduce(cls, f: ModPoly, modulus: ModPoly) -> "FqElem":
         """The residue class of f modulo the monic modulus."""
-        cs = (f % modulus).coeffs
+        cs = (f if f.degree < modulus.degree else f % modulus).coeffs
         return cls(cs + (0,) * (modulus.degree - len(cs)), modulus)
 
     @property
@@ -47,7 +48,12 @@ class FqElem:
 
     def __add__(self, other: "FqElem") -> "FqElem":
         p = self.modulus.p
-        return FqElem(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), self.modulus)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 3:
+            return FqElem(((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2]) % p), self.modulus)
+        if len(a) == 1:
+            return FqElem(((a[0] + b[0]) % p,), self.modulus)
+        return FqElem(tuple((x + y) % p for x, y in zip(a, b)), self.modulus)
 
     def __neg__(self) -> "FqElem":
         p = self.modulus.p
@@ -55,7 +61,12 @@ class FqElem:
 
     def __sub__(self, other: "FqElem") -> "FqElem":
         p = self.modulus.p
-        return FqElem(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)), self.modulus)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 3:
+            return FqElem(((a[0] - b[0]) % p, (a[1] - b[1]) % p, (a[2] - b[2]) % p), self.modulus)
+        if len(a) == 1:
+            return FqElem(((a[0] - b[0]) % p,), self.modulus)
+        return FqElem(tuple((x - y) % p for x, y in zip(a, b)), self.modulus)
 
     def __mul__(self, other: "FqElem | int") -> "FqElem":
         p = self.modulus.p

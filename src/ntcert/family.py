@@ -27,6 +27,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, repeat
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
@@ -64,7 +65,6 @@ from .exact import (
     iter_primes,
     reduce_mod_p,
 )
-from .exact.primes import factorize
 
 
 class WeierstrassCurve:
@@ -85,12 +85,8 @@ class WeierstrassCurve:
         self.b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
         self.c4 = self.b2**2 - 24 * self.b4
         self.c6 = -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
-        self.disc = (
-            -self.b2**2 * self.b8
-            - 8 * self.b4**3
-            - 27 * self.b6**2
-            + 9 * self.b2 * self.b4 * self.b6
-        )
+        b2, b4, b6 = self.b2, self.b4, self.b6
+        self.disc = -(b2**2) * self.b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
         if self.disc == 0:
             raise SingularCurveError("discriminant vanishes")
         if 1728 * self.disc != self.c4**3 - self.c6**2:
@@ -122,6 +118,7 @@ class FamilyParams:
     a3: Fraction
     a6: Fraction
 
+    @lru_cache  # one cache per process, keyed by the params' values
     def curve(self) -> WeierstrassCurve:
         return WeierstrassCurve(self.a1, 0, self.a3, self.a4, self.a6)
 
@@ -269,13 +266,13 @@ class FieldPoint:
 
     @classmethod
     def affine(
-        cls, curve: WeierstrassCurve, modulus: UniPoly, x: QuotientElem, y: QuotientElem
+        cls, curve: WeierstrassCurve, modulus: UniPoly, x: QuotientElem, y: QuotientElem,
+        *, check: bool = True,
     ) -> "FieldPoint":
         a = tuple(
-            QuotientElem(UniPoly.constant(c), modulus, validate=False)
-            for c in curve.a_invariants
+            QuotientElem(UniPoly.constant(c), modulus, validate=False) for c in curve.a_invariants
         )
-        return cls(curve, modulus, a, x, y)
+        return cls(curve, modulus, a, x, y, check=check)
 
     @classmethod
     def from_rationals(
@@ -317,9 +314,7 @@ class FieldPoint:
         return hash((self.curve, self.modulus, self.x, self.y))
 
     def __repr__(self) -> str:
-        if self.is_infinity:
-            return "FieldPoint(infinity)"
-        return f"FieldPoint(x={self.x}, y={self.y})"
+        return "FieldPoint(infinity)" if self.is_infinity else f"FieldPoint(x={self.x}, y={self.y})"
 
     def __neg__(self) -> "FieldPoint":
         if self.is_infinity:
@@ -333,9 +328,6 @@ class FieldPoint:
         if self.curve != other.curve or self.modulus != other.modulus:
             raise IncompatiblePointsError("points on different curves or fields")
         return self._sibling(_chord_tangent(self.a, self._coords(), other._coords()))
-
-    def __sub__(self, other: "FieldPoint") -> "FieldPoint":
-        return self + (-other)
 
     def scalar_mul(self, k: int) -> "FieldPoint":
         if k < 0:
@@ -362,10 +354,19 @@ def point_from_fiber(params: FamilyParams, s: Fraction | int) -> FieldPoint:
 def point_from_fiber_data(params: FamilyParams, fd: FiberData) -> FieldPoint:
     if fd.fiber.rational_roots():
         raise RationalFiberError(f"fiber at s={fd.s} is reducible over Q")
-    curve = params.curve()
-    x = QuotientElem.generator(fd.fiber)
-    y = QuotientElem.constant(fd.t, fd.fiber)
-    return FieldPoint.affine(curve, fd.fiber, x, y)
+    return _fiber_point(params.curve(), fd)
+
+
+def _fiber_point(curve: WeierstrassCurve, fd: FiberData) -> FieldPoint:
+    """(theta, t) over Q[theta]/(fiber) for an irreducible fiber.  As a2 = 0, the
+    point is on the curve iff E(x, t) = -fiber(x) in Q[x]: no Q[theta] arithmetic."""
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    t, m = fd.t, fd.fiber
+    if UniPoly((t * t + a3 * t - a6, a1 * t - a4, -a2, -1)) != -m:
+        raise VerificationError(f"(theta, t) at s={fd.s} is off the curve")
+    x = QuotientElem(UniPoly.x(), m, validate=False)
+    y = QuotientElem(UniPoly.constant(t), m, validate=False)
+    return FieldPoint.affine(curve, m, x, y, check=False)
 
 
 # -- reduction and torsion bounds ----------------------------------------------
@@ -412,11 +413,9 @@ def trace_over_extension(a_p: int, p: int, k: int) -> int:
     if k < 0:
         raise InvalidInputError("extension degree must be nonnegative")
     prev, cur = 2, a_p
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
+    for _ in range(k):
         prev, cur = cur, a_p * cur - p * prev
-    return cur
+    return prev
 
 
 def residue_degree(fiber: UniPoly, p: int) -> int:
@@ -430,21 +429,19 @@ def _group_order(curve: WeierstrassCurve, p: int, d: int) -> int:
     return p**d + 1 - trace_over_extension(frobenius_trace(curve, p), p, d)
 
 
-def _torsion_primes(curve: WeierstrassCurve, fiber: UniPoly):
+def _torsion_primes(curve: WeierstrassCurve, fiber: UniPoly, disc: Fraction | None = None):
     """Ascending primes > 3 of good reduction for the curve, unramified in the fiber."""
-    bad = _bad_part(fiber, fiber.discriminant())
+    bad = _bad_part(fiber, fiber.discriminant() if disc is None else disc)
     return (p for p in iter_primes(5) if bad % p and is_good_prime(curve, p))
 
 
-def good_torsion_primes(
-    params: FamilyParams, fiber: UniPoly, count: int = 2
-) -> list[int]:
+def good_torsion_primes(params: FamilyParams, fiber: UniPoly, count: int = 2) -> list[int]:
     """The `count` smallest primes > 3 of good reduction, unramified in the fiber."""
     return list(islice(_torsion_primes(params.curve(), fiber), count))
 
 
 def torsion_bound(
-    params: FamilyParams, fiber: UniPoly, primes: Sequence[int]
+    params: FamilyParams, fiber: UniPoly, primes: Sequence[int], *, _disc: Fraction | None = None
 ) -> int:
     """gcd over the supplied primes of |E(F_{p^d_p})|, d_p from the fiber mod p.
 
@@ -456,7 +453,7 @@ def torsion_bound(
     curve = params.curve()
     if len(primes) < 2 or len(set(primes)) != len(primes):
         raise InvalidPrimeError("at least two distinct primes are required")
-    bad = _bad_part(fiber, fiber.discriminant())
+    bad = _bad_part(fiber, fiber.discriminant() if _disc is None else _disc)
     for p in primes:
         if not is_good_prime(curve, p):
             raise InvalidPrimeError(f"{p} is not a good-reduction prime")
@@ -472,7 +469,7 @@ _MAX_TORSION_PRIMES = 12
 
 
 def torsion_bound_adaptive(
-    params: FamilyParams, fiber: UniPoly, base_count: int = 2
+    params: FamilyParams, fiber: UniPoly, base_count: int = 2, *, _disc: Fraction | None = None
 ) -> tuple[int, tuple[int, ...]]:
     """Torsion bound over the first `base_count` (>= 2) good primes, pulling
     in more while it stays large.
@@ -487,7 +484,7 @@ def torsion_bound_adaptive(
     curve = params.curve()
     primes: list[int] = []
     bound = 0
-    for p in _torsion_primes(curve, fiber):
+    for p in _torsion_primes(curve, fiber, _disc):
         primes.append(p)
         bound = _int_gcd(bound, _group_order(curve, p, residue_degree(fiber, p)))
         if len(primes) >= base_count and (
@@ -532,26 +529,25 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
     return Pbar, _group_order(curve, p, modulus.degree)
 
 
-def _reduced_point_order(P: FieldPoint, p: int) -> int | None:
-    reduced = reduce_point_mod_p(P, p)
-    if reduced is None:
-        return None
-    Pbar, group_order = reduced
-    if not Pbar.scalar_mul(group_order).is_infinity:
-        raise VerificationError("the reduced group order does not annihilate the point")
-    o = group_order
-    for ell in factorize(group_order):
-        while o % ell == 0 and Pbar.scalar_mul(o // ell).is_infinity:
-            o //= ell
-    return o
+def _order_up_to(Pbar: FieldPoint, bound: int) -> int | None:
+    """The first k <= bound with k*Pbar = O, walking Pbar, 2*Pbar, ...; None if none."""
+    Q = None
+    for k in range(1, bound + 1):
+        Q = _chord_tangent(Pbar.a, Q, Pbar._coords())
+        if Q is None:
+            return k
+    return None
 
 
 def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
     """True iff k*P is never the identity for 1 <= k <= bound.
 
-    If k*P = O then the reduction of P at every good prime has order
-    dividing k, so only multiples of the lcm of a few reduced orders need
-    the exact group law; usually that lcm already exceeds the bound.
+    Reduction at a good prime is a homomorphism (Silverman, The Arithmetic of
+    Elliptic Curves, VII.2.1), so k*P = O forces k*Pbar = O.  At each usable
+    prime the walk Pbar, 2*Pbar, ..., bound*Pbar either misses O, which proves
+    the claim, or first meets it at the order of Pbar; the exact law then tests
+    only multiples of the lcm of those orders (at most six primes).  At the
+    first usable prime |E(F_{p^d})| must annihilate Pbar, checking the count.
     """
     if bound < 1:
         raise InvalidInputError("bound must be >= 1")
@@ -562,9 +558,17 @@ def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
     for p in iter_primes(5):
         if used >= 6 or step > bound:
             break
-        order = _reduced_point_order(P, p)
-        if order is None:
+        reduced = reduce_point_mod_p(P, p)
+        if reduced is None:
             continue
+        Pbar, group_order = reduced
+        order = _order_up_to(Pbar, bound)
+        if not used and not (  # |E(F_{p^d})| kills Pbar: the walk's order divides it
+            group_order % order == 0 if order else Pbar.scalar_mul(group_order).is_infinity
+        ):
+            raise VerificationError("the reduced group order does not annihilate the point")
+        if order is None:
+            return True
         step = _int_lcm(step, order)
         used += 1
     k = step
@@ -607,16 +611,12 @@ class ExtensionCertificate:
             "disc": to_jsonable(self.disc),
             "sqrt_disc": to_jsonable(self.sqrt_disc),
             "galois_class": self.galois_class.value,
-            "point": {
-                "x": to_jsonable(self.point.x.rep),
-                "y": to_jsonable(self.point.y.rep),
-            },
+            "point": {"x": to_jsonable(self.point.x.rep), "y": to_jsonable(self.point.y.rep)},
             "torsion_primes": list(self.torsion_primes),
             "torsion_bound": self.torsion_bound,
             "nontorsion_checked_to": self.nontorsion_checked_to,
             "disjointness": [
-                {"vs_s": to_jsonable(s), **w.to_json_dict()}
-                for s, w in self.disjointness
+                {"vs_s": to_jsonable(s), **w.to_json_dict()} for s, w in self.disjointness
             ],
         }
 
@@ -680,12 +680,12 @@ def evaluate_fiber(
         return "reducible"
     if K.galois_class is not GaloisClass.C3:
         raise VerificationError("square discriminant must give C3")
-    point = point_from_fiber_data(params, fd)
+    point = _fiber_point(params.curve(), fd)  # irreducible: galois_class found no root
     if isinstance(torsion_primes, int):
-        bound, primes = torsion_bound_adaptive(params, fd.fiber, torsion_primes)
+        bound, primes = torsion_bound_adaptive(params, fd.fiber, torsion_primes, _disc=fd.disc)
     else:
         primes = tuple(torsion_primes)
-        bound = torsion_bound(params, fd.fiber, primes)
+        bound = torsion_bound(params, fd.fiber, primes, _disc=fd.disc)
     if not nontorsion_certificate(point, bound):
         return "torsion"
     return ExtensionCertificate(

@@ -49,3 +49,17 @@ def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: square discriminant must give C3\n"
+
+
+def test_non_annihilating_group_order_exits_3(monkeypatch, capsys):
+    real = family.reduce_point_mod_p
+
+    def off_by_one(P, p):
+        reduced = real(P, p)
+        return reduced and (reduced[0], reduced[1] + 1)
+
+    monkeypatch.setattr(family, "reduce_point_mod_p", off_by_one)
+    assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the reduced group order does not annihilate the point\n"

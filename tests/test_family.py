@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from ntcert.errors import (
     IncompatiblePointsError,
     InvalidPrimeError,
     RationalFiberError,
+    VerificationError,
 )
-from ntcert.exact import ModPoly, QuotientElem, UniPoly, irreducible_mod_p
+from ntcert.exact import ModPoly, QuotientElem, UniPoly, irreducible_mod_p, primes_up_to
+from ntcert.exact.primes import factorize
 from ntcert.family import (
     FamilyParams,
     FiberData,
@@ -601,3 +604,110 @@ def test_nontorsion_certificate_exhaustive_small_bounds():
                     break
                 acc = acc + P
             assert nontorsion_certificate(P, bound) == naive, (P, bound)
+
+
+# -- the non-torsion walk and the point path ------------------------------------------
+
+
+def factor_stripping_order(Pbar, group_order):
+    """The exact order of Pbar by the older route: strip prime factors off |E(F_{p^d})|."""
+    o = group_order
+    for ell in factorize(group_order):
+        while o % ell == 0 and Pbar.scalar_mul(o // ell).is_infinity:
+            o //= ell
+    return o
+
+
+def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
+    walked = {"order": 0, "none": 0}
+    for a1, a4 in ((1, 1), (2, 3)):
+        params = derive_family(a1, a4)
+        for s in enumerate_s_by_height(3):
+            fd = fiber_at_s(params, s)
+            if fd.fiber.rational_roots():
+                continue
+            P = point_from_fiber_data(params, fd)
+            bound, _ = torsion_bound_adaptive(params, fd.fiber)
+            for p in primes_up_to(31):
+                reduced = reduce_point_mod_p(P, p)
+                if reduced is None:
+                    continue
+                Pbar, group_order = reduced
+                assert Pbar.scalar_mul(group_order).is_infinity
+                oracle = factor_stripping_order(Pbar, group_order)
+                if oracle <= bound:
+                    assert family._order_up_to(Pbar, bound) == oracle
+                    assert family._order_up_to(Pbar, oracle) == oracle
+                    assert family._order_up_to(Pbar, oracle - 1) is None
+                    walked["order"] += 1
+                else:
+                    assert family._order_up_to(Pbar, bound) is None
+                    walked["none"] += 1
+            # naive exact check over Q[theta]: k*P != O for k = 1..bound
+            multiple, naive = P, True
+            for _ in range(bound - 1):
+                multiple = multiple + P
+                naive = naive and not multiple.is_infinity
+            assert nontorsion_certificate(P, bound) is naive is True
+    assert walked["order"] >= 10 and walked["none"] >= 10, walked
+
+
+def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(monkeypatch):
+    """A group order that does not kill Pbar fails the certificate, whether or
+    not the walk at that prime found the order of Pbar."""
+    real = reduce_point_mod_p
+    usable = []
+
+    def off_by_one(P, p):
+        reduced = real(P, p)
+        if reduced is None:
+            return None
+        usable.append(p)
+        return reduced[0], reduced[1] + 1
+
+    monkeypatch.setattr(family, "reduce_point_mod_p", off_by_one)
+    walk_found_order = set()
+    params = derive_family(1, 1)
+    for s in enumerate_s_by_height(3):
+        fd = fiber_at_s(params, s)
+        P = point_from_fiber_data(params, fd)
+        bound, _ = torsion_bound_adaptive(params, fd.fiber)
+        usable.clear()
+        with pytest.raises(VerificationError, match="does not annihilate"):
+            nontorsion_certificate(P, bound)
+        assert len(usable) == 1
+        Pbar, _ = real(P, usable[0])
+        walk_found_order.add(family._order_up_to(Pbar, bound) is not None)
+    assert walk_found_order == {True, False}
+
+
+def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
+    """One rational-root test per fiber (galois_class), and two discriminants:
+    fiber_at_s's identity check and galois_class; the torsion primes reuse the first."""
+    calls = {"rational_roots": 0, "discriminant": 0}
+    for name in calls:
+        real = getattr(UniPoly, name)
+
+        def counted(self, real=real, name=name):
+            calls[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(UniPoly, name, counted)
+    result = scan_family(derive_family(1, 1), 4)
+    assert result.fibers_tested == len(enumerate_s_by_height(4))
+    assert calls == {"rational_roots": result.fibers_tested, "discriminant": 2 * result.fibers_tested}
+
+
+def test_point_construction_rejects_a_point_off_the_curve():
+    params = derive_family(1, 1)
+    fd = fiber_at_s(params, 1)
+    assert point_from_fiber_data(params, fd).y.rep == UniPoly.constant(fd.t)
+    with pytest.raises(VerificationError, match="off the curve"):
+        point_from_fiber_data(params, replace(fd, t=fd.t + 1))
+
+
+def test_family_curve_is_built_once_per_params():
+    params = derive_family(1, 1)
+    assert params.curve() is params.curve()
+    assert derive_family(1, 1).curve() is params.curve()
+    assert derive_family(2, 3).curve() != params.curve()

@@ -177,3 +177,18 @@ def test_cached_sieve_matches_primality():
     for start in (0, 5, 98, 1000, 300_007):
         expected = [n for n in range(max(start, 0), start + 2000) if is_prime(n)][:50]
         assert list(islice(iter_primes(start), 50)) == expected
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_fq_add_and_sub_match_modpoly(degree):
+    """Degrees 1 and 3 add and subtract in straight lines; 2 and 4 take the loop."""
+    rng = random.Random(3000 + degree)
+    for p in (5, 7, 13, 101, 997):
+        m = ModPoly([rng.randrange(p) for _ in range(degree)] + [1], p)
+        for _ in range(20):
+            a, b = (FqElem.reduce(ModPoly([rng.randrange(p) for _ in range(degree)], p), m)
+                    for _ in range(2))
+            A, B = ModPoly(a.coeffs, p), ModPoly(b.coeffs, p)
+            assert a + b == FqElem.reduce(A + B, m)
+            assert a - b == FqElem.reduce(A - B, m)
+            assert len((a - b).coeffs) == degree and (a - b) + b == a
