@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import gcd as _int_gcd, isqrt
 
-import numpy as np
-
 from .errors import (
     InconsistentRamificationError,
     InvalidExponentError,
@@ -346,6 +344,8 @@ def _positive_power_triples(p: int, bound: int) -> list[tuple[int, int, int]]:
     error is ~9 orders of magnitude below the acceptance window, so it can
     only admit false candidates, never reject a true solution.
     """
+    import numpy as np
+
     values = np.arange(0, bound + 1, dtype=np.float64)
     powers = values**p
     exact = {v**p: v for v in range(1, 2 * bound + 2)}

@@ -7,26 +7,35 @@ single unramified prime where their splitting patterns differ (a Frobenius
 witness).  The inconclusive verdict is explicit: a PresumedEqual result is
 never treated as a proof of equality.
 
-A distinctness scan reads split types from root counts mod p, counted for
-every prime up to its bound at once by numpy evaluation over the flattened
-grid of (residue, prime) pairs (root counting over F_p: Cohen, GTM 138).
+Split types come from root counts mod p, counted for every prime up to the
+bound at once by numpy evaluation over the flattened grid of (residue,
+prime) pairs (root counting over F_p: Cohen, GTM 138).
+
+A scan keeps its accepted fields as rows of one int8 SplitTypeMatrix: a
+code per prime, 0 where the prime is ramified or bad.  A new field's
+witnesses against every row come from one vectorised compare and an
+argmax, and are the primes distinctness_witness would return.  Rows start
+at the primes up to 97 and are extended to the witness bound lazily, only
+when two rows agree at all of those primes.  An unramified prime of a
+Galois cubic field splits completely or is inert (Marcus, Number Fields,
+ch. 3), so a linear-times-quadratic prime met while building a row refutes
+the C3 classification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-
-import numpy as np
 
 from .errors import (
     DegenerateCubicError,
     InvalidInputError,
     RamifiedPrimeError,
     ReducibleCubicError,
+    VerificationError,
     WrongClassError,
 )
 from .exact import (
@@ -75,17 +84,6 @@ class CubicField:
     disc: Fraction
     sqrt_disc: Fraction | None
     galois_class: GaloisClass
-    # This field's split-type fingerprints by bound, for distinctness_witness:
-    # a scan compares each accepted field with every later one, and this memo
-    # is cheaper to consult than a cache keyed on the Fraction coefficients.
-    _fingerprints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _fingerprint(self, bound: int) -> tuple:
-        fp = self._fingerprints.get(bound)
-        if fp is None:
-            fp = _splitting_fingerprint(self.defining, self.disc, bound)
-            self._fingerprints[bound] = fp
-        return fp
 
     def to_json_dict(self) -> dict:
         from .jsonio import to_jsonable
@@ -174,6 +172,8 @@ def _residue_grid(primes: tuple[int, ...]):
     Returns the primes and their block starts (for np.add.reduceat), and the
     residue and prime of every pair, in a dtype that holds 2*p*p.
     """
+    import numpy as np
+
     dtype = np.int32 if 2 * primes[-1] ** 2 < 2**31 else np.int64
     lengths = np.array(primes, dtype=dtype)
     starts = np.cumsum(lengths, dtype=np.int64) - lengths
@@ -185,6 +185,8 @@ def _residue_grid(primes: tuple[int, ...]):
 
 def _cubic_root_counts(primes: tuple[int, ...], c2: int, c1: int, c0: int) -> list[int]:
     """Roots in F_p of x^3 + c2*x^2 + c1*x + c0, for every p in primes."""
+    import numpy as np
+
     counts: list[int] = []
     for chunk in _grid_chunks(primes):
         lengths, starts, r, p = _residue_grid(chunk)
@@ -204,9 +206,8 @@ def _cubic_root_counts(primes: tuple[int, ...], c2: int, c1: int, c0: int) -> li
     return counts
 
 
-def _splitting_fingerprint(f: UniPoly, disc: Fraction, bound: int) -> tuple:
-    """Splitting type of the monic cubic f, of discriminant disc, at every
-    prime <= bound (None at ramified/bad primes).
+def _root_counts(f: UniPoly, primes: tuple[int, ...]) -> list[int]:
+    """Roots mod p of the monic cubic f, for every p in primes.
 
     With D the lcm of the denominators, D^3 f(y/D) is a monic integral cubic
     with as many roots as f mod every p not dividing D (and p | D is bad).
@@ -214,14 +215,29 @@ def _splitting_fingerprint(f: UniPoly, disc: Fraction, bound: int) -> tuple:
     exceed int64, and its roots are counted for all primes together by
     _cubic_root_counts.
     """
-    bad = _bad_part(f, disc)
-    primes = primes_up_to(bound)
     c0, c1, c2 = f.coeffs[:3]
     d = lcm(c0.denominator, c1.denominator, c2.denominator)
-    counts = _cubic_root_counts(primes, int(c2 * d), int(c1 * d**2), int(c0 * d**3))
+    return _cubic_root_counts(primes, int(c2 * d), int(c1 * d**2), int(c0 * d**3))
+
+
+# Keyed by value, so repeated pairwise checks of the same fields (a test
+# re-deriving every witness of a scan) count each field's roots once.
+@lru_cache(maxsize=1024)
+def _splitting_fingerprint(f: UniPoly, disc: Fraction, bound: int) -> tuple:
+    """Splitting type of the monic cubic f, of discriminant disc, at every
+    prime <= bound (None at ramified/bad primes)."""
+    bad = _bad_part(f, disc)
+    primes = primes_up_to(bound)
     return tuple(
-        SplitType.from_root_count(n) if bad % p else None for p, n in zip(primes, counts)
+        SplitType.from_root_count(n) if bad % p else None
+        for p, n in zip(primes, _root_counts(f, primes))
     )
+
+
+# Fields are first compared at the primes up to this one: distinct fields
+# almost always disagree there, so only fields that agree at every one of
+# them are compared up to the full witness bound.
+_FIRST_STAGE = 97
 
 
 def distinctness_witness(
@@ -235,15 +251,10 @@ def distinctness_witness(
     """
     if K1.galois_class is not GaloisClass.C3 or K2.galois_class is not GaloisClass.C3:
         raise WrongClassError("distinctness certificates require two C3 fields")
-    # Distinct fields almost always disagree at a tiny prime, so scan in
-    # stages; only genuinely equal fields ever walk the whole range.
-    stages = [b for b in (97, bound) if b <= bound]
-    if stages[-1] != bound:
-        stages.append(bound)
     lower = 0
-    for stage in stages:
-        fp1 = K1._fingerprint(stage)
-        fp2 = K2._fingerprint(stage)
+    for stage in sorted({min(_FIRST_STAGE, bound), bound}):
+        fp1 = _splitting_fingerprint(K1.defining, K1.disc, stage)
+        fp2 = _splitting_fingerprint(K2.defining, K2.disc, stage)
         for p, s1, s2 in zip(primes_up_to(stage), fp1, fp2):
             if p <= lower or s1 is None or s2 is None:
                 continue
@@ -251,3 +262,94 @@ def distinctness_witness(
                 return DisjointnessWitness(Verdict.DISTINCT_FIELDS, prime=p)
         lower = stage
     return DisjointnessWitness(Verdict.PRESUMED_EQUAL, bound=bound)
+
+
+# Row code of a good prime by the cubic's root count there: 3 roots, it
+# splits completely; none, it is inert.  Ramified or bad primes get 0.
+_ROW_CODE = {3: 1, 0: 2}
+
+
+def _split_codes(K: CubicField, primes: tuple[int, ...]):
+    """K's int8 row at these primes.
+
+    A C3 field has no other split type at an unramified prime, so one root
+    at a good prime raises VerificationError.
+    """
+    import numpy as np
+
+    bad = _bad_part(K.defining, K.disc)
+    codes = []
+    for p, n in zip(primes, _root_counts(K.defining, primes)):
+        code = _ROW_CODE.get(n) if bad % p else 0
+        if code is None:
+            raise VerificationError(
+                f"{K.defining} is linear times quadratic mod the unramified prime {p}, so not C3"
+            )
+        codes.append(code)
+    return np.array(codes, dtype=np.int8)
+
+
+def _first_difference(rows, row):
+    """Per row of `rows`: whether it and `row` differ where both are nonzero,
+    and the index of the first such column (0 where there is none)."""
+    differs = (rows != row) & (rows != 0) & (row != 0)
+    return differs.any(axis=-1), differs.argmax(axis=-1)
+
+
+class SplitTypeMatrix:
+    """Split-type rows of pairwise distinct C3 fields, for one witness bound.
+
+    admit(K) returns K's witnesses against every accepted field, in order of
+    acceptance, and accepts K; each is the first prime <= bound where both
+    fields are unramified and split differently, as from distinctness_witness.
+    If some accepted field agrees with K at every prime <= bound, K is not
+    accepted and admit returns None: the inconclusive PRESUMED_EQUAL.
+    """
+
+    def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):
+        import numpy as np
+
+        if bound < 2:
+            raise InvalidInputError("witness bound must be >= 2")
+        self._head = primes_up_to(min(_FIRST_STAGE, bound))
+        self._tail = primes_up_to(bound)[len(self._head):]
+        self._rows = np.zeros((0, len(self._head)), dtype=np.int8)
+        self._fields: list[CubicField] = []
+        self._tails = {}  # row index -> its codes at the primes in (97, bound]
+        self._witnesses: dict[int, DisjointnessWitness] = {}
+
+    def _tail_row(self, i: int):
+        tail = self._tails.get(i)
+        if tail is None:
+            tail = self._tails[i] = _split_codes(self._fields[i], self._tail)
+        return tail
+
+    def _witness(self, p: int) -> DisjointnessWitness:
+        w = self._witnesses.get(p)
+        if w is None:
+            w = self._witnesses[p] = DisjointnessWitness(Verdict.DISTINCT_FIELDS, prime=p)
+        return w
+
+    def admit(self, K: CubicField) -> tuple[DisjointnessWitness, ...] | None:
+        import numpy as np
+
+        if K.galois_class is not GaloisClass.C3:
+            raise WrongClassError("distinctness certificates require two C3 fields")
+        row = _split_codes(K, self._head)
+        found, first = _first_difference(self._rows, row)
+        primes = [self._head[j] for j in first.tolist()]
+        tail = None
+        for i in np.flatnonzero(~found).tolist():  # rows that agree with K at every head prime
+            if not self._tail:
+                return None
+            if tail is None:
+                tail = _split_codes(K, self._tail)
+            differ, j = _first_difference(self._tail_row(i), tail)
+            if not differ:
+                return None
+            primes[i] = self._tail[int(j)]
+        if tail is not None:
+            self._tails[len(self._fields)] = tail
+        self._rows = np.vstack([self._rows, row])
+        self._fields.append(K)
+        return tuple(map(self._witness, primes))

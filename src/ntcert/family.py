@@ -24,6 +24,8 @@ The j-invariant of the family depends on a1 alone:
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -38,9 +40,8 @@ from .cubicfield import (
     DisjointnessWitness,
     GaloisClass,
     SplitType,
-    Verdict,
+    SplitTypeMatrix,
     _bad_part,
-    distinctness_witness,
     galois_class,
 )
 from .errors import (
@@ -381,6 +382,7 @@ def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
     return curve.disc.numerator % p != 0
 
 
+@lru_cache(maxsize=1024)  # a scan asks for the same few (curve, p) for every fiber
 def count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
     """|E(F_p)| by summing the quadratic character of the completed square.
 
@@ -494,6 +496,12 @@ def torsion_bound_adaptive(
     raise InvalidPrimeError("prime search exhausted")  # pragma: no cover
 
 
+@lru_cache(maxsize=1024)
+def _invariants_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, ...]:
+    """The curve's a-invariants reduced mod a good prime p."""
+    return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in curve.a_invariants)
+
+
 def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
     """Reduce P at a residue-field hom above p; None when p is unusable.
 
@@ -522,7 +530,8 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
     def lift(f: UniPoly) -> FqElem:
         return FqElem.reduce(ModPoly.from_unipoly(f, p), modulus)
 
-    a = tuple(lift(UniPoly.constant(c)) for c in curve.a_invariants)
+    pad = (0,) * (modulus.degree - 1)
+    a = tuple(FqElem((c, *pad), modulus) for c in _invariants_mod_p(curve, p))
     Pbar = FieldPoint(curve, modulus, a, lift(P.x.rep), lift(P.y.rep), check=False)
     if not Pbar._equation_value().is_zero:
         raise VerificationError("reduction left the curve")
@@ -703,6 +712,21 @@ def evaluate_fiber(
     )
 
 
+def _fiber_class(params: FamilyParams, s: Fraction):
+    """What evaluate_fiber's first stages find at s: None if the fiber
+    degenerates to x^3, else (fiber, sqrt_disc, Galois class or None if the
+    fiber has a rational root)."""
+    try:
+        fd = fiber_at_s(params, s)
+    except DegenerateFiberError:
+        return None
+    try:
+        cls = galois_class(fd.fiber).galois_class
+    except ReducibleCubicError:
+        cls = None
+    return fd.fiber, fd.sqrt_disc, cls
+
+
 def scan_family(
     params: FamilyParams,
     s_height_max: int,
@@ -712,43 +736,73 @@ def scan_family(
 ) -> ScanResult:
     """Enumerate fibers by height and fold them into an accepted certificate set.
 
-    Fiber evaluation is independent per s and may run in a process pool;
-    acceptance (which consults previously accepted fibers for distinctness
-    witnesses) is a serial fold in enumeration order, so output is
-    deterministic for any job count.
+    The fiber depends on s only through v = 2s/(1 + 3s^2), which s and
+    1/(3s) share, so evaluate_fiber runs once per v, for its first s; it is
+    independent per s and may run in a process pool.  A later s with the
+    same v must reproduce that fiber and its class, and takes its outcome: a
+    certificate becomes a presumed-equal skip, as the repeated field has
+    rows identical to the first.  Acceptance (witnesses against every
+    accepted field, from a SplitTypeMatrix) is a serial fold in enumeration
+    order, so output is deterministic for any job count.
     """
     if s_height_max < 1:
         raise InvalidInputError("s_height_max must be >= 1")
     if witness_bound < 2:
         raise InvalidInputError("witness_bound must be >= 2")
+    if jobs < 1:
+        raise InvalidInputError("jobs must be >= 1")
     s_values = enumerate_s_by_height(s_height_max)
-    tasks = (evaluate_fiber, repeat(params), s_values, repeat(torsion_primes))
-    if jobs > 1:
-        chunk = max(1, len(s_values) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    v_of = {s: 2 * s / (1 + 3 * s * s) for s in s_values}
+    first_s: dict[Fraction, Fraction] = {}
+    for s, v in v_of.items():
+        first_s.setdefault(v, s)
+    repeats = Counter(v_of.values())
+    evaluated = list(first_s.values())
+    tasks = (evaluate_fiber, repeat(params), evaluated, repeat(torsion_primes))
+    # A fork pool starts every worker up front, whatever the number of tasks.
+    workers = min(jobs, os.cpu_count() or 1, len(evaluated))
+    if workers > 1:
+        chunk = max(1, len(evaluated) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(*tasks, chunksize=chunk))
     else:
         outcomes = map(*tasks)
 
     result = ScanResult(params)
-    accepted_fields: list[tuple[Fraction, CubicField]] = []
-    for outcome in outcomes:
+    matrix = SplitTypeMatrix(witness_bound)
+    pending = {}  # v -> (skip kind, fiber class) for the later s with that v
+    outcomes = iter(outcomes)
+    for s, v in v_of.items():
         result.fibers_tested += 1
-        if outcome == "reducible":
+        if first_s[v] != s:
+            skip, expected = pending.pop(v)
+            if _fiber_class(params, s) != expected:
+                raise VerificationError(f"s={s} and s={first_s[v]} share v but not the fiber")
+        else:
+            outcome = next(outcomes)
+            if isinstance(outcome, str):
+                skip = outcome
+            else:
+                witnesses = matrix.admit(outcome.cubic_field())
+                if witnesses is None:
+                    skip = "presumed_equal"
+                else:
+                    skip = None
+                    earlier = (cert.s for cert in result.certificates)
+                    result.certificates.append(
+                        replace(outcome, disjointness=tuple(zip(earlier, witnesses)))
+                    )
+            if repeats[v] > 1:
+                expected = (
+                    _fiber_class(params, s)
+                    if isinstance(outcome, str)
+                    else (outcome.fiber, outcome.sqrt_disc, outcome.galois_class)
+                )
+                pending[v] = (skip or "presumed_equal", expected)
+        if skip == "reducible":
             result.skipped_reducible += 1
-            continue
-        if outcome == "torsion":
+        elif skip == "torsion":
             result.skipped_torsion += 1
-            continue
-        K = outcome.cubic_field()
-        witnesses: list[tuple[Fraction, DisjointnessWitness]] = []
-        for prev_s, prev_K in accepted_fields:
-            w = distinctness_witness(K, prev_K, witness_bound)
-            if w.verdict is Verdict.PRESUMED_EQUAL:
-                result.skipped_presumed_equal += 1
-                break
-            witnesses.append((prev_s, w))
-        else:  # distinct from every accepted field
-            result.certificates.append(replace(outcome, disjointness=tuple(witnesses)))
-            accepted_fields.append((outcome.s, K))
+        elif skip == "presumed_equal":
+            result.skipped_presumed_equal += 1
     return result

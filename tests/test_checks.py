@@ -6,7 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ntcert import cli, family
+from ntcert import cli, cubicfield, family
 from ntcert.cubicfield import GaloisClass
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ntcert"
@@ -63,3 +63,22 @@ def test_non_annihilating_group_order_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the reduced group order does not annihilate the point\n"
+
+
+def test_linear_times_quadratic_prime_in_a_row_exits_3(monkeypatch, capsys):
+    """A C3 field splits completely or is inert at every unramified prime."""
+    monkeypatch.setattr(cubicfield, "_cubic_root_counts", lambda primes, *c: [1] * len(primes))
+    assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "linear times quadratic mod the unramified prime" in lines[0]
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    probe = "import sys, ntcert.cli; print('numpy' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert run.stdout == "False\n"

@@ -212,6 +212,9 @@ def test_invalid_rational_flag_exits_2(capsys):
         ([], {"torsion_primes": [5, None]}),
         ([], {"torsion_primes": [5, True]}),
         ([], {"s_height_max": 1, "witnes_bound": 5}),
+        (["--s-height-max", "1", "--jobs", "0"], None),
+        (["--s-height-max", "1", "--jobs", "-1"], None),
+        ([], {"s_height_max": 1, "jobs": 0}),
     ],
 )
 def test_malformed_scan_input_exits_2(tmp_path, capsys, argv, config):

@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from ntcert import family
+from ntcert import cubicfield, family
 from ntcert.cubicfield import GaloisClass, Verdict, galois_class
 from ntcert.errors import (
     DegenerateFamilyError,
     DegenerateFiberError,
     IncompatiblePointsError,
+    InvalidInputError,
     InvalidPrimeError,
     RationalFiberError,
+    ReducibleCubicError,
     VerificationError,
 )
-from ntcert.exact import ModPoly, QuotientElem, UniPoly, irreducible_mod_p, primes_up_to
+from ntcert.exact import FqElem, ModPoly, QuotientElem, UniPoly, irreducible_mod_p, primes_up_to
 from ntcert.exact.primes import factorize
 from ntcert.family import (
     FamilyParams,
@@ -711,3 +713,180 @@ def test_family_curve_is_built_once_per_params():
     assert params.curve() is params.curve()
     assert derive_family(1, 1).curve() is params.curve()
     assert derive_family(2, 3).curve() != params.curve()
+
+
+# -- the split-type matrix fold and repeated fibers -------------------------------------
+
+
+def c3_fields_up_to_height(params, height):
+    """The C3 field of every irreducible fiber at height <= `height`, repeats included."""
+    fields = []
+    for s in enumerate_s_by_height(height):
+        try:
+            fields.append(galois_class(fiber_at_s(params, s).fiber))
+        except (DegenerateFiberError, ReducibleCubicError):
+            pass
+    return fields
+
+
+def admit_against_pairwise_oracle(fields, bound):
+    """Admit each field into one SplitTypeMatrix and check it against
+    distinctness_witness for every accepted field: the same witnesses, or None
+    exactly when one of them is presumed equal.  Returns the witness primes
+    and the number of rejected fields."""
+    matrix = cubicfield.SplitTypeMatrix(bound)
+    accepted, primes, rejected = [], [], 0
+    for K in fields:
+        oracle = [cubicfield.distinctness_witness(K, prev, bound) for prev in accepted]
+        witnesses = matrix.admit(K)
+        if any(w.verdict is Verdict.PRESUMED_EQUAL for w in oracle):
+            assert witnesses is None
+            rejected += 1
+        else:
+            assert witnesses == tuple(oracle)
+            assert all(w.verdict is Verdict.DISTINCT_FIELDS for w in witnesses)
+            primes += [w.prime for w in witnesses]
+            accepted.append(K)
+    return primes, rejected
+
+
+@pytest.mark.parametrize("bound", [2, 50, 97, 98, 1000])
+def test_matrix_witnesses_match_distinctness_witness(bound):
+    for a1, a4 in ((1, 1), (2, 3)):
+        primes, rejected = admit_against_pairwise_oracle(
+            c3_fields_up_to_height(derive_family(a1, a4), 8), bound
+        )
+        assert rejected >= 18 and (bound == 2 or len(primes) >= 100)
+
+
+@pytest.mark.parametrize("bound", [50, 1000])
+def test_lazy_rows_match_distinctness_witness_past_a_short_first_stage(monkeypatch, bound):
+    """With rows that start at the primes up to 7, many pairs are told apart
+    only by the lazily extended part, and each field is extended at most once."""
+    monkeypatch.setattr(cubicfield, "_FIRST_STAGE", 7)
+    real = cubicfield._split_codes
+    extended = []
+
+    def codes(K, primes):
+        if primes and primes[0] > 7:
+            extended.append(id(K))
+        return real(K, primes)
+
+    monkeypatch.setattr(cubicfield, "_split_codes", codes)
+    fields = c3_fields_up_to_height(derive_family(1, 1), 8)
+    primes, rejected = admit_against_pairwise_oracle(fields, bound)
+    assert sum(p > 7 for p in primes) >= 100 and rejected >= 18
+    assert len(extended) == len(set(extended)) >= 10
+
+
+def test_scan_fold_makes_no_pairwise_calls_and_extends_rows_lazily(monkeypatch):
+    real_witness = cubicfield.distinctness_witness
+    real_codes = cubicfield._split_codes
+    pairwise = []
+    rows = {"head": [], "tail": []}
+
+    def codes(K, primes):
+        rows["head" if primes and primes[-1] <= 97 else "tail"].append(K)
+        return real_codes(K, primes)
+
+    for module in (cubicfield, family):
+        monkeypatch.setattr(
+            module, "distinctness_witness", lambda *a: pairwise.append(a), raising=False
+        )
+    monkeypatch.setattr(cubicfield, "_split_codes", codes)
+    result = scan_family(derive_family(1, 1), 8)
+    assert pairwise == []
+    # one row per fiber that reaches the fold: every certificate of a first s
+    assert len(rows["head"]) == result.fibers_tested - 18
+    assert len(rows["tail"]) == len({K.defining for K in rows["tail"]}) >= 2
+    scanned = rows["head"]
+    for K in rows["tail"]:
+        assert any(
+            other.defining != K.defining
+            and real_witness(K, other, 97).verdict is Verdict.PRESUMED_EQUAL
+            for other in scanned
+        ), K.defining
+
+
+def test_repeated_fibers_are_evaluated_once_with_the_parents_counts(monkeypatch):
+    evaluated = []
+    real = evaluate_fiber
+
+    def counted(params, s, torsion_primes):
+        evaluated.append(s)
+        return real(params, s, torsion_primes)
+
+    monkeypatch.setattr(family, "evaluate_fiber", counted)
+    result = scan_family(derive_family(1, 1), 8)
+    summary = result.summary()
+    assert summary["fibers_tested"] == 87 and len(evaluated) == 87 - 18
+    assert (summary["accepted"], summary["skipped_presumed_equal"]) == (66, 21)
+    # the first s of each v = 2s/(1 + 3s^2) in enumeration order; 1/(3s) is the other
+    assert all(1 / (3 * s) not in evaluated[:i] for i, s in enumerate(evaluated) if s)
+
+
+def test_a_repeated_s_must_reproduce_the_kept_fiber(monkeypatch):
+    real = fiber_at_s
+
+    def shifted_at_one_third(params, s):
+        fd = real(params, s)
+        if s == Fraction(1, 3):  # shares v with s = 1, which comes first
+            return replace(fd, fiber=fd.fiber + UniPoly.constant(1))
+        return fd
+
+    monkeypatch.setattr(family, "fiber_at_s", shifted_at_one_third)
+    with pytest.raises(VerificationError, match="share v but not the fiber"):
+        scan_family(derive_family(1, 1), 3)
+
+
+def test_scan_caps_the_pool_at_cores_and_fibers(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and evaluates in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(family, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(family.os, "cpu_count", lambda: 64)
+    serial = scan_family(derive_family(1, 1), 1)
+    assert scan_family(derive_family(1, 1), 1, jobs=100000).summary() == serial.summary()
+    assert sizes == [3]  # s = -1, 0, 1: three values of v
+    monkeypatch.setattr(family.os, "cpu_count", lambda: 2)
+    scan_family(derive_family(1, 1), 3, jobs=100000)
+    assert sizes == [3, 2]
+    for jobs in (0, -1):
+        with pytest.raises(InvalidInputError, match="jobs"):
+            scan_family(derive_family(1, 1), 1, jobs=jobs)
+
+
+def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime():
+    params = derive_family(1, 1)
+    count_points_mod_p.cache_clear()
+    scan_family(params, 4)
+    info = count_points_mod_p.cache_info()
+    assert info.misses <= 12 < info.hits
+    # the cached invariants give the constants the generic lift into F_p[x]/(m) gives
+    degrees = set()
+    for s in enumerate_s_by_height(3):
+        P = point_from_fiber(params, s)
+        for p in primes_up_to(31):
+            reduced = reduce_point_mod_p(P, p)
+            if reduced is not None:
+                m = reduced[0].modulus
+                degrees.add(m.degree)
+                assert reduced[0].a == tuple(
+                    FqElem.reduce(ModPoly.from_unipoly(UniPoly.constant(c), p), m)
+                    for c in params.curve().a_invariants
+                )
+    assert degrees == {1, 3}
