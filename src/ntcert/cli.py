@@ -135,7 +135,7 @@ def cmd_family_scan(args: argparse.Namespace) -> int:
         "schema": SCHEMA_VERSION,
         "config": config.to_json_dict(),
         "summary": result.summary(),
-        "certificates": [cert.to_json_dict() for cert in result.certificates],
+        "certificates": result.certificates_json(),
     }
     _emit(doc, config.output_path)
     return EXIT_OK

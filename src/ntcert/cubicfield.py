@@ -7,19 +7,20 @@ single unramified prime where their splitting patterns differ (a Frobenius
 witness).  The inconclusive verdict is explicit: a PresumedEqual result is
 never treated as a proof of equality.
 
-Split types come from root counts mod p, counted for every prime up to the
-bound at once by numpy evaluation over the flattened grid of (residue,
-prime) pairs (root counting over F_p: Cohen, GTM 138).
+Split types come from root counts mod p: deg gcd(x^p - x, f) (Cohen,
+GTM 138), with x^p mod f found by square-and-multiply on coefficient
+triples, in pure Python, prime by prime.
 
-A scan keeps its accepted fields as rows of one int8 SplitTypeMatrix: a
-code per prime, 0 where the prime is ramified or bad.  A new field's
-witnesses against every row come from one vectorised compare and an
-argmax, and are the primes distinctness_witness would return.  Rows start
-at the primes up to 97 and are extended to the witness bound lazily, only
-when two rows agree at all of those primes.  An unramified prime of a
-Galois cubic field splits completely or is inert (Marcus, Number Fields,
-ch. 3), so a linear-times-quadratic prime met while building a row refutes
-the C3 classification.
+A scan keeps its accepted fields in one SplitTypeMatrix.  Each row is a
+pair of Python ints used as bitmasks over the primes: one bit set where
+the field splits completely, one where it is inert, neither where the
+prime is ramified or bad.  Two fields' first witness is the lowest set bit
+of (S1 & I2) | (I1 & S2), the prime distinctness_witness would return.
+Rows start at the primes up to 97 and are extended to the witness bound
+lazily, only when two rows agree at all of those primes.  An unramified
+prime of a Galois cubic field splits completely or is inert (Marcus,
+Number Fields, ch. 3), so a linear-times-quadratic prime met while
+building a row refutes the C3 classification.
 """
 
 from __future__ import annotations
@@ -147,62 +148,49 @@ def splitting_type_mod_p(f: UniPoly, p: int) -> SplitType:
     return SplitType.from_root_count(count_distinct_roots(reduce_mod_p(f, p)))
 
 
-# Most (residue, prime) pairs one numpy pass evaluates.  With whole primes
-# per pass, a fingerprint's temporaries stay near 1 MB for any bound (unless
-# one prime alone exceeds this); bound 1000 (76,127 pairs) takes two passes.
-_GRID_CAP = 1 << 16
-
-
-def _grid_chunks(primes: tuple[int, ...]):
-    """Consecutive runs of whole primes with at most _GRID_CAP residues each."""
-    start = size = 0
-    for i, p in enumerate(primes):
-        if size + p > _GRID_CAP and i > start:
-            yield primes[start:i]
-            start, size = i, 0
-        size += p
-    if primes:
-        yield primes[start:]
-
-
-@lru_cache(maxsize=4)
-def _residue_grid(primes: tuple[int, ...]):
-    """The flattened pairs (r, p) with 0 <= r < p, for each p in primes in turn.
-
-    Returns the primes and their block starts (for np.add.reduceat), and the
-    residue and prime of every pair, in a dtype that holds 2*p*p.
-    """
-    import numpy as np
-
-    dtype = np.int32 if 2 * primes[-1] ** 2 < 2**31 else np.int64
-    lengths = np.array(primes, dtype=dtype)
-    starts = np.cumsum(lengths, dtype=np.int64) - lengths
-    residues = np.arange(int(starts[-1]) + primes[-1], dtype=dtype)
-    residues -= np.repeat(starts.astype(dtype), lengths)
-    moduli = np.repeat(lengths, lengths)
-    return lengths, starts, residues, moduli
+def _gcd_degree(a2: int, a1: int, a0: int, g2: int, g1: int, g0: int, p: int) -> int:
+    """deg gcd(f, g) over F_p, for f = x^3 + a2*x^2 + a1*x + a0 and a nonzero
+    g = g2*x^2 + g1*x + g0: Euclid's steps written out."""
+    if g2:
+        inv = pow(g2, -1, p)
+        b1, b0 = g1 * inv % p, g0 * inv % p  # g/g2 = x^2 + b1*x + b0
+        q = a2 - b1  # f = (x + q)(x^2 + b1*x + b0) + r1*x + r0
+        r1, r0 = (a1 - b0 - q * b1) % p, (a0 - q * b0) % p
+        if not r1:
+            return 0 if r0 else 2
+        z = -r0 * pow(r1, -1, p)  # the root of r1*x + r0
+        return 0 if (z * z + b1 * z + b0) % p else 1
+    if g1:
+        z = -g0 * pow(g1, -1, p)  # the root of g
+        return 0 if (((z + a2) * z + a1) * z + a0) % p else 1
+    return 0
 
 
 def _cubic_root_counts(primes: tuple[int, ...], c2: int, c1: int, c0: int) -> list[int]:
-    """Roots in F_p of x^3 + c2*x^2 + c1*x + c0, for every p in primes."""
-    import numpy as np
+    """Roots in F_p of f = x^3 + c2*x^2 + c1*x + c0, for every p in primes.
 
-    counts: list[int] = []
-    for chunk in _grid_chunks(primes):
-        lengths, starts, r, p = _residue_grid(chunk)
-
-        def coeff(c: int):
-            return np.repeat(np.array([c % q for q in chunk], dtype=r.dtype), lengths)
-
-        # Horner, reduced twice: every intermediate value stays below 2*p*p.
-        v = r + coeff(c2)
-        v *= r
-        v += coeff(c1)
-        v %= p
-        v *= r
-        v += coeff(c0)
-        v %= p
-        counts += np.add.reduceat(v == 0, starts, dtype=np.int64).tolist()
+    x^p mod (f, p) comes from square-and-multiply on coefficient triples,
+    where x^3 = -(c2*x^2 + c1*x + c0) and x^4 = x * x^3; f has 3 distinct
+    roots when x^p = x, and otherwise deg gcd(x^p - x, f) of them.
+    """
+    counts = []
+    for p in primes:
+        a2, a1, a0 = c2 % p, c1 % p, c0 % p
+        r0, r1, r2 = 0, 1, 0  # x
+        for bit in bin(p)[3:]:
+            # square: d0 + d1*x + ... + d4*x^4, folding x^4 and then x^3
+            d4 = r2 * r2
+            d3 = 2 * r1 * r2 - a2 * d4
+            d2 = r1 * r1 + 2 * r0 * r2 - a1 * d4 - a2 * d3
+            d1 = 2 * r0 * r1 - a0 * d4 - a1 * d3
+            d0 = r0 * r0 - a0 * d3
+            r0, r1, r2 = d0 % p, d1 % p, d2 % p
+            if bit == "1":  # times x: a shift, then fold x^3
+                r0, r1, r2 = -a0 * r2 % p, (r0 - a1 * r2) % p, (r1 - a2 * r2) % p
+        if (r0, r1, r2) == (0, 1, 0):
+            counts.append(3)
+        else:
+            counts.append(_gcd_degree(a2, a1, a0, r2, (r1 - 1) % p, r0, p))
     return counts
 
 
@@ -211,9 +199,7 @@ def _root_counts(f: UniPoly, primes: tuple[int, ...]) -> list[int]:
 
     With D the lcm of the denominators, D^3 f(y/D) is a monic integral cubic
     with as many roots as f mod every p not dividing D (and p | D is bad).
-    Its coefficients are reduced mod every prime in Python, as they can
-    exceed int64, and its roots are counted for all primes together by
-    _cubic_root_counts.
+    _cubic_root_counts counts its roots at each prime.
     """
     c0, c1, c2 = f.coeffs[:3]
     d = lcm(c0.denominator, c1.denominator, c2.denominator)
@@ -264,36 +250,36 @@ def distinctness_witness(
     return DisjointnessWitness(Verdict.PRESUMED_EQUAL, bound=bound)
 
 
-# Row code of a good prime by the cubic's root count there: 3 roots, it
-# splits completely; none, it is inert.  Ramified or bad primes get 0.
-_ROW_CODE = {3: 1, 0: 2}
+def _split_codes(K: CubicField, primes: tuple[int, ...]) -> tuple[int, int]:
+    """K's row at these primes: bit i of the first mask is set when K splits
+    completely at primes[i], of the second when K is inert there; neither
+    is set at a ramified or bad prime.
 
-
-def _split_codes(K: CubicField, primes: tuple[int, ...]):
-    """K's int8 row at these primes.
-
-    A C3 field has no other split type at an unramified prime, so one root
-    at a good prime raises VerificationError.
+    A C3 field has no other split type at an unramified prime, so any other
+    root count at a good prime raises VerificationError.
     """
-    import numpy as np
-
     bad = _bad_part(K.defining, K.disc)
-    codes = []
-    for p, n in zip(primes, _root_counts(K.defining, primes)):
-        code = _ROW_CODE.get(n) if bad % p else 0
-        if code is None:
+    split = inert = 0
+    for i, (p, n) in enumerate(zip(primes, _root_counts(K.defining, primes))):
+        if not bad % p:
+            continue
+        if n == 3:
+            split |= 1 << i
+        elif n == 0:
+            inert |= 1 << i
+        else:
             raise VerificationError(
                 f"{K.defining} is linear times quadratic mod the unramified prime {p}, so not C3"
             )
-        codes.append(code)
-    return np.array(codes, dtype=np.int8)
+    return split, inert
 
 
-def _first_difference(rows, row):
-    """Per row of `rows`: whether it and `row` differ where both are nonzero,
-    and the index of the first such column (0 where there is none)."""
-    differs = (rows != row) & (rows != 0) & (row != 0)
-    return differs.any(axis=-1), differs.argmax(axis=-1)
+def _first_difference(row1: tuple[int, int], row2: tuple[int, int]) -> int | None:
+    """The first column where one row splits completely and the other is
+    inert, or None if there is none."""
+    (s1, i1), (s2, i2) = row1, row2
+    differs = (s1 & i2) | (i1 & s2)
+    return (differs & -differs).bit_length() - 1 if differs else None
 
 
 class SplitTypeMatrix:
@@ -307,18 +293,17 @@ class SplitTypeMatrix:
     """
 
     def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):
-        import numpy as np
-
         if bound < 2:
             raise InvalidInputError("witness bound must be >= 2")
         self._head = primes_up_to(min(_FIRST_STAGE, bound))
         self._tail = primes_up_to(bound)[len(self._head):]
-        self._rows = np.zeros((0, len(self._head)), dtype=np.int8)
+        self._rows: list[tuple[int, int]] = []
         self._fields: list[CubicField] = []
-        self._tails = {}  # row index -> its codes at the primes in (97, bound]
+        # row index -> its row at the primes in (97, bound]
+        self._tails: dict[int, tuple[int, int]] = {}
         self._witnesses: dict[int, DisjointnessWitness] = {}
 
-    def _tail_row(self, i: int):
+    def _tail_row(self, i: int) -> tuple[int, int]:
         tail = self._tails.get(i)
         if tail is None:
             tail = self._tails[i] = _split_codes(self._fields[i], self._tail)
@@ -331,25 +316,27 @@ class SplitTypeMatrix:
         return w
 
     def admit(self, K: CubicField) -> tuple[DisjointnessWitness, ...] | None:
-        import numpy as np
-
         if K.galois_class is not GaloisClass.C3:
             raise WrongClassError("distinctness certificates require two C3 fields")
         row = _split_codes(K, self._head)
-        found, first = _first_difference(self._rows, row)
-        primes = [self._head[j] for j in first.tolist()]
+        primes = []
         tail = None
-        for i in np.flatnonzero(~found).tolist():  # rows that agree with K at every head prime
+        for i, other in enumerate(self._rows):
+            j = _first_difference(other, row)
+            if j is not None:
+                primes.append(self._head[j])
+                continue
+            # K agrees with this row at every head prime
             if not self._tail:
                 return None
             if tail is None:
                 tail = _split_codes(K, self._tail)
-            differ, j = _first_difference(self._tail_row(i), tail)
-            if not differ:
+            j = _first_difference(self._tail_row(i), tail)
+            if j is None:
                 return None
-            primes[i] = self._tail[int(j)]
+            primes.append(self._tail[j])
         if tail is not None:
             self._tails[len(self._fields)] = tail
-        self._rows = np.vstack([self._rows, row])
+        self._rows.append(row)
         self._fields.append(K)
         return tuple(map(self._witness, primes))

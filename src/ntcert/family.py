@@ -32,16 +32,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .cubicfield import (
     DEFAULT_WITNESS_BOUND,
     CubicField,
     DisjointnessWitness,
     GaloisClass,
-    SplitType,
     SplitTypeMatrix,
     _bad_part,
+    _root_counts,
     galois_class,
 )
 from .errors import (
@@ -60,11 +60,10 @@ from .exact import (
     ModPoly,
     QuotientElem,
     UniPoly,
-    count_distinct_roots,
+    count_distinct_roots,  # not called here; perfbench's tests expect it bound in family
     irreducible_mod_p,
     is_prime,
     iter_primes,
-    reduce_mod_p,
 )
 
 
@@ -422,8 +421,7 @@ def trace_over_extension(a_p: int, p: int, k: int) -> int:
 
 def residue_degree(fiber: UniPoly, p: int) -> int:
     """Residue degree at an unramified p of the C3 field of the fiber: 1 or 3."""
-    roots = count_distinct_roots(reduce_mod_p(fiber, p))
-    return 3 if SplitType.from_root_count(roots) is SplitType.IRREDUCIBLE else 1
+    return 3 if _root_counts(fiber, (p,)) == [0] else 1
 
 
 def _group_order(curve: WeierstrassCurve, p: int, d: int) -> int:
@@ -610,11 +608,15 @@ class ExtensionCertificate:
     def cubic_field(self) -> CubicField:
         return CubicField(self.fiber, self.disc, self.sqrt_disc, self.galois_class)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, names: Mapping[Fraction, str] | None = None) -> dict:
+        """The certificate's JSON form; `names` maps its s and every vs_s to
+        their JSON strings (by default, each is formatted here once)."""
         from .jsonio import to_jsonable
 
+        if names is None:
+            names = {s: to_jsonable(s) for s in (self.s, *(s for s, _ in self.disjointness))}
         return {
-            "s": to_jsonable(self.s),
+            "s": names[self.s],
             "t": to_jsonable(self.t),
             "fiber": to_jsonable(self.fiber),
             "disc": to_jsonable(self.disc),
@@ -625,7 +627,7 @@ class ExtensionCertificate:
             "torsion_bound": self.torsion_bound,
             "nontorsion_checked_to": self.nontorsion_checked_to,
             "disjointness": [
-                {"vs_s": to_jsonable(s), **w.to_json_dict()} for s, w in self.disjointness
+                {"vs_s": names[s], **w.to_json_dict()} for s, w in self.disjointness
             ],
         }
 
@@ -650,6 +652,14 @@ class ScanResult:
             "skipped_presumed_equal": self.skipped_presumed_equal,
             "skipped_torsion": self.skipped_torsion,
         }
+
+    def certificates_json(self) -> list[dict]:
+        """Every certificate's JSON form, formatting each accepted s once:
+        each vs_s is the s of an earlier certificate."""
+        from .jsonio import to_jsonable
+
+        names = {cert.s: to_jsonable(cert.s) for cert in self.certificates}
+        return [cert.to_json_dict(names) for cert in self.certificates]
 
 
 def enumerate_s_by_height(height_max: int) -> list[Fraction]:
@@ -712,19 +722,13 @@ def evaluate_fiber(
     )
 
 
-def _fiber_class(params: FamilyParams, s: Fraction):
-    """What evaluate_fiber's first stages find at s: None if the fiber
-    degenerates to x^3, else (fiber, sqrt_disc, Galois class or None if the
-    fiber has a rational root)."""
+def _fiber_key(params: FamilyParams, s: Fraction):
+    """The fiber at s and its sqrt_disc, or None if it degenerates to x^3."""
     try:
         fd = fiber_at_s(params, s)
     except DegenerateFiberError:
         return None
-    try:
-        cls = galois_class(fd.fiber).galois_class
-    except ReducibleCubicError:
-        cls = None
-    return fd.fiber, fd.sqrt_disc, cls
+    return fd.fiber, fd.sqrt_disc
 
 
 def scan_family(
@@ -739,7 +743,7 @@ def scan_family(
     The fiber depends on s only through v = 2s/(1 + 3s^2), which s and
     1/(3s) share, so evaluate_fiber runs once per v, for its first s; it is
     independent per s and may run in a process pool.  A later s with the
-    same v must reproduce that fiber and its class, and takes its outcome: a
+    same v must reproduce that fiber and sqrt_disc, and takes its outcome: a
     certificate becomes a presumed-equal skip, as the repeated field has
     rows identical to the first.  Acceptance (witnesses against every
     accepted field, from a SplitTypeMatrix) is a serial fold in enumeration
@@ -776,7 +780,7 @@ def scan_family(
         result.fibers_tested += 1
         if first_s[v] != s:
             skip, expected = pending.pop(v)
-            if _fiber_class(params, s) != expected:
+            if _fiber_key(params, s) != expected:
                 raise VerificationError(f"s={s} and s={first_s[v]} share v but not the fiber")
         else:
             outcome = next(outcomes)
@@ -794,9 +798,9 @@ def scan_family(
                     )
             if repeats[v] > 1:
                 expected = (
-                    _fiber_class(params, s)
+                    _fiber_key(params, s)
                     if isinstance(outcome, str)
-                    else (outcome.fiber, outcome.sqrt_disc, outcome.galois_class)
+                    else (outcome.fiber, outcome.sqrt_disc)
                 )
                 pending[v] = (skip or "presumed_equal", expected)
         if skip == "reducible":

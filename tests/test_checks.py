@@ -82,3 +82,17 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
     assert run.stdout == "False\n"
+
+
+def test_family_scan_leaves_numpy_unloaded():
+    probe = (
+        "import io, sys, contextlib, ntcert.cli\n"
+        "for jobs in ('1', '2'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = ntcert.cli.main(['family-scan', '--s-height-max', '3', '--jobs', jobs])\n"
+        "    print(code, bool(out.getvalue()), 'numpy' in sys.modules)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert run.stdout == "0 True False\n0 True False\n"

@@ -684,8 +684,9 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
 
 
 def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
-    """One rational-root test per fiber (galois_class), and two discriminants:
-    fiber_at_s's identity check and galois_class; the torsion primes reuse the first."""
+    """One rational-root test per evaluated fiber (galois_class), and two
+    discriminants for it: fiber_at_s's identity check and galois_class; the
+    torsion primes reuse the first.  A repeated fiber re-runs only fiber_at_s."""
     calls = {"rational_roots": 0, "discriminant": 0}
     for name in calls:
         real = getattr(UniPoly, name)
@@ -695,9 +696,17 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
             return real(self)
 
         monkeypatch.setattr(UniPoly, name, counted)
+    evaluated = []
+
+    def evaluate(params, s, torsion_primes):
+        evaluated.append(s)
+        return evaluate_fiber(params, s, torsion_primes)
+
+    monkeypatch.setattr(family, "evaluate_fiber", evaluate)
     result = scan_family(derive_family(1, 1), 4)
-    assert result.fibers_tested == len(enumerate_s_by_height(4))
-    assert calls == {"rational_roots": result.fibers_tested, "discriminant": 2 * result.fibers_tested}
+    assert result.fibers_tested == len(enumerate_s_by_height(4)) == 23
+    assert len(evaluated) == 17
+    assert calls == {"rational_roots": 17, "discriminant": 2 * 17 + (23 - 17)}
 
 
 def test_point_construction_rejects_a_point_off_the_curve():

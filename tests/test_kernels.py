@@ -1,9 +1,12 @@
 """The fast F_p kernels against the generic code they replace.
 
-The vectorised Frobenius fingerprint is checked prime by prime against
-splitting_type_mod_p (which counts roots with gcd(x^p - x, f)), and the
-degree-3 FqElem multiply and inverse against ModPoly's product-and-divmod
-and xgcd.
+The pure-Python cubic root counts (square-and-multiply on coefficient
+triples) are checked against count_distinct_roots, which counts roots with
+ModPoly's generic gcd(x^p - x, f), and the Frobenius fingerprint prime by
+prime against splitting_type_mod_p.  The bitmask split-type rows and their
+first difference are checked against per-prime split types and a naive
+scan, and the degree-3 FqElem multiply and inverse against ModPoly's
+product-and-divmod and xgcd.
 """
 
 import inspect
@@ -15,16 +18,25 @@ from itertools import islice
 import pytest
 
 from ntcert.cubicfield import (
-    _GRID_CAP,
     GaloisClass,
     SplitType,
-    _grid_chunks,
+    _cubic_root_counts,
+    _first_difference,
+    _split_codes,
     _splitting_fingerprint,
     galois_class,
     splitting_type_mod_p,
 )
 from ntcert.errors import InvalidInputError, InvalidPrimeError, RamifiedPrimeError
-from ntcert.exact import FqElem, ModPoly, UniPoly, is_prime, iter_primes, primes_up_to
+from ntcert.exact import (
+    FqElem,
+    ModPoly,
+    UniPoly,
+    count_distinct_roots,
+    is_prime,
+    iter_primes,
+    primes_up_to,
+)
 
 
 def shanks_cubic(t: int) -> UniPoly:
@@ -48,7 +60,7 @@ FIELDS = [
     rescaled(shanks_cubic(2), Fraction(2), Fraction(1, 3)),  # C3, a denominator 27
     rescaled(UniPoly((-3, 1, 0, 1)), Fraction(-3, 5), Fraction(-1, 2)),  # S3, denominators to 1000
 ]
-# Well above _GRID_CAP residues, so the grid is evaluated in several chunks.
+# Past the default witness bound of 1000.
 CHUNKED_BOUND = 1500
 
 
@@ -76,8 +88,6 @@ def test_fixture_fields_cover_both_classes_and_rational_coefficients():
     classes = {galois_class(f).galois_class for f in FIELDS}
     assert classes == {GaloisClass.C3, GaloisClass.S3}
     assert any(c.denominator > 1 for f in FIELDS for c in f.coeffs)
-    assert sum(primes_up_to(CHUNKED_BOUND)) > _GRID_CAP
-    assert len(list(_grid_chunks(primes_up_to(CHUNKED_BOUND)))) >= 2
 
 
 @pytest.mark.parametrize("bound", [2, 3, 97, 1000, CHUNKED_BOUND])
@@ -117,6 +127,71 @@ def test_fingerprint_temporaries_stay_bounded_for_large_witness_bounds():
         tracemalloc.stop()
     assert len(fp) == len(primes_up_to(bound))
     assert peak < 24 * 2**20
+
+
+def monic_cubics(rng: random.Random) -> list[tuple[int, int, int]]:
+    """(c2, c1, c0) of monic integral cubics: random ones with coefficients
+    beyond int64, and products (x - a)^2 (x - b) and (x - a)^3, which are
+    not squarefree mod any prime."""
+    cubics = [tuple(rng.randrange(-(2**100), 2**100) for _ in range(3)) for _ in range(6)]
+    cubics += [tuple(rng.randrange(-9, 10) for _ in range(3)) for _ in range(4)]
+    for a, b in ((rng.getrandbits(80), -rng.getrandbits(70)), (3, -5), (2 * 3 * 5 * 7, 0)):
+        cubics.append((-(2 * a + b), a * a + 2 * a * b, -a * a * b))
+        cubics.append((-3 * a, 3 * a * a, -(a**3)))
+    return cubics + [(0, 0, 0)]
+
+
+def test_cubic_root_counts_match_count_distinct_roots():
+    primes = primes_up_to(CHUNKED_BOUND)
+    assert primes[:2] == (2, 3)
+    seen = set()
+    for c2, c1, c0 in monic_cubics(random.Random(8)):
+        counts = _cubic_root_counts(primes, c2, c1, c0)
+        expected = [
+            count_distinct_roots(ModPoly((c0 % p, c1 % p, c2 % p, 1), p)) for p in primes
+        ]
+        assert counts == expected, (c2, c1, c0)
+        seen.update(counts)
+    assert seen == {0, 1, 2, 3}
+
+
+def naive_first_difference(codes1, codes2):
+    for i, (a, b) in enumerate(zip(codes1, codes2)):
+        if a and b and a != b:
+            return i
+    return None
+
+
+def row_of(codes):
+    """The (split, inert) bitmasks of a row of codes: 1 split, 2 inert, 0 bad."""
+    return (
+        sum(1 << i for i, c in enumerate(codes) if c == 1),
+        sum(1 << i for i, c in enumerate(codes) if c == 2),
+    )
+
+
+def test_bitmask_first_difference_matches_a_naive_scan():
+    rng = random.Random(97)
+    for length in (1, 25, 64, 65, 168, 400):
+        for _ in range(200):
+            codes1 = [rng.choice((0, 1, 2, 2, 2)) for _ in range(length)]
+            # mostly equal rows, so that first differences fall anywhere
+            codes2 = [c if rng.random() < 0.97 else rng.randrange(3) for c in codes1]
+            assert _first_difference(row_of(codes1), row_of(codes2)) == naive_first_difference(
+                codes1, codes2
+            )
+    assert _first_difference((0, 0), (0, 0)) is None
+
+
+@pytest.mark.parametrize("bound", [2, 97, 1000])
+def test_split_codes_match_per_prime_split_types(bound):
+    codes = {None: 0, SplitType.SPLITS_COMPLETELY: 1, SplitType.IRREDUCIBLE: 2}
+    primes = primes_up_to(bound)
+    for f in FIELDS:
+        K = galois_class(f)
+        if K.galois_class is GaloisClass.C3:
+            expected = [codes[split] for split in per_prime_fingerprint(f, bound)]
+            assert _split_codes(K, primes) == row_of(expected), f
 
 
 def irreducible_cubic(rng: random.Random, p: int) -> ModPoly:
