@@ -414,21 +414,12 @@ def covering_report(p: int) -> dict:
     }
     if m is not None:
         tri = triangle_checks(m)
-        psi = psi_identities(m)
+        checks = {**tri, **psi_identities(m)}
         report["triangle"] = {
             "m": m,
             "fixed_points_on_curve": tri["fixed_points_on_curve"],
             "identities": {
-                "shift_preserves_curve": tri["shift_preserves_curve"],
-                "shift_permutes_coordinate_points": tri["shift_permutes_coordinate_points"],
-                "fixed_points_projectively_fixed": tri["fixed_points_projectively_fixed"],
-                "on_curve_matches_m_mod_3": tri["on_curve_matches_m_mod_3"],
-                "on_curve_matches_p_mod_3": tri["on_curve_matches_p_mod_3"],
-                "nonsingular": tri["nonsingular"],
-                "monomial_identity": psi["monomial_identity"],
-                "line_substitution_identity": psi["line_substitution_identity"],
-                "mobius_three_cycle": psi["mobius_three_cycle"],
-                "extension_values_on_line": psi["extension_values_on_line"],
+                k: v for k, v in checks.items() if k not in ("m", "p", "fixed_points_on_curve")
             },
         }
     else:

@@ -9,18 +9,21 @@ never treated as a proof of equality.
 
 Split types come from root counts mod p: deg gcd(x^p - x, f) (Cohen,
 GTM 138), with x^p mod f found by square-and-multiply on coefficient
-triples, in pure Python, prime by prime.
+triples, in pure Python, prime by prime.  splitting_type_mod_p counts them
+independently, one prime at a time, through count_distinct_roots.
 
-A scan keeps its accepted fields in one SplitTypeMatrix.  Each row is a
-pair of Python ints used as bitmasks over the primes: one bit set where
-the field splits completely, one where it is inert, neither where the
-prime is ramified or bad.  Two fields' first witness is the lowest set bit
-of (S1 & I2) | (I1 & S2), the prime distinctness_witness would return.
-Rows start at the primes up to 97 and are extended to the witness bound
-lazily, only when two rows agree at all of those primes.  An unramified
-prime of a Galois cubic field splits completely or is inert (Marcus,
-Number Fields, ch. 3), so a linear-times-quadratic prime met while
-building a row refutes the C3 classification.
+_split_codes builds every split-type row: a pair of Python ints used as
+bitmasks over a list of primes, one bit set where the field splits
+completely, one where it is inert, neither where the prime is ramified or
+bad.  Two fields' first witness is the lowest set bit of
+(S1 & I2) | (I1 & S2).  distinctness_witness compares the cached rows of
+two fields at every prime up to the bound.  A scan keeps its accepted
+fields in one SplitTypeMatrix with their rows at the primes up to 97, a
+prefix of that prime list; only when two of those rows agree does the
+matrix compare the two fields' whole cached rows, as distinctness_witness
+does.  An unramified prime of a Galois cubic field splits completely or
+is inert (Marcus, Number Fields, ch. 3), so a linear-times-quadratic
+prime met while building a row refutes the C3 classification.
 """
 
 from __future__ import annotations
@@ -59,17 +62,6 @@ class SplitType(str, Enum):
     SPLITS_COMPLETELY = "splits_completely"
     IRREDUCIBLE = "irreducible"
     LINEAR_TIMES_QUADRATIC = "linear_times_quadratic"
-
-    @classmethod
-    def from_root_count(cls, roots: int) -> "SplitType":
-        """Split type of a squarefree cubic mod p with this many roots in F_p:
-        3 roots, 0 roots, or 1 root with an irreducible quadratic cofactor.
-        """
-        if roots == 3:
-            return cls.SPLITS_COMPLETELY
-        if roots == 0:
-            return cls.IRREDUCIBLE
-        return cls.LINEAR_TIMES_QUADRATIC
 
 
 class Verdict(str, Enum):
@@ -140,12 +132,18 @@ def _bad_part(f: UniPoly, disc: Fraction) -> int:
 
 
 def splitting_type_mod_p(f: UniPoly, p: int) -> SplitType:
-    """Splitting pattern of a monic cubic at an unramified prime p."""
+    """Splitting pattern of a monic cubic at an unramified prime p: 3 roots
+    in F_p, none, or 1 with an irreducible quadratic cofactor."""
     if f.degree != 3 or not f.is_monic:
         raise InvalidInputError("a monic cubic is required")
     if _bad_part(f, f.discriminant()) % p == 0:
         raise RamifiedPrimeError(f"prime {p} is ramified or bad for {f}")
-    return SplitType.from_root_count(count_distinct_roots(reduce_mod_p(f, p)))
+    roots = count_distinct_roots(reduce_mod_p(f, p))
+    if roots == 3:
+        return SplitType.SPLITS_COMPLETELY
+    if roots == 0:
+        return SplitType.IRREDUCIBLE
+    return SplitType.LINEAR_TIMES_QUADRATIC
 
 
 def _gcd_degree(a2: int, a1: int, a0: int, g2: int, g1: int, g0: int, p: int) -> int:
@@ -206,50 +204,6 @@ def _root_counts(f: UniPoly, primes: tuple[int, ...]) -> list[int]:
     return _cubic_root_counts(primes, int(c2 * d), int(c1 * d**2), int(c0 * d**3))
 
 
-# Keyed by value, so repeated pairwise checks of the same fields (a test
-# re-deriving every witness of a scan) count each field's roots once.
-@lru_cache(maxsize=1024)
-def _splitting_fingerprint(f: UniPoly, disc: Fraction, bound: int) -> tuple:
-    """Splitting type of the monic cubic f, of discriminant disc, at every
-    prime <= bound (None at ramified/bad primes)."""
-    bad = _bad_part(f, disc)
-    primes = primes_up_to(bound)
-    return tuple(
-        SplitType.from_root_count(n) if bad % p else None
-        for p, n in zip(primes, _root_counts(f, primes))
-    )
-
-
-# Fields are first compared at the primes up to this one: distinct fields
-# almost always disagree there, so only fields that agree at every one of
-# them are compared up to the full witness bound.
-_FIRST_STAGE = 97
-
-
-def distinctness_witness(
-    K1: CubicField, K2: CubicField, bound: int = DEFAULT_WITNESS_BOUND
-) -> DisjointnessWitness:
-    """Scan primes <= bound for a splitting disagreement between two C3 fields.
-
-    A disagreeing prime is an unconditional proof that the fields are not
-    isomorphic.  Exhausting the bound yields PRESUMED_EQUAL, which callers
-    must treat as inconclusive.
-    """
-    if K1.galois_class is not GaloisClass.C3 or K2.galois_class is not GaloisClass.C3:
-        raise WrongClassError("distinctness certificates require two C3 fields")
-    lower = 0
-    for stage in sorted({min(_FIRST_STAGE, bound), bound}):
-        fp1 = _splitting_fingerprint(K1.defining, K1.disc, stage)
-        fp2 = _splitting_fingerprint(K2.defining, K2.disc, stage)
-        for p, s1, s2 in zip(primes_up_to(stage), fp1, fp2):
-            if p <= lower or s1 is None or s2 is None:
-                continue
-            if s1 != s2:
-                return DisjointnessWitness(Verdict.DISTINCT_FIELDS, prime=p)
-        lower = stage
-    return DisjointnessWitness(Verdict.PRESUMED_EQUAL, bound=bound)
-
-
 def _split_codes(K: CubicField, primes: tuple[int, ...]) -> tuple[int, int]:
     """K's row at these primes: bit i of the first mask is set when K splits
     completely at primes[i], of the second when K is inert there; neither
@@ -282,6 +236,39 @@ def _first_difference(row1: tuple[int, int], row2: tuple[int, int]) -> int | Non
     return (differs & -differs).bit_length() - 1 if differs else None
 
 
+# Keyed by value, so repeated pairwise checks of the same fields (a test
+# re-deriving every witness of a scan) count each field's roots once.
+@lru_cache(maxsize=1024)
+def _row(K: CubicField, bound: int) -> tuple[int, int]:
+    """K's split-type row at every prime <= bound."""
+    return _split_codes(K, primes_up_to(bound))
+
+
+def distinctness_witness(
+    K1: CubicField, K2: CubicField, bound: int = DEFAULT_WITNESS_BOUND
+) -> DisjointnessWitness:
+    """Scan primes <= bound for a splitting disagreement between two C3 fields.
+
+    A disagreeing prime is an unconditional proof that the fields are not
+    isomorphic.  Exhausting the bound yields PRESUMED_EQUAL, which callers
+    must treat as inconclusive.
+    """
+    if bound < 2:
+        raise InvalidInputError("witness bound must be >= 2")
+    if K1.galois_class is not GaloisClass.C3 or K2.galois_class is not GaloisClass.C3:
+        raise WrongClassError("distinctness certificates require two C3 fields")
+    j = _first_difference(_row(K1, bound), _row(K2, bound))
+    if j is None:
+        return DisjointnessWitness(Verdict.PRESUMED_EQUAL, bound=bound)
+    return DisjointnessWitness(Verdict.DISTINCT_FIELDS, prime=primes_up_to(bound)[j])
+
+
+# A matrix first compares fields at the primes up to this one: distinct
+# fields almost always disagree there, so only fields that agree at every
+# one of them are compared up to the full witness bound.
+_FIRST_STAGE = 97
+
+
 class SplitTypeMatrix:
     """Split-type rows of pairwise distinct C3 fields, for one witness bound.
 
@@ -295,19 +282,12 @@ class SplitTypeMatrix:
     def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):
         if bound < 2:
             raise InvalidInputError("witness bound must be >= 2")
+        self._bound = bound
+        self._primes = primes_up_to(bound)
+        # a prefix of self._primes, so a column indexes both
         self._head = primes_up_to(min(_FIRST_STAGE, bound))
-        self._tail = primes_up_to(bound)[len(self._head):]
-        self._rows: list[tuple[int, int]] = []
-        self._fields: list[CubicField] = []
-        # row index -> its row at the primes in (97, bound]
-        self._tails: dict[int, tuple[int, int]] = {}
+        self._rows: list[tuple[CubicField, tuple[int, int]]] = []
         self._witnesses: dict[int, DisjointnessWitness] = {}
-
-    def _tail_row(self, i: int) -> tuple[int, int]:
-        tail = self._tails.get(i)
-        if tail is None:
-            tail = self._tails[i] = _split_codes(self._fields[i], self._tail)
-        return tail
 
     def _witness(self, p: int) -> DisjointnessWitness:
         w = self._witnesses.get(p)
@@ -320,23 +300,13 @@ class SplitTypeMatrix:
             raise WrongClassError("distinctness certificates require two C3 fields")
         row = _split_codes(K, self._head)
         primes = []
-        tail = None
-        for i, other in enumerate(self._rows):
-            j = _first_difference(other, row)
-            if j is not None:
-                primes.append(self._head[j])
-                continue
-            # K agrees with this row at every head prime
-            if not self._tail:
-                return None
-            if tail is None:
-                tail = _split_codes(K, self._tail)
-            j = _first_difference(self._tail_row(i), tail)
+        for other, other_row in self._rows:
+            j = _first_difference(other_row, row)
+            if j is None and len(self._head) < len(self._primes):
+                # K agrees with `other` at every head prime: compare whole rows
+                j = _first_difference(_row(other, self._bound), _row(K, self._bound))
             if j is None:
                 return None
-            primes.append(self._tail[j])
-        if tail is not None:
-            self._tails[len(self._fields)] = tail
-        self._rows.append(row)
-        self._fields.append(K)
+            primes.append(self._primes[j])
+        self._rows.append((K, row))
         return tuple(map(self._witness, primes))

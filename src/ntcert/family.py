@@ -42,7 +42,7 @@ from .cubicfield import (
     SplitTypeMatrix,
     _bad_part,
     _root_counts,
-    galois_class,
+    galois_class,  # not called here; perfbench's tests expect it bound in family
 )
 from .errors import (
     DegenerateFamilyError,
@@ -51,7 +51,6 @@ from .errors import (
     InvalidInputError,
     InvalidPrimeError,
     RationalFiberError,
-    ReducibleCubicError,
     SingularCurveError,
     VerificationError,
 )
@@ -352,14 +351,12 @@ def point_from_fiber(params: FamilyParams, s: Fraction | int) -> FieldPoint:
 
 
 def point_from_fiber_data(params: FamilyParams, fd: FiberData) -> FieldPoint:
+    """(theta, t) over Q[theta]/(fiber); errors if the fiber has a rational root.
+    As a2 = 0, the point is on the curve iff E(x, t) = -fiber(x) in Q[x]: no
+    Q[theta] arithmetic."""
     if fd.fiber.rational_roots():
         raise RationalFiberError(f"fiber at s={fd.s} is reducible over Q")
-    return _fiber_point(params.curve(), fd)
-
-
-def _fiber_point(curve: WeierstrassCurve, fd: FiberData) -> FieldPoint:
-    """(theta, t) over Q[theta]/(fiber) for an irreducible fiber.  As a2 = 0, the
-    point is on the curve iff E(x, t) = -fiber(x) in Q[x]: no Q[theta] arithmetic."""
+    curve = params.curve()
     a1, a2, a3, a4, a6 = curve.a_invariants
     t, m = fd.t, fd.fiber
     if UniPoly((t * t + a3 * t - a6, a1 * t - a4, -a2, -1)) != -m:
@@ -690,16 +687,15 @@ def evaluate_fiber(
     Returns "reducible" when the fiber degenerates to x^3 or has a rational
     root, "torsion" when its point has finite order (at most the torsion
     bound), and otherwise the fiber's certificate with disjointness=(),
-    which the scan's distinctness fold fills in.
+    which the scan's distinctness fold fills in.  The certificate's field
+    is C3: the fiber is irreducible, and fiber_at_s has proved its
+    discriminant the square sqrt_disc^2.
     """
     try:
         fd = fiber_at_s(params, s)
-        K = galois_class(fd.fiber)
-    except (DegenerateFiberError, ReducibleCubicError):
+        point = point_from_fiber_data(params, fd)
+    except (DegenerateFiberError, RationalFiberError):
         return "reducible"
-    if K.galois_class is not GaloisClass.C3:
-        raise VerificationError("square discriminant must give C3")
-    point = _fiber_point(params.curve(), fd)  # irreducible: galois_class found no root
     if isinstance(torsion_primes, int):
         bound, primes = torsion_bound_adaptive(params, fd.fiber, torsion_primes, _disc=fd.disc)
     else:
@@ -713,7 +709,7 @@ def evaluate_fiber(
         fiber=fd.fiber,
         disc=fd.disc,
         sqrt_disc=fd.sqrt_disc,
-        galois_class=K.galois_class,
+        galois_class=GaloisClass.C3,
         point=point,
         torsion_primes=primes,
         torsion_bound=bound,

@@ -3,11 +3,10 @@
 import ast
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ntcert import cli, cubicfield, family
-from ntcert.cubicfield import GaloisClass
+from ntcert.exact import UniPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ntcert"
 
@@ -41,14 +40,13 @@ def test_optimized_interpreter_emits_the_same_bytes():
 
 
 def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
-    real = family.galois_class
-    monkeypatch.setattr(
-        family, "galois_class", lambda f: replace(real(f), galois_class=GaloisClass.S3)
-    )
+    """The fiber discriminant identity carries each certificate's C3 class."""
+    real = UniPoly.discriminant
+    monkeypatch.setattr(UniPoly, "discriminant", lambda f: real(f) + 1)
     assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: square discriminant must give C3\n"
+    assert captured.err == "error: fiber discriminant identity failed\n"
 
 
 def test_non_annihilating_group_order_exits_3(monkeypatch, capsys):

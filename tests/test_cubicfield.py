@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ntcert.cubicfield import (
+    CubicField,
     GaloisClass,
     SplitType,
     Verdict,
@@ -11,7 +12,13 @@ from ntcert.cubicfield import (
     galois_class,
     splitting_type_mod_p,
 )
-from ntcert.errors import RamifiedPrimeError, ReducibleCubicError, WrongClassError
+from ntcert.errors import (
+    InvalidInputError,
+    RamifiedPrimeError,
+    ReducibleCubicError,
+    VerificationError,
+    WrongClassError,
+)
 from ntcert.exact import UniPoly, primes_up_to
 
 CYCLIC = UniPoly((1, -3, 0, 1))  # x^3 - 3x + 1, disc 81
@@ -116,6 +123,28 @@ def test_witness_examples():
         distinctness_witness(K1, galois_class(UniPoly((-2, 0, 0, 1))))
 
 
+def test_witness_rejects_a_bound_below_two():
+    K = galois_class(CYCLIC)
+    assert distinctness_witness(K, K, bound=2).bound == 2
+    for bound in (1, 0, -5):
+        with pytest.raises(InvalidInputError, match="witness bound"):
+            distinctness_witness(K, K, bound)
+
+
+def test_witness_refutes_a_c3_label_at_a_linear_times_quadratic_prime():
+    """x^3 - 2 has one root mod 5 (cubing permutes F_5), and 5 is unramified."""
+    f = UniPoly((-2, 0, 0, 1))
+    assert splitting_type_mod_p(f, 5) is SplitType.LINEAR_TIMES_QUADRATIC
+    mislabelled = CubicField(f, f.discriminant(), None, GaloisClass.C3)
+    K = galois_class(CYCLIC)
+    # 2 and 3 are bad for x^3 - 2: no prime below 5 tests the label
+    assert distinctness_witness(mislabelled, K, bound=4).verdict is Verdict.PRESUMED_EQUAL
+    with pytest.raises(VerificationError, match="linear times quadratic mod the unramified prime 5"):
+        distinctness_witness(mislabelled, K, bound=5)
+    with pytest.raises(VerificationError, match="prime 5"):
+        distinctness_witness(K, mislabelled)
+
+
 def test_witness_found_for_distinct_cyclic_fields():
     """Pairs with distinct square-free cores of sqrt(disc) witness by 200."""
 
@@ -154,8 +183,8 @@ def test_witness_found_for_distinct_cyclic_fields():
 
 
 def test_staged_witness_matches_naive_scan():
-    """The staged fingerprint scan must return the same verdict and prime
-    as a naive prime-by-prime comparison."""
+    """distinctness_witness's row comparison must return the same verdict
+    and prime as a naive prime-by-prime comparison."""
     from ntcert.exact import primes_up_to
 
     cubics = [CYCLIC, shanks_cubic(0), shanks_cubic(1), shanks_cubic(4), shanks_cubic(7)]

@@ -684,9 +684,9 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
 
 
 def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
-    """One rational-root test per evaluated fiber (galois_class), and two
-    discriminants for it: fiber_at_s's identity check and galois_class; the
-    torsion primes reuse the first.  A repeated fiber re-runs only fiber_at_s."""
+    """One rational-root test per evaluated fiber (point_from_fiber_data), and
+    one discriminant per s: fiber_at_s's identity check, which the torsion
+    primes and the C3 class reuse.  A repeated fiber re-runs only fiber_at_s."""
     calls = {"rational_roots": 0, "discriminant": 0}
     for name in calls:
         real = getattr(UniPoly, name)
@@ -706,7 +706,7 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
     result = scan_family(derive_family(1, 1), 4)
     assert result.fibers_tested == len(enumerate_s_by_height(4)) == 23
     assert len(evaluated) == 17
-    assert calls == {"rational_roots": 17, "discriminant": 2 * 17 + (23 - 17)}
+    assert calls == {"rational_roots": 17, "discriminant": 23}
 
 
 def test_point_construction_rejects_a_point_off_the_curve():
@@ -768,53 +768,70 @@ def test_matrix_witnesses_match_distinctness_witness(bound):
         assert rejected >= 18 and (bound == 2 or len(primes) >= 100)
 
 
-@pytest.mark.parametrize("bound", [50, 1000])
-def test_lazy_rows_match_distinctness_witness_past_a_short_first_stage(monkeypatch, bound):
-    """With rows that start at the primes up to 7, many pairs are told apart
-    only by the lazily extended part, and each field is extended at most once."""
-    monkeypatch.setattr(cubicfield, "_FIRST_STAGE", 7)
+def recording_rows(monkeypatch):
+    """Empty the row cache, then record (field, number of primes) for every
+    split-type row built."""
     real = cubicfield._split_codes
-    extended = []
+    built = []
 
     def codes(K, primes):
-        if primes and primes[0] > 7:
-            extended.append(id(K))
+        built.append((K, len(primes)))
         return real(K, primes)
 
+    cubicfield._row.cache_clear()
     monkeypatch.setattr(cubicfield, "_split_codes", codes)
+    return built
+
+
+def agrees_at_every_head_prime(i, fields, head):
+    """Whether fields[i] agrees at every prime in `head` with another entry."""
+    rows = [cubicfield._split_codes(K, head) for K in fields]
+    return any(
+        j != i and cubicfield._first_difference(rows[i], row) is None
+        for j, row in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize("bound", [50, 1000])
+def test_lazy_rows_match_distinctness_witness_past_a_short_first_stage(monkeypatch, bound):
+    """With head rows at the primes up to 7, many pairs are told apart only
+    past the head.  The matrix builds a field's whole row only when it agrees
+    with another field at every head prime, and at most once per field."""
+    monkeypatch.setattr(cubicfield, "_FIRST_STAGE", 7)
     fields = c3_fields_up_to_height(derive_family(1, 1), 8)
     primes, rejected = admit_against_pairwise_oracle(fields, bound)
     assert sum(p > 7 for p in primes) >= 100 and rejected >= 18
-    assert len(extended) == len(set(extended)) >= 10
+    # the same fold again, from an empty cache and without the oracle's rows
+    head = primes_up_to(7)
+    built = recording_rows(monkeypatch)
+    matrix = cubicfield.SplitTypeMatrix(bound)
+    for K in fields:
+        matrix.admit(K)
+    monkeypatch.undo()
+    whole = [K for K, n in built if n > len(head)]
+    assert len(whole) == len(set(whole)) >= 10
+    for K in whole:
+        assert agrees_at_every_head_prime(fields.index(K), fields, head), K.defining
 
 
 def test_scan_fold_makes_no_pairwise_calls_and_extends_rows_lazily(monkeypatch):
-    real_witness = cubicfield.distinctness_witness
-    real_codes = cubicfield._split_codes
     pairwise = []
-    rows = {"head": [], "tail": []}
-
-    def codes(K, primes):
-        rows["head" if primes and primes[-1] <= 97 else "tail"].append(K)
-        return real_codes(K, primes)
-
     for module in (cubicfield, family):
         monkeypatch.setattr(
             module, "distinctness_witness", lambda *a: pairwise.append(a), raising=False
         )
-    monkeypatch.setattr(cubicfield, "_split_codes", codes)
+    built = recording_rows(monkeypatch)
     result = scan_family(derive_family(1, 1), 8)
+    monkeypatch.undo()
     assert pairwise == []
-    # one row per fiber that reaches the fold: every certificate of a first s
-    assert len(rows["head"]) == result.fibers_tested - 18
-    assert len(rows["tail"]) == len({K.defining for K in rows["tail"]}) >= 2
-    scanned = rows["head"]
-    for K in rows["tail"]:
-        assert any(
-            other.defining != K.defining
-            and real_witness(K, other, 97).verdict is Verdict.PRESUMED_EQUAL
-            for other in scanned
-        ), K.defining
+    head = primes_up_to(97)
+    heads = [K for K, n in built if n == len(head)]
+    whole = [K for K, n in built if n > len(head)]
+    # one head row per fiber that reaches the fold: every certificate of a first s
+    assert len(heads) == result.fibers_tested - 18
+    assert len(whole) == len(set(whole)) >= 2
+    for K in whole:
+        assert agrees_at_every_head_prime(heads.index(K), heads, head), K.defining
 
 
 def test_repeated_fibers_are_evaluated_once_with_the_parents_counts(monkeypatch):

@@ -2,11 +2,11 @@
 
 The pure-Python cubic root counts (square-and-multiply on coefficient
 triples) are checked against count_distinct_roots, which counts roots with
-ModPoly's generic gcd(x^p - x, f), and the Frobenius fingerprint prime by
-prime against splitting_type_mod_p.  The bitmask split-type rows and their
-first difference are checked against per-prime split types and a naive
-scan, and the degree-3 FqElem multiply and inverse against ModPoly's
-product-and-divmod and xgcd.
+ModPoly's generic gcd(x^p - x, f), and, read as split types at the good
+primes, prime by prime against splitting_type_mod_p.  The bitmask
+split-type rows and their first difference are checked against per-prime
+split types and a naive scan, and the degree-3 FqElem multiply and inverse
+against ModPoly's product-and-divmod and xgcd.
 """
 
 import inspect
@@ -20,10 +20,12 @@ import pytest
 from ntcert.cubicfield import (
     GaloisClass,
     SplitType,
+    _bad_part,
     _cubic_root_counts,
     _first_difference,
+    _root_counts,
+    _row,
     _split_codes,
-    _splitting_fingerprint,
     galois_class,
     splitting_type_mod_p,
 )
@@ -65,7 +67,18 @@ CHUNKED_BOUND = 1500
 
 
 def fingerprint(f: UniPoly, bound: int) -> tuple:
-    return _splitting_fingerprint(f, f.discriminant(), bound)
+    """The split type of f at every prime <= bound from the kernel's root
+    counts, None at the primes _bad_part marks as ramified or bad."""
+    split_types = {
+        3: SplitType.SPLITS_COMPLETELY,
+        1: SplitType.LINEAR_TIMES_QUADRATIC,
+        0: SplitType.IRREDUCIBLE,
+    }
+    bad = _bad_part(f, f.discriminant())
+    primes = primes_up_to(bound)
+    return tuple(
+        split_types[n] if bad % p else None for p, n in zip(primes, _root_counts(f, primes))
+    )
 
 
 def per_prime_fingerprint(f: UniPoly, bound: int) -> tuple:
@@ -116,16 +129,21 @@ def test_fingerprint_at_two_and_three():
 
 
 def test_fingerprint_temporaries_stay_bounded_for_large_witness_bounds():
+    # A row keeps one root count per prime and two bitmask ints of one bit
+    # per prime; each prime's square-and-multiply holds only a few ints
+    # below p^2.  So a row's memory grows with the number of primes (2,262
+    # here), with nothing per residue or per pair of them.
     bound = 20000
-    unchunked = sum(primes_up_to(bound)) * 8  # two int32 grids over every pair
-    assert unchunked > 150 * 2**20
+    K = galois_class(shanks_cubic(3))  # discriminant 3^6: only 3 is bad
+    _row.cache_clear()
     tracemalloc.start()
     try:
-        fp = fingerprint(shanks_cubic(3), bound)
+        split, inert = _row(K, bound)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(fp) == len(primes_up_to(bound))
+    assert split & inert == 0
+    assert (split | inert).bit_count() == len(primes_up_to(bound)) - 1
     assert peak < 24 * 2**20
 
 
