@@ -7,6 +7,13 @@ automorphism, fixed points over Q(rho), and the monomial map
 (X:Y:Z) -> (X^m*Y : Y^m*Z : Z^m*X) onto the line a+b+c = 0; genus
 bookkeeping by Riemann-Hurwitz; and the brute-force Fermat search that
 pins down the exceptional rational points.
+
+The Fermat search screens only the band p*(z - y) <= y, where every
+positive solution x <= y < z lies: x^p = (z - y)*S with
+S = sum_{i<p} z^(p-1-i)*y^i >= p*y^(p-1), and x^p <= y^p.  S is built in
+float64 from positive terms only, so its p-th root is within
+(12 + ln N)*N*2^-53 of x for |A|, |B|, |C| <= N; every candidate is
+confirmed in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -25,9 +32,14 @@ from .errors import (
 )
 from .exact import BiPoly, EisensteinInt, UniPoly, is_prime, proj_equal
 
-# Relative float error of the p-th-root screen is ~1e-15; anything within
-# 1e-6 of an integer is confirmed exactly, so no true solution can be lost.
+# The Fermat screen's float root of a true x^p lies within
+# (12 + ln N)*N*2^-53 of x when N bounds the search (derived in
+# `_positive_power_triples`).  That is below this tolerance for every
+# N <= 2.8*10^8 (9.8e-7 there); _SCREEN_BOUND_MAX = 2*10^8 (6.9e-7) keeps a
+# margin.  Within it no true solution can be lost, and fermat_search
+# refuses larger bounds.
 _ROOT_SCREEN_TOLERANCE = 1e-6
+_SCREEN_BOUND_MAX = 2 * 10**8
 
 
 # -- the winding congruence and superelliptic models -----------------------------
@@ -337,57 +349,92 @@ def quotient_genus(p: int) -> int:
 # -- the Fermat desk search ----------------------------------------------------
 
 
-def _positive_power_triples(p: int, bound: int) -> list[tuple[int, int, int]]:
-    """All 1 <= x <= y with x^p + y^p a p-th power of some z <= derived bound.
+def _band_values(p: int, k, y):
+    """z^p - y^p for z = y + k, as k*S with S = sum_{i<p} z^(p-1-i)*y^i.
 
-    Float64 screening with exact big-integer confirmation: the screen's
-    error is ~9 orders of magnitude below the acceptance window, so it can
-    only admit false candidates, never reject a true solution.
+    S is built from positive terms only: s = z + y, then s = s*z + y^j for
+    j = 2, ..., p-1.  On Python ints the value is exact.  On a float64
+    array of integers y with y + k + y < 2^53, z and z + y are exact, and
+    every term of k*S passes through at most 2p - 3 roundings, so the
+    relative error is at most (2p - 3)*2^-53 (to first order): nothing
+    cancels.
+    """
+    z = y + k
+    s = z + y
+    y_power = y
+    for _ in range(2, p):
+        y_power = y_power * y
+        s = s * z + y_power
+    return k * s
+
+
+def _positive_power_triples(p: int, bound: int) -> list[tuple[int, int, int]]:
+    """All 1 <= x <= y <= bound with x^p + y^p = z^p, as sorted (x, y, z).
+
+    With k = z - y, x^p = k*S >= k*p*y^(p-1) and x^p <= y^p give
+    p*k <= y, so only the band k = 1, ..., bound // p with
+    y = p*k, ..., bound is screened: about bound^2/(2p) pairs.
+
+    Float screen, exact confirmation.  For a true solution the computed
+    k*S is x^p*(1 + t) with |t| <= (2p - 3)*2^-53 (see `_band_values`),
+    which moves its p-th root by at most 2*2^-53 relative.  Rounding 1/p
+    to a double moves V^(1/p) by at most ln(x)*2^-53 relative (cbrt, used
+    at p = 3, has no such term), and the root itself is allowed 4 ulp,
+    8*2^-53 relative.  With x <= bound the computed root is thus within
+    (12 + ln bound)*bound*2^-53 of x, the 12 absorbing second-order
+    terms.  For bound <= _SCREEN_BOUND_MAX that is below
+    _ROOT_SCREEN_TOLERANCE, so no true solution is lost; the screen may
+    admit false candidates, and exact arithmetic rejects them.
     """
     import numpy as np
 
-    values = np.arange(0, bound + 1, dtype=np.float64)
-    powers = values**p
-    exact = {v**p: v for v in range(1, 2 * bound + 2)}
-    inv = 1.0 / p
+    ys = np.arange(bound + 1, dtype=np.float64)
     hits: list[tuple[int, int, int]] = []
-    for x in range(1, bound + 1):
-        sums = powers[x] + powers[x:]
-        roots = sums**inv
-        frac = np.abs(roots - np.rint(roots))
-        for idx in np.nonzero(frac < _ROOT_SCREEN_TOLERANCE)[0]:
-            y = x + int(idx)
-            z = exact.get(x**p + y**p)
-            if z is not None:
-                hits.append((x, y, z))
+    for k in range(1, bound // p + 1):
+        y0 = p * k
+        values = _band_values(p, k, ys[y0:])
+        roots = np.cbrt(values) if p == 3 else values ** (1.0 / p)
+        for idx in np.nonzero(np.abs(roots - np.rint(roots)) < _ROOT_SCREEN_TOLERANCE)[0]:
+            x = round(float(roots[idx]))
+            y = y0 + int(idx)
+            if x <= y and x**p + y**p == (y + k) ** p:
+                hits.append((x, y, y + k))
+    hits.sort()
     return hits
 
 
 def fermat_search(p: int, bound: int) -> list[tuple[int, int, int]]:
     """All integer solutions of A^p = B^p + C^p with |A|, |B|, |C| <= bound.
 
-    The trivial families (a, a, 0), (a, 0, a), (0, a, -a) are generated
-    directly; any nontrivial solution would be reported from the exhaustive
-    positive scan expanded through signs and coordinate permutations.
+    The trivial families (a, a, 0), (a, 0, a), (0, a, -a) are listed
+    directly, already in sorted order.  Any nontrivial solution would come
+    from the positive screen over the band p*(z - y) <= y (see
+    `_positive_power_triples`), expanded through signs and coordinate
+    permutations and merged in.  The screen's float error is proven below
+    its tolerance only for bound <= _SCREEN_BOUND_MAX, so larger bounds
+    are refused.
     """
     if p not in (3, 5, 7):
         raise InvalidInputError("supported exponents are 3, 5, and 7")
     if bound < 1:
         raise InvalidInputError("bound must be >= 1")
-    solutions: set[tuple[int, int, int]] = {(0, 0, 0)}
-    for a in range(-bound, bound + 1):
-        if a == 0:
-            continue
-        solutions.add((a, a, 0))
-        solutions.add((a, 0, a))
-        solutions.add((0, a, -a))
+    if bound > _SCREEN_BOUND_MAX:
+        raise InvalidInputError(
+            f"bound must be <= {_SCREEN_BOUND_MAX}, the range where the float screen is proven"
+        )
+    solutions = [t for a in range(-bound, 0) for t in ((a, a, 0), (a, 0, a))]
+    solutions += [(0, b, -b) for b in range(-bound, bound + 1)]
+    solutions += [t for a in range(1, bound + 1) for t in ((a, 0, a), (a, a, 0))]
+    expanded: set[tuple[int, int, int]] = set()
     for x, y, z in _positive_power_triples(p, bound):
         for pa, pb, pc in permutations((x, y, z)):
             for sa, sb, sc in product((1, -1), repeat=3):
                 A, B, C = sa * pa, sb * pb, sc * pc
                 if max(abs(A), abs(B), abs(C)) <= bound and A**p == B**p + C**p:
-                    solutions.add((A, B, C))
-    return sorted(solutions)
+                    expanded.add((A, B, C))
+    if expanded:
+        solutions = sorted(solutions + list(expanded))
+    return solutions
 
 
 def nontrivial_solutions(solutions: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .cubicfield import (
     DEFAULT_WITNESS_BOUND,
@@ -588,14 +588,16 @@ def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
 
 @dataclass(frozen=True)
 class ExtensionCertificate:
-    """Audit record for one accepted fiber."""
+    """Audit record for one accepted fiber.  Every accepted fiber is C3:
+    it is irreducible, and fiber_at_s has proved its discriminant a square."""
+
+    galois_class: ClassVar[GaloisClass] = GaloisClass.C3
 
     s: Fraction
     t: Fraction
     fiber: UniPoly
     disc: Fraction
     sqrt_disc: Fraction
-    galois_class: GaloisClass
     point: FieldPoint
     torsion_primes: tuple[int, ...]
     torsion_bound: int
@@ -605,13 +607,20 @@ class ExtensionCertificate:
     def cubic_field(self) -> CubicField:
         return CubicField(self.fiber, self.disc, self.sqrt_disc, self.galois_class)
 
-    def to_json_dict(self, names: Mapping[Fraction, str] | None = None) -> dict:
+    def to_json_dict(
+        self,
+        names: Mapping[Fraction, str] | None = None,
+        witnesses: Mapping[int, dict] | None = None,
+    ) -> dict:
         """The certificate's JSON form; `names` maps its s and every vs_s to
-        their JSON strings (by default, each is formatted here once)."""
+        their JSON strings, and `witnesses` maps the id of every witness to
+        its JSON dict (by default, each is built here once)."""
         from .jsonio import to_jsonable
 
         if names is None:
             names = {s: to_jsonable(s) for s in (self.s, *(s for s, _ in self.disjointness))}
+        if witnesses is None:
+            witnesses = _witness_dicts([self])
         return {
             "s": names[self.s],
             "t": to_jsonable(self.t),
@@ -624,7 +633,7 @@ class ExtensionCertificate:
             "torsion_bound": self.torsion_bound,
             "nontorsion_checked_to": self.nontorsion_checked_to,
             "disjointness": [
-                {"vs_s": names[s], **w.to_json_dict()} for s, w in self.disjointness
+                {"vs_s": names[s], **witnesses[id(w)]} for s, w in self.disjointness
             ],
         }
 
@@ -651,12 +660,24 @@ class ScanResult:
         }
 
     def certificates_json(self) -> list[dict]:
-        """Every certificate's JSON form, formatting each accepted s once:
-        each vs_s is the s of an earlier certificate."""
+        """Every certificate's JSON form, formatting each accepted s once
+        (each vs_s is the s of an earlier certificate) and each witness
+        object once (the fold shares one witness per prime)."""
         from .jsonio import to_jsonable
 
         names = {cert.s: to_jsonable(cert.s) for cert in self.certificates}
-        return [cert.to_json_dict(names) for cert in self.certificates]
+        witnesses = _witness_dicts(self.certificates)
+        return [cert.to_json_dict(names, witnesses) for cert in self.certificates]
+
+
+def _witness_dicts(certificates: Sequence[ExtensionCertificate]) -> dict[int, dict]:
+    """The JSON dict of every distinct witness object, keyed by its id."""
+    out: dict[int, dict] = {}
+    for cert in certificates:
+        for _, w in cert.disjointness:
+            if id(w) not in out:
+                out[id(w)] = w.to_json_dict()
+    return out
 
 
 def enumerate_s_by_height(height_max: int) -> list[Fraction]:
@@ -709,7 +730,6 @@ def evaluate_fiber(
         fiber=fd.fiber,
         disc=fd.disc,
         sqrt_disc=fd.sqrt_disc,
-        galois_class=GaloisClass.C3,
         point=point,
         torsion_primes=primes,
         torsion_bound=bound,

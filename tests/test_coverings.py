@@ -1,7 +1,19 @@
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import permutations, product
+from math import isqrt, log
+
 import pytest
 
+from ntcert import cli
 from ntcert.coverings import (
+    _ROOT_SCREEN_TOLERANCE,
+    _SCREEN_BOUND_MAX,
     RamificationData,
+    _band_values,
+    _positive_power_triples,
     covering_report,
     fermat_search,
     m_for_prime,
@@ -205,6 +217,106 @@ def test_fermat_validation():
         fermat_search(11, 10)
     with pytest.raises(InvalidInputError):
         fermat_search(3, 0)
+
+
+def set_and_sort_solutions(p, bound):
+    """fermat_search's former construction: every solution into a set, then sorted."""
+    solutions = {(0, 0, 0)}
+    for a in range(-bound, bound + 1):
+        if a != 0:
+            solutions |= {(a, a, 0), (a, 0, a), (0, a, -a)}
+    for x, y, z in _positive_power_triples(p, bound):
+        for pa, pb, pc in permutations((x, y, z)):
+            for sa, sb, sc in product((1, -1), repeat=3):
+                A, B, C = sa * pa, sb * pb, sc * pc
+                if max(abs(A), abs(B), abs(C)) <= bound and A**p == B**p + C**p:
+                    solutions.add((A, B, C))
+    return sorted(solutions)
+
+
+def test_full_listing_matches_the_set_and_sort_construction(capsys):
+    for p in (3, 5, 7):
+        for bound in range(1, 41):
+            code = cli.main(["fermat-search", str(p), "--bound", str(bound), "--full"])
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 0
+            assert doc["solutions"] == [list(t) for t in set_and_sort_solutions(p, bound)]
+
+
+def test_band_screen_finds_every_pythagorean_triple():
+    """At p = 2 the band holds solutions, so a screen that loses one fails here."""
+    for bound in (1, 2, 5, 12, 13, 300):
+        oracle = [
+            (x, y, isqrt(x * x + y * y))
+            for x in range(1, bound + 1)
+            for y in range(x, bound + 1)
+            if isqrt(x * x + y * y) ** 2 == x * x + y * y
+        ]
+        assert _positive_power_triples(2, bound) == oracle
+    assert len(oracle) == 249
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_band_values_are_differences_of_pth_powers(p):
+    import numpy as np
+
+    for k in range(1, 21):
+        ys = range(p * k, 151)
+        exact = [(y + k) ** p - y**p for y in ys]
+        assert [_band_values(p, k, y) for y in ys] == exact
+        # every partial value stays below 2^53 here, so float64 is exact too
+        floats = _band_values(p, k, np.arange(p * k, 151, dtype=np.float64))
+        assert [int(v) for v in floats] == exact
+    # at the benchmark's bounds and the largest proven one: within (2p - 3)*2^-53
+    u = Fraction(1, 2**53)
+    gamma = (2 * p - 3) * u / (1 - (2 * p - 3) * u)
+    for bound in (5000, 10**4, _SCREEN_BOUND_MAX):
+        for k in (1, 2, bound // p - 1, bound // p):
+            ys = [p * k, p * k + 1, bound // 2, bound - 1, bound]
+            floats = _band_values(p, k, np.array(ys, dtype=np.float64))
+            for y, v in zip(ys, floats):
+                exact = (y + k) ** p - y**p
+                assert abs(Fraction(float(v)) - exact) <= gamma * exact
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_screen_root_error_stays_within_the_stated_bound(p):
+    """The root of a rounded p-th power, as the screen takes it, is within
+    (12 + ln N)*N*2^-53 of x, and that is below the tolerance at the
+    largest proven bound."""
+    import numpy as np
+
+    N = _SCREEN_BOUND_MAX
+    assert (12 + log(N)) * N * 2.0**-53 < _ROOT_SCREEN_TOLERANCE
+    xs = [*range(1, 2000), *range(N - 2000, N + 1), *range(10**6, N, 99_991)]
+    values = np.array([float(x**p) for x in xs])
+    roots = np.cbrt(values) if p == 3 else values ** (1.0 / p)
+    for x, r in zip(xs, roots):
+        assert abs(float(r) - x) <= (12 + log(N)) * x * 2.0**-53
+
+
+def test_bounds_beyond_the_proven_range_are_refused_before_allocating():
+    # the address-space cap turns an unchecked bound into a MemoryError, not a full machine
+    probe = (
+        "import contextlib, io, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ntcert import cli, coverings\n"
+        "from ntcert.errors import InvalidInputError\n"
+        "bound = coverings._SCREEN_BOUND_MAX + 1\n"
+        "try:\n"
+        "    coverings.fermat_search(3, bound)\n"
+        "except InvalidInputError as exc:\n"
+        "    print('refused:', exc)\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(['fermat-search', '7', '--bound', str(bound)])\n"
+        "print(code, err.getvalue(), end='')\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    reason = f"bound must be <= {_SCREEN_BOUND_MAX}, the range where the float screen is proven"
+    assert run.stdout == f"refused: {reason}\n2 error: {reason}\n"
 
 
 def test_float_screen_margin_on_perfect_powers():
