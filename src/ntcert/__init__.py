@@ -7,61 +7,77 @@ by reduction and non-torsion certificates; superelliptic coverings of the
 line branched at three points and their triangle-curve symmetries;
 Newton-polygon degree plans for monomial substitutions; and the exact
 eta-quotient parametrization of the family's j-invariant.
+
+The names below are re-exported lazily (PEP 562): a submodule is imported
+the first time one of its names is read, so ``import ntcert.<x>`` loads
+only what ``x`` itself imports.
 """
 
-from .cubicfield import (
-    CubicField,
-    DisjointnessWitness,
-    GaloisClass,
-    SplitType,
-    Verdict,
-    distinctness_witness,
-    galois_class,
-    splitting_type_mod_p,
-)
-from .coverings import (
-    RamificationData,
-    SuperellipticModel,
-    TriangleCurve,
-    fermat_search,
-    model_from_n,
-    psi_identities,
-    quotient_genus,
-    rh_genus,
-    solve_eq5,
-    superelliptic_genus,
-    triangle_checks,
-)
-from .family import (
-    ExtensionCertificate,
-    FamilyParams,
-    FieldPoint,
-    WeierstrassCurve,
-    curve_invariants_j,
-    derive_family,
-    fiber_at_s,
-    nontorsion_certificate,
-    point_from_fiber,
-    rational_3_torsion,
-    scan_family,
-    torsion_bound,
-)
-from .newton import (
-    DegreePlan,
-    NewtonPolygon,
-    corner_check,
-    min_universal_degree,
-    newton_polygon,
-    plan_degrees,
-    specialize_b,
-    substitute_st,
-)
-from .qseries import (
-    LaurentSeries,
-    euler_pow,
-    hauptmodul_t,
-    j_series,
-    verify_eta_identity,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "cubicfield": (
+        "CubicField",
+        "DisjointnessWitness",
+        "GaloisClass",
+        "SplitType",
+        "Verdict",
+        "distinctness_witness",
+        "galois_class",
+        "splitting_type_mod_p",
+    ),
+    "coverings": (
+        "RamificationData",
+        "SuperellipticModel",
+        "TriangleCurve",
+        "fermat_search",
+        "model_from_n",
+        "psi_identities",
+        "quotient_genus",
+        "rh_genus",
+        "solve_eq5",
+        "superelliptic_genus",
+        "triangle_checks",
+    ),
+    "family": (
+        "ExtensionCertificate",
+        "FamilyParams",
+        "FieldPoint",
+        "WeierstrassCurve",
+        "curve_invariants_j",
+        "derive_family",
+        "fiber_at_s",
+        "nontorsion_certificate",
+        "point_from_fiber",
+        "rational_3_torsion",
+        "scan_family",
+        "torsion_bound",
+    ),
+    "newton": (
+        "DegreePlan",
+        "NewtonPolygon",
+        "corner_check",
+        "min_universal_degree",
+        "newton_polygon",
+        "plan_degrees",
+        "specialize_b",
+        "substitute_st",
+    ),
+    "qseries": (
+        "LaurentSeries",
+        "euler_pow",
+        "hauptmodul_t",
+        "j_series",
+        "verify_eta_identity",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SOURCE[name]}", __name__), name)

@@ -3,7 +3,8 @@
 Subcommands: family-scan, covering-report, degree-plan, modular-verify,
 fermat-search.  Flags may also be supplied through a flat JSON config file
 (--config); explicit command-line values win.  Exit codes: 0 success,
-2 invalid input, 3 verification failure.
+2 invalid input, 3 verification failure.  Each cmd_* imports the modules
+it runs, so a subcommand loads only those.
 """
 
 from __future__ import annotations
@@ -14,11 +15,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import coverings, newton, qseries
-from .cubicfield import DEFAULT_WITNESS_BOUND
 from .errors import InvalidInputError, NtcertError, VerificationError
-from .exact import BiPoly, parse_rational
-from .family import derive_family, scan_family
+from .exact import parse_rational
 from .jsonio import SCHEMA_VERSION, dumps_canonical
 
 EXIT_OK = 0
@@ -29,7 +27,7 @@ _SCAN_DEFAULTS = {
     "a1": "1",
     "a4": "1",
     "s_height_max": 10,
-    "witness_bound": DEFAULT_WITNESS_BOUND,
+    "witness_bound": None,  # cubicfield.DEFAULT_WITNESS_BOUND, read when a scan runs
     "torsion_primes": "2",
     "jobs": 1,
 }
@@ -112,11 +110,15 @@ def _parse_torsion_primes(raw) -> int | tuple[int, ...]:
 
 
 def cmd_family_scan(args: argparse.Namespace) -> int:
+    from .cubicfield import DEFAULT_WITNESS_BOUND
+    from .family import derive_family, scan_family
+
+    witness_bound = _merged(args, "witness_bound")
     config = ScanConfig(
         a1=parse_rational(str(_merged(args, "a1"))),
         a4=parse_rational(str(_merged(args, "a4"))),
         s_height_max=_merged(args, "s_height_max"),
-        witness_bound=_merged(args, "witness_bound"),
+        witness_bound=DEFAULT_WITNESS_BOUND if witness_bound is None else witness_bound,
         torsion_primes=_parse_torsion_primes(_merged(args, "torsion_primes")),
         output_path=args.out,
     )
@@ -142,6 +144,8 @@ def cmd_family_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_covering_report(args: argparse.Namespace) -> int:
+    from . import coverings
+
     report = coverings.covering_report(args.p)
     doc = {"schema": SCHEMA_VERSION, **report}
     _emit(doc, args.out)
@@ -149,6 +153,9 @@ def cmd_covering_report(args: argparse.Namespace) -> int:
 
 
 def cmd_degree_plan(args: argparse.Namespace) -> int:
+    from . import newton
+    from .exact import BiPoly
+
     n, d_max = args.n, args.d_max
     achievable = newton.plan_degrees(n, d_max)
     big_n = newton.min_universal_degree(n)
@@ -174,6 +181,8 @@ def cmd_degree_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_modular_verify(args: argparse.Namespace) -> int:
+    from . import qseries
+
     report = qseries.verify_eta_identity(args.order)
     doc = {"schema": SCHEMA_VERSION, **report}
     _emit(doc, args.out)
@@ -186,6 +195,8 @@ def cmd_modular_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fermat_search(args: argparse.Namespace) -> int:
+    from . import coverings
+
     solutions = coverings.fermat_search(args.p, args.bound)
     nontrivial = coverings.nontrivial_solutions(solutions)
     doc = {

@@ -8,10 +8,11 @@ automorphism, fixed points over Q(rho), and the monomial map
 bookkeeping by Riemann-Hurwitz; and the brute-force Fermat search that
 pins down the exceptional rational points.
 
-The Fermat search screens only the band p*(z - y) <= y, where every
-positive solution x <= y < z lies: x^p = (z - y)*S with
-S = sum_{i<p} z^(p-1-i)*y^i >= p*y^(p-1), and x^p <= y^p.  S is built in
-float64 from positive terms only, so its p-th root is within
+The Fermat search screens only the band z^p <= 2*y^p, where every
+positive solution x <= y < z lies, since x^p = z^p - y^p <= y^p; with
+k = z - y each k starts at the least y with (y + k)^p <= 2*y^p.  There
+x^p = k*S with S = sum_{i<p} z^(p-1-i)*y^i, built in float64 from
+positive terms only, so its p-th root is within
 (12 + ln N)*N*2^-53 of x for |A|, |B|, |C| <= N; every candidate is
 confirmed in exact integer arithmetic.
 """
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import gcd as _int_gcd, isqrt
+from itertools import count, permutations, product
+from math import ceil, gcd as _int_gcd, isqrt
 
 from .errors import (
     InconsistentRamificationError,
@@ -368,12 +369,27 @@ def _band_values(p: int, k, y):
     return k * s
 
 
+def _band_start(p: int, k: int) -> int:
+    """Least y with (y + k)^p <= 2*y^p: from there on, z = y + k gives x <= y.
+
+    (1 + k/y)^p falls as y grows, so the band is y >= k/(2^(1/p) - 1); the
+    float estimate of that bound is moved to the exact integer.
+    """
+    y = max(1, ceil(k / (2.0 ** (1.0 / p) - 1.0)))
+    while (y - 1 + k) ** p <= 2 * (y - 1) ** p:
+        y -= 1
+    while (y + k) ** p > 2 * y**p:
+        y += 1
+    return y
+
+
 def _positive_power_triples(p: int, bound: int) -> list[tuple[int, int, int]]:
     """All 1 <= x <= y <= bound with x^p + y^p = z^p, as sorted (x, y, z).
 
-    With k = z - y, x^p = k*S >= k*p*y^(p-1) and x^p <= y^p give
-    p*k <= y, so only the band k = 1, ..., bound // p with
-    y = p*k, ..., bound is screened: about bound^2/(2p) pairs.
+    With k = z - y, x <= y is exactly x^p = (y + k)^p - y^p <= y^p, that is
+    (y + k)^p <= 2*y^p, so each k is screened only from
+    y = _band_start(p, k) to bound, and k stops where that start passes
+    bound: about (2^(1/p) - 1)*bound^2/2 pairs.
 
     Float screen, exact confirmation.  For a true solution the computed
     k*S is x^p*(1 + t) with |t| <= (2p - 3)*2^-53 (see `_band_values`),
@@ -390,14 +406,16 @@ def _positive_power_triples(p: int, bound: int) -> list[tuple[int, int, int]]:
 
     ys = np.arange(bound + 1, dtype=np.float64)
     hits: list[tuple[int, int, int]] = []
-    for k in range(1, bound // p + 1):
-        y0 = p * k
+    for k in count(1):
+        y0 = _band_start(p, k)
+        if y0 > bound:
+            break
         values = _band_values(p, k, ys[y0:])
         roots = np.cbrt(values) if p == 3 else values ** (1.0 / p)
         for idx in np.nonzero(np.abs(roots - np.rint(roots)) < _ROOT_SCREEN_TOLERANCE)[0]:
             x = round(float(roots[idx]))
             y = y0 + int(idx)
-            if x <= y and x**p + y**p == (y + k) ** p:
+            if x**p + y**p == (y + k) ** p:
                 hits.append((x, y, y + k))
     hits.sort()
     return hits
@@ -408,7 +426,7 @@ def fermat_search(p: int, bound: int) -> list[tuple[int, int, int]]:
 
     The trivial families (a, a, 0), (a, 0, a), (0, a, -a) are listed
     directly, already in sorted order.  Any nontrivial solution would come
-    from the positive screen over the band p*(z - y) <= y (see
+    from the positive screen over the band z^p <= 2*y^p (see
     `_positive_power_triples`), expanded through signs and coordinate
     permutations and merged in.  The screen's float error is proven below
     its tolerance only for bound <= _SCREEN_BOUND_MAX, so larger bounds

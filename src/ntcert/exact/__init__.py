@@ -1,32 +1,27 @@
-"""Exact-arithmetic substrate: rationals, polynomials, quotient rings, F_p tools."""
+"""Exact-arithmetic substrate: rationals, polynomials, quotient rings, F_p tools.
 
-from .bipoly import BiPoly
-from .eisenstein import EisensteinInt, proj_equal
-from .finitefield import FqElem
-from .modpoly import ModPoly, count_distinct_roots, irreducible_mod_p, reduce_mod_p
-from .primes import divisors, is_prime, iter_primes, prime_factors, primes_up_to
-from .quotient import QuotientElem, irreducible_over_q
-from .rationals import format_rational, parse_rational, rational_is_square
-from .unipoly import UniPoly
+The names below are re-exported lazily (PEP 562): each submodule is
+imported the first time one of its names is read.
+"""
 
-__all__ = [
-    "BiPoly",
-    "EisensteinInt",
-    "FqElem",
-    "ModPoly",
-    "QuotientElem",
-    "UniPoly",
-    "count_distinct_roots",
-    "divisors",
-    "format_rational",
-    "irreducible_mod_p",
-    "irreducible_over_q",
-    "is_prime",
-    "iter_primes",
-    "parse_rational",
-    "prime_factors",
-    "primes_up_to",
-    "proj_equal",
-    "rational_is_square",
-    "reduce_mod_p",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "bipoly": ("BiPoly",),
+    "eisenstein": ("EisensteinInt", "proj_equal"),
+    "finitefield": ("FqElem",),
+    "modpoly": ("ModPoly", "count_distinct_roots", "irreducible_mod_p", "reduce_mod_p"),
+    "primes": ("divisors", "is_prime", "iter_primes", "prime_factors", "primes_up_to"),
+    "quotient": ("QuotientElem", "irreducible_over_q"),
+    "rationals": ("format_rational", "parse_rational", "rational_is_square"),
+    "unipoly": ("UniPoly",),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SOURCE[name]}", __name__), name)

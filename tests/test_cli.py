@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ntcert import cli
+from ntcert import cli, newton, qseries
 
 
 def run_cli(args, capsys):
@@ -37,7 +37,7 @@ def test_degree_plan(capsys):
 
 
 def test_degree_plan_gap_exits_3_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(cli.newton, "min_universal_degree", lambda n: 2)
+    monkeypatch.setattr(newton, "min_universal_degree", lambda n: 2)
     code = cli.main(["degree-plan", "3", "20"])
     captured = capsys.readouterr()
     assert code == 3
@@ -64,7 +64,7 @@ def test_modular_verify_failure_exit_code(capsys, monkeypatch):
             "first_mismatch": {"exponent": 5, "lhs": "1", "rhs": "2"},
         }
 
-    monkeypatch.setattr(cli.qseries, "verify_eta_identity", broken)
+    monkeypatch.setattr(qseries, "verify_eta_identity", broken)
     code, doc = run_cli(["modular-verify"], capsys)
     assert code == 3
     assert doc["first_mismatch"]["exponent"] == 5

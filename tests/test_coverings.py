@@ -12,6 +12,7 @@ from ntcert.coverings import (
     _ROOT_SCREEN_TOLERANCE,
     _SCREEN_BOUND_MAX,
     RamificationData,
+    _band_start,
     _band_values,
     _positive_power_triples,
     covering_report,
@@ -254,6 +255,32 @@ def test_band_screen_finds_every_pythagorean_triple():
         ]
         assert _positive_power_triples(2, bound) == oracle
     assert len(oracle) == 249
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_band_start_is_the_least_y_with_x_at_most_y(p):
+    """(y + k)^p <= 2*y^p holds at the start and fails one below it, and the
+    band lies inside the looser one p*k <= y."""
+    big = _SCREEN_BOUND_MAX // 10
+    for k in [*range(1, 300), *range(big, big + 100)]:
+        y = _band_start(p, k)
+        assert (y + k) ** p <= 2 * y**p
+        assert (y - 1 + k) ** p > 2 * (y - 1) ** p
+        assert y >= p * k
+
+
+def test_pairs_the_band_drops_have_x_above_y():
+    """At p = 2 the pairs below each k's band start hold Pythagorean triples,
+    and every one of them has x > y, so the screen loses no x <= y."""
+    bound = 300
+    dropped = []
+    for k in range(1, bound + 1):
+        for y in range(1, min(_band_start(2, k), bound + 1)):
+            x2 = (y + k) ** 2 - y * y
+            if isqrt(x2) ** 2 == x2:
+                dropped.append((isqrt(x2), y, y + k))
+    assert (72, 65, 97) in dropped
+    assert all(x > y for x, y, _ in dropped)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

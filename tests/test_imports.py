@@ -1,0 +1,103 @@
+"""Lazy package re-exports, and which modules each subcommand loads."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import ntcert
+import ntcert.exact
+
+NTCERT_NAMES = {
+    "cubicfield": [
+        "CubicField", "DisjointnessWitness", "GaloisClass", "SplitType", "Verdict",
+        "distinctness_witness", "galois_class", "splitting_type_mod_p",
+    ],
+    "coverings": [
+        "RamificationData", "SuperellipticModel", "TriangleCurve", "fermat_search",
+        "model_from_n", "psi_identities", "quotient_genus", "rh_genus", "solve_eq5",
+        "superelliptic_genus", "triangle_checks",
+    ],
+    "family": [
+        "ExtensionCertificate", "FamilyParams", "FieldPoint", "WeierstrassCurve",
+        "curve_invariants_j", "derive_family", "fiber_at_s", "nontorsion_certificate",
+        "point_from_fiber", "rational_3_torsion", "scan_family", "torsion_bound",
+    ],
+    "newton": [
+        "DegreePlan", "NewtonPolygon", "corner_check", "min_universal_degree",
+        "newton_polygon", "plan_degrees", "specialize_b", "substitute_st",
+    ],
+    "qseries": ["LaurentSeries", "euler_pow", "hauptmodul_t", "j_series", "verify_eta_identity"],
+}
+EXACT_NAMES = {
+    "bipoly": ["BiPoly"],
+    "eisenstein": ["EisensteinInt", "proj_equal"],
+    "finitefield": ["FqElem"],
+    "modpoly": ["ModPoly", "count_distinct_roots", "irreducible_mod_p", "reduce_mod_p"],
+    "primes": ["divisors", "is_prime", "iter_primes", "prime_factors", "primes_up_to"],
+    "quotient": ["QuotientElem", "irreducible_over_q"],
+    "rationals": ["format_rational", "parse_rational", "rational_is_square"],
+    "unipoly": ["UniPoly"],
+}
+
+
+@pytest.mark.parametrize("pkg, table", [(ntcert, NTCERT_NAMES), (ntcert.exact, EXACT_NAMES)],
+                         ids=["ntcert", "ntcert.exact"])
+def test_every_reexport_is_the_submodule_object(pkg, table):
+    assert pkg.__all__ == sorted(n for names in table.values() for n in names)
+    for module, names in table.items():
+        sub = importlib.import_module(f"{pkg.__name__}.{module}")
+        for name in names:
+            assert getattr(pkg, name) is getattr(sub, name), name
+
+
+@pytest.mark.parametrize("pkg", ["ntcert", "ntcert.exact"])
+def test_star_import_binds_every_name_and_unknown_names_raise(pkg):
+    namespace = {}
+    exec(f"from {pkg} import *", namespace)
+    module = importlib.import_module(pkg)
+    for name in module.__all__:
+        assert namespace[name] is getattr(module, name)
+    with pytest.raises(AttributeError):
+        module.no_such_name
+
+
+PROBE = """
+import contextlib, io, json, sys
+import ntcert.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ntcert.cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("ntcert."))))
+"""
+
+
+def loaded_modules(argv):
+    run = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return {m.removeprefix("ntcert.") for m in json.loads(run.stdout)}
+
+
+# argv, the module it runs, and the modules it must not load
+SUBCOMMANDS = {
+    "import-only": ([], "cli", {"family", "cubicfield", "coverings", "newton", "qseries"}),
+    "modular-verify": (["modular-verify", "--order", "12"], "qseries",
+                       {"family", "cubicfield", "coverings"}),
+    "degree-plan": (["degree-plan", "3", "20"], "newton", {"family", "coverings"}),
+    "covering-report": (["covering-report", "7"], "coverings", {"family", "qseries"}),
+    "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings", {"family", "qseries"}),
+    "family-scan": (["family-scan", "--s-height-max", "2"], "family",
+                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.eisenstein"}),
+}
+
+
+@pytest.mark.parametrize("argv, runs, absent", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_each_subcommand_loads_only_its_modules(argv, runs, absent):
+    loaded = loaded_modules(argv)
+    assert runs in loaded
+    assert not loaded & absent, sorted(loaded & absent)
