@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, NtcertError, VerificationError
 from .exact import parse_rational
-from .jsonio import SCHEMA_VERSION, dumps_canonical
+from .jsonio import SCHEMA_VERSION, dumps_canonical, dumps_scan
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -59,7 +59,11 @@ class ScanConfig:
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = dumps_canonical(doc)
+    _write(dumps_canonical(doc), out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """Write a fully rendered document at once, so a failure leaves none of it."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -133,13 +137,8 @@ def cmd_family_scan(args: argparse.Namespace) -> int:
         jobs=jobs,
     )
     # jobs is an execution detail, not part of the scan's identity
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "config": config.to_json_dict(),
-        "summary": result.summary(),
-        "certificates": result.certificates_json(),
-    }
-    _emit(doc, config.output_path)
+    head = {"schema": SCHEMA_VERSION, "config": config.to_json_dict(), "summary": result.summary()}
+    _write(dumps_scan(head, result.certificates), config.output_path)
     return EXIT_OK
 
 

@@ -33,8 +33,8 @@ def rational_is_square(q: Fraction | int) -> Fraction | None:
 
 
 def format_rational(q: Fraction | int) -> str:
-    """Serialize q as "num/den", omitting "/den" when the denominator is 1."""
-    q = Fraction(q)
+    """Serialize q as "num/den", omitting "/den" when the denominator is 1.
+    An int or Fraction is already in lowest terms with a positive denominator."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

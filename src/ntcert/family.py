@@ -25,14 +25,15 @@ The j-invariant of the family depends on a1 alone:
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Sequence
 
 from .cubicfield import (
     DEFAULT_WITNESS_BOUND,
@@ -607,22 +608,13 @@ class ExtensionCertificate:
     def cubic_field(self) -> CubicField:
         return CubicField(self.fiber, self.disc, self.sqrt_disc, self.galois_class)
 
-    def to_json_dict(
-        self,
-        names: Mapping[Fraction, str] | None = None,
-        witnesses: Mapping[int, dict] | None = None,
-    ) -> dict:
-        """The certificate's JSON form; `names` maps its s and every vs_s to
-        their JSON strings, and `witnesses` maps the id of every witness to
-        its JSON dict (by default, each is built here once)."""
+    def to_json_dict(self) -> dict:
+        """The certificate's JSON form.  The scan writes the same text with
+        jsonio.dumps_scan, without this dict per pair."""
         from .jsonio import to_jsonable
 
-        if names is None:
-            names = {s: to_jsonable(s) for s in (self.s, *(s for s, _ in self.disjointness))}
-        if witnesses is None:
-            witnesses = _witness_dicts([self])
         return {
-            "s": names[self.s],
+            "s": to_jsonable(self.s),
             "t": to_jsonable(self.t),
             "fiber": to_jsonable(self.fiber),
             "disc": to_jsonable(self.disc),
@@ -633,7 +625,7 @@ class ExtensionCertificate:
             "torsion_bound": self.torsion_bound,
             "nontorsion_checked_to": self.nontorsion_checked_to,
             "disjointness": [
-                {"vs_s": names[s], **witnesses[id(w)]} for s, w in self.disjointness
+                {"vs_s": to_jsonable(s), **w.to_json_dict()} for s, w in self.disjointness
             ],
         }
 
@@ -658,26 +650,6 @@ class ScanResult:
             "skipped_presumed_equal": self.skipped_presumed_equal,
             "skipped_torsion": self.skipped_torsion,
         }
-
-    def certificates_json(self) -> list[dict]:
-        """Every certificate's JSON form, formatting each accepted s once
-        (each vs_s is the s of an earlier certificate) and each witness
-        object once (the fold shares one witness per prime)."""
-        from .jsonio import to_jsonable
-
-        names = {cert.s: to_jsonable(cert.s) for cert in self.certificates}
-        witnesses = _witness_dicts(self.certificates)
-        return [cert.to_json_dict(names, witnesses) for cert in self.certificates]
-
-
-def _witness_dicts(certificates: Sequence[ExtensionCertificate]) -> dict[int, dict]:
-    """The JSON dict of every distinct witness object, keyed by its id."""
-    out: dict[int, dict] = {}
-    for cert in certificates:
-        for _, w in cert.disjointness:
-            if id(w) not in out:
-                out[id(w)] = w.to_json_dict()
-    return out
 
 
 def enumerate_s_by_height(height_max: int) -> list[Fraction]:
@@ -781,48 +753,61 @@ def scan_family(
     tasks = (evaluate_fiber, repeat(params), evaluated, repeat(torsion_primes))
     # A fork pool starts every worker up front, whatever the number of tasks.
     workers = min(jobs, os.cpu_count() or 1, len(evaluated))
-    if workers > 1:
-        chunk = max(1, len(evaluated) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(*tasks, chunksize=chunk))
-    else:
-        outcomes = map(*tasks)
-
     result = ScanResult(params)
     matrix = SplitTypeMatrix(witness_bound)
     pending = {}  # v -> (skip kind, fiber class) for the later s with that v
-    outcomes = iter(outcomes)
-    for s, v in v_of.items():
-        result.fibers_tested += 1
-        if first_s[v] != s:
-            skip, expected = pending.pop(v)
-            if _fiber_key(params, s) != expected:
-                raise VerificationError(f"s={s} and s={first_s[v]} share v but not the fiber")
+    with ExitStack() as stack:
+        # The fold takes each outcome as it arrives, while the workers run on.
+        if workers > 1:
+            chunk = max(1, len(evaluated) // (4 * workers))
+            # An attribute of the module (see __getattr__), so a pool class set there is used.
+            pool_class = sys.modules[__name__].ProcessPoolExecutor
+            pool = stack.enter_context(pool_class(max_workers=workers))
+            outcomes = pool.map(*tasks, chunksize=chunk)
         else:
-            outcome = next(outcomes)
-            if isinstance(outcome, str):
-                skip = outcome
+            outcomes = map(*tasks)
+        for s, v in v_of.items():
+            result.fibers_tested += 1
+            if first_s[v] != s:
+                skip, expected = pending.pop(v)
+                if _fiber_key(params, s) != expected:
+                    raise VerificationError(f"s={s} and s={first_s[v]} share v but not the fiber")
             else:
-                witnesses = matrix.admit(outcome.cubic_field())
-                if witnesses is None:
-                    skip = "presumed_equal"
+                outcome = next(outcomes)
+                if isinstance(outcome, str):
+                    skip = outcome
                 else:
-                    skip = None
-                    earlier = (cert.s for cert in result.certificates)
-                    result.certificates.append(
-                        replace(outcome, disjointness=tuple(zip(earlier, witnesses)))
+                    witnesses = matrix.admit(outcome.cubic_field())
+                    if witnesses is None:
+                        skip = "presumed_equal"
+                    else:
+                        skip = None
+                        earlier = (cert.s for cert in result.certificates)
+                        result.certificates.append(
+                            replace(outcome, disjointness=tuple(zip(earlier, witnesses)))
+                        )
+                if repeats[v] > 1:
+                    expected = (
+                        _fiber_key(params, s)
+                        if isinstance(outcome, str)
+                        else (outcome.fiber, outcome.sqrt_disc)
                     )
-            if repeats[v] > 1:
-                expected = (
-                    _fiber_key(params, s)
-                    if isinstance(outcome, str)
-                    else (outcome.fiber, outcome.sqrt_disc)
-                )
-                pending[v] = (skip or "presumed_equal", expected)
-        if skip == "reducible":
-            result.skipped_reducible += 1
-        elif skip == "torsion":
-            result.skipped_torsion += 1
-        elif skip == "presumed_equal":
-            result.skipped_presumed_equal += 1
+                    pending[v] = (skip or "presumed_equal", expected)
+            if skip == "reducible":
+                result.skipped_reducible += 1
+            elif skip == "torsion":
+                result.skipped_torsion += 1
+            elif skip == "presumed_equal":
+                result.skipped_presumed_equal += 1
     return result
+
+
+def __getattr__(name: str):
+    """Import ProcessPoolExecutor on first access (PEP 562), so that a serial
+    scan never loads concurrent.futures.process or multiprocessing."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

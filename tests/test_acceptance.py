@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ntcert.cli import main as cli_main
+from ntcert.cli import ScanConfig, main as cli_main
 from ntcert.coverings import (
     RamificationData,
     fermat_search,
@@ -32,6 +33,7 @@ from ntcert.family import (
     rational_3_torsion,
     scan_family,
 )
+from ntcert.jsonio import SCHEMA_VERSION, dumps_scan
 from ntcert.newton import (
     corner_check,
     default_b_sequence,
@@ -130,6 +132,16 @@ def test_criterion_04_family_scan_certificates(height20_scan):
             for j in range(i + 1, len(fields)):
                 w = distinctness_witness(fields[i], fields[j])
                 assert w.verdict is Verdict.DISTINCT_FIELDS
+
+
+def test_height20_scan_bytes_are_pinned(height20_scan):
+    """The bytes of `family-scan --s-height-max 20`, from the fixture's scan."""
+    result, _ = height20_scan
+    config = ScanConfig(Fraction(1), Fraction(1), 20, 1000, 2, None)
+    head = {"schema": SCHEMA_VERSION, "config": config.to_json_dict(), "summary": result.summary()}
+    text = dumps_scan(head, result.certificates)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "cad1ec912f8f810a05dbd9ccfb8b423d5b369190110ab96cdd24048bb6252de6"
 
 
 def test_criterion_05_three_torsion(height20_scan):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ntcert import cli, cubicfield, family
 from ntcert.exact import UniPoly
 
@@ -72,6 +74,17 @@ def test_linear_times_quadratic_prime_in_a_row_exits_3(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "linear times quadratic mod the unramified prime" in lines[0]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_check_in_the_fold_exits_3(jobs, monkeypatch, capsys):
+    """The fold checks each outcome as it arrives, with or without the pool."""
+    monkeypatch.setattr(family, "_fiber_key", lambda params, s: None)
+    code = cli.main(["family-scan", "--s-height-max", "3", "--jobs", jobs])
+    assert code == cli.EXIT_VERIFICATION_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: s=-2/3 and s=-1/2 share v but not the fiber\n"
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

@@ -120,12 +120,14 @@ def test_family_scan_document(tmp_path, capsys):
     assert cert["galois_class"] == "C3"
 
 
-def test_family_scan_byte_determinism(tmp_path):
+def test_family_scan_byte_determinism(tmp_path, capsys):
     args = ["family-scan", "--s-height-max", "3"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out.encode("utf-8") == a.read_bytes()
 
 
 def test_family_scan_jobs_identical_bytes(tmp_path):
@@ -307,3 +309,13 @@ def test_scan_output_bytes_are_pinned(argv, capsys):
     assert cli.main(list(argv)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == PINNED_SCANS[argv]
+
+
+def test_optimized_interpreter_keeps_the_serial_pin():
+    """python -O strips asserts; the scan writer's layout checks must not be any."""
+    argv = ("family-scan", "--a1", "1", "--a4", "1", "--s-height-max", "8")
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "ntcert.cli", *argv],
+        capture_output=True, timeout=120, check=True,
+    )
+    assert hashlib.sha256(run.stdout).hexdigest() == PINNED_SCANS[argv]

@@ -18,7 +18,6 @@ from ntcert.errors import (
 )
 from ntcert.exact import FqElem, ModPoly, QuotientElem, UniPoly, irreducible_mod_p, primes_up_to
 from ntcert.exact.primes import factorize
-from ntcert.jsonio import to_jsonable
 from ntcert.family import (
     ExtensionCertificate,
     FamilyParams,
@@ -529,26 +528,6 @@ def test_scan_family_small():
 def test_certificate_class_is_a_constant_not_a_field():
     assert "galois_class" not in {f.name for f in fields(ExtensionCertificate)}
     assert ExtensionCertificate.galois_class is GaloisClass.C3
-
-
-def test_certificates_json_builds_each_witness_dict_once(monkeypatch):
-    result = scan_family(derive_family(1, 1), 4, witness_bound=500)
-    pairs = [w for cert in result.certificates for _, w in cert.disjointness]
-    calls = []
-    to_json_dict = cubicfield.DisjointnessWitness.to_json_dict
-    monkeypatch.setattr(
-        cubicfield.DisjointnessWitness,
-        "to_json_dict",
-        lambda w: calls.append(w) or to_json_dict(w),
-    )
-    docs = result.certificates_json()
-    assert len(calls) == len({id(w) for w in pairs}) < len(pairs)
-    for cert, doc in zip(result.certificates, docs, strict=True):
-        assert doc["galois_class"] == "C3"
-        assert doc["disjointness"] == [
-            {"vs_s": to_jsonable(s), **to_json_dict(w)} for s, w in cert.disjointness
-        ]
-        assert doc == cert.to_json_dict()
 
 
 def test_scan_family_parallel_matches_serial():

@@ -67,17 +67,20 @@ def test_star_import_binds_every_name_and_unknown_names_raise(pkg):
 PROBE = """
 import contextlib, io, json, sys
 import ntcert.cli
-argv = json.loads(sys.argv[1])
+argv, others = json.loads(sys.argv[1]), set(json.loads(sys.argv[2]))
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert ntcert.cli.main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("ntcert."))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("ntcert.") or m in others)))
 """
+# the modules a process pool loads, which only a scan with --jobs above 1 uses
+POOL = {"concurrent.futures.process", "multiprocessing"}
 
 
 def loaded_modules(argv):
+    """The ntcert submodules (without the prefix) and POOL modules that argv loads."""
     run = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", PROBE, json.dumps(argv), json.dumps(sorted(POOL))],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return {m.removeprefix("ntcert.") for m in json.loads(run.stdout)}
@@ -92,7 +95,7 @@ SUBCOMMANDS = {
     "covering-report": (["covering-report", "7"], "coverings", {"family", "qseries"}),
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings", {"family", "qseries"}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
-                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.eisenstein"}),
+                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.eisenstein", *POOL}),
 }
 
 
@@ -101,3 +104,7 @@ def test_each_subcommand_loads_only_its_modules(argv, runs, absent):
     loaded = loaded_modules(argv)
     assert runs in loaded
     assert not loaded & absent, sorted(loaded & absent)
+
+
+def test_a_pooled_scan_loads_the_process_pool():
+    assert POOL <= loaded_modules(["family-scan", "--s-height-max", "2", "--jobs", "2"])

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ntcert.cubicfield import galois_class
+from ntcert import cli, family
+from ntcert.cubicfield import DisjointnessWitness, Verdict, galois_class
 from ntcert.exact import UniPoly
-from ntcert.jsonio import dumps_canonical, poly_from_list, to_jsonable
+from ntcert.jsonio import dumps_canonical, dumps_scan, poly_from_list, to_jsonable
 
 
 def test_rational_serialization():
@@ -43,3 +45,78 @@ def test_dumps_canonical_stable():
 def test_unknown_type_rejected():
     with pytest.raises(TypeError):
         to_jsonable(object())
+
+
+def oracle(head, certificates):
+    """The scan document through the dict form and json's own encoder."""
+    return dumps_canonical({**head, "certificates": [c.to_json_dict() for c in certificates]})
+
+
+def scan_head(result, config):
+    return {"schema": "v1", "config": config.to_json_dict(), "summary": result.summary()}
+
+
+SCANS = [
+    (a1, a4, height, jobs)
+    for a1, a4 in (("1", "1"), ("2", "3"), ("3/2", "1"))
+    for height in range(1, 9)
+    for jobs in (1, 2)
+]
+
+
+@pytest.mark.parametrize("a1, a4, height, jobs", SCANS)
+def test_scan_writer_matches_the_dict_oracle(a1, a4, height, jobs, monkeypatch, capsys):
+    results = []
+    scan = family.scan_family
+
+    def recorded_scan(*args, **kwargs):
+        results.append(scan(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(family, "scan_family", recorded_scan)
+    argv = ["family-scan", "--a1", a1, "--a4", a4, "--s-height-max", str(height)]
+    assert cli.main([*argv, "--jobs", str(jobs)]) == 0
+    config = cli.ScanConfig(Fraction(a1), Fraction(a4), height, 1000, 2, None)
+    (result,) = results
+    assert capsys.readouterr().out == oracle(scan_head(result, config), result.certificates)
+
+
+def test_scan_writer_with_explicit_torsion_primes_and_no_certificates():
+    result = family.scan_family(family.derive_family(1, 1), 4, torsion_primes=(5, 17))
+    config = cli.ScanConfig(Fraction(1), Fraction(1), 4, 1000, (5, 17), None)
+    head = scan_head(result, config)
+    assert dumps_scan(head, result.certificates) == oracle(head, result.certificates)
+    assert dumps_scan(head, []) == oracle(head, [])
+
+
+def test_scan_writer_renders_each_witness_once(monkeypatch):
+    result = family.scan_family(family.derive_family(1, 1), 4, witness_bound=500)
+    pairs = [w for cert in result.certificates for _, w in cert.disjointness]
+    expected = oracle({"schema": "v1"}, result.certificates)
+    calls = []
+    to_json_dict = DisjointnessWitness.to_json_dict
+    monkeypatch.setattr(
+        DisjointnessWitness, "to_json_dict", lambda w: calls.append(w) or to_json_dict(w)
+    )
+    assert dumps_scan({"schema": "v1"}, result.certificates) == expected
+    assert len(calls) == len({id(w) for w in pairs}) < len(pairs)
+
+
+def test_scan_writer_refuses_a_layout_it_cannot_keep():
+    result = family.scan_family(family.derive_family(1, 1), 2)
+    with pytest.raises(ValueError, match="sort after 'certificates'"):
+        dumps_scan({"accepted": 1}, result.certificates)
+    with pytest.raises(ValueError, match="sort after 'certificates'"):
+        dumps_scan({}, result.certificates)
+    cert = result.certificates[1]
+    odd = replace(cert, disjointness=((cert.s, _WitnessAfterVs()),))
+    with pytest.raises(ValueError, match="does not sort before 'vs_s'"):
+        dumps_scan({"schema": "v1"}, [odd])
+    unwritable = DisjointnessWitness(Verdict.DISTINCT_FIELDS, prime=None)
+    with pytest.raises(TypeError):
+        dumps_scan({"schema": "v1"}, [replace(cert, disjointness=((cert.s, unwritable),))])
+
+
+class _WitnessAfterVs:
+    def to_json_dict(self):
+        return {"verdict": "distinct_fields", "witness": 5}
