@@ -39,15 +39,13 @@ _EXPORTS = {
         "superelliptic_genus",
         "triangle_checks",
     ),
+    "exact.ellcurve": ("FieldPoint", "WeierstrassCurve", "nontorsion_certificate"),
     "family": (
         "ExtensionCertificate",
         "FamilyParams",
-        "FieldPoint",
-        "WeierstrassCurve",
         "curve_invariants_j",
         "derive_family",
         "fiber_at_s",
-        "nontorsion_certificate",
         "point_from_fiber",
         "rational_3_torsion",
         "scan_family",

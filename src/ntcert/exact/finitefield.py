@@ -4,7 +4,7 @@ With m = x - r this is F_p itself; with an irreducible cubic it is F_{p^3}.
 An element is its reduced representative as a tuple of deg(m) ints in
 [0, p), lowest degree first, so equality is tuple equality and a product is
 one multiply-and-reduce loop against the monic modulus.  Operands must share
-the modulus; FieldPoint checks that before it combines two points.
+the modulus; FieldPoint (ellcurve.py) checks that before it adds two points.
 
 The residue fields of cyclic cubic fibers are F_p and F_{p^3}, so both
 degrees add and subtract in straight lines, and degree 3 has straight-line

@@ -13,9 +13,10 @@ has discriminant (-4*(a4-a1*t) - 27*w^2) * (a4-a1*t)^2 with w = a6/a4 + t/a1,
 and the leading factor completes to a square on the rational curve
 1 = u^2 + 3*v^2.  Rational s parametrizes that conic; every fiber therefore
 has square discriminant, so its irreducible specializations generate cyclic
-cubic fields.  The modules here construct those fibers, put exact points on
-the curve over the resulting cubic fields, bound torsion by reduction modulo
-at least two good primes, and assemble audit certificates.
+cubic fields.  This module constructs those fibers, puts exact points on
+the curve over the resulting cubic fields, bounds torsion by reduction modulo
+at least two good primes, and assembles audit certificates; the group law,
+reduction mod p and the non-torsion check are in exact.ellcurve.
 
 The j-invariant of the family depends on a1 alone:
 
@@ -31,8 +32,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
-from math import gcd as _int_gcd, lcm as _int_lcm
+from itertools import repeat
+from math import gcd as _int_gcd
 from typing import ClassVar, Sequence
 
 from .cubicfield import (
@@ -48,7 +49,6 @@ from .cubicfield import (
 from .errors import (
     DegenerateFamilyError,
     DegenerateFiberError,
-    IncompatiblePointsError,
     InvalidInputError,
     InvalidPrimeError,
     RationalFiberError,
@@ -56,57 +56,14 @@ from .errors import (
     VerificationError,
 )
 from .exact import (
-    FqElem,
-    ModPoly,
     QuotientElem,
     UniPoly,
     count_distinct_roots,  # not called here; perfbench's tests expect it bound in family
-    irreducible_mod_p,
-    is_prime,
     iter_primes,
 )
-
-
-class WeierstrassCurve:
-    """A nonsingular Weierstrass model with the standard derived quantities."""
-
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8", "c4", "c6", "disc", "j")
-
-    def __init__(self, a1, a2, a3, a4, a6):
-        self.a1 = Fraction(a1)
-        self.a2 = Fraction(a2)
-        self.a3 = Fraction(a3)
-        self.a4 = Fraction(a4)
-        self.a6 = Fraction(a6)
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        self.b2 = a1**2 + 4 * a2
-        self.b4 = 2 * a4 + a1 * a3
-        self.b6 = a3**2 + 4 * a6
-        self.b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
-        self.c4 = self.b2**2 - 24 * self.b4
-        self.c6 = -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
-        b2, b4, b6 = self.b2, self.b4, self.b6
-        self.disc = -(b2**2) * self.b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
-        if self.disc == 0:
-            raise SingularCurveError("discriminant vanishes")
-        if 1728 * self.disc != self.c4**3 - self.c6**2:
-            raise VerificationError("1728*disc differs from c4^3 - c6^2")
-        self.j = self.c4**3 / self.disc
-
-    @property
-    def a_invariants(self) -> tuple[Fraction, ...]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, WeierstrassCurve):
-            return self.a_invariants == other.a_invariants
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.a_invariants)
-
-    def __repr__(self) -> str:
-        return f"WeierstrassCurve{self.a_invariants}"
+from .exact.ellcurve import (
+    FieldPoint, WeierstrassCurve, _group_order, is_good_prime, nontorsion_certificate,
+)
 
 
 @dataclass(frozen=True)
@@ -157,7 +114,7 @@ def curve_invariants_j(params: FamilyParams) -> WeierstrassCurve:
     return curve
 
 
-# -- fibers ------------------------------------------------------------------
+# -- fibers and their points -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -199,142 +156,6 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
     return FiberData(s, t, u, v, fiber, disc, sqrt_disc)
 
 
-# -- points and the group law --------------------------------------------------
-
-
-def _chord_tangent(a, P, Q):
-    """P + Q on the curve with a-invariants a, all in one field; None is the identity.
-
-    Points are coordinate pairs and field elements need only + - *, int
-    scaling, inverse(), is_zero and ==, so the same law runs over Q[x]/(f)
-    and over the residue fields F_p[x]/(m).
-    """
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    a1, a2, a3, a4, a6 = a
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2 + a1 * x1 + a3).is_zero:
-            return None
-        inv = (y1 + y1 + a1 * x1 + a3).inverse()
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv
-        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * inv
-    else:
-        inv = (x2 - x1).inverse()
-        lam = (y2 - y1) * inv
-        nu = (y1 * x2 - y2 * x1) * inv
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return x3, y3
-
-
-def _double_and_add(a, P, k: int):
-    """k*P for k >= 0 by the binary method over _chord_tangent."""
-    result = None
-    while k:
-        if k & 1:
-            result = _chord_tangent(a, result, P)
-        k >>= 1
-        if k:
-            P = _chord_tangent(a, P, P)
-    return result
-
-
-class FieldPoint:
-    """A point of the curve with coordinates in a field K.
-
-    K is Q[x]/(modulus) with QuotientElem coordinates (rational points use
-    the degree-1 modulus x), or a residue field F_p[x]/(modulus) with FqElem
-    coordinates.  ``a`` holds the curve's a-invariants as elements of K, so
-    one group law serves every field.  The point at infinity has
-    x = y = None.
-    """
-
-    __slots__ = ("curve", "modulus", "a", "x", "y")
-
-    def __init__(self, curve, modulus, a, x=None, y=None, *, check=True):
-        self.curve = curve
-        self.modulus = modulus
-        self.a = a
-        self.x = x
-        self.y = y
-        if x is not None and check and not self._equation_value().is_zero:
-            raise InvalidInputError("point does not satisfy the curve equation")
-
-    @classmethod
-    def affine(
-        cls, curve: WeierstrassCurve, modulus: UniPoly, x: QuotientElem, y: QuotientElem,
-        *, check: bool = True,
-    ) -> "FieldPoint":
-        a = tuple(
-            QuotientElem(UniPoly.constant(c), modulus, validate=False) for c in curve.a_invariants
-        )
-        return cls(curve, modulus, a, x, y, check=check)
-
-    @classmethod
-    def from_rationals(
-        cls, curve: WeierstrassCurve, x: Fraction | int, y: Fraction | int
-    ) -> "FieldPoint":
-        m = UniPoly.x()
-        return cls.affine(curve, m, QuotientElem.constant(x, m), QuotientElem.constant(y, m))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def _coords(self):
-        return None if self.x is None else (self.x, self.y)
-
-    def _sibling(self, coords) -> "FieldPoint":
-        """The point with these coordinates (None: infinity) on the same curve over K."""
-        x, y = coords or (None, None)
-        return FieldPoint(self.curve, self.modulus, self.a, x, y, check=False)
-
-    def _equation_value(self):
-        a1, a2, a3, a4, a6 = self.a
-        x, y = self.x, self.y
-        return y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6
-
-    def to_rationals(self) -> tuple[Fraction, Fraction]:
-        if self.is_infinity or not isinstance(self.x, QuotientElem) or self.modulus.degree != 1:
-            raise InvalidInputError("not an affine rational point")
-        return self.x.rep.coefficient(0), self.y.rep.coefficient(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldPoint):
-            return NotImplemented
-        if self.curve != other.curve or self.modulus != other.modulus:
-            return False
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.curve, self.modulus, self.x, self.y))
-
-    def __repr__(self) -> str:
-        return "FieldPoint(infinity)" if self.is_infinity else f"FieldPoint(x={self.x}, y={self.y})"
-
-    def __neg__(self) -> "FieldPoint":
-        if self.is_infinity:
-            return self
-        a1, _, a3, _, _ = self.a
-        return self._sibling((self.x, -self.y - a1 * self.x - a3))
-
-    def __add__(self, other: "FieldPoint") -> "FieldPoint":
-        if not isinstance(other, FieldPoint):
-            return NotImplemented
-        if self.curve != other.curve or self.modulus != other.modulus:
-            raise IncompatiblePointsError("points on different curves or fields")
-        return self._sibling(_chord_tangent(self.a, self._coords(), other._coords()))
-
-    def scalar_mul(self, k: int) -> "FieldPoint":
-        if k < 0:
-            return (-self).scalar_mul(-k)
-        return self._sibling(_double_and_add(self.a, self._coords(), k))
-
-
 def rational_3_torsion(params: FamilyParams) -> FieldPoint:
     """The rational point (0, a4/a1), checked to have exact order 3."""
     curve = params.curve()
@@ -367,221 +188,55 @@ def point_from_fiber_data(params: FamilyParams, fd: FiberData) -> FieldPoint:
     return FieldPoint.affine(curve, m, x, y, check=False)
 
 
-# -- reduction and torsion bounds ----------------------------------------------
+# -- torsion bounds ------------------------------------------------------------
 
-
-def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
-    """Good reduction for this model: p > 3, prime, unit denominators, p ∤ num(disc)."""
-    if p <= 3 or not is_prime(p):
-        return False
-    if any(c.denominator % p == 0 for c in curve.a_invariants):
-        return False
-    return curve.disc.numerator % p != 0
-
-
-@lru_cache(maxsize=1024)  # a scan asks for the same few (curve, p) for every fiber
-def count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
-    """|E(F_p)| by summing the quadratic character of the completed square.
-
-    For p > 3 the substitution 2y + a1*x + a3 -> Y turns the equation into
-    Y^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so each x contributes 1 + chi(g(x)).
-    """
-    if not is_good_prime(curve, p):
-        raise InvalidPrimeError(f"{p} is not a prime of good reduction")
-
-    def red(c: Fraction) -> int:
-        return c.numerator * pow(c.denominator, -1, p) % p
-
-    b2, b4, b6 = red(curve.b2), red(curve.b4), red(curve.b6)
-    total = p + 1
-    half = (p - 1) // 2
-    for x in range(p):
-        g = (4 * x * x * x + b2 * x * x + 2 * b4 * x + b6) % p
-        if g == 0:
-            continue
-        total += 1 if pow(g, half, p) == 1 else -1
-    return total
-
-
-def frobenius_trace(curve: WeierstrassCurve, p: int) -> int:
-    return p + 1 - count_points_mod_p(curve, p)
-
-
-def trace_over_extension(a_p: int, p: int, k: int) -> int:
-    """Frobenius trace over F_{p^k} via a_k = a_p*a_{k-1} - p*a_{k-2}, a_0 = 2."""
-    if k < 0:
-        raise InvalidInputError("extension degree must be nonnegative")
-    prev, cur = 2, a_p
-    for _ in range(k):
-        prev, cur = cur, a_p * cur - p * prev
-    return prev
-
-
-def residue_degree(fiber: UniPoly, p: int) -> int:
-    """Residue degree at an unramified p of the C3 field of the fiber: 1 or 3."""
-    return 3 if _root_counts(fiber, (p,)) == [0] else 1
-
-
-def _group_order(curve: WeierstrassCurve, p: int, d: int) -> int:
-    """|E(F_{p^d})| at a good prime p."""
-    return p**d + 1 - trace_over_extension(frobenius_trace(curve, p), p, d)
-
-
-def _torsion_primes(curve: WeierstrassCurve, fiber: UniPoly, disc: Fraction | None = None):
-    """Ascending primes > 3 of good reduction for the curve, unramified in the fiber."""
-    bad = _bad_part(fiber, fiber.discriminant() if disc is None else disc)
-    return (p for p in iter_primes(5) if bad % p and is_good_prime(curve, p))
-
-
-def good_torsion_primes(params: FamilyParams, fiber: UniPoly, count: int = 2) -> list[int]:
-    """The `count` smallest primes > 3 of good reduction, unramified in the fiber."""
-    return list(islice(_torsion_primes(params.curve(), fiber), count))
-
-
-def torsion_bound(
-    params: FamilyParams, fiber: UniPoly, primes: Sequence[int], *, _disc: Fraction | None = None
-) -> int:
-    """gcd over the supplied primes of |E(F_{p^d_p})|, d_p from the fiber mod p.
-
-    Torsion of the curve over the cubic field injects into each of those
-    reduced groups, so the gcd bounds its order.  Primes must be good for
-    the curve and unramified for the fiber, with distinct residue
-    characteristics; at least two are required.
-    """
-    curve = params.curve()
-    if len(primes) < 2 or len(set(primes)) != len(primes):
-        raise InvalidPrimeError("at least two distinct primes are required")
-    bad = _bad_part(fiber, fiber.discriminant() if _disc is None else _disc)
-    for p in primes:
-        if not is_good_prime(curve, p):
-            raise InvalidPrimeError(f"{p} is not a good-reduction prime")
-        if bad % p == 0:
-            raise InvalidPrimeError(f"{p} ramifies in the fiber cubic")
-    return _int_gcd(*(_group_order(curve, p, residue_degree(fiber, p)) for p in primes))
-
-
-# torsion_bound_adaptive adds good primes while the bound exceeds the
+# Given a count, torsion_bound adds good primes while the bound exceeds the
 # target, up to this many primes in all.
 _TORSION_BOUND_TARGET = 30
 _MAX_TORSION_PRIMES = 12
 
 
-def torsion_bound_adaptive(
-    params: FamilyParams, fiber: UniPoly, base_count: int = 2, *, _disc: Fraction | None = None
+def torsion_bound(
+    params: FamilyParams, fiber: UniPoly, primes: int | Sequence[int] = 2,
+    *, _disc: Fraction | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Torsion bound over the first `base_count` (>= 2) good primes, pulling
-    in more while it stays large.
+    """(bound, primes): the gcd over the primes of |E(F_{p^d_p})|, d_p from the fiber mod p.
 
-    The gcd over any superset of good primes is still a valid upper bound
-    on the torsion order, and a couple of extra primes almost always
-    collapse it to a small value; that keeps the non-torsion scan (whose
-    point heights grow quadratically) cheap.
+    Torsion over the cubic field injects into each reduced group, so the gcd
+    bounds its order.  ``primes`` is a count (>= 2) of the smallest primes > 3
+    good for the curve and unramified for the fiber, or a list of at least two
+    distinct such primes, used as given.  Past a count, more primes join while
+    the bound is large: a gcd over more good primes still bounds the torsion,
+    and a smaller bound keeps the non-torsion walk short.
     """
-    if base_count < 2:
-        raise InvalidInputError("at least two torsion primes are required")
     curve = params.curve()
-    primes: list[int] = []
-    bound = 0
-    for p in _torsion_primes(curve, fiber, _disc):
-        primes.append(p)
-        bound = _int_gcd(bound, _group_order(curve, p, residue_degree(fiber, p)))
-        if len(primes) >= base_count and (
-            bound <= _TORSION_BOUND_TARGET or len(primes) >= _MAX_TORSION_PRIMES
-        ):
-            return bound, tuple(primes)
-    raise InvalidPrimeError("prime search exhausted")  # pragma: no cover
-
-
-@lru_cache(maxsize=1024)
-def _invariants_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, ...]:
-    """The curve's a-invariants reduced mod a good prime p."""
-    return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in curve.a_invariants)
-
-
-def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
-    """Reduce P at a residue-field hom above p; None when p is unusable.
-
-    Returns (Pbar, group_order): the image point over F_p[x]/(modulus),
-    with Pbar.modulus = x - r for a root r of the reduced modulus or the
-    irreducible reduced modulus itself, and the order of the reduced group
-    E(F_{p^d}), d = deg(modulus).  Any root of the reduced modulus gives a
-    genuine residue map, so ramified primes are fine; only bad reduction,
-    non-p-integral coordinates, or an undecidable factor shape skip.
-    """
-    curve = P.curve
-    if P.is_infinity or not is_good_prime(curve, p):
-        return None
-    reps = list(P.x.rep.coeffs) + list(P.y.rep.coeffs)
-    if any(c.denominator % p == 0 for c in reps):
-        return None
-    fbar = ModPoly.from_unipoly(P.modulus, p)
-    root = next((r for r in range(p) if fbar.evaluate(r) == 0), None)
-    if root is not None:
-        modulus = ModPoly((-root, 1), p, check_prime=False)
-    elif fbar.degree in (2, 3) or irreducible_mod_p(fbar):
-        modulus = fbar
+    bad = _bad_part(fiber, fiber.discriminant() if _disc is None else _disc)
+    if isinstance(primes, int):
+        if primes < 2:
+            raise InvalidInputError("at least two torsion primes are required")
+        count = primes
+        candidates = (p for p in iter_primes(5) if bad % p and is_good_prime(curve, p))
     else:
-        return None
-
-    def lift(f: UniPoly) -> FqElem:
-        return FqElem.reduce(ModPoly.from_unipoly(f, p), modulus)
-
-    pad = (0,) * (modulus.degree - 1)
-    a = tuple(FqElem((c, *pad), modulus) for c in _invariants_mod_p(curve, p))
-    Pbar = FieldPoint(curve, modulus, a, lift(P.x.rep), lift(P.y.rep), check=False)
-    if not Pbar._equation_value().is_zero:
-        raise VerificationError("reduction left the curve")
-    return Pbar, _group_order(curve, p, modulus.degree)
-
-
-def _order_up_to(Pbar: FieldPoint, bound: int) -> int | None:
-    """The first k <= bound with k*Pbar = O, walking Pbar, 2*Pbar, ...; None if none."""
-    Q = None
-    for k in range(1, bound + 1):
-        Q = _chord_tangent(Pbar.a, Q, Pbar._coords())
-        if Q is None:
-            return k
-    return None
-
-
-def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
-    """True iff k*P is never the identity for 1 <= k <= bound.
-
-    Reduction at a good prime is a homomorphism (Silverman, The Arithmetic of
-    Elliptic Curves, VII.2.1), so k*P = O forces k*Pbar = O.  At each usable
-    prime the walk Pbar, 2*Pbar, ..., bound*Pbar either misses O, which proves
-    the claim, or first meets it at the order of Pbar; the exact law then tests
-    only multiples of the lcm of those orders (at most six primes).  At the
-    first usable prime |E(F_{p^d})| must annihilate Pbar, checking the count.
-    """
-    if bound < 1:
-        raise InvalidInputError("bound must be >= 1")
-    if P.is_infinity:
-        return False
-    step = 1
-    used = 0
-    for p in iter_primes(5):
-        if used >= 6 or step > bound:
-            break
-        reduced = reduce_point_mod_p(P, p)
-        if reduced is None:
-            continue
-        Pbar, group_order = reduced
-        order = _order_up_to(Pbar, bound)
-        if not used and not (  # |E(F_{p^d})| kills Pbar: the walk's order divides it
-            group_order % order == 0 if order else Pbar.scalar_mul(group_order).is_infinity
+        candidates = tuple(primes)
+        count = len(candidates)
+        if count < 2 or len(set(candidates)) != count:
+            raise InvalidPrimeError("at least two distinct primes are required")
+        for p in candidates:
+            if not is_good_prime(curve, p):
+                raise InvalidPrimeError(f"{p} is not a good-reduction prime")
+            if bad % p == 0:
+                raise InvalidPrimeError(f"{p} ramifies in the fiber cubic")
+    used: list[int] = []
+    bound = 0
+    for p in candidates:
+        used.append(p)
+        residue_degree = 3 if _root_counts(fiber, (p,)) == [0] else 1
+        bound = _int_gcd(bound, _group_order(curve, p, residue_degree))
+        if len(used) >= count and (
+            bound <= _TORSION_BOUND_TARGET or len(used) >= _MAX_TORSION_PRIMES
         ):
-            raise VerificationError("the reduced group order does not annihilate the point")
-        if order is None:
-            return True
-        step = _int_lcm(step, order)
-        used += 1
-    k = step
-    while k <= bound:
-        if P.scalar_mul(k).is_infinity:
-            return False
-        k += step
-    return True
+            break
+    return bound, tuple(used)
 
 
 # -- certificates and the scan --------------------------------------------------
@@ -689,11 +344,7 @@ def evaluate_fiber(
         point = point_from_fiber_data(params, fd)
     except (DegenerateFiberError, RationalFiberError):
         return "reducible"
-    if isinstance(torsion_primes, int):
-        bound, primes = torsion_bound_adaptive(params, fd.fiber, torsion_primes, _disc=fd.disc)
-    else:
-        primes = tuple(torsion_primes)
-        bound = torsion_bound(params, fd.fiber, primes, _disc=fd.disc)
+    bound, primes = torsion_bound(params, fd.fiber, torsion_primes, _disc=fd.disc)
     if not nontorsion_certificate(point, bound):
         return "torsion"
     return ExtensionCertificate(
@@ -762,7 +413,10 @@ def scan_family(
             chunk = max(1, len(evaluated) // (4 * workers))
             # An attribute of the module (see __getattr__), so a pool class set there is used.
             pool_class = sys.modules[__name__].ProcessPoolExecutor
-            pool = stack.enter_context(pool_class(max_workers=workers))
+            pool = pool_class(max_workers=workers)
+            # On success every chunk has been read; on a failed check the
+            # chunks not yet started are dropped rather than run.
+            stack.callback(pool.shutdown, cancel_futures=True)
             outcomes = pool.map(*tasks, chunksize=chunk)
         else:
             outcomes = map(*tasks)

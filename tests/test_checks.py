@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ntcert import cli, cubicfield, family
-from ntcert.exact import UniPoly
+from ntcert.exact import UniPoly, ellcurve
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ntcert"
 
@@ -52,13 +52,13 @@ def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
 
 
 def test_non_annihilating_group_order_exits_3(monkeypatch, capsys):
-    real = family.reduce_point_mod_p
+    real = ellcurve.reduce_point_mod_p
 
     def off_by_one(P, p):
         reduced = real(P, p)
         return reduced and (reduced[0], reduced[1] + 1)
 
-    monkeypatch.setattr(family, "reduce_point_mod_p", off_by_one)
+    monkeypatch.setattr(ellcurve, "reduce_point_mod_p", off_by_one)
     assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""

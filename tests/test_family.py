@@ -17,32 +17,32 @@ from ntcert.errors import (
     VerificationError,
 )
 from ntcert.exact import FqElem, ModPoly, QuotientElem, UniPoly, irreducible_mod_p, primes_up_to
+from ntcert.exact import ellcurve
 from ntcert.exact.primes import factorize
+from ntcert.exact.ellcurve import (
+    FieldPoint,
+    WeierstrassCurve,
+    count_points_mod_p,
+    is_good_prime,
+    nontorsion_certificate,
+    reduce_point_mod_p,
+    trace_over_extension,
+)
 from ntcert.family import (
     ExtensionCertificate,
     FamilyParams,
     FiberData,
-    FieldPoint,
-    WeierstrassCurve,
     closed_form_j,
-    count_points_mod_p,
     curve_invariants_j,
     derive_family,
     enumerate_s_by_height,
     evaluate_fiber,
     fiber_at_s,
-    frobenius_trace,
-    good_torsion_primes,
-    is_good_prime,
-    nontorsion_certificate,
     point_from_fiber,
     point_from_fiber_data,
     rational_3_torsion,
-    reduce_point_mod_p,
     scan_family,
     torsion_bound,
-    torsion_bound_adaptive,
-    trace_over_extension,
 )
 
 
@@ -411,7 +411,7 @@ def test_trace_recursion_against_brute_force_extension_count():
     params = derive_family(1, 1)
     curve = params.curve()
     p = 5
-    a_p = frobenius_trace(curve, p)
+    a_p = p + 1 - count_points_mod_p(curve, p)
     predicted = p**3 + 1 - trace_over_extension(a_p, p, 3)
 
     mod = ModPoly((1, 1, 0, 1), p)  # x^3 + x + 1, rootless hence irreducible mod 5
@@ -436,17 +436,18 @@ def test_trace_recursion_against_brute_force_extension_count():
 def test_torsion_bound_symmetric_and_divisible_by_three():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
-    primes = good_torsion_primes(params, fd.fiber, 2)
-    b1 = torsion_bound(params, fd.fiber, primes)
-    b2 = torsion_bound(params, fd.fiber, list(reversed(primes)))
+    primes = torsion_bound(params, fd.fiber, 2)[1][:2]  # the two smallest usable primes
+    b1, _ = torsion_bound(params, fd.fiber, primes)
+    b2, _ = torsion_bound(params, fd.fiber, list(reversed(primes)))
     assert b1 == b2
     assert b1 % 3 == 0
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(params, s)
         if fd.fiber.rational_roots():
             continue
-        bound, _ = torsion_bound_adaptive(params, fd.fiber)
+        bound, ps = torsion_bound(params, fd.fiber, 2)
         assert bound % 3 == 0
+        assert torsion_bound(params, fd.fiber, ps) == (bound, ps)  # a count and its list agree
 
 
 def test_torsion_bound_prime_validation():
@@ -467,7 +468,7 @@ def test_nontorsion_certificate_examples():
     assert nontorsion_certificate(P, 2) is True
     assert nontorsion_certificate(P.scalar_mul(3), 1) is False  # identity input
     Q = point_from_fiber(params, 1)
-    bound, _ = torsion_bound_adaptive(params, fiber_at_s(params, 1).fiber)
+    bound, _ = torsion_bound(params, fiber_at_s(params, 1).fiber)
     assert nontorsion_certificate(Q, bound) is True
 
 
@@ -635,7 +636,7 @@ def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
             if fd.fiber.rational_roots():
                 continue
             P = point_from_fiber_data(params, fd)
-            bound, _ = torsion_bound_adaptive(params, fd.fiber)
+            bound, _ = torsion_bound(params, fd.fiber)
             for p in primes_up_to(31):
                 reduced = reduce_point_mod_p(P, p)
                 if reduced is None:
@@ -644,12 +645,12 @@ def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
                 assert Pbar.scalar_mul(group_order).is_infinity
                 oracle = factor_stripping_order(Pbar, group_order)
                 if oracle <= bound:
-                    assert family._order_up_to(Pbar, bound) == oracle
-                    assert family._order_up_to(Pbar, oracle) == oracle
-                    assert family._order_up_to(Pbar, oracle - 1) is None
+                    assert ellcurve._order_up_to(Pbar, bound) == oracle
+                    assert ellcurve._order_up_to(Pbar, oracle) == oracle
+                    assert ellcurve._order_up_to(Pbar, oracle - 1) is None
                     walked["order"] += 1
                 else:
-                    assert family._order_up_to(Pbar, bound) is None
+                    assert ellcurve._order_up_to(Pbar, bound) is None
                     walked["none"] += 1
             # naive exact check over Q[theta]: k*P != O for k = 1..bound
             multiple, naive = P, True
@@ -673,19 +674,19 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
         usable.append(p)
         return reduced[0], reduced[1] + 1
 
-    monkeypatch.setattr(family, "reduce_point_mod_p", off_by_one)
+    monkeypatch.setattr(ellcurve, "reduce_point_mod_p", off_by_one)
     walk_found_order = set()
     params = derive_family(1, 1)
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(params, s)
         P = point_from_fiber_data(params, fd)
-        bound, _ = torsion_bound_adaptive(params, fd.fiber)
+        bound, _ = torsion_bound(params, fd.fiber)
         usable.clear()
         with pytest.raises(VerificationError, match="does not annihilate"):
             nontorsion_certificate(P, bound)
         assert len(usable) == 1
         Pbar, _ = real(P, usable[0])
-        walk_found_order.add(family._order_up_to(Pbar, bound) is not None)
+        walk_found_order.add(ellcurve._order_up_to(Pbar, bound) is not None)
     assert walk_found_order == {True, False}
 
 
@@ -872,19 +873,16 @@ def test_a_repeated_s_must_reproduce_the_kept_fiber(monkeypatch):
 
 
 def test_scan_caps_the_pool_at_cores_and_fibers(monkeypatch):
-    sizes = []
+    sizes, shutdowns = [], []
 
     class RecordingPool:
-        """Records max_workers and evaluates in this process."""
+        """Records max_workers and shutdown's keywords, and evaluates in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, **kwargs):
+            shutdowns.append(kwargs)
 
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
@@ -897,6 +895,11 @@ def test_scan_caps_the_pool_at_cores_and_fibers(monkeypatch):
     monkeypatch.setattr(family.os, "cpu_count", lambda: 2)
     scan_family(derive_family(1, 1), 3, jobs=100000)
     assert sizes == [3, 2]
+    # a failed check in the fold drops the chunks that have not started
+    monkeypatch.setattr(family, "_fiber_key", lambda params, s: None)
+    with pytest.raises(VerificationError, match="share v but not the fiber"):
+        scan_family(derive_family(1, 1), 3, jobs=2)
+    assert shutdowns == [{"cancel_futures": True}] * 3
     for jobs in (0, -1):
         with pytest.raises(InvalidInputError, match="jobs"):
             scan_family(derive_family(1, 1), 1, jobs=jobs)

@@ -20,10 +20,10 @@ NTCERT_NAMES = {
         "model_from_n", "psi_identities", "quotient_genus", "rh_genus", "solve_eq5",
         "superelliptic_genus", "triangle_checks",
     ],
+    "exact.ellcurve": ["FieldPoint", "WeierstrassCurve", "nontorsion_certificate"],
     "family": [
-        "ExtensionCertificate", "FamilyParams", "FieldPoint", "WeierstrassCurve",
-        "curve_invariants_j", "derive_family", "fiber_at_s", "nontorsion_certificate",
-        "point_from_fiber", "rational_3_torsion", "scan_family", "torsion_bound",
+        "ExtensionCertificate", "FamilyParams", "curve_invariants_j", "derive_family",
+        "fiber_at_s", "point_from_fiber", "rational_3_torsion", "scan_family", "torsion_bound",
     ],
     "newton": [
         "DegreePlan", "NewtonPolygon", "corner_check", "min_universal_degree",
@@ -90,10 +90,13 @@ def loaded_modules(argv):
 SUBCOMMANDS = {
     "import-only": ([], "cli", {"family", "cubicfield", "coverings", "newton", "qseries"}),
     "modular-verify": (["modular-verify", "--order", "12"], "qseries",
-                       {"family", "cubicfield", "coverings"}),
-    "degree-plan": (["degree-plan", "3", "20"], "newton", {"family", "coverings"}),
-    "covering-report": (["covering-report", "7"], "coverings", {"family", "qseries"}),
-    "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings", {"family", "qseries"}),
+                       {"family", "cubicfield", "coverings", "exact.ellcurve"}),
+    "degree-plan": (["degree-plan", "3", "20"], "newton",
+                    {"family", "coverings", "exact.ellcurve"}),
+    "covering-report": (["covering-report", "7"], "coverings",
+                        {"family", "qseries", "exact.ellcurve"}),
+    "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
+                      {"family", "qseries", "exact.ellcurve"}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
                     {"coverings", "newton", "qseries", "exact.bipoly", "exact.eisenstein", *POOL}),
 }
@@ -108,3 +111,13 @@ def test_each_subcommand_loads_only_its_modules(argv, runs, absent):
 
 def test_a_pooled_scan_loads_the_process_pool():
     assert POOL <= loaded_modules(["family-scan", "--s-height-max", "2", "--jobs", "2"])
+
+
+def test_the_curve_layer_loads_neither_the_family_nor_numpy():
+    probe = "import json, sys, ntcert.exact.ellcurve; print(json.dumps(sorted(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    loaded = set(json.loads(run.stdout))
+    assert "ntcert.exact.ellcurve" in loaded
+    assert not loaded & {"ntcert.family", "ntcert.cubicfield", "numpy"}
