@@ -273,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
-    except NtcertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except ValueError as exc:
+    except (NtcertError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

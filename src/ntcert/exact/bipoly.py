@@ -140,21 +140,18 @@ class BiPoly:
         out: dict[int, Fraction] = {}
         for (i, j), c in self.terms.items():
             out[i] = out.get(i, Fraction(0)) + c * b**j
-        if not out:
-            return UniPoly.zero()
-        coeffs = [Fraction(0)] * (max(out) + 1)
-        for i, c in out.items():
-            coeffs[i] = c
-        return UniPoly(coeffs)
+        return _dense(out)
 
     def as_unipoly_second(self) -> UniPoly:
         """View a polynomial constant in the first variable as UniPoly in the second."""
         if self.deg_first > 0:
             raise InvalidInputError("polynomial still involves the first variable")
-        out: dict[int, Fraction] = {j: c for (_, j), c in self.terms.items()}
-        if not out:
-            return UniPoly.zero()
-        coeffs = [Fraction(0)] * (max(out) + 1)
-        for j, c in out.items():
-            coeffs[j] = c
-        return UniPoly(coeffs)
+        return _dense({j: c for (_, j), c in self.terms.items()})
+
+
+def _dense(terms: dict[int, Fraction]) -> UniPoly:
+    """The UniPoly with the {degree: coefficient} terms."""
+    coeffs = [0] * (max(terms, default=-1) + 1)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return UniPoly(coeffs)

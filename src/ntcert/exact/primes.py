@@ -102,20 +102,9 @@ def factorize(n: int) -> dict[int, int]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of |n| in ascending order; n must be nonzero."""
-    n = abs(n)
     if n == 0:
         raise ValueError("divisors of zero are not defined")
     divs = [1]
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            divs = [a * d**k for a in divs for k in range(e + 1)]
-        d += 1 if d == 2 else 2
-    if m > 1:
-        divs = [a * m**k for a in divs for k in range(2)]
+    for p, e in factorize(n).items():
+        divs = [a * p**k for a in divs for k in range(e + 1)]
     return sorted(divs)

@@ -252,10 +252,7 @@ def euler_pow(k: int, order: int) -> LaurentSeries:
         # multiply in place by (1 - q^n)
         for e in range(order - 1, n - 1, -1):
             base[e] -= base[e - n]
-    series = LaurentSeries(0, base, order)
-    if k >= 0:
-        return series**k if k > 0 else LaurentSeries.one(order)
-    return series.inverse() ** (-k)
+    return LaurentSeries(0, base, order) ** k
 
 
 def hauptmodul_t(order: int) -> LaurentSeries:

@@ -232,6 +232,20 @@ def test_malformed_scan_input_exits_2(tmp_path, capsys, argv, config):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv", [["family-scan", "--s-height-max", "1"], ["degree-plan", "3", "10"]], ids=["scan", "desk"]
+)
+def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.json"
+    code = cli.main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.parent.exists()
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("[1, 2, 3]")

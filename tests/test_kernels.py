@@ -35,6 +35,7 @@ from ntcert.exact import (
     ModPoly,
     UniPoly,
     count_distinct_roots,
+    divisors,
     is_prime,
     iter_primes,
     primes_up_to,
@@ -270,6 +271,14 @@ def test_cached_sieve_matches_primality():
     for start in (0, 5, 98, 1000, 300_007):
         expected = [n for n in range(max(start, 0), start + 2000) if is_prime(n)][:50]
         assert list(islice(iter_primes(start), 50)) == expected
+
+
+def test_divisors_match_trial_division():
+    for n in [1, 2, 12, 97, 360, 1024, 9991, 30030, 2**5 * 3**4 * 7]:
+        expected = [d for d in range(1, n + 1) if n % d == 0]
+        assert divisors(n) == divisors(-n) == expected
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])

@@ -5,6 +5,7 @@ import pytest
 
 from ntcert.errors import InvalidInputError
 from ntcert.exact import ModPoly, UniPoly, count_distinct_roots, irreducible_mod_p, reduce_mod_p
+from ntcert.exact.unipoly import DensePoly
 
 
 def brute_force_irreducible(coeffs, p):
@@ -63,6 +64,42 @@ def test_pow_mod_matches_repeated_multiplication():
     for e in range(1, 30):
         acc = acc * x % f
         assert x.pow_mod(e, f) == acc
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_divmod_over_f_p(p):
+    rng = random.Random(p)
+    divisors = [ModPoly((1, 0, 0, 0, 1), p), ModPoly((2, 0, 1, 0, 0, 1), p)]  # interior zeros
+    for _ in range(40):
+        divisors.append(ModPoly([rng.randrange(p) for _ in range(rng.randint(1, 5))], p))
+    for g in divisors:
+        if g.is_zero:
+            continue
+        f = ModPoly([rng.randrange(p) for _ in range(rng.randint(0, 12))], p)
+        q, r = divmod(f, g)
+        assert q * g + r == f
+        assert r.degree < g.degree
+        assert f // g == q and f % g == r
+
+
+def test_mixed_characteristics_and_zero_divisor_raise():
+    f, g = ModPoly((1, 2, 1), 5), ModPoly((1, 1), 7)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, divmod):
+        with pytest.raises(InvalidInputError):
+            op(f, g)
+    with pytest.raises(ZeroDivisionError):
+        divmod(f, ModPoly((5,), 5))
+    with pytest.raises(ZeroDivisionError):
+        f % ModPoly((), 5)
+
+
+@pytest.mark.parametrize("cls", [UniPoly, ModPoly])
+def test_dense_arithmetic_is_written_once(cls):
+    shared = ("degree", "is_zero", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+              "__mul__", "__rmul__", "__divmod__", "__floordiv__", "__mod__", "evaluate",
+              "monic", "gcd", "xgcd")
+    assert all(name in vars(DensePoly) for name in shared)
+    assert not set(shared) & set(vars(cls))
 
 
 def test_xgcd_bezout():

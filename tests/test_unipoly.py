@@ -127,6 +127,22 @@ def test_divmod_and_gcd():
         assert r.is_zero or r.degree < g.degree
     a, b = UniPoly((0, -1, 0, 1)), UniPoly((0, 0, 1))  # x^3 - x and x^2
     assert a.gcd(b) == UniPoly.x()
+    # sparse and high degree: x^200 + 1 = x^50 * (x^150 - 2) + 2x^50 + 1
+    f, g = UniPoly.monomial(200) + 1, UniPoly.monomial(150) - 2
+    assert divmod(f, g) == (UniPoly.monomial(50), UniPoly.monomial(50, 2) + 1)
+    # a divisor with interior zeros: 3x^5 - x^2 + 1/2
+    g = UniPoly((Fraction(1, 2), 0, -1, 0, 0, 3))
+    for _ in range(20):
+        f = UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(13)])
+        q, r = divmod(f, g)
+        assert q * g + r == f
+        assert r.degree < g.degree
+        assert f // g == q and f % g == r
+    for bad in ("x", 1.5, None):
+        with pytest.raises(TypeError):
+            divmod(f, bad)
+        with pytest.raises(TypeError):
+            f % bad
 
 
 def test_xgcd_bezout_identity():
