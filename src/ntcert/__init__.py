@@ -18,11 +18,8 @@ from importlib import import_module
 _EXPORTS = {
     "cubicfield": (
         "CubicField",
-        "DisjointnessWitness",
         "GaloisClass",
         "SplitType",
-        "Verdict",
-        "distinctness_witness",
         "galois_class",
         "splitting_type_mod_p",
     ),
@@ -43,16 +40,12 @@ _EXPORTS = {
     "family": (
         "ExtensionCertificate",
         "FamilyParams",
-        "curve_invariants_j",
         "derive_family",
         "fiber_at_s",
-        "point_from_fiber",
-        "rational_3_torsion",
         "scan_family",
         "torsion_bound",
     ),
     "newton": (
-        "DegreePlan",
         "NewtonPolygon",
         "corner_check",
         "min_universal_degree",

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, NtcertError, VerificationError
 from .exact import parse_rational
-from .jsonio import SCHEMA_VERSION, dumps_canonical, dumps_scan
+from .jsonio import SCHEMA_VERSION, dumps_canonical
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -116,6 +116,7 @@ def _parse_torsion_primes(raw) -> int | tuple[int, ...]:
 def cmd_family_scan(args: argparse.Namespace) -> int:
     from .cubicfield import DEFAULT_WITNESS_BOUND
     from .family import derive_family, scan_family
+    from .scandoc import dumps_scan
 
     witness_bound = _merged(args, "witness_bound")
     config = ScanConfig(

@@ -2,10 +2,10 @@
 
 An irreducible monic cubic over Q generates a cyclic (C3) extension exactly
 when its discriminant is a rational square; otherwise the Galois group is S3.
-Two C3 cubics are proven to generate non-isomorphic fields by exhibiting a
-single unramified prime where their splitting patterns differ (a Frobenius
-witness).  The inconclusive verdict is explicit: a PresumedEqual result is
-never treated as a proof of equality.
+Two C3 cubics are proven to generate non-isomorphic fields by one prime, a
+Frobenius witness: unramified for both, where one field splits completely
+and the other is inert.  Finding none up to the bound proves nothing, and
+is reported as inconclusive, never as equality.
 
 Split types come from root counts mod p: deg gcd(x^p - x, f) (Cohen,
 GTM 138), with x^p mod f found by square-and-multiply on coefficient
@@ -16,14 +16,13 @@ _split_codes builds every split-type row: a pair of Python ints used as
 bitmasks over a list of primes, one bit set where the field splits
 completely, one where it is inert, neither where the prime is ramified or
 bad.  Two fields' first witness is the lowest set bit of
-(S1 & I2) | (I1 & S2).  distinctness_witness compares the cached rows of
-two fields at every prime up to the bound.  A scan keeps its accepted
-fields in one SplitTypeMatrix with their rows at the primes up to 97, a
-prefix of that prime list; only when two of those rows agree does the
-matrix compare the two fields' whole cached rows, as distinctness_witness
-does.  An unramified prime of a Galois cubic field splits completely or
-is inert (Marcus, Number Fields, ch. 3), so a linear-times-quadratic
-prime met while building a row refutes the C3 classification.
+(S1 & I2) | (I1 & S2).  A scan keeps its accepted fields in one
+SplitTypeMatrix with their rows at the primes up to 97, a prefix of the
+witness primes; only when two of those rows agree does the matrix build and
+compare the two fields' whole rows.  An unramified prime of a Galois cubic
+field splits completely or is inert (Marcus, Number Fields, ch. 3), so a
+linear-times-quadratic prime met while building a row refutes the C3
+classification.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .errors import (
@@ -64,11 +62,6 @@ class SplitType(str, Enum):
     LINEAR_TIMES_QUADRATIC = "linear_times_quadratic"
 
 
-class Verdict(str, Enum):
-    DISTINCT_FIELDS = "distinct_fields"
-    PRESUMED_EQUAL = "presumed_equal"
-
-
 @dataclass(frozen=True)
 class CubicField:
     """An irreducible monic cubic with its discriminant data and Galois class."""
@@ -77,36 +70,6 @@ class CubicField:
     disc: Fraction
     sqrt_disc: Fraction | None
     galois_class: GaloisClass
-
-    def to_json_dict(self) -> dict:
-        from .jsonio import to_jsonable
-
-        doc = {
-            "defining": to_jsonable(self.defining),
-            "disc": to_jsonable(self.disc),
-            "class": self.galois_class.value,
-        }
-        if self.sqrt_disc is not None:
-            doc["sqrt_disc"] = to_jsonable(self.sqrt_disc)
-        return doc
-
-
-@dataclass(frozen=True)
-class DisjointnessWitness:
-    """Outcome of a pairwise field-distinctness scan.
-
-    DISTINCT_FIELDS carries the witness prime; PRESUMED_EQUAL carries the
-    scanned bound and proves nothing.
-    """
-
-    verdict: Verdict
-    prime: int | None = None
-    bound: int | None = None
-
-    def to_json_dict(self) -> dict:
-        if self.verdict is Verdict.DISTINCT_FIELDS:
-            return {"verdict": self.verdict.value, "prime": self.prime}
-        return {"verdict": self.verdict.value, "bound": self.bound}
 
 
 def galois_class(f: UniPoly) -> CubicField:
@@ -236,33 +199,6 @@ def _first_difference(row1: tuple[int, int], row2: tuple[int, int]) -> int | Non
     return (differs & -differs).bit_length() - 1 if differs else None
 
 
-# Keyed by value, so repeated pairwise checks of the same fields (a test
-# re-deriving every witness of a scan) count each field's roots once.
-@lru_cache(maxsize=1024)
-def _row(K: CubicField, bound: int) -> tuple[int, int]:
-    """K's split-type row at every prime <= bound."""
-    return _split_codes(K, primes_up_to(bound))
-
-
-def distinctness_witness(
-    K1: CubicField, K2: CubicField, bound: int = DEFAULT_WITNESS_BOUND
-) -> DisjointnessWitness:
-    """Scan primes <= bound for a splitting disagreement between two C3 fields.
-
-    A disagreeing prime is an unconditional proof that the fields are not
-    isomorphic.  Exhausting the bound yields PRESUMED_EQUAL, which callers
-    must treat as inconclusive.
-    """
-    if bound < 2:
-        raise InvalidInputError("witness bound must be >= 2")
-    if K1.galois_class is not GaloisClass.C3 or K2.galois_class is not GaloisClass.C3:
-        raise WrongClassError("distinctness certificates require two C3 fields")
-    j = _first_difference(_row(K1, bound), _row(K2, bound))
-    if j is None:
-        return DisjointnessWitness(Verdict.PRESUMED_EQUAL, bound=bound)
-    return DisjointnessWitness(Verdict.DISTINCT_FIELDS, prime=primes_up_to(bound)[j])
-
-
 # A matrix first compares fields at the primes up to this one: distinct
 # fields almost always disagree there, so only fields that agree at every
 # one of them are compared up to the full witness bound.
@@ -272,41 +208,39 @@ _FIRST_STAGE = 97
 class SplitTypeMatrix:
     """Split-type rows of pairwise distinct C3 fields, for one witness bound.
 
-    admit(K) returns K's witnesses against every accepted field, in order of
-    acceptance, and accepts K; each is the first prime <= bound where both
-    fields are unramified and split differently, as from distinctness_witness.
-    If some accepted field agrees with K at every prime <= bound, K is not
-    accepted and admit returns None: the inconclusive PRESUMED_EQUAL.
+    admit(K) returns K's witness primes against every accepted field, in
+    order of acceptance, and accepts K; each is the first prime <= bound
+    where both fields are unramified and one splits completely while the
+    other is inert.  If some accepted field agrees with K at every prime
+    <= bound, K is not accepted and admit returns None: inconclusive.
     """
 
     def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):
         if bound < 2:
             raise InvalidInputError("witness bound must be >= 2")
-        self._bound = bound
         self._primes = primes_up_to(bound)
         # a prefix of self._primes, so a column indexes both
         self._head = primes_up_to(min(_FIRST_STAGE, bound))
-        self._rows: list[tuple[CubicField, tuple[int, int]]] = []
-        self._witnesses: dict[int, DisjointnessWitness] = {}
+        # [field, head row, whole row or None until its first tie], in order of acceptance
+        self._entries: list[list] = []
 
-    def _witness(self, p: int) -> DisjointnessWitness:
-        w = self._witnesses.get(p)
-        if w is None:
-            w = self._witnesses[p] = DisjointnessWitness(Verdict.DISTINCT_FIELDS, prime=p)
-        return w
+    def _whole_row(self, entry: list) -> tuple[int, int]:
+        if entry[2] is None:
+            entry[2] = _split_codes(entry[0], self._primes)
+        return entry[2]
 
-    def admit(self, K: CubicField) -> tuple[DisjointnessWitness, ...] | None:
+    def admit(self, K: CubicField) -> tuple[int, ...] | None:
         if K.galois_class is not GaloisClass.C3:
             raise WrongClassError("distinctness certificates require two C3 fields")
-        row = _split_codes(K, self._head)
+        new = [K, _split_codes(K, self._head), None]
         primes = []
-        for other, other_row in self._rows:
-            j = _first_difference(other_row, row)
+        for entry in self._entries:
+            j = _first_difference(entry[1], new[1])
             if j is None and len(self._head) < len(self._primes):
-                # K agrees with `other` at every head prime: compare whole rows
-                j = _first_difference(_row(other, self._bound), _row(K, self._bound))
+                # K agrees with this field at every head prime: compare whole rows
+                j = _first_difference(self._whole_row(entry), self._whole_row(new))
             if j is None:
                 return None
             primes.append(self._primes[j])
-        self._rows.append((K, row))
-        return tuple(map(self._witness, primes))
+        self._entries.append(new)
+        return tuple(primes)

@@ -24,15 +24,6 @@ class EisensteinInt:
     def rho(cls) -> "EisensteinInt":
         return cls(0, 1)
 
-    @classmethod
-    def rho_power(cls, k: int) -> "EisensteinInt":
-        k %= 3
-        if k == 0:
-            return cls(1, 0)
-        if k == 1:
-            return cls(0, 1)
-        return cls(-1, -1)
-
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

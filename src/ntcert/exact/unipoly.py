@@ -47,6 +47,9 @@ class DensePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def __add__(self, other):
         other = self._operand(other)
         if other is NotImplemented:
@@ -235,9 +238,6 @@ class UniPoly(DensePoly):
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"

@@ -39,7 +39,6 @@ from typing import ClassVar, Sequence
 from .cubicfield import (
     DEFAULT_WITNESS_BOUND,
     CubicField,
-    DisjointnessWitness,
     GaloisClass,
     SplitTypeMatrix,
     _bad_part,
@@ -106,14 +105,6 @@ def closed_form_j(a1: Fraction | int) -> Fraction:
     return 256 * (a1**4 + 54) ** 3 * a1**4 / den
 
 
-def curve_invariants_j(params: FamilyParams) -> WeierstrassCurve:
-    """Build the Weierstrass model and check its j against the closed form."""
-    curve = params.curve()
-    if curve.j != closed_form_j(params.a1):
-        raise VerificationError("formulary j disagrees with closed form")
-    return curve
-
-
 # -- fibers and their points -------------------------------------------------
 
 
@@ -154,22 +145,6 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
         raise VerificationError("fiber discriminant identity failed")
     sqrt_disc = abs(u * p)
     return FiberData(s, t, u, v, fiber, disc, sqrt_disc)
-
-
-def rational_3_torsion(params: FamilyParams) -> FieldPoint:
-    """The rational point (0, a4/a1), checked to have exact order 3."""
-    curve = params.curve()
-    P = FieldPoint.from_rationals(curve, 0, params.a4 / params.a1)
-    double = P + P
-    if double.is_infinity or double != -P:
-        raise VerificationError("doubling did not negate the 3-torsion point")
-    return P
-
-
-def point_from_fiber(params: FamilyParams, s: Fraction | int) -> FieldPoint:
-    """The point (theta, t) over Q[theta]/(fiber); errors if the fiber splits."""
-    fd = fiber_at_s(params, s)
-    return point_from_fiber_data(params, fd)
 
 
 def point_from_fiber_data(params: FamilyParams, fd: FiberData) -> FieldPoint:
@@ -258,31 +233,11 @@ class ExtensionCertificate:
     torsion_primes: tuple[int, ...]
     torsion_bound: int
     nontorsion_checked_to: int
-    disjointness: tuple[tuple[Fraction, DisjointnessWitness], ...]
+    # (the s of an earlier certificate, the first prime that tells the two fields apart)
+    disjointness: tuple[tuple[Fraction, int], ...]
 
     def cubic_field(self) -> CubicField:
         return CubicField(self.fiber, self.disc, self.sqrt_disc, self.galois_class)
-
-    def to_json_dict(self) -> dict:
-        """The certificate's JSON form.  The scan writes the same text with
-        jsonio.dumps_scan, without this dict per pair."""
-        from .jsonio import to_jsonable
-
-        return {
-            "s": to_jsonable(self.s),
-            "t": to_jsonable(self.t),
-            "fiber": to_jsonable(self.fiber),
-            "disc": to_jsonable(self.disc),
-            "sqrt_disc": to_jsonable(self.sqrt_disc),
-            "galois_class": self.galois_class.value,
-            "point": {"x": to_jsonable(self.point.x.rep), "y": to_jsonable(self.point.y.rep)},
-            "torsion_primes": list(self.torsion_primes),
-            "torsion_bound": self.torsion_bound,
-            "nontorsion_checked_to": self.nontorsion_checked_to,
-            "disjointness": [
-                {"vs_s": to_jsonable(s), **w.to_json_dict()} for s, w in self.disjointness
-            ],
-        }
 
 
 @dataclass

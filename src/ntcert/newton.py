@@ -117,23 +117,6 @@ def plan_degrees(n: int, d_max: int) -> set[int]:
     return achievable
 
 
-@dataclass(frozen=True)
-class DegreePlan:
-    """One concrete substitution choice for a degree-n polynomial."""
-
-    n: int
-    k1: int
-    k2: int
-    d: int
-    b: Fraction
-
-
-def make_plan(n: int, k1: int, k2: int, b: Fraction | int) -> DegreePlan:
-    if n < 2 or not (k1 > k2 >= 1):
-        raise InvalidInputError("need n >= 2 and k1 > k2 >= 1")
-    return DegreePlan(n, k1, k2, k1 * (n - 1) + k2, Fraction(b))
-
-
 def default_b_sequence(count: int, seed: int = 0) -> list[Fraction]:
     """Deterministic pseudorandom specialization constants.
 

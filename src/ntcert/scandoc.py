@@ -1,0 +1,93 @@
+"""The family-scan document, written as text in dumps_canonical's layout.
+
+Its pairwise witnesses would otherwise cost a dict each and a walk of
+json's pure-Python encoder.  Only family-scan imports this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
+
+from .exact import format_rational
+from .jsonio import dumps_canonical
+
+
+def dumps_scan(head: dict, certificates) -> str:
+    """dumps_canonical of ``{"certificates": [...], **head}``, where head
+    holds config, schema and summary.
+
+    Each certificate is read for the fields of a family ExtensionCertificate,
+    and its pairs as (vs_s, witness prime) tuples.  Each distinct witness
+    prime's lines and each vs_s line are rendered once, so a pair costs one
+    join, not a dict.
+    """
+    if not head or min(head) <= "certificates":
+        raise ValueError("the scan document's other members must sort after 'certificates'")
+    witness_text: dict[int, str] = {}
+    # keyed by id: every vs_s stays alive in `certificates` meanwhile
+    vs_text: dict[int, str] = {}
+    rendered = []
+    for cert in certificates:
+        entries = [
+            (witness_text.get(p) or witness_text.setdefault(p, _witness_lines(p)))
+            + (vs_text.get(id(s)) or vs_text.setdefault(id(s), _scalar(s) + "\n        }"))
+            for s, p in cert.disjointness
+        ]
+        rendered.append(_certificate(cert, _array(entries, " " * 6)))
+    # one join of the whole text: each copy of a large string costs its size again
+    tail = dumps_canonical(head)[2:]  # without its opening "{\n"
+    return "".join(('{\n  "certificates": ', _array(rendered, "  "), ",\n", tail))
+
+
+def _scalar(value) -> str:
+    """A rational or integer as dumps_canonical writes it."""
+    if isinstance(value, Fraction):
+        return _string(format_rational(value))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {type(value).__name__} as a scan scalar")
+
+
+def _array(items: list[str], pad: str) -> str:
+    """A JSON array of rendered items, its closing bracket indented by pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return f"[{inner}{(',' + inner).join(items)}\n{pad}]"
+
+
+def _witness_lines(prime: int) -> str:
+    """A disjointness entry up to its vs_s value, which comes last."""
+    return (
+        "{\n"
+        f'          "prime": {_scalar(prime)},\n'
+        '          "verdict": "distinct_fields",\n'
+        '          "vs_s": '
+    )
+
+
+def _certificate(cert, disjointness: str) -> str:
+    """One certificate's members in sorted order; its arrays close at 6 spaces."""
+
+    def array(values, pad=" " * 6) -> str:
+        return _array([_scalar(v) for v in values], pad)
+
+    return (
+        "{\n"
+        f'      "disc": {_scalar(cert.disc)},\n'
+        f'      "disjointness": {disjointness},\n'
+        f'      "fiber": {array(cert.fiber.coeffs)},\n'
+        f'      "galois_class": {_string(cert.galois_class.value)},\n'
+        f'      "nontorsion_checked_to": {_scalar(cert.nontorsion_checked_to)},\n'
+        '      "point": {\n'
+        f'        "x": {array(cert.point.x.rep.coeffs, " " * 8)},\n'
+        f'        "y": {array(cert.point.y.rep.coeffs, " " * 8)}\n'
+        "      },\n"
+        f'      "s": {_scalar(cert.s)},\n'
+        f'      "sqrt_disc": {_scalar(cert.sqrt_disc)},\n'
+        f'      "t": {_scalar(cert.t)},\n'
+        f'      "torsion_bound": {_scalar(cert.torsion_bound)},\n'
+        f'      "torsion_primes": {array(cert.torsion_primes)}\n'
+        "    }"
+    )

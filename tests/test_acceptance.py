@@ -23,17 +23,12 @@ from ntcert.coverings import (
     solve_eq5,
     triangle_checks,
 )
-from ntcert.cubicfield import GaloisClass, Verdict, distinctness_witness
+from ntcert.cubicfield import DEFAULT_WITNESS_BOUND, GaloisClass
 from ntcert.errors import DegenerateFamilyError
 from ntcert.exact import BiPoly, primes_up_to
-from ntcert.family import (
-    closed_form_j,
-    curve_invariants_j,
-    derive_family,
-    rational_3_torsion,
-    scan_family,
-)
-from ntcert.jsonio import SCHEMA_VERSION, dumps_scan
+from ntcert.exact.ellcurve import FieldPoint
+from ntcert.family import closed_form_j, derive_family, scan_family
+from ntcert.jsonio import SCHEMA_VERSION
 from ntcert.newton import (
     corner_check,
     default_b_sequence,
@@ -42,6 +37,8 @@ from ntcert.newton import (
     substitute_st,
 )
 from ntcert.qseries import hauptmodul_t, j_series, verify_eta_identity
+from ntcert.scandoc import dumps_scan
+from witness_oracle import first_witness
 
 
 @contextmanager
@@ -102,11 +99,11 @@ def test_criterion_03_closed_form_correspondence():
                 params = derive_family(a1, a4)
             except DegenerateFamilyError:
                 continue
-            curve = curve_invariants_j(params)
+            curve = params.curve()
             assert curve.j == closed_form_j(a1)
             alt = a4 + rng.randint(1, 5)
             if alt != 0:
-                assert curve_invariants_j(derive_family(a1, alt)).j == curve.j
+                assert derive_family(a1, alt).curve().j == curve.j
             seen += 1
 
 
@@ -121,17 +118,13 @@ def test_criterion_04_family_scan_certificates(height20_scan):
             assert cert.galois_class is GaloisClass.C3  # (b)
             assert cert.point._equation_value().is_zero  # (c) reduction to zero
             assert cert.nontorsion_checked_to >= cert.torsion_bound  # (e)
-        # (d) pairwise distinctness: re-derive every witness from scratch
+        # (d) pairwise distinctness: every earlier certificate in order, each
+        # with the first witness prime of an oracle independent of the scan
         fields = [cert.cubic_field() for cert in certs]
         for i, cert in enumerate(certs):
-            assert len(cert.disjointness) == i
-            assert all(
-                w.verdict is Verdict.DISTINCT_FIELDS for _, w in cert.disjointness
-            )
-        for i in range(len(fields)):
-            for j in range(i + 1, len(fields)):
-                w = distinctness_witness(fields[i], fields[j])
-                assert w.verdict is Verdict.DISTINCT_FIELDS
+            assert [s for s, _ in cert.disjointness] == [c.s for c in certs[:i]]
+            for j, (_, prime) in enumerate(cert.disjointness):
+                assert prime == first_witness(fields[j], fields[i], DEFAULT_WITNESS_BOUND)
 
 
 def test_height20_scan_bytes_are_pinned(height20_scan):
@@ -157,7 +150,7 @@ def test_criterion_05_three_torsion(height20_scan):
                 params = derive_family(a1, a4)
             except DegenerateFamilyError:
                 continue
-            P = rational_3_torsion(params)
+            P = FieldPoint.from_rationals(params.curve(), 0, a4 / a1)
             assert not P.is_infinity
             assert not (P + P).is_infinity
             assert (P + P) == -P

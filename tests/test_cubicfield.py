@@ -7,8 +7,9 @@ from ntcert.cubicfield import (
     CubicField,
     GaloisClass,
     SplitType,
-    Verdict,
-    distinctness_witness,
+    SplitTypeMatrix,
+    _first_difference,
+    _split_codes,
     galois_class,
     splitting_type_mod_p,
 )
@@ -22,6 +23,15 @@ from ntcert.errors import (
 from ntcert.exact import UniPoly, primes_up_to
 
 CYCLIC = UniPoly((1, -3, 0, 1))  # x^3 - 3x + 1, disc 81
+
+
+def witness(K1, K2, bound=1000):
+    """K2's witness prime against K1 from a two-field SplitTypeMatrix, or
+    None when the matrix finds none up to the bound."""
+    matrix = SplitTypeMatrix(bound)
+    matrix.admit(K1)
+    primes = matrix.admit(K2)
+    return None if primes is None else primes[0]
 
 
 def shanks_cubic(t: int) -> UniPoly:
@@ -109,26 +119,23 @@ def test_witness_examples():
     K1 = galois_class(CYCLIC)
     K2 = galois_class(UniPoly((-1, -2, 1, 1)))  # x^3 + x^2 - 2x - 1, disc 49
     assert K2.galois_class is GaloisClass.C3
-    w = distinctness_witness(K1, K2)
-    assert w.verdict is Verdict.DISTINCT_FIELDS
+    p = witness(K1, K2)
+    assert isinstance(p, int)
     # recomputing both splitting types at the witness prime reproduces it
-    assert splitting_type_mod_p(K1.defining, w.prime) != splitting_type_mod_p(
-        K2.defining, w.prime
-    )
+    assert splitting_type_mod_p(K1.defining, p) != splitting_type_mod_p(K2.defining, p)
 
-    same = distinctness_witness(K1, K1, bound=500)
-    assert same.verdict is Verdict.PRESUMED_EQUAL and same.bound == 500
+    assert witness(K1, K1, bound=500) is None
 
     with pytest.raises(WrongClassError):
-        distinctness_witness(K1, galois_class(UniPoly((-2, 0, 0, 1))))
+        SplitTypeMatrix().admit(galois_class(UniPoly((-2, 0, 0, 1))))
 
 
 def test_witness_rejects_a_bound_below_two():
     K = galois_class(CYCLIC)
-    assert distinctness_witness(K, K, bound=2).bound == 2
+    assert witness(K, K, bound=2) is None
     for bound in (1, 0, -5):
         with pytest.raises(InvalidInputError, match="witness bound"):
-            distinctness_witness(K, K, bound)
+            SplitTypeMatrix(bound)
 
 
 def test_witness_refutes_a_c3_label_at_a_linear_times_quadratic_prime():
@@ -138,11 +145,11 @@ def test_witness_refutes_a_c3_label_at_a_linear_times_quadratic_prime():
     mislabelled = CubicField(f, f.discriminant(), None, GaloisClass.C3)
     K = galois_class(CYCLIC)
     # 2 and 3 are bad for x^3 - 2: no prime below 5 tests the label
-    assert distinctness_witness(mislabelled, K, bound=4).verdict is Verdict.PRESUMED_EQUAL
+    assert witness(mislabelled, K, bound=4) is None
     with pytest.raises(VerificationError, match="linear times quadratic mod the unramified prime 5"):
-        distinctness_witness(mislabelled, K, bound=5)
+        witness(mislabelled, K, bound=5)
     with pytest.raises(VerificationError, match="prime 5"):
-        distinctness_witness(K, mislabelled)
+        witness(K, mislabelled)
 
 
 def test_witness_found_for_distinct_cyclic_fields():
@@ -176,25 +183,23 @@ def test_witness_found_for_distinct_cyclic_fields():
         K2, c2 = fields[t2]
         if c1 == c2:
             continue
-        w = distinctness_witness(K1, K2, bound=200)
-        assert w.verdict is Verdict.DISTINCT_FIELDS, (t1, t2)
+        assert witness(K1, K2, bound=200) is not None, (t1, t2)
         pairs += 1
     assert pairs == 20
 
 
 def test_staged_witness_matches_naive_scan():
-    """distinctness_witness's row comparison must return the same verdict
-    and prime as a naive prime-by-prime comparison."""
-    from ntcert.exact import primes_up_to
-
+    """The first difference of two split-type rows is the prime that a
+    naive prime-by-prime comparison of split types finds."""
     cubics = [CYCLIC, shanks_cubic(0), shanks_cubic(1), shanks_cubic(4), shanks_cubic(7)]
     fields = [galois_class(f) for f in cubics]
     for bound in (50, 97, 150, 400):
+        primes = primes_up_to(bound)
         for i in range(len(fields)):
             for j in range(len(fields)):
                 K1, K2 = fields[i], fields[j]
                 naive_prime = None
-                for p in primes_up_to(bound):
+                for p in primes:
                     d1, d2 = K1.disc, K2.disc
                     if d1.numerator % p == 0 or d2.numerator % p == 0:
                         continue
@@ -203,9 +208,6 @@ def test_staged_witness_matches_naive_scan():
                     ):
                         naive_prime = p
                         break
-                w = distinctness_witness(K1, K2, bound)
-                if naive_prime is None:
-                    assert w.verdict is Verdict.PRESUMED_EQUAL and w.bound == bound
-                else:
-                    assert w.verdict is Verdict.DISTINCT_FIELDS
-                    assert w.prime == naive_prime
+                col = _first_difference(_split_codes(K1, primes), _split_codes(K2, primes))
+                assert (None if col is None else primes[col]) == naive_prime
+                assert witness(K1, K2, bound) == naive_prime

@@ -10,8 +10,6 @@ def test_cube_root_relations():
     rho = EisensteinInt.rho()
     assert rho**3 == 1
     assert rho * rho + rho + 1 == 0
-    assert EisensteinInt.rho_power(2) == rho * rho
-    assert EisensteinInt.rho_power(5) == rho * rho
 
 
 def test_inverse_and_norm():

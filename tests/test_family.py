@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ntcert import cubicfield, family
-from ntcert.cubicfield import GaloisClass, Verdict, galois_class
+from ntcert.cubicfield import GaloisClass, galois_class
 from ntcert.errors import (
     DegenerateFamilyError,
     DegenerateFiberError,
@@ -33,17 +33,25 @@ from ntcert.family import (
     FamilyParams,
     FiberData,
     closed_form_j,
-    curve_invariants_j,
     derive_family,
     enumerate_s_by_height,
     evaluate_fiber,
     fiber_at_s,
-    point_from_fiber,
     point_from_fiber_data,
-    rational_3_torsion,
     scan_family,
     torsion_bound,
 )
+from witness_oracle import first_witness
+
+
+def three_torsion(params: FamilyParams) -> FieldPoint:
+    """The rational point (0, a4/a1) of the family's curve."""
+    return FieldPoint.from_rationals(params.curve(), 0, params.a4 / params.a1)
+
+
+def fiber_point(params: FamilyParams, s) -> FieldPoint:
+    """The point (theta, t) over Q[theta]/(fiber) at s."""
+    return point_from_fiber_data(params, fiber_at_s(params, s))
 
 
 def random_params(rng) -> FamilyParams:
@@ -104,22 +112,22 @@ def test_derive_family_errors():
 
 
 def test_j_examples():
-    assert curve_invariants_j(derive_family(1, 1)).j == Fraction(-42592000, 12167)
-    assert curve_invariants_j(derive_family(1, 2)).j == Fraction(-42592000, 12167)
+    assert derive_family(1, 1).curve().j == Fraction(-42592000, 12167)
+    assert derive_family(1, 2).curve().j == Fraction(-42592000, 12167)
     # plugging a1 = 2 into the closed form: 256 * 70^3 * 16 / 37^3
     assert closed_form_j(2) == Fraction(256 * 70**3 * 16, 37**3)
-    assert curve_invariants_j(derive_family(2, 5)).j == closed_form_j(2)
+    assert derive_family(2, 5).curve().j == closed_form_j(2)
 
 
 def test_j_independent_of_a4_random():
     rng = random.Random(70)
     for _ in range(25):
         params = random_params(rng)
-        curve = curve_invariants_j(params)
+        curve = params.curve()
         assert curve.j == closed_form_j(params.a1)
         other = derive_family(params.a1, params.a4 + 1) if params.a4 != -1 else None
         if other is not None:
-            assert curve_invariants_j(other).j == curve.j
+            assert other.curve().j == curve.j
 
 
 # -- fibers ---------------------------------------------------------------------
@@ -168,12 +176,14 @@ def test_generated_fibers_are_cyclic():
 
 def test_rational_3_torsion_examples():
     params = derive_family(1, 1)
-    P = rational_3_torsion(params)
+    P = three_torsion(params)
     assert P.to_rationals() == (0, 1)
+    assert P + P == -P
     assert P.scalar_mul(3).is_infinity and not P.scalar_mul(2).is_infinity
 
-    P23 = rational_3_torsion(derive_family(2, 3))
+    P23 = three_torsion(derive_family(2, 3))
     assert P23.to_rationals() == (0, Fraction(3, 2))
+    assert P23 + P23 == -P23
     assert P23.scalar_mul(3).is_infinity
 
 
@@ -181,15 +191,15 @@ def test_rational_3_torsion_random():
     rng = random.Random(72)
     for _ in range(10):
         params = random_params(rng)
-        P = rational_3_torsion(params)
-        assert P.to_rationals() == (0, params.a4 / params.a1)
+        P = three_torsion(params)
+        assert not (P + P).is_infinity
         assert (P + P) == -P
         assert P.scalar_mul(3).is_infinity
 
 
 def test_point_from_fiber_on_curve():
     params = derive_family(1, 1)
-    P = point_from_fiber(params, 1)
+    P = fiber_point(params, 1)
     assert P._equation_value().is_zero
     assert P.x.rep == UniPoly.x() and P.y.rep == UniPoly.constant(Fraction(157, 108))
 
@@ -213,7 +223,7 @@ def test_point_from_fiber_rejects_reducible():
 
 def test_group_identity_and_inverse():
     params = derive_family(1, 1)
-    P = rational_3_torsion(params)
+    P = three_torsion(params)
     O = P.scalar_mul(0)
     assert O.is_infinity
     assert P + O == P and O + P == P
@@ -252,7 +262,7 @@ def test_group_law_associative_over_cubic_field():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
     P = point_from_fiber_data(params, fd)
-    T_rat = rational_3_torsion(params)
+    T_rat = three_torsion(params)
     mod = fd.fiber
     T = FieldPoint.affine(
         params.curve(),
@@ -271,8 +281,8 @@ def test_group_law_associative_over_cubic_field():
 
 def test_incompatible_points_rejected():
     params = derive_family(1, 1)
-    P = rational_3_torsion(params)
-    Q = point_from_fiber(params, 1)
+    P = three_torsion(params)
+    Q = fiber_point(params, 1)
     with pytest.raises(IncompatiblePointsError):
         P + Q
 
@@ -463,18 +473,18 @@ def test_torsion_bound_prime_validation():
 
 def test_nontorsion_certificate_examples():
     params = derive_family(1, 1)
-    P = rational_3_torsion(params)
+    P = three_torsion(params)
     assert nontorsion_certificate(P, 3) is False
     assert nontorsion_certificate(P, 2) is True
     assert nontorsion_certificate(P.scalar_mul(3), 1) is False  # identity input
-    Q = point_from_fiber(params, 1)
+    Q = fiber_point(params, 1)
     bound, _ = torsion_bound(params, fiber_at_s(params, 1).fiber)
     assert nontorsion_certificate(Q, bound) is True
 
 
 def test_nontorsion_certificate_matches_naive_scan():
     params = derive_family(1, 1)
-    P = rational_3_torsion(params)
+    P = three_torsion(params)
     for k in range(2, 5):
         Pk = P  # order 3: naive truth is k >= 3
         naive = all(not Pk.scalar_mul(j).is_infinity for j in range(1, k + 1))
@@ -483,7 +493,7 @@ def test_nontorsion_certificate_matches_naive_scan():
 
 def test_reduce_point_mod_p_stays_on_curve():
     params = derive_family(1, 1)
-    Q = point_from_fiber(params, 1)
+    Q = fiber_point(params, 1)
     reduced = reduce_point_mod_p(Q, 5)
     assert reduced is not None
     point, order = reduced
@@ -520,10 +530,10 @@ def test_scan_family_small():
         assert cert.disc == cert.sqrt_disc**2
         assert cert.galois_class is GaloisClass.C3
         assert cert.nontorsion_checked_to >= cert.torsion_bound
-        assert all(w.verdict is Verdict.DISTINCT_FIELDS for _, w in cert.disjointness)
-    # each accepted fiber carries one witness per previously accepted fiber
+    # each accepted fiber carries one witness prime per previously accepted fiber
     for i, cert in enumerate(result.certificates):
-        assert len(cert.disjointness) == i
+        assert [s for s, _ in cert.disjointness] == [c.s for c in result.certificates[:i]]
+        assert all(type(p) is int for _, p in cert.disjointness)
 
 
 def test_certificate_class_is_a_constant_not_a_field():
@@ -538,9 +548,7 @@ def test_scan_family_parallel_matches_serial():
         parallel = scan_family(params, 3, jobs=2)
         assert serial.summary() == parallel.summary()
         assert [c.s for c in serial.certificates] == [c.s for c in parallel.certificates]
-        assert [c.to_json_dict() for c in serial.certificates] == [
-            c.to_json_dict() for c in parallel.certificates
-        ]
+        assert serial.certificates == parallel.certificates
 
 
 def test_scan_family_counts_reducible_and_presumed_equal_fibers():
@@ -598,10 +606,10 @@ def test_nontorsion_certificate_exhaustive_small_bounds():
     """Reduction-shortcut decision must equal the naive incremental scan for
     torsion points, non-torsion points, and the identity, at every small bound."""
     params = derive_family(1, 1)
-    torsion3 = rational_3_torsion(params)
+    torsion3 = three_torsion(params)
     two_torsion_curve = WeierstrassCurve(0, 0, 0, -1, 0)
     order2 = FieldPoint.from_rationals(two_torsion_curve, 0, 0)
-    fiber_pt = point_from_fiber(params, 1)
+    fiber_pt = fiber_point(params, 1)
     identity = torsion3.scalar_mul(3)
     for P in (torsion3, order2, fiber_pt, identity):
         for bound in range(1, 9):
@@ -747,21 +755,20 @@ def c3_fields_up_to_height(params, height):
 
 def admit_against_pairwise_oracle(fields, bound):
     """Admit each field into one SplitTypeMatrix and check it against
-    distinctness_witness for every accepted field: the same witnesses, or None
-    exactly when one of them is presumed equal.  Returns the witness primes
-    and the number of rejected fields."""
+    first_witness for every accepted field: the same witness primes, or None
+    exactly when the oracle finds no witness against one of them.  Returns
+    the witness primes and the number of rejected fields."""
     matrix = cubicfield.SplitTypeMatrix(bound)
     accepted, primes, rejected = [], [], 0
     for K in fields:
-        oracle = [cubicfield.distinctness_witness(K, prev, bound) for prev in accepted]
+        oracle = tuple(first_witness(prev, K, bound) for prev in accepted)
         witnesses = matrix.admit(K)
-        if any(w.verdict is Verdict.PRESUMED_EQUAL for w in oracle):
+        if None in oracle:
             assert witnesses is None
             rejected += 1
         else:
-            assert witnesses == tuple(oracle)
-            assert all(w.verdict is Verdict.DISTINCT_FIELDS for w in witnesses)
-            primes += [w.prime for w in witnesses]
+            assert witnesses == oracle
+            primes += witnesses
             accepted.append(K)
     return primes, rejected
 
@@ -776,8 +783,7 @@ def test_matrix_witnesses_match_distinctness_witness(bound):
 
 
 def recording_rows(monkeypatch):
-    """Empty the row cache, then record (field, number of primes) for every
-    split-type row built."""
+    """Record (field, number of primes) for every split-type row built."""
     real = cubicfield._split_codes
     built = []
 
@@ -785,7 +791,6 @@ def recording_rows(monkeypatch):
         built.append((K, len(primes)))
         return real(K, primes)
 
-    cubicfield._row.cache_clear()
     monkeypatch.setattr(cubicfield, "_split_codes", codes)
     return built
 
@@ -808,7 +813,7 @@ def test_lazy_rows_match_distinctness_witness_past_a_short_first_stage(monkeypat
     fields = c3_fields_up_to_height(derive_family(1, 1), 8)
     primes, rejected = admit_against_pairwise_oracle(fields, bound)
     assert sum(p > 7 for p in primes) >= 100 and rejected >= 18
-    # the same fold again, from an empty cache and without the oracle's rows
+    # the same fold again, recording the rows it builds
     head = primes_up_to(7)
     built = recording_rows(monkeypatch)
     matrix = cubicfield.SplitTypeMatrix(bound)
@@ -816,27 +821,25 @@ def test_lazy_rows_match_distinctness_witness_past_a_short_first_stage(monkeypat
         matrix.admit(K)
     monkeypatch.undo()
     whole = [K for K, n in built if n > len(head)]
-    assert len(whole) == len(set(whole)) >= 10
+    # `fields` holds each repeated fiber's field again as an equal object,
+    # which the matrix admits anew: so count whole rows per admitted object
+    assert len(whole) == len({id(K) for K in whole}) >= 10
     for K in whole:
         assert agrees_at_every_head_prime(fields.index(K), fields, head), K.defining
 
 
 def test_scan_fold_makes_no_pairwise_calls_and_extends_rows_lazily(monkeypatch):
-    pairwise = []
-    for module in (cubicfield, family):
-        monkeypatch.setattr(
-            module, "distinctness_witness", lambda *a: pairwise.append(a), raising=False
-        )
     built = recording_rows(monkeypatch)
     result = scan_family(derive_family(1, 1), 8)
     monkeypatch.undo()
-    assert pairwise == []
     head = primes_up_to(97)
     heads = [K for K, n in built if n == len(head)]
     whole = [K for K, n in built if n > len(head)]
     # one head row per fiber that reaches the fold: every certificate of a first s
     assert len(heads) == result.fibers_tested - 18
     assert len(whole) == len(set(whole)) >= 2
+    # no row is built per pair: a head row per field, and a whole row for a few
+    assert len(built) == len(heads) + len(whole)
     for K in whole:
         assert agrees_at_every_head_prime(heads.index(K), heads, head), K.defining
 
@@ -914,7 +917,7 @@ def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime():
     # the cached invariants give the constants the generic lift into F_p[x]/(m) gives
     degrees = set()
     for s in enumerate_s_by_height(3):
-        P = point_from_fiber(params, s)
+        P = fiber_point(params, s)
         for p in primes_up_to(31):
             reduced = reduce_point_mod_p(P, p)
             if reduced is not None:

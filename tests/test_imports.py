@@ -12,8 +12,7 @@ import ntcert.exact
 
 NTCERT_NAMES = {
     "cubicfield": [
-        "CubicField", "DisjointnessWitness", "GaloisClass", "SplitType", "Verdict",
-        "distinctness_witness", "galois_class", "splitting_type_mod_p",
+        "CubicField", "GaloisClass", "SplitType", "galois_class", "splitting_type_mod_p",
     ],
     "coverings": [
         "RamificationData", "SuperellipticModel", "TriangleCurve", "fermat_search",
@@ -22,11 +21,11 @@ NTCERT_NAMES = {
     ],
     "exact.ellcurve": ["FieldPoint", "WeierstrassCurve", "nontorsion_certificate"],
     "family": [
-        "ExtensionCertificate", "FamilyParams", "curve_invariants_j", "derive_family",
-        "fiber_at_s", "point_from_fiber", "rational_3_torsion", "scan_family", "torsion_bound",
+        "ExtensionCertificate", "FamilyParams", "derive_family", "fiber_at_s", "scan_family",
+        "torsion_bound",
     ],
     "newton": [
-        "DegreePlan", "NewtonPolygon", "corner_check", "min_universal_degree",
+        "NewtonPolygon", "corner_check", "min_universal_degree",
         "newton_polygon", "plan_degrees", "specialize_b", "substitute_st",
     ],
     "qseries": ["LaurentSeries", "euler_pow", "hauptmodul_t", "j_series", "verify_eta_identity"],
@@ -86,17 +85,19 @@ def loaded_modules(argv):
     return {m.removeprefix("ntcert.") for m in json.loads(run.stdout)}
 
 
-# argv, the module it runs, and the modules it must not load
+# argv, the module it runs, and the modules it must not load; only a scan
+# loads the scan document's writer
 SUBCOMMANDS = {
-    "import-only": ([], "cli", {"family", "cubicfield", "coverings", "newton", "qseries"}),
+    "import-only": ([], "cli",
+                    {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc"}),
     "modular-verify": (["modular-verify", "--order", "12"], "qseries",
-                       {"family", "cubicfield", "coverings", "exact.ellcurve"}),
-    "degree-plan": (["degree-plan", "3", "20"], "newton",
-                    {"family", "coverings", "exact.ellcurve"}),
+                       {"family", "cubicfield", "coverings", "exact.ellcurve", "scandoc"}),
+    "degree-plan": (["degree-plan", "3", "10"], "newton",
+                    {"family", "coverings", "exact.ellcurve", "scandoc"}),
     "covering-report": (["covering-report", "7"], "coverings",
-                        {"family", "qseries", "exact.ellcurve"}),
+                        {"family", "qseries", "exact.ellcurve", "scandoc"}),
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
-                      {"family", "qseries", "exact.ellcurve"}),
+                      {"family", "qseries", "exact.ellcurve", "scandoc"}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
                     {"coverings", "newton", "qseries", "exact.bipoly", "exact.eisenstein", *POOL}),
 }

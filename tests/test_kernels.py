@@ -24,7 +24,6 @@ from ntcert.cubicfield import (
     _cubic_root_counts,
     _first_difference,
     _root_counts,
-    _row,
     _split_codes,
     galois_class,
     splitting_type_mod_p,
@@ -136,15 +135,15 @@ def test_fingerprint_temporaries_stay_bounded_for_large_witness_bounds():
     # here), with nothing per residue or per pair of them.
     bound = 20000
     K = galois_class(shanks_cubic(3))  # discriminant 3^6: only 3 is bad
-    _row.cache_clear()
+    primes = primes_up_to(bound)
     tracemalloc.start()
     try:
-        split, inert = _row(K, bound)
+        split, inert = _split_codes(K, primes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert split & inert == 0
-    assert (split | inert).bit_count() == len(primes_up_to(bound)) - 1
+    assert (split | inert).bit_count() == len(primes) - 1
     assert peak < 24 * 2**20
 
 

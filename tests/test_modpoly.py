@@ -95,11 +95,17 @@ def test_mixed_characteristics_and_zero_divisor_raise():
 
 @pytest.mark.parametrize("cls", [UniPoly, ModPoly])
 def test_dense_arithmetic_is_written_once(cls):
-    shared = ("degree", "is_zero", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+    shared = ("degree", "is_zero", "__bool__", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__divmod__", "__floordiv__", "__mod__", "evaluate",
               "monic", "gcd", "xgcd")
     assert all(name in vars(DensePoly) for name in shared)
     assert not set(shared) & set(vars(cls))
+
+
+def test_only_the_zero_polynomial_is_falsy():
+    assert not ModPoly((), 5) and not ModPoly((5, 10), 5)
+    assert ModPoly((3,), 5) and ModPoly((0, 1), 5)
+    assert not UniPoly(()) and UniPoly((0, 1))
 
 
 def test_xgcd_bezout():

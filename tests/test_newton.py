@@ -8,7 +8,6 @@ from ntcert.exact import BiPoly
 from ntcert.newton import (
     corner_check,
     default_b_sequence,
-    make_plan,
     min_universal_degree,
     newton_polygon,
     plan_degrees,
@@ -133,13 +132,6 @@ def test_plan_degrees():
         ach = plan_degrees(n, 60)
         lower = min_universal_degree(n)
         assert all(d in ach for d in range(lower, 61))
-
-
-def test_make_plan_validation():
-    plan = make_plan(3, 4, 2, Fraction(1, 2))
-    assert plan.d == 10
-    with pytest.raises(InvalidInputError):
-        make_plan(3, 2, 2, 1)
 
 
 def test_specialize_b_examples():
