@@ -16,10 +16,11 @@ _split_codes builds every split-type row: a pair of Python ints used as
 bitmasks over a list of primes, one bit set where the field splits
 completely, one where it is inert, neither where the prime is ramified or
 bad.  Two fields' first witness is the lowest set bit of
-(S1 & I2) | (I1 & S2).  A scan keeps its accepted fields in one
-SplitTypeMatrix with their rows at the primes up to 97, a prefix of the
-witness primes; only when two of those rows agree does the matrix build and
-compare the two fields' whole rows.  An unramified prime of a Galois cubic
+(S1 & I2) | (I1 & S2).  A scan builds each field's row at the primes up
+to 97, a prefix of the witness primes, where it evaluates the fiber, and
+keeps its accepted fields in one SplitTypeMatrix with those rows; only when
+two of them agree does the matrix build and compare the two fields' whole
+rows.  An unramified prime of a Galois cubic
 field splits completely or is inert (Marcus, Number Fields, ch. 3), so a
 linear-times-quadratic prime met while building a row refutes the C3
 classification.
@@ -208,11 +209,13 @@ _FIRST_STAGE = 97
 class SplitTypeMatrix:
     """Split-type rows of pairwise distinct C3 fields, for one witness bound.
 
-    admit(K) returns K's witness primes against every accepted field, in
-    order of acceptance, and accepts K; each is the first prime <= bound
+    admit(K, row) returns K's witness primes against every accepted field,
+    in order of acceptance, and accepts K; each is the first prime <= bound
     where both fields are unramified and one splits completely while the
     other is inert.  If some accepted field agrees with K at every prime
-    <= bound, K is not accepted and admit returns None: inconclusive.
+    <= bound, K is not accepted and admit returns None: inconclusive.  row
+    is K's row (from _split_codes) at primes that begin with the matrix's
+    head primes, as the primes up to _FIRST_STAGE do.
     """
 
     def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):
@@ -221,6 +224,7 @@ class SplitTypeMatrix:
         self._primes = primes_up_to(bound)
         # a prefix of self._primes, so a column indexes both
         self._head = primes_up_to(min(_FIRST_STAGE, bound))
+        self._head_mask = (1 << len(self._head)) - 1
         # [field, head row, whole row or None until its first tie], in order of acceptance
         self._entries: list[list] = []
 
@@ -229,10 +233,11 @@ class SplitTypeMatrix:
             entry[2] = _split_codes(entry[0], self._primes)
         return entry[2]
 
-    def admit(self, K: CubicField) -> tuple[int, ...] | None:
+    def admit(self, K: CubicField, row: tuple[int, int]) -> tuple[int, ...] | None:
         if K.galois_class is not GaloisClass.C3:
             raise WrongClassError("distinctness certificates require two C3 fields")
-        new = [K, _split_codes(K, self._head), None]
+        mask = self._head_mask
+        new = [K, (row[0] & mask, row[1] & mask), None]
         primes = []
         for entry in self._entries:
             j = _first_difference(entry[1], new[1])

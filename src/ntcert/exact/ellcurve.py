@@ -297,14 +297,25 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
 # -- non-torsion -------------------------------------------------------------------
 
 
-def _order_up_to(Pbar: FieldPoint, bound: int) -> int | None:
-    """The first k <= bound with k*Pbar = O, walking Pbar, 2*Pbar, ...; None if none."""
+def _walk(Pbar: FieldPoint, bound: int) -> list:
+    """The coordinates of Pbar, 2*Pbar, ...: the bound of them, or those
+    before the first k <= bound with k*Pbar = O, whose order is then k."""
+    multiples = []
     Q = None
-    for k in range(1, bound + 1):
+    for _ in range(bound):
         Q = _chord_tangent(Pbar.a, Q, Pbar._coords())
         if Q is None:
-            return k
-    return None
+            break
+        multiples.append(Q)
+    return multiples
+
+
+def _annihilates(a, multiples: list, n: int) -> bool:
+    """Whether n*Pbar = O, from a walk that met no O up to B*Pbar, B = len(multiples):
+    with n = q*B + r, n*Pbar = q*(B*Pbar) + r*Pbar, and r*Pbar is in the walk."""
+    q, r = divmod(n, len(multiples))
+    rest = multiples[r - 1] if r else None
+    return _chord_tangent(a, _double_and_add(a, multiples[-1], q), rest) is None
 
 
 def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
@@ -315,7 +326,8 @@ def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
     prime the walk Pbar, 2*Pbar, ..., bound*Pbar either misses O, which proves
     the claim, or first meets it at the order of Pbar; the exact law then tests
     only multiples of the lcm of those orders (at most six primes).  At the
-    first usable prime |E(F_{p^d})| must annihilate Pbar, checking the count.
+    first usable prime |E(F_{p^d})| must annihilate Pbar, checking the count;
+    when the walk met no O, that product starts from the walk's last multiple.
     """
     if bound < 1:
         raise InvalidInputError("bound must be >= 1")
@@ -330,9 +342,10 @@ def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
         if reduced is None:
             continue
         Pbar, group_order = reduced
-        order = _order_up_to(Pbar, bound)
+        multiples = _walk(Pbar, bound)
+        order = len(multiples) + 1 if len(multiples) < bound else None
         if not used and not (  # |E(F_{p^d})| kills Pbar: the walk's order divides it
-            group_order % order == 0 if order else Pbar.scalar_mul(group_order).is_infinity
+            group_order % order == 0 if order else _annihilates(Pbar.a, multiples, group_order)
         ):
             raise VerificationError("the reduced group order does not annihilate the point")
         if order is None:

@@ -16,7 +16,9 @@ has square discriminant, so its irreducible specializations generate cyclic
 cubic fields.  This module constructs those fibers, puts exact points on
 the curve over the resulting cubic fields, bounds torsion by reduction modulo
 at least two good primes, and assembles audit certificates; the group law,
-reduction mod p and the non-torsion check are in exact.ellcurve.
+reduction mod p and the non-torsion check are in exact.ellcurve.  A scan with
+more than one job forks worker processes for the fibers and folds their
+outcomes in this process, in enumeration order.
 
 The j-invariant of the family depends on a1 alone:
 
@@ -26,16 +28,15 @@ The j-invariant of the family depends on a1 alone:
 from __future__ import annotations
 
 import os
-import sys
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd as _int_gcd
 from typing import ClassVar, Sequence
 
+from . import cubicfield
 from .cubicfield import (
     DEFAULT_WITNESS_BOUND,
     CubicField,
@@ -59,6 +60,7 @@ from .exact import (
     UniPoly,
     count_distinct_roots,  # not called here; perfbench's tests expect it bound in family
     iter_primes,
+    primes_up_to,
 )
 from .exact.ellcurve import (
     FieldPoint, WeierstrassCurve, _group_order, is_good_prime, nontorsion_certificate,
@@ -147,11 +149,14 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
     return FiberData(s, t, u, v, fiber, disc, sqrt_disc)
 
 
-def point_from_fiber_data(params: FamilyParams, fd: FiberData) -> FieldPoint:
+def point_from_fiber_data(
+    params: FamilyParams, fd: FiberData, *, irreducible: bool = False,
+) -> FieldPoint:
     """(theta, t) over Q[theta]/(fiber); errors if the fiber has a rational root.
     As a2 = 0, the point is on the curve iff E(x, t) = -fiber(x) in Q[x]: no
-    Q[theta] arithmetic."""
-    if fd.fiber.rational_roots():
+    Q[theta] arithmetic.  irreducible=True skips the rational-root test, for
+    a caller that has already proved the fiber has no rational root."""
+    if not irreducible and fd.fiber.rational_roots():
         raise RationalFiberError(f"fiber at s={fd.s} is reducible over Q")
     curve = params.curve()
     a1, a2, a3, a4, a6 = curve.a_invariants
@@ -233,6 +238,8 @@ class ExtensionCertificate:
     torsion_primes: tuple[int, ...]
     torsion_bound: int
     nontorsion_checked_to: int
+    # the field's split-type row at the primes up to cubicfield._FIRST_STAGE (97)
+    row: tuple[int, int]
     # (the s of an earlier certificate, the first prime that tells the two fields apart)
     disjointness: tuple[tuple[Fraction, int], ...]
 
@@ -292,12 +299,22 @@ def evaluate_fiber(
     bound), and otherwise the fiber's certificate with disjointness=(),
     which the scan's distinctness fold fills in.  The certificate's field
     is C3: the fiber is irreducible, and fiber_at_s has proved its
-    discriminant the square sqrt_disc^2.
+    discriminant the square sqrt_disc^2.  Its row, at the primes up to 97,
+    is built here, so the fold does only bit operations; a prime inert in
+    the row rules out a rational root, which reduces to a root mod every
+    prime that does not divide a denominator (those are bad, so in no row).
     """
     try:
         fd = fiber_at_s(params, s)
-        point = point_from_fiber_data(params, fd)
-    except (DegenerateFiberError, RationalFiberError):
+    except DegenerateFiberError:
+        return "reducible"
+    # A reducible fiber with a square discriminant splits into three rational
+    # factors, so its row is all split and never fails the C3 check.
+    field = CubicField(fd.fiber, fd.disc, fd.sqrt_disc, GaloisClass.C3)
+    row = cubicfield._split_codes(field, primes_up_to(cubicfield._FIRST_STAGE))
+    try:
+        point = point_from_fiber_data(params, fd, irreducible=row[1] != 0)
+    except RationalFiberError:
         return "reducible"
     bound, primes = torsion_bound(params, fd.fiber, torsion_primes, _disc=fd.disc)
     if not nontorsion_certificate(point, bound):
@@ -312,6 +329,7 @@ def evaluate_fiber(
         torsion_primes=primes,
         torsion_bound=bound,
         nontorsion_checked_to=bound,
+        row=row,
         disjointness=(),
     )
 
@@ -325,6 +343,68 @@ def _fiber_key(params: FamilyParams, s: Fraction):
     return fd.fiber, fd.sqrt_disc
 
 
+def _fork_worker(stack: ExitStack, params: FamilyParams, share, torsion_primes):
+    """Fork a child that runs evaluate_fiber at each s of share, in order;
+    return a function of s that reads the child's outcome at s.
+
+    The child pickles each (True, outcome), or (False, exception) and stops,
+    into a pipe, and leaves through os._exit: it never flushes the inherited
+    stdout or returns into the caller's code.  On leaving the stack the child
+    is killed and then reaped, so it stops at once, even mid-fiber or blocked
+    on a full pipe.
+    """
+    import pickle  # only a scan with more than one worker forks
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                for s in share:
+                    try:
+                        item = (True, evaluate_fiber(params, s, torsion_primes))
+                    except Exception as exc:
+                        item = (False, exc)
+                    pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
+                    if not item[0]:
+                        break
+        finally:
+            os._exit(0)
+    # last in, first out: the kill runs before the wait
+    stack.callback(os.waitpid, pid, 0)
+    stack.callback(os.kill, pid, signal.SIGKILL)
+    # closed before the next fork, so the child's exit ends the pipe
+    os.close(write_fd)
+    pipe = stack.enter_context(open(read_fd, "rb"))
+
+    def outcome_at(s):
+        try:
+            ok, outcome = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"a worker exited before evaluating s={s}") from None
+        if not ok:
+            raise outcome
+        return outcome
+
+    return outcome_at
+
+
+def _outcomes(params: FamilyParams, evaluated, torsion_primes, readers):
+    """evaluate_fiber's outcome at each s of evaluated, in order.
+
+    Fiber i belongs to worker i % (len(readers) + 1): worker 0 evaluates it
+    here, and worker w > 0 is read through readers[w - 1].  A worker's
+    exception is raised at its fiber, as a serial scan would raise it.
+    """
+    workers = len(readers) + 1
+    for i, s in enumerate(evaluated):
+        w = i % workers
+        yield readers[w - 1](s) if w else evaluate_fiber(params, s, torsion_primes)
+
+
 def scan_family(
     params: FamilyParams,
     s_height_max: int,
@@ -336,12 +416,16 @@ def scan_family(
 
     The fiber depends on s only through v = 2s/(1 + 3s^2), which s and
     1/(3s) share, so evaluate_fiber runs once per v, for its first s; it is
-    independent per s and may run in a process pool.  A later s with the
+    independent per s.  With more than one job, fiber i of those goes to
+    worker i % workers: this process is worker 0 and each other worker is a
+    forked child that runs ahead through its share.  A later s with the
     same v must reproduce that fiber and sqrt_disc, and takes its outcome: a
     certificate becomes a presumed-equal skip, as the repeated field has
     rows identical to the first.  Acceptance (witnesses against every
-    accepted field, from a SplitTypeMatrix) is a serial fold in enumeration
-    order, so output is deterministic for any job count.
+    accepted field, from a SplitTypeMatrix over the rows evaluate_fiber
+    built) is a serial fold in enumeration order, so output is
+    deterministic for any job count.  Every child is killed and reaped on
+    every way out of the scan.
     """
     if s_height_max < 1:
         raise InvalidInputError("s_height_max must be >= 1")
@@ -356,25 +440,16 @@ def scan_family(
         first_s.setdefault(v, s)
     repeats = Counter(v_of.values())
     evaluated = list(first_s.values())
-    tasks = (evaluate_fiber, repeat(params), evaluated, repeat(torsion_primes))
-    # A fork pool starts every worker up front, whatever the number of tasks.
-    workers = min(jobs, os.cpu_count() or 1, len(evaluated))
+    workers = min(jobs, os.cpu_count() or 1, len(evaluated)) if hasattr(os, "fork") else 1
     result = ScanResult(params)
     matrix = SplitTypeMatrix(witness_bound)
     pending = {}  # v -> (skip kind, fiber class) for the later s with that v
     with ExitStack() as stack:
-        # The fold takes each outcome as it arrives, while the workers run on.
-        if workers > 1:
-            chunk = max(1, len(evaluated) // (4 * workers))
-            # An attribute of the module (see __getattr__), so a pool class set there is used.
-            pool_class = sys.modules[__name__].ProcessPoolExecutor
-            pool = pool_class(max_workers=workers)
-            # On success every chunk has been read; on a failed check the
-            # chunks not yet started are dropped rather than run.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            outcomes = pool.map(*tasks, chunksize=chunk)
-        else:
-            outcomes = map(*tasks)
+        readers = [
+            _fork_worker(stack, params, evaluated[w::workers], torsion_primes)
+            for w in range(1, workers)
+        ]
+        outcomes = _outcomes(params, evaluated, torsion_primes, readers)
         for s, v in v_of.items():
             result.fibers_tested += 1
             if first_s[v] != s:
@@ -386,7 +461,7 @@ def scan_family(
                 if isinstance(outcome, str):
                     skip = outcome
                 else:
-                    witnesses = matrix.admit(outcome.cubic_field())
+                    witnesses = matrix.admit(outcome.cubic_field(), outcome.row)
                     if witnesses is None:
                         skip = "presumed_equal"
                     else:
@@ -409,14 +484,3 @@ def scan_family(
             elif skip == "presumed_equal":
                 result.skipped_presumed_equal += 1
     return result
-
-
-def __getattr__(name: str):
-    """Import ProcessPoolExecutor on first access (PEP 562), so that a serial
-    scan never loads concurrent.futures.process or multiprocessing."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

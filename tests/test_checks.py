@@ -3,11 +3,13 @@
 import ast
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ntcert import cli, cubicfield, family
+from ntcert.errors import VerificationError
 from ntcert.exact import UniPoly, ellcurve
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ntcert"
@@ -78,13 +80,33 @@ def test_linear_times_quadratic_prime_in_a_row_exits_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failed_check_in_the_fold_exits_3(jobs, monkeypatch, capsys):
-    """The fold checks each outcome as it arrives, with or without the pool."""
+    """The fold checks each outcome as it arrives, with or without forked workers."""
     monkeypatch.setattr(family, "_fiber_key", lambda params, s: None)
     code = cli.main(["family-scan", "--s-height-max", "3", "--jobs", jobs])
     assert code == cli.EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: s=-2/3 and s=-1/2 share v but not the fiber\n"
+
+
+@pytest.mark.parametrize("at", ["-1", "0"])  # the first fiber of each of two workers
+def test_a_failed_fiber_exits_3_with_the_same_line_at_any_job_count(at, monkeypatch, capsys):
+    real = family.evaluate_fiber
+
+    def failing(params, s, torsion_primes):
+        if s == Fraction(at):
+            raise VerificationError(f"planted at s={s}")
+        return real(params, s, torsion_primes)
+
+    monkeypatch.setattr(family, "evaluate_fiber", failing)
+    lines = set()
+    for jobs in ("1", "2"):
+        code = cli.main(["family-scan", "--s-height-max", "3", "--jobs", jobs])
+        assert code == cli.EXIT_VERIFICATION_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.add(captured.err)
+    assert lines == {f"error: planted at s={at}\n"}
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

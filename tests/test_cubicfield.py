@@ -29,8 +29,9 @@ def witness(K1, K2, bound=1000):
     """K2's witness prime against K1 from a two-field SplitTypeMatrix, or
     None when the matrix finds none up to the bound."""
     matrix = SplitTypeMatrix(bound)
-    matrix.admit(K1)
-    primes = matrix.admit(K2)
+    head = primes_up_to(min(97, bound))  # the matrix's head primes
+    matrix.admit(K1, _split_codes(K1, head))
+    primes = matrix.admit(K2, _split_codes(K2, head))
     return None if primes is None else primes[0]
 
 
@@ -127,7 +128,7 @@ def test_witness_examples():
     assert witness(K1, K1, bound=500) is None
 
     with pytest.raises(WrongClassError):
-        SplitTypeMatrix().admit(galois_class(UniPoly((-2, 0, 0, 1))))
+        SplitTypeMatrix().admit(galois_class(UniPoly((-2, 0, 0, 1))), (0, 0))
 
 
 def test_witness_rejects_a_bound_below_two():

@@ -1,3 +1,4 @@
+import os
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -635,6 +636,12 @@ def factor_stripping_order(Pbar, group_order):
     return o
 
 
+def walk_order(Pbar, bound):
+    """The order of Pbar if the walk meets O by bound*Pbar, else None."""
+    walked = len(ellcurve._walk(Pbar, bound))
+    return walked + 1 if walked < bound else None
+
+
 def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
     walked = {"order": 0, "none": 0}
     for a1, a4 in ((1, 1), (2, 3)):
@@ -653,12 +660,12 @@ def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
                 assert Pbar.scalar_mul(group_order).is_infinity
                 oracle = factor_stripping_order(Pbar, group_order)
                 if oracle <= bound:
-                    assert ellcurve._order_up_to(Pbar, bound) == oracle
-                    assert ellcurve._order_up_to(Pbar, oracle) == oracle
-                    assert ellcurve._order_up_to(Pbar, oracle - 1) is None
+                    assert walk_order(Pbar, bound) == oracle
+                    assert walk_order(Pbar, oracle) == oracle
+                    assert walk_order(Pbar, oracle - 1) is None
                     walked["order"] += 1
                 else:
-                    assert ellcurve._order_up_to(Pbar, bound) is None
+                    assert walk_order(Pbar, bound) is None
                     walked["none"] += 1
             # naive exact check over Q[theta]: k*P != O for k = 1..bound
             multiple, naive = P, True
@@ -694,14 +701,50 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
             nontorsion_certificate(P, bound)
         assert len(usable) == 1
         Pbar, _ = real(P, usable[0])
-        walk_found_order.add(ellcurve._order_up_to(Pbar, bound) is not None)
+        walk_found_order.add(walk_order(Pbar, bound) is not None)
     assert walk_found_order == {True, False}
 
 
+def test_annihilation_from_the_walk_matches_scalar_mul():
+    """q*(B*Pbar) + r*Pbar = O, with r*Pbar read from the walk, decides
+    n*Pbar = O as the binary method does, at the group order and next to it,
+    for every reduced point to height 4 whose walk meets no O up to B."""
+    checked = {True: 0, False: 0}
+    for a1, a4 in ((1, 1), (2, 3)):
+        params = derive_family(a1, a4)
+        for s in enumerate_s_by_height(4):
+            fd = fiber_at_s(params, s)
+            if fd.fiber.rational_roots():
+                continue
+            P = point_from_fiber_data(params, fd)
+            bound, _ = torsion_bound(params, fd.fiber)
+            for p in primes_up_to(31):
+                reduced = reduce_point_mod_p(P, p)
+                if reduced is None:
+                    continue
+                Pbar, group_order = reduced
+                for B in (1, 2, bound):
+                    multiples = ellcurve._walk(Pbar, B)
+                    if len(multiples) < B:
+                        continue
+                    for n in (group_order - 1, group_order, group_order + 1):
+                        kills = Pbar.scalar_mul(n).is_infinity
+                        assert ellcurve._annihilates(Pbar.a, multiples, n) is kills, (s, p, B, n)
+                        checked[kills] += 1
+    assert checked[True] >= 100 and checked[False] >= 200, checked
+
+
+def no_inert_head_prime(params, s):
+    """Whether the fiber at s splits completely at every good prime up to 97."""
+    fd = fiber_at_s(params, s)
+    return head_row(cubicfield.CubicField(fd.fiber, fd.disc, fd.sqrt_disc, GaloisClass.C3))[1] == 0
+
+
 def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
-    """One rational-root test per evaluated fiber (point_from_fiber_data), and
-    one discriminant per s: fiber_at_s's identity check, which the torsion
-    primes and the C3 class reuse.  A repeated fiber re-runs only fiber_at_s."""
+    """One rational-root test per evaluated fiber with no inert head prime
+    (an inert prime rules out a rational root), and one discriminant per s:
+    fiber_at_s's identity check, which the torsion primes and the C3 class
+    reuse.  A repeated fiber re-runs only fiber_at_s."""
     calls = {"rational_roots": 0, "discriminant": 0}
     for name in calls:
         real = getattr(UniPoly, name)
@@ -721,7 +764,19 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
     result = scan_family(derive_family(1, 1), 4)
     assert result.fibers_tested == len(enumerate_s_by_height(4)) == 23
     assert len(evaluated) == 17
-    assert calls == {"rational_roots": 17, "discriminant": 23}
+    # every fiber there has an inert head prime
+    assert calls == {"rational_roots": 0, "discriminant": 23}
+    # s = -1 is reducible, so splits at every prime: the one rational-root
+    # test; the fold keys it once more, through fiber_at_s, for its repeat -1/3
+    calls.update(rational_roots=0, discriminant=0)
+    evaluated.clear()
+    params = derive_family(Fraction(3, 2), 1)
+    result = scan_family(params, 3)
+    assert result.fibers_tested == len(enumerate_s_by_height(3)) == 15
+    assert len(evaluated) == 11
+    assert calls == {"rational_roots": 1, "discriminant": 16}
+    monkeypatch.undo()
+    assert [s for s in evaluated if no_inert_head_prime(params, s)] == [-1]
 
 
 def test_point_construction_rejects_a_point_off_the_curve():
@@ -753,6 +808,11 @@ def c3_fields_up_to_height(params, height):
     return fields
 
 
+def head_row(K):
+    """K's split-type row at the primes up to 97, as evaluate_fiber builds it."""
+    return cubicfield._split_codes(K, primes_up_to(97))
+
+
 def admit_against_pairwise_oracle(fields, bound):
     """Admit each field into one SplitTypeMatrix and check it against
     first_witness for every accepted field: the same witness primes, or None
@@ -762,7 +822,7 @@ def admit_against_pairwise_oracle(fields, bound):
     accepted, primes, rejected = [], [], 0
     for K in fields:
         oracle = tuple(first_witness(prev, K, bound) for prev in accepted)
-        witnesses = matrix.admit(K)
+        witnesses = matrix.admit(K, head_row(K))
         if None in oracle:
             assert witnesses is None
             rejected += 1
@@ -813,12 +873,13 @@ def test_lazy_rows_match_distinctness_witness_past_a_short_first_stage(monkeypat
     fields = c3_fields_up_to_height(derive_family(1, 1), 8)
     primes, rejected = admit_against_pairwise_oracle(fields, bound)
     assert sum(p > 7 for p in primes) >= 100 and rejected >= 18
-    # the same fold again, recording the rows it builds
+    # the same fold again, from rows at the primes up to 97, recording the rows it builds
     head = primes_up_to(7)
+    rows = [head_row(K) for K in fields]
     built = recording_rows(monkeypatch)
     matrix = cubicfield.SplitTypeMatrix(bound)
-    for K in fields:
-        matrix.admit(K)
+    for K, row in zip(fields, rows):
+        matrix.admit(K, row)
     monkeypatch.undo()
     whole = [K for K, n in built if n > len(head)]
     # `fields` holds each repeated fiber's field again as an equal object,
@@ -875,37 +936,81 @@ def test_a_repeated_s_must_reproduce_the_kept_fiber(monkeypatch):
         scan_family(derive_family(1, 1), 3)
 
 
-def test_scan_caps_the_pool_at_cores_and_fibers(monkeypatch):
-    sizes, shutdowns = [], []
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class RecordingPool:
-        """Records max_workers and shutdown's keywords, and evaluates in this process."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def test_scan_caps_the_workers_at_cores_and_fibers(monkeypatch):
+    """This process is one worker and forks the others: workers - 1 forks."""
+    real_fork = os.fork
+    forks = []
 
-        def shutdown(self, **kwargs):
-            shutdowns.append(kwargs)
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(family, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(family.os, "fork", counted_fork)
     monkeypatch.setattr(family.os, "cpu_count", lambda: 64)
     serial = scan_family(derive_family(1, 1), 1)
-    assert scan_family(derive_family(1, 1), 1, jobs=100000).summary() == serial.summary()
-    assert sizes == [3]  # s = -1, 0, 1: three values of v
+    assert forks == []
+    parallel = scan_family(derive_family(1, 1), 1, jobs=100000)
+    assert parallel.summary() == serial.summary()
+    assert parallel.certificates == serial.certificates
+    assert len(forks) == 2  # s = -1, 0, 1: three values of v, so three workers
     monkeypatch.setattr(family.os, "cpu_count", lambda: 2)
     scan_family(derive_family(1, 1), 3, jobs=100000)
-    assert sizes == [3, 2]
-    # a failed check in the fold drops the chunks that have not started
-    monkeypatch.setattr(family, "_fiber_key", lambda params, s: None)
-    with pytest.raises(VerificationError, match="share v but not the fiber"):
-        scan_family(derive_family(1, 1), 3, jobs=2)
-    assert shutdowns == [{"cancel_futures": True}] * 3
+    assert len(forks) == 3
+    monkeypatch.setattr(family.os, "cpu_count", lambda: None)
+    scan_family(derive_family(1, 1), 3, jobs=2)
+    assert len(forks) == 3
+    assert_no_child_is_left()
+    monkeypatch.delattr(family.os, "fork")
+    monkeypatch.setattr(family.os, "cpu_count", lambda: 64)
+    assert scan_family(derive_family(1, 1), 1, jobs=3).certificates == serial.certificates
+    assert len(forks) == 3
     for jobs in (0, -1):
         with pytest.raises(InvalidInputError, match="jobs"):
             scan_family(derive_family(1, 1), 1, jobs=jobs)
+
+
+def interrupt(params, s):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("fiber_key, error", [
+    (None, None),  # success
+    (lambda params, s: None, VerificationError),  # the first repeated v fails the fold
+    (interrupt, KeyboardInterrupt),
+])
+def test_no_child_is_left_on_any_way_out_of_a_forked_scan(monkeypatch, fiber_key, error):
+    """At height 12 a child's share outgrows the pipe, so a fold that stops at
+    s = 1/3 leaves it blocked on a write: it is killed, then reaped."""
+    if fiber_key is not None:
+        monkeypatch.setattr(family, "_fiber_key", fiber_key)
+    if error is None:
+        assert scan_family(derive_family(1, 1), 12, jobs=2).certificates
+    else:
+        with pytest.raises(error):
+            scan_family(derive_family(1, 1), 12, jobs=2)
+    assert_no_child_is_left()
+
+
+@pytest.mark.parametrize("at", [Fraction(-1), Fraction(0)])  # fibers 0 and 1: each worker
+def test_a_workers_error_is_raised_at_its_fiber(monkeypatch, at):
+    """An error in evaluate_fiber stops the scan at that fiber, as serial."""
+    real = evaluate_fiber
+
+    def failing(params, s, torsion_primes):
+        if s == at:
+            raise VerificationError(f"planted at s={s}")
+        return real(params, s, torsion_primes)
+
+    monkeypatch.setattr(family, "evaluate_fiber", failing)
+    for jobs in (1, 2):
+        with pytest.raises(VerificationError, match=f"planted at s={at}$"):
+            scan_family(derive_family(1, 1), 3, jobs=jobs)
+        assert_no_child_is_left()
 
 
 def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime():

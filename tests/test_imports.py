@@ -72,14 +72,14 @@ if argv:
         assert ntcert.cli.main(argv) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("ntcert.") or m in others)))
 """
-# the modules a process pool loads, which only a scan with --jobs above 1 uses
+# the modules a process pool loads: no scan loads them, as --jobs above 1 forks
 POOL = {"concurrent.futures.process", "multiprocessing"}
 
 
 def loaded_modules(argv):
-    """The ntcert submodules (without the prefix) and POOL modules that argv loads."""
+    """The ntcert submodules (without the prefix), POOL modules and pickle that argv loads."""
     run = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv), json.dumps(sorted(POOL))],
+        [sys.executable, "-c", PROBE, json.dumps(argv), json.dumps(sorted(POOL | {"pickle"}))],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return {m.removeprefix("ntcert.") for m in json.loads(run.stdout)}
@@ -99,7 +99,8 @@ SUBCOMMANDS = {
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
                       {"family", "qseries", "exact.ellcurve", "scandoc"}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
-                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.eisenstein", *POOL}),
+                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.eisenstein",
+                     "pickle", *POOL}),
 }
 
 
@@ -110,8 +111,10 @@ def test_each_subcommand_loads_only_its_modules(argv, runs, absent):
     assert not loaded & absent, sorted(loaded & absent)
 
 
-def test_a_pooled_scan_loads_the_process_pool():
-    assert POOL <= loaded_modules(["family-scan", "--s-height-max", "2", "--jobs", "2"])
+def test_a_forked_scan_loads_no_process_pool():
+    loaded = loaded_modules(["family-scan", "--s-height-max", "2", "--jobs", "2"])
+    assert {"family", "pickle"} <= loaded  # outcomes cross the pipes pickled
+    assert not loaded & POOL, sorted(loaded & POOL)
 
 
 def test_the_curve_layer_loads_neither_the_family_nor_numpy():
