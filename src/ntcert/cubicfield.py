@@ -200,10 +200,15 @@ def _first_difference(row1: tuple[int, int], row2: tuple[int, int]) -> int | Non
     return (differs & -differs).bit_length() - 1 if differs else None
 
 
-# A matrix first compares fields at the primes up to this one: distinct
-# fields almost always disagree there, so only fields that agree at every
-# one of them are compared up to the full witness bound.
+# A matrix first compares fields at the primes up to this one, the head
+# primes: distinct fields almost always disagree there, so only fields that
+# agree at every one of them are compared up to the full witness bound.
 _FIRST_STAGE = 97
+
+
+def head_row(K: CubicField) -> tuple[int, int]:
+    """K's row at the head primes, as SplitTypeMatrix.admit takes it."""
+    return _split_codes(K, primes_up_to(_FIRST_STAGE))
 
 
 class SplitTypeMatrix:
@@ -215,7 +220,7 @@ class SplitTypeMatrix:
     other is inert.  If some accepted field agrees with K at every prime
     <= bound, K is not accepted and admit returns None: inconclusive.  row
     is K's row (from _split_codes) at primes that begin with the matrix's
-    head primes, as the primes up to _FIRST_STAGE do.
+    head primes, as head_row's do.
     """
 
     def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):

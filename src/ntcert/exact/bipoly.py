@@ -121,12 +121,12 @@ class BiPoly:
 
     def substitute(self, first: "BiPoly", second: "BiPoly") -> "BiPoly":
         """Evaluate self at (first, second); powers are cached per exponent."""
-        pow1: dict[int, BiPoly] = {0: BiPoly.constant(1)}
-        pow2: dict[int, BiPoly] = {0: BiPoly.constant(1)}
+        pow1: list[BiPoly] = [BiPoly.constant(1)]
+        pow2: list[BiPoly] = [BiPoly.constant(1)]
 
-        def power(cache: dict[int, BiPoly], base: "BiPoly", k: int) -> "BiPoly":
-            if k not in cache:
-                cache[k] = power(cache, base, k - 1) * base
+        def power(cache: list[BiPoly], base: "BiPoly", k: int) -> "BiPoly":
+            for _ in range(len(cache), k + 1):
+                cache.append(cache[-1] * base)
             return cache[k]
 
         acc = BiPoly.zero()

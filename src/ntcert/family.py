@@ -16,9 +16,10 @@ has square discriminant, so its irreducible specializations generate cyclic
 cubic fields.  This module constructs those fibers, puts exact points on
 the curve over the resulting cubic fields, bounds torsion by reduction modulo
 at least two good primes, and assembles audit certificates; the group law,
-reduction mod p and the non-torsion check are in exact.ellcurve.  A scan with
-more than one job forks worker processes for the fibers and folds their
-outcomes in this process, in enumeration order.
+reduction mod p and the non-torsion check are in exact.ellcurve.  A scan
+groups the s that share a fiber (the same v) and evaluates each group once;
+with more than one job it forks worker processes for the groups and folds
+their outcomes in this process, in enumeration order.
 
 The j-invariant of the family depends on a1 alone:
 
@@ -28,7 +29,6 @@ The j-invariant of the family depends on a1 alone:
 from __future__ import annotations
 
 import os
-from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -60,7 +60,6 @@ from .exact import (
     UniPoly,
     count_distinct_roots,  # not called here; perfbench's tests expect it bound in family
     iter_primes,
-    primes_up_to,
 )
 from .exact.ellcurve import (
     FieldPoint, WeierstrassCurve, _group_order, is_good_prime, nontorsion_certificate,
@@ -238,7 +237,7 @@ class ExtensionCertificate:
     torsion_primes: tuple[int, ...]
     torsion_bound: int
     nontorsion_checked_to: int
-    # the field's split-type row at the primes up to cubicfield._FIRST_STAGE (97)
+    # the field's split-type row at cubicfield's head primes
     row: tuple[int, int]
     # (the s of an earlier certificate, the first prime that tells the two fields apart)
     disjointness: tuple[tuple[Fraction, int], ...]
@@ -289,29 +288,43 @@ def enumerate_s_by_height(height_max: int) -> list[Fraction]:
 
 def evaluate_fiber(
     params: FamilyParams,
-    s: Fraction,
+    same_v: Sequence[Fraction],
     torsion_primes: int | Sequence[int] = 2,
 ) -> ExtensionCertificate | str:
-    """Run the per-fiber pipeline; independent of every other fiber.
+    """Run the per-fiber pipeline for the s that share one v; independent of
+    every other fiber.
 
-    Returns "reducible" when the fiber degenerates to x^3 or has a rational
-    root, "torsion" when its point has finite order (at most the torsion
-    bound), and otherwise the fiber's certificate with disjointness=(),
-    which the scan's distinctness fold fills in.  The certificate's field
-    is C3: the fiber is irreducible, and fiber_at_s has proved its
-    discriminant the square sqrt_disc^2.  Its row, at the primes up to 97,
-    is built here, so the fold does only bit operations; a prime inert in
-    the row rules out a rational root, which reduces to a root mod every
-    prime that does not divide a denominator (those are bad, so in no row).
+    The fiber depends on s only through v, so every later s of same_v must
+    give the first one's fiber and sqrt_disc, or degenerate too; otherwise
+    VerificationError.  The pipeline runs at the first s.  Returns
+    "reducible" when the fiber degenerates to x^3 or has a rational root,
+    "torsion" when its point has finite order (at most the torsion bound),
+    and otherwise the fiber's certificate with disjointness=(), which the
+    scan's distinctness fold fills in.  The certificate's field is C3: the
+    fiber is irreducible, and fiber_at_s has proved its discriminant the
+    square sqrt_disc^2.  Its head row is built here, so the fold does only
+    bit operations; a prime inert in the row rules out a rational root,
+    which reduces to a root mod every prime that does not divide a
+    denominator (those are bad, so in no row).
     """
-    try:
-        fd = fiber_at_s(params, s)
-    except DegenerateFiberError:
+    first = same_v[0]
+    for s in same_v:
+        try:
+            fd = fiber_at_s(params, s)
+            key = fd.fiber, fd.sqrt_disc
+        except DegenerateFiberError:
+            fd = key = None
+        if s == first:
+            first_fd, first_key = fd, key
+        elif key != first_key:
+            raise VerificationError(f"s={s} and s={first} share v but not the fiber")
+    fd = first_fd
+    if fd is None:
         return "reducible"
     # A reducible fiber with a square discriminant splits into three rational
     # factors, so its row is all split and never fails the C3 check.
     field = CubicField(fd.fiber, fd.disc, fd.sqrt_disc, GaloisClass.C3)
-    row = cubicfield._split_codes(field, primes_up_to(cubicfield._FIRST_STAGE))
+    row = cubicfield.head_row(field)
     try:
         point = point_from_fiber_data(params, fd, irreducible=row[1] != 0)
     except RationalFiberError:
@@ -334,18 +347,9 @@ def evaluate_fiber(
     )
 
 
-def _fiber_key(params: FamilyParams, s: Fraction):
-    """The fiber at s and its sqrt_disc, or None if it degenerates to x^3."""
-    try:
-        fd = fiber_at_s(params, s)
-    except DegenerateFiberError:
-        return None
-    return fd.fiber, fd.sqrt_disc
-
-
 def _fork_worker(stack: ExitStack, params: FamilyParams, share, torsion_primes):
-    """Fork a child that runs evaluate_fiber at each s of share, in order;
-    return a function of s that reads the child's outcome at s.
+    """Fork a child that runs evaluate_fiber on each group of s in share, in
+    order; return a function of a group that reads the child's outcome for it.
 
     The child pickles each (True, outcome), or (False, exception) and stops,
     into a pipe, and leaves through os._exit: it never flushes the inherited
@@ -362,9 +366,9 @@ def _fork_worker(stack: ExitStack, params: FamilyParams, share, torsion_primes):
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                for s in share:
+                for same_v in share:
                     try:
-                        item = (True, evaluate_fiber(params, s, torsion_primes))
+                        item = (True, evaluate_fiber(params, same_v, torsion_primes))
                     except Exception as exc:
                         item = (False, exc)
                     pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
@@ -380,29 +384,29 @@ def _fork_worker(stack: ExitStack, params: FamilyParams, share, torsion_primes):
     os.close(write_fd)
     pipe = stack.enter_context(open(read_fd, "rb"))
 
-    def outcome_at(s):
+    def outcome_of(same_v):
         try:
             ok, outcome = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(f"a worker exited before evaluating s={s}") from None
+            raise ChildProcessError(f"a worker exited before evaluating s={same_v[0]}") from None
         if not ok:
             raise outcome
         return outcome
 
-    return outcome_at
+    return outcome_of
 
 
-def _outcomes(params: FamilyParams, evaluated, torsion_primes, readers):
-    """evaluate_fiber's outcome at each s of evaluated, in order.
+def _outcomes(params: FamilyParams, groups, torsion_primes, readers):
+    """evaluate_fiber's outcome for each group of s in groups, in order.
 
-    Fiber i belongs to worker i % (len(readers) + 1): worker 0 evaluates it
+    Group i belongs to worker i % (len(readers) + 1): worker 0 evaluates it
     here, and worker w > 0 is read through readers[w - 1].  A worker's
-    exception is raised at its fiber, as a serial scan would raise it.
+    exception is raised at its group, as a serial scan would raise it.
     """
     workers = len(readers) + 1
-    for i, s in enumerate(evaluated):
+    for i, same_v in enumerate(groups):
         w = i % workers
-        yield readers[w - 1](s) if w else evaluate_fiber(params, s, torsion_primes)
+        yield readers[w - 1](same_v) if w else evaluate_fiber(params, same_v, torsion_primes)
 
 
 def scan_family(
@@ -415,15 +419,17 @@ def scan_family(
     """Enumerate fibers by height and fold them into an accepted certificate set.
 
     The fiber depends on s only through v = 2s/(1 + 3s^2), which s and
-    1/(3s) share, so evaluate_fiber runs once per v, for its first s; it is
-    independent per s.  With more than one job, fiber i of those goes to
-    worker i % workers: this process is worker 0 and each other worker is a
-    forked child that runs ahead through its share.  A later s with the
-    same v must reproduce that fiber and sqrt_disc, and takes its outcome: a
-    certificate becomes a presumed-equal skip, as the repeated field has
-    rows identical to the first.  Acceptance (witnesses against every
-    accepted field, from a SplitTypeMatrix over the rows evaluate_fiber
-    built) is a serial fold in enumeration order, so output is
+    1/(3s) share, so the enumerated s are grouped by v, each group's s in
+    enumeration order and the groups in order of their first s.
+    evaluate_fiber runs once per group: it checks that every later s
+    reproduces the first one's fiber and evaluates the first; it is
+    independent per group.  With more than one job, group i goes to worker
+    i % workers: this process is worker 0 and each other worker is a forked
+    child that runs ahead through its share.  The later s of a group take
+    its outcome: a certificate's repeats are presumed-equal skips, as the
+    repeated field has rows identical to the first.  Acceptance (witnesses
+    against every accepted field, from a SplitTypeMatrix over the rows
+    evaluate_fiber built) is a serial fold in group order, so output is
     deterministic for any job count.  Every child is killed and reaped on
     every way out of the scan.
     """
@@ -434,53 +440,33 @@ def scan_family(
     if jobs < 1:
         raise InvalidInputError("jobs must be >= 1")
     s_values = enumerate_s_by_height(s_height_max)
-    v_of = {s: 2 * s / (1 + 3 * s * s) for s in s_values}
-    first_s: dict[Fraction, Fraction] = {}
-    for s, v in v_of.items():
-        first_s.setdefault(v, s)
-    repeats = Counter(v_of.values())
-    evaluated = list(first_s.values())
-    workers = min(jobs, os.cpu_count() or 1, len(evaluated)) if hasattr(os, "fork") else 1
-    result = ScanResult(params)
+    by_v: dict[Fraction, list[Fraction]] = {}
+    for s in s_values:
+        by_v.setdefault(2 * s / (1 + 3 * s * s), []).append(s)
+    groups = list(by_v.values())
+    workers = min(jobs, os.cpu_count() or 1, len(groups)) if hasattr(os, "fork") else 1
+    result = ScanResult(params, fibers_tested=len(s_values))
     matrix = SplitTypeMatrix(witness_bound)
-    pending = {}  # v -> (skip kind, fiber class) for the later s with that v
     with ExitStack() as stack:
         readers = [
-            _fork_worker(stack, params, evaluated[w::workers], torsion_primes)
+            _fork_worker(stack, params, groups[w::workers], torsion_primes)
             for w in range(1, workers)
         ]
-        outcomes = _outcomes(params, evaluated, torsion_primes, readers)
-        for s, v in v_of.items():
-            result.fibers_tested += 1
-            if first_s[v] != s:
-                skip, expected = pending.pop(v)
-                if _fiber_key(params, s) != expected:
-                    raise VerificationError(f"s={s} and s={first_s[v]} share v but not the fiber")
-            else:
-                outcome = next(outcomes)
-                if isinstance(outcome, str):
-                    skip = outcome
-                else:
-                    witnesses = matrix.admit(outcome.cubic_field(), outcome.row)
-                    if witnesses is None:
-                        skip = "presumed_equal"
-                    else:
-                        skip = None
-                        earlier = (cert.s for cert in result.certificates)
-                        result.certificates.append(
-                            replace(outcome, disjointness=tuple(zip(earlier, witnesses)))
-                        )
-                if repeats[v] > 1:
-                    expected = (
-                        _fiber_key(params, s)
-                        if isinstance(outcome, str)
-                        else (outcome.fiber, outcome.sqrt_disc)
+        for same_v, outcome in zip(groups, _outcomes(params, groups, torsion_primes, readers)):
+            skipped = len(same_v)
+            if not isinstance(outcome, str):
+                witnesses = matrix.admit(outcome.cubic_field(), outcome.row)
+                if witnesses is not None:
+                    earlier = (cert.s for cert in result.certificates)
+                    result.certificates.append(
+                        replace(outcome, disjointness=tuple(zip(earlier, witnesses)))
                     )
-                    pending[v] = (skip or "presumed_equal", expected)
-            if skip == "reducible":
-                result.skipped_reducible += 1
-            elif skip == "torsion":
-                result.skipped_torsion += 1
-            elif skip == "presumed_equal":
-                result.skipped_presumed_equal += 1
+                    skipped -= 1
+                outcome = "presumed_equal"
+            if outcome == "reducible":
+                result.skipped_reducible += skipped
+            elif outcome == "torsion":
+                result.skipped_torsion += skipped
+            else:
+                result.skipped_presumed_equal += skipped
     return result

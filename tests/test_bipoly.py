@@ -46,6 +46,12 @@ def test_substitute_matches_pointwise_composition():
         )
 
 
+def test_substitute_reaches_high_exponents():
+    """The power cache is filled in a loop, so no exponent nears the recursion limit."""
+    f = BiPoly({(1200, 0): 1, (3, 1200): Fraction(1, 2)})
+    assert f.substitute(BiPoly.first(), BiPoly.second()) == f
+
+
 def test_eval_second_gives_unipoly():
     f = BiPoly({(2, 1): 1, (0, 3): 1, (1, 0): 1, (0, 0): 1})
     g = f.eval_second(Fraction(2))

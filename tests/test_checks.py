@@ -1,8 +1,10 @@
 """Certificate checks stay on in every way the code can run."""
 
 import ast
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,27 +80,41 @@ def test_linear_times_quadratic_prime_in_a_row_exits_3(monkeypatch, capsys):
     assert "linear times quadratic mod the unramified prime" in lines[0]
 
 
+def plant_in_fiber_at_s(monkeypatch, at, error=None):
+    """Make fiber_at_s raise error at s = at, or, without one, give a fiber
+    shifted by 1 there."""
+    real = family.fiber_at_s
+
+    def planted(params, s):
+        fd = real(params, s)
+        if s != Fraction(at):
+            return fd
+        if error is not None:
+            raise error
+        return replace(fd, fiber=fd.fiber + UniPoly.constant(1))
+
+    monkeypatch.setattr(family, "fiber_at_s", planted)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failed_check_in_the_fold_exits_3(jobs, monkeypatch, capsys):
-    """The fold checks each outcome as it arrives, with or without forked workers."""
-    monkeypatch.setattr(family, "_fiber_key", lambda params, s: None)
-    code = cli.main(["family-scan", "--s-height-max", "3", "--jobs", jobs])
-    assert code == cli.EXIT_VERIFICATION_FAILURE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: s=-2/3 and s=-1/2 share v but not the fiber\n"
+    """A repeat of v is checked where its v is evaluated: at --jobs 2, v of
+    s = -1/2 in the scanning process and v of s = 1/2 in the forked child."""
+    for at, first in (("-2/3", "-1/2"), ("2/3", "1/2")):
+        with monkeypatch.context() as patch:
+            plant_in_fiber_at_s(patch, at)
+            code = cli.main(["family-scan", "--s-height-max", "3", "--jobs", jobs])
+        assert code == cli.EXIT_VERIFICATION_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: s={at} and s={first} share v but not the fiber\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("at", ["-1", "0"])  # the first fiber of each of two workers
 def test_a_failed_fiber_exits_3_with_the_same_line_at_any_job_count(at, monkeypatch, capsys):
-    real = family.evaluate_fiber
-
-    def failing(params, s, torsion_primes):
-        if s == Fraction(at):
-            raise VerificationError(f"planted at s={s}")
-        return real(params, s, torsion_primes)
-
-    monkeypatch.setattr(family, "evaluate_fiber", failing)
+    plant_in_fiber_at_s(monkeypatch, at, VerificationError(f"planted at s={at}"))
     lines = set()
     for jobs in ("1", "2"):
         code = cli.main(["family-scan", "--s-height-max", "3", "--jobs", jobs])

@@ -558,8 +558,10 @@ def test_scan_family_counts_reducible_and_presumed_equal_fibers():
     assert (summary["fibers_tested"], summary["accepted"]) == (15, 9)
     assert (summary["skipped_reducible"], summary["skipped_presumed_equal"]) == (2, 4)
     assert summary["skipped_torsion"] == 0
-    reducible = [s for s in enumerate_s_by_height(3) if evaluate_fiber(params, s) == "reducible"]
+    reducible = [s for s in enumerate_s_by_height(3) if evaluate_fiber(params, [s]) == "reducible"]
     assert reducible == [Fraction(-1), Fraction(-1, 3)]
+    # s = -1 and -1/3 share v: one group, one evaluation, two skips
+    assert evaluate_fiber(params, [Fraction(-1), Fraction(-1, 3)]) == "reducible"
 
 
 def test_scan_family_counts_torsion_skips(monkeypatch):
@@ -744,7 +746,7 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
     """One rational-root test per evaluated fiber with no inert head prime
     (an inert prime rules out a rational root), and one discriminant per s:
     fiber_at_s's identity check, which the torsion primes and the C3 class
-    reuse.  A repeated fiber re-runs only fiber_at_s."""
+    reuse.  A repeated fiber re-runs only fiber_at_s, once, in its group."""
     calls = {"rational_roots": 0, "discriminant": 0}
     for name in calls:
         real = getattr(UniPoly, name)
@@ -756,9 +758,9 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
         monkeypatch.setattr(UniPoly, name, counted)
     evaluated = []
 
-    def evaluate(params, s, torsion_primes):
-        evaluated.append(s)
-        return evaluate_fiber(params, s, torsion_primes)
+    def evaluate(params, same_v, torsion_primes):
+        evaluated.append(same_v[0])
+        return evaluate_fiber(params, same_v, torsion_primes)
 
     monkeypatch.setattr(family, "evaluate_fiber", evaluate)
     result = scan_family(derive_family(1, 1), 4)
@@ -767,14 +769,15 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
     # every fiber there has an inert head prime
     assert calls == {"rational_roots": 0, "discriminant": 23}
     # s = -1 is reducible, so splits at every prime: the one rational-root
-    # test; the fold keys it once more, through fiber_at_s, for its repeat -1/3
+    # test; its repeat -1/3 is checked in its group by one fiber_at_s, and the
+    # fiber at -1 is not built again
     calls.update(rational_roots=0, discriminant=0)
     evaluated.clear()
     params = derive_family(Fraction(3, 2), 1)
     result = scan_family(params, 3)
     assert result.fibers_tested == len(enumerate_s_by_height(3)) == 15
     assert len(evaluated) == 11
-    assert calls == {"rational_roots": 1, "discriminant": 16}
+    assert calls == {"rational_roots": 1, "discriminant": 15}
     monkeypatch.undo()
     assert [s for s in evaluated if no_inert_head_prime(params, s)] == [-1]
 
@@ -809,7 +812,7 @@ def c3_fields_up_to_height(params, height):
 
 
 def head_row(K):
-    """K's split-type row at the primes up to 97, as evaluate_fiber builds it."""
+    """K's split-type row at the primes up to 97, as cubicfield.head_row builds it."""
     return cubicfield._split_codes(K, primes_up_to(97))
 
 
@@ -906,20 +909,32 @@ def test_scan_fold_makes_no_pairwise_calls_and_extends_rows_lazily(monkeypatch):
 
 
 def test_repeated_fibers_are_evaluated_once_with_the_parents_counts(monkeypatch):
-    evaluated = []
-    real = evaluate_fiber
+    groups, fibers = [], []
+    real_evaluate, real_fiber = evaluate_fiber, fiber_at_s
 
-    def counted(params, s, torsion_primes):
-        evaluated.append(s)
-        return real(params, s, torsion_primes)
+    def evaluate(params, same_v, torsion_primes):
+        groups.append(list(same_v))
+        return real_evaluate(params, same_v, torsion_primes)
 
-    monkeypatch.setattr(family, "evaluate_fiber", counted)
+    def fiber(params, s):
+        fibers.append(s)
+        return real_fiber(params, s)
+
+    monkeypatch.setattr(family, "evaluate_fiber", evaluate)
+    monkeypatch.setattr(family, "fiber_at_s", fiber)
     result = scan_family(derive_family(1, 1), 8)
     summary = result.summary()
-    assert summary["fibers_tested"] == 87 and len(evaluated) == 87 - 18
+    assert summary["fibers_tested"] == 87 and len(groups) == 87 - 18
     assert (summary["accepted"], summary["skipped_presumed_equal"]) == (66, 21)
-    # the first s of each v = 2s/(1 + 3s^2) in enumeration order; 1/(3s) is the other
-    assert all(1 / (3 * s) not in evaluated[:i] for i, s in enumerate(evaluated) if s)
+    # fiber_at_s once per s, in its group
+    s_values = enumerate_s_by_height(8)
+    assert sorted(fibers) == sorted(s for group in groups for s in group) == sorted(s_values)
+    # one group per v = 2s/(1 + 3s^2), in enumeration order: s, then 1/(3s) if it repeats v
+    firsts = [group[0] for group in groups]
+    assert firsts == sorted(firsts, key=s_values.index)
+    for group in groups:
+        assert group == sorted(group, key=s_values.index)
+        assert len(group) == 1 or group[1:] == [1 / (3 * group[0])]
 
 
 def test_a_repeated_s_must_reproduce_the_kept_fiber(monkeypatch):
@@ -931,9 +946,15 @@ def test_a_repeated_s_must_reproduce_the_kept_fiber(monkeypatch):
             return replace(fd, fiber=fd.fiber + UniPoly.constant(1))
         return fd
 
-    monkeypatch.setattr(family, "fiber_at_s", shifted_at_one_third)
-    with pytest.raises(VerificationError, match="share v but not the fiber"):
-        scan_family(derive_family(1, 1), 3)
+    def degenerate_at_one_third(params, s):
+        if s == Fraction(1, 3):
+            raise DegenerateFiberError(f"fiber at s={s} degenerates to x^3")
+        return real(params, s)
+
+    for planted in (shifted_at_one_third, degenerate_at_one_third):
+        monkeypatch.setattr(family, "fiber_at_s", planted)
+        with pytest.raises(VerificationError, match="^s=1/3 and s=1 share v but not the fiber$"):
+            scan_family(derive_family(1, 1), 3)
 
 
 def assert_no_child_is_left():
@@ -974,20 +995,27 @@ def test_scan_caps_the_workers_at_cores_and_fibers(monkeypatch):
             scan_family(derive_family(1, 1), 1, jobs=jobs)
 
 
-def interrupt(params, s):
+def interrupt(fd):
     raise KeyboardInterrupt
 
 
-@pytest.mark.parametrize("fiber_key, error", [
+@pytest.mark.parametrize("plant, error", [
     (None, None),  # success
-    (lambda params, s: None, VerificationError),  # the first repeated v fails the fold
+    (lambda fd: replace(fd, fiber=fd.fiber + UniPoly.constant(1)), VerificationError),
     (interrupt, KeyboardInterrupt),
 ])
-def test_no_child_is_left_on_any_way_out_of_a_forked_scan(monkeypatch, fiber_key, error):
-    """At height 12 a child's share outgrows the pipe, so a fold that stops at
-    s = 1/3 leaves it blocked on a write: it is killed, then reaped."""
-    if fiber_key is not None:
-        monkeypatch.setattr(family, "_fiber_key", fiber_key)
+def test_no_child_is_left_on_any_way_out_of_a_forked_scan(monkeypatch, plant, error):
+    """At height 12 a child's share outgrows the pipe, so a scan that stops at
+    s = 1/3, in the group of s = 1 that this process evaluates, leaves it
+    blocked on a write: it is killed, then reaped."""
+    real = fiber_at_s
+
+    def planted(params, s):
+        fd = real(params, s)
+        return plant(fd) if s == Fraction(1, 3) else fd
+
+    if plant is not None:
+        monkeypatch.setattr(family, "fiber_at_s", planted)
     if error is None:
         assert scan_family(derive_family(1, 1), 12, jobs=2).certificates
     else:
@@ -996,17 +1024,17 @@ def test_no_child_is_left_on_any_way_out_of_a_forked_scan(monkeypatch, fiber_key
     assert_no_child_is_left()
 
 
-@pytest.mark.parametrize("at", [Fraction(-1), Fraction(0)])  # fibers 0 and 1: each worker
+@pytest.mark.parametrize("at", [Fraction(-1), Fraction(0)])  # groups 0 and 1: each worker
 def test_a_workers_error_is_raised_at_its_fiber(monkeypatch, at):
     """An error in evaluate_fiber stops the scan at that fiber, as serial."""
-    real = evaluate_fiber
+    real = fiber_at_s
 
-    def failing(params, s, torsion_primes):
+    def failing(params, s):
         if s == at:
             raise VerificationError(f"planted at s={s}")
-        return real(params, s, torsion_primes)
+        return real(params, s)
 
-    monkeypatch.setattr(family, "evaluate_fiber", failing)
+    monkeypatch.setattr(family, "fiber_at_s", failing)
     for jobs in (1, 2):
         with pytest.raises(VerificationError, match=f"planted at s={at}$"):
             scan_family(derive_family(1, 1), 3, jobs=jobs)
