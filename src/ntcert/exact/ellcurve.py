@@ -1,8 +1,10 @@
 """Elliptic curves over Q: the group law, reduction mod p and non-torsion.
 
-One chord-tangent law serves points over Q[x]/(f) (QuotientElem coordinates)
-and over residue fields F_p[x]/(m) (FqElem coordinates).  Only ntcert.errors
-and ntcert.exact are imported, so a certificate checker can use this layer
+One chord-tangent law serves every field: it takes the field as an
+operation object, QuotientField for Q[x]/(f) (QuotientElem coordinates) or
+a residue field from finitefield, F_p on ints or F_p[x]/(m) on int tuples,
+so the non-torsion walk builds no element objects.  Only ntcert.errors and
+ntcert.exact are imported, so a certificate checker can use this layer
 without the family or the scan.
 """
 
@@ -16,17 +18,19 @@ from ..errors import (
     IncompatiblePointsError, InvalidInputError, InvalidPrimeError, SingularCurveError,
     VerificationError,
 )
-from .finitefield import FqElem
+from .finitefield import ExtensionField, PrimeField
 from .modpoly import ModPoly, irreducible_mod_p
 from .primes import is_prime, iter_primes
-from .quotient import QuotientElem
+from .quotient import QuotientElem, QuotientField
 from .unipoly import UniPoly
 
 
 class WeierstrassCurve:
     """A nonsingular Weierstrass model with the standard derived quantities."""
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8", "c4", "c6", "disc", "j")
+    __slots__ = (
+        "a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8", "c4", "c6", "disc", "j", "_hash",
+    )
 
     def __init__(self, a1, a2, a3, a4, a6):
         self.a1 = Fraction(a1)
@@ -48,6 +52,8 @@ class WeierstrassCurve:
         if 1728 * self.disc != self.c4**3 - self.c6**2:
             raise VerificationError("1728*disc differs from c4^3 - c6^2")
         self.j = self.c4**3 / self.disc
+        # the per-prime caches below look a curve up for every reduced point
+        self._hash = hash(self.a_invariants)
 
     @property
     def a_invariants(self) -> tuple[Fraction, ...]:
@@ -59,7 +65,7 @@ class WeierstrassCurve:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.a_invariants)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"WeierstrassCurve{self.a_invariants}"
@@ -68,65 +74,63 @@ class WeierstrassCurve:
 # -- points and the group law --------------------------------------------------
 
 
-def _chord_tangent(a, P, Q):
-    """P + Q on the curve with a-invariants a, all in one field; None is the identity.
+def _chord_tangent(F, a, P, Q):
+    """P + Q on the curve with a-invariants a, all in the field F; None is the identity.
 
-    Points are coordinate pairs and field elements need only + - *, int
-    scaling, inverse(), is_zero and ==, so the same law runs over Q[x]/(f)
-    and over the residue fields F_p[x]/(m).
+    Points are coordinate pairs.  F does the arithmetic (_add, _sub, _mul,
+    _inv and zero) and elements compare with ==, so the same law runs over
+    Q[x]/(f) (QuotientField) and the residue fields of finitefield.
     """
     if P is None:
         return Q
     if Q is None:
         return P
+    add, sub, mul = F._add, F._sub, F._mul
     a1, a2, a3, a4, a6 = a
     x1, y1 = P
     x2, y2 = Q
     if x1 == x2:
-        if (y1 + y2 + a1 * x1 + a3).is_zero:
+        # Q is P or -P; the sum of the y's with a1*x1 + a3 is 0 exactly at -P
+        den = add(add(y1, y2), add(mul(a1, x1), a3))
+        if den == F.zero:
             return None
-        inv = (y1 + y1 + a1 * x1 + a3).inverse()
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv
-        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * inv
+        # 3*x1^2 + 2*a2*x1 + a4 - a1*y1
+        num = sub(add(mul(x1, add(add(add(x1, x1), x1), add(a2, a2))), a4), mul(a1, y1))
     else:
-        inv = (x2 - x1).inverse()
-        lam = (y2 - y1) * inv
-        nu = (y1 * x2 - y2 * x1) * inv
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
+        den, num = sub(x2, x1), sub(y2, y1)
+    lam = mul(num, F._inv(den))
+    x3 = sub(sub(sub(mul(lam, add(lam, a1)), a2), x1), x2)
+    y3 = sub(sub(mul(lam, sub(x1, x3)), y1), add(mul(a1, x3), a3))
     return x3, y3
 
 
-def _double_and_add(a, P, k: int):
+def _double_and_add(F, a, P, k: int):
     """k*P for k >= 0 by the binary method over _chord_tangent."""
     result = None
     while k:
         if k & 1:
-            result = _chord_tangent(a, result, P)
+            result = _chord_tangent(F, a, result, P)
         k >>= 1
         if k:
-            P = _chord_tangent(a, P, P)
+            P = _chord_tangent(F, a, P, P)
     return result
 
 
 class FieldPoint:
     """A point of the curve with coordinates in a field K.
 
-    K is Q[x]/(modulus) with QuotientElem coordinates (rational points use
-    the degree-1 modulus x), or a residue field F_p[x]/(modulus) with FqElem
-    coordinates.  ``a`` holds the curve's a-invariants as elements of K, so
-    one group law serves every field.  The point at infinity has x = y = None.
+    ``field`` is K as an operation object: QuotientField for Q[x]/(modulus)
+    with QuotientElem coordinates (rational points use the modulus x), or a
+    residue field of finitefield with int or int-tuple coordinates.  ``a``
+    holds the curve's a-invariants as constants of K.  The point at infinity
+    has x = y = None.
     """
 
-    __slots__ = ("curve", "modulus", "a", "x", "y")
+    __slots__ = ("curve", "field", "a", "x", "y")
 
-    def __init__(self, curve, modulus, a, x=None, y=None, *, check=True):
-        self.curve = curve
-        self.modulus = modulus
-        self.a = a
-        self.x = x
-        self.y = y
-        if x is not None and check and not self._equation_value().is_zero:
+    def __init__(self, curve, field, a, x=None, y=None, *, check=True):
+        self.curve, self.field, self.a, self.x, self.y = curve, field, a, x, y
+        if x is not None and check and not self._on_curve():
             raise InvalidInputError("point does not satisfy the curve equation")
 
     @classmethod
@@ -134,10 +138,9 @@ class FieldPoint:
         cls, curve: WeierstrassCurve, modulus: UniPoly, x: QuotientElem, y: QuotientElem,
         *, check: bool = True,
     ) -> "FieldPoint":
-        a = tuple(
-            QuotientElem(UniPoly.constant(c), modulus, validate=False) for c in curve.a_invariants
-        )
-        return cls(curve, modulus, a, x, y, check=check)
+        field = QuotientField(modulus)
+        a = tuple(field._constant(c) for c in curve.a_invariants)
+        return cls(curve, field, a, x, y, check=check)
 
     @classmethod
     def from_rationals(
@@ -156,27 +159,27 @@ class FieldPoint:
     def _sibling(self, coords) -> "FieldPoint":
         """The point with these coordinates (None: infinity) on the same curve over K."""
         x, y = coords or (None, None)
-        return FieldPoint(self.curve, self.modulus, self.a, x, y, check=False)
+        return FieldPoint(self.curve, self.field, self.a, x, y, check=False)
 
-    def _equation_value(self):
-        a1, a2, a3, a4, a6 = self.a
-        x, y = self.x, self.y
-        return y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6
+    def _on_curve(self) -> bool:
+        F, (a1, a2, a3, a4, a6), x, y = self.field, self.a, self.x, self.y
+        add, mul = F._add, F._mul
+        return mul(y, add(add(y, mul(a1, x)), a3)) == add(mul(x, add(mul(x, add(x, a2)), a4)), a6)
 
     def to_rationals(self) -> tuple[Fraction, Fraction]:
-        if self.is_infinity or not isinstance(self.x, QuotientElem) or self.modulus.degree != 1:
+        if self.is_infinity or not isinstance(self.x, QuotientElem) or self.field.degree != 1:
             raise InvalidInputError("not an affine rational point")
         return self.x.rep.coefficient(0), self.y.rep.coefficient(0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldPoint):
             return NotImplemented
-        if self.curve != other.curve or self.modulus != other.modulus:
+        if self.curve != other.curve or self.field != other.field:
             return False
         return self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
-        return hash((self.curve, self.modulus, self.x, self.y))
+        return hash((self.curve, self.field, self.x, self.y))
 
     def __repr__(self) -> str:
         return "FieldPoint(infinity)" if self.is_infinity else f"FieldPoint(x={self.x}, y={self.y})"
@@ -184,20 +187,20 @@ class FieldPoint:
     def __neg__(self) -> "FieldPoint":
         if self.is_infinity:
             return self
-        a1, _, a3, _, _ = self.a
-        return self._sibling((self.x, -self.y - a1 * self.x - a3))
+        F, (a1, _, a3, _, _), x, y = self.field, self.a, self.x, self.y
+        return self._sibling((x, F._sub(F.zero, F._add(F._add(y, F._mul(a1, x)), a3))))
 
     def __add__(self, other: "FieldPoint") -> "FieldPoint":
         if not isinstance(other, FieldPoint):
             return NotImplemented
-        if self.curve != other.curve or self.modulus != other.modulus:
+        if self.curve != other.curve or self.field != other.field:
             raise IncompatiblePointsError("points on different curves or fields")
-        return self._sibling(_chord_tangent(self.a, self._coords(), other._coords()))
+        return self._sibling(_chord_tangent(self.field, self.a, self._coords(), other._coords()))
 
     def scalar_mul(self, k: int) -> "FieldPoint":
         if k < 0:
             return (-self).scalar_mul(-k)
-        return self._sibling(_double_and_add(self.a, self._coords(), k))
+        return self._sibling(_double_and_add(self.field, self.a, self._coords(), k))
 
 
 # -- reduction mod p -------------------------------------------------------------
@@ -212,6 +215,22 @@ def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
     return curve.disc.numerator % p != 0
 
 
+def _residues(coeffs, p: int) -> tuple[int, ...] | None:
+    """Rational coefficients as ints mod p; None when p divides a denominator."""
+    try:
+        return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in coeffs)
+    except ValueError:
+        return None
+
+
+def _horner(coeffs, r: int) -> int:
+    """The integer value of the polynomial with these int coefficients at r."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
+
+
 @lru_cache(maxsize=1024)  # a scan asks for the same few (curve, p) for every fiber
 def count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
     """|E(F_p)| by summing the quadratic character of the completed square.
@@ -222,10 +241,7 @@ def count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
     if not is_good_prime(curve, p):
         raise InvalidPrimeError(f"{p} is not a prime of good reduction")
 
-    def red(c: Fraction) -> int:
-        return c.numerator * pow(c.denominator, -1, p) % p
-
-    b2, b4, b6 = red(curve.b2), red(curve.b4), red(curve.b6)
+    b2, b4, b6 = _residues((curve.b2, curve.b4, curve.b6), p)
     total = p + 1
     half = (p - 1) // 2
     for x in range(p):
@@ -255,43 +271,41 @@ def _group_order(curve: WeierstrassCurve, p: int, d: int) -> int:
 @lru_cache(maxsize=1024)
 def _invariants_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, ...]:
     """The curve's a-invariants reduced mod a good prime p."""
-    return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in curve.a_invariants)
+    return _residues(curve.a_invariants, p)
 
 
 def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
     """Reduce P at a residue-field hom above p; None when p is unusable.
 
-    Returns (Pbar, group_order): the image point over F_p[x]/(modulus),
-    with Pbar.modulus = x - r for a root r of the reduced modulus or the
-    irreducible reduced modulus itself, and the order of the reduced group
-    E(F_{p^d}), d = deg(modulus).  Any root of the reduced modulus gives a
-    genuine residue map, so ramified primes are fine; only bad reduction,
-    non-p-integral coordinates, or an undecidable factor shape skip.
+    Returns (Pbar, |E(F_{p^d})|), with Pbar over F_p (int coordinates) at
+    the first root of the reduced modulus, found by Horner's rule on ints,
+    or else over F_p[x]/(reduced modulus) (int tuples) when that is
+    irreducible.  Any root gives a genuine residue map, so ramified primes
+    are fine; only bad reduction, a non-p-integral coordinate or modulus,
+    or an undecidable factor shape skip.
     """
     curve = P.curve
     if P.is_infinity or not is_good_prime(curve, p):
         return None
-    reps = list(P.x.rep.coeffs) + list(P.y.rep.coeffs)
-    if any(c.denominator % p == 0 for c in reps):
+    x, y, m = (_residues(f.coeffs, p) for f in (P.x.rep, P.y.rep, P.field.modulus))
+    if x is None or y is None or m is None:
         return None
-    fbar = ModPoly.from_unipoly(P.modulus, p)
-    root = next((r for r in range(p) if fbar.evaluate(r) == 0), None)
+    a = _invariants_mod_p(curve, p)
+    root = next((r for r in range(p) if _horner(m, r) % p == 0), None)
     if root is not None:
-        modulus = ModPoly((-root, 1), p, check_prime=False)
-    elif fbar.degree in (2, 3) or irreducible_mod_p(fbar):
-        modulus = fbar
+        F = PrimeField(p)
+        x, y = _horner(x, root) % p, _horner(y, root) % p
+    elif len(m) in (3, 4) or irreducible_mod_p(ModPoly(m, p, check_prime=False)):
+        F = ExtensionField(p, m)
+        pad = F.zero  # x and y have degree below m's
+        a = tuple((c,) + pad[1:] for c in a)
+        x, y = x + pad[len(x):], y + pad[len(y):]
     else:
         return None
-
-    def lift(f: UniPoly) -> FqElem:
-        return FqElem.reduce(ModPoly.from_unipoly(f, p), modulus)
-
-    pad = (0,) * (modulus.degree - 1)
-    a = tuple(FqElem((c, *pad), modulus) for c in _invariants_mod_p(curve, p))
-    Pbar = FieldPoint(curve, modulus, a, lift(P.x.rep), lift(P.y.rep), check=False)
-    if not Pbar._equation_value().is_zero:
+    Pbar = FieldPoint(curve, F, a, x, y, check=False)
+    if not Pbar._on_curve():
         raise VerificationError("reduction left the curve")
-    return Pbar, _group_order(curve, p, modulus.degree)
+    return Pbar, _group_order(curve, p, F.degree)
 
 
 # -- non-torsion -------------------------------------------------------------------
@@ -300,22 +314,24 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
 def _walk(Pbar: FieldPoint, bound: int) -> list:
     """The coordinates of Pbar, 2*Pbar, ...: the bound of them, or those
     before the first k <= bound with k*Pbar = O, whose order is then k."""
+    F, a, P = Pbar.field, Pbar.a, Pbar._coords()
     multiples = []
     Q = None
     for _ in range(bound):
-        Q = _chord_tangent(Pbar.a, Q, Pbar._coords())
+        Q = _chord_tangent(F, a, Q, P)
         if Q is None:
             break
         multiples.append(Q)
     return multiples
 
 
-def _annihilates(a, multiples: list, n: int) -> bool:
+def _annihilates(Pbar: FieldPoint, multiples: list, n: int) -> bool:
     """Whether n*Pbar = O, from a walk that met no O up to B*Pbar, B = len(multiples):
     with n = q*B + r, n*Pbar = q*(B*Pbar) + r*Pbar, and r*Pbar is in the walk."""
+    F, a = Pbar.field, Pbar.a
     q, r = divmod(n, len(multiples))
     rest = multiples[r - 1] if r else None
-    return _chord_tangent(a, _double_and_add(a, multiples[-1], q), rest) is None
+    return _chord_tangent(F, a, _double_and_add(F, a, multiples[-1], q), rest) is None
 
 
 def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
@@ -345,7 +361,7 @@ def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
         multiples = _walk(Pbar, bound)
         order = len(multiples) + 1 if len(multiples) < bound else None
         if not used and not (  # |E(F_{p^d})| kills Pbar: the walk's order divides it
-            group_order % order == 0 if order else _annihilates(Pbar.a, multiples, group_order)
+            group_order % order == 0 if order else _annihilates(Pbar, multiples, group_order)
         ):
             raise VerificationError("the reduced group order does not annihilate the point")
         if order is None:

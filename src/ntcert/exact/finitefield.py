@@ -1,18 +1,19 @@
-"""Elements of the finite field F_p[x]/(m) for a monic irreducible m over F_p.
+"""Residue fields F_p and F_p[x]/(m) as operation objects over plain ints.
 
-With m = x - r this is F_p itself; with an irreducible cubic it is F_{p^3}.
-An element is its reduced representative as a tuple of deg(m) ints in
-[0, p), lowest degree first, so equality is tuple equality and a product is
-one multiply-and-reduce loop against the monic modulus.  Operands must share
-the modulus; FieldPoint (ellcurve.py) checks that before it adds two points.
+An element of F_p is an int in [0, p); one of F_p[x]/(m), m monic of degree
+n, is its reduced representative as a tuple of n ints in [0, p), lowest
+degree first.  Equality is int or tuple equality, and no element object is
+built: the field object does the arithmetic, through _add, _sub, _mul and
+_inv (underscored, as they run per element), next to zero and degree.
+ellcurve's one chord-tangent law takes such an object as its field.
 
-The residue fields of cyclic cubic fibers are F_p and F_{p^3}, so both
-degrees add and subtract in straight lines, and degree 3 has straight-line
-kernels: the product is reduced by x^3 = -(m2*x^2 + m1*x + m0) in closed
-form, and the inverse of a is the first column of the adjugate of its
-multiplication matrix (columns a, a*x, a*x^2) divided by the determinant,
-which is the norm of a.
-Other degrees multiply with the general loop and invert with ModPoly.xgcd.
+The residue fields of cyclic cubic fibers are F_p and F_{p^3}.  A cubic m
+gets CubicExtension's straight lines: the product is reduced by
+x^3 = -(m2*x^2 + m1*x + m0) in closed form, and the inverse of a is the
+first column of the adjugate of its multiplication matrix (columns a, a*x,
+a*x^2) over the determinant, the norm of a.  Other degrees multiply with
+the general loop, which needs only a monic m (all that ModPoly.pow_mod
+asks of it), and invert with ModPoly.xgcd.
 """
 
 from __future__ import annotations
@@ -21,121 +22,131 @@ from ..errors import InvalidPrimeError
 from .modpoly import ModPoly
 
 
-class FqElem:
-    __slots__ = ("coeffs", "modulus")
+class PrimeField:
+    """F_p on ints in [0, p)."""
 
-    def __init__(self, coeffs: tuple[int, ...], modulus: ModPoly):
-        self.coeffs = coeffs
-        self.modulus = modulus
+    __slots__ = ("p",)
+    degree, zero = 1, 0
 
-    @classmethod
-    def reduce(cls, f: ModPoly, modulus: ModPoly) -> "FqElem":
-        """The residue class of f modulo the monic modulus."""
-        cs = (f if f.degree < modulus.degree else f % modulus).coeffs
-        return cls(cs + (0,) * (modulus.degree - len(cs)), modulus)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+    def __init__(self, p: int):
+        self.p = p
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, FqElem):
-            return self.coeffs == other.coeffs and self.modulus == other.modulus
-        return NotImplemented
+        return isinstance(other, PrimeField) and self.p == other.p
 
-    def __repr__(self) -> str:
-        return f"FqElem({list(self.coeffs)!r}, mod {self.modulus})"
+    def __hash__(self) -> int:
+        return hash(self.p)
 
-    def __add__(self, other: "FqElem") -> "FqElem":
-        p = self.modulus.p
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 3:
-            return FqElem(((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2]) % p), self.modulus)
-        if len(a) == 1:
-            return FqElem(((a[0] + b[0]) % p,), self.modulus)
-        return FqElem(tuple((x + y) % p for x, y in zip(a, b)), self.modulus)
+    def _add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
-    def __neg__(self) -> "FqElem":
-        p = self.modulus.p
-        return FqElem(tuple(-a % p for a in self.coeffs), self.modulus)
+    def _sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
 
-    def __sub__(self, other: "FqElem") -> "FqElem":
-        p = self.modulus.p
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 3:
-            return FqElem(((a[0] - b[0]) % p, (a[1] - b[1]) % p, (a[2] - b[2]) % p), self.modulus)
-        if len(a) == 1:
-            return FqElem(((a[0] - b[0]) % p,), self.modulus)
-        return FqElem(tuple((x - y) % p for x, y in zip(a, b)), self.modulus)
+    def _mul(self, a: int, b: int) -> int:
+        return a * b % self.p
 
-    def __mul__(self, other: "FqElem | int") -> "FqElem":
-        p = self.modulus.p
-        a = self.coeffs
-        if isinstance(other, int):
-            return FqElem(tuple(other * c % p for c in a), self.modulus)
-        b = other.coeffs
-        n = len(a)
-        if n == 3:
-            return FqElem(_mul3(a, b, self.modulus.coeffs, p), self.modulus)
-        if n == 1:
-            return FqElem((a[0] * b[0] % p,), self.modulus)
+    def _inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+
+class ExtensionField:
+    """F_p[x]/(m) on n-tuples of ints in [0, p), for m monic of degree n >= 1,
+    given as its coefficient tuple (m0, ..., m_{n-1}, 1).  A cubic m gets the
+    straight-line kernels of CubicExtension."""
+
+    __slots__ = ("p", "m", "degree", "zero", "one")
+
+    def __new__(cls, p: int, m: tuple[int, ...]):
+        return super().__new__(CubicExtension if len(m) == 4 else cls)
+
+    def __init__(self, p: int, m: tuple[int, ...]):
+        self.p, self.m, self.degree = p, m, len(m) - 1
+        self.zero = (0,) * self.degree
+        self.one = (1,) + self.zero[1:]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ExtensionField) and (self.p, self.m) == (other.p, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.m))
+
+    def _add(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def _sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def _mul(self, a, b):
+        p, m, n = self.p, self.m, self.degree
         prod = [0] * (2 * n - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     prod[i + j] += ca * cb
-        m = self.modulus.coeffs
         for k in range(2 * n - 2, n - 1, -1):
             top = prod[k] % p
             if top:
                 for i in range(n):
                     prod[k - n + i] -= top * m[i]
-        return FqElem(tuple(c % p for c in prod[:n]), self.modulus)
+        return tuple(c % p for c in prod[:n])
 
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FqElem":
-        if self.is_zero:
+    def _inv(self, a):
+        if a == self.zero:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        p = self.modulus.p
-        if len(self.coeffs) == 1:
-            return FqElem((pow(self.coeffs[0], -1, p),), self.modulus)
-        if len(self.coeffs) == 3:
-            return FqElem(_inverse3(self.coeffs, self.modulus.coeffs, p), self.modulus)
-        g, u, _ = ModPoly(self.coeffs, p, check_prime=False).xgcd(self.modulus)
+        p, n = self.p, self.degree
+        g, u, _ = ModPoly(a, p, check_prime=False).xgcd(ModPoly(self.m, p, check_prime=False))
         if g.degree != 0:
             raise InvalidPrimeError("non-invertible element in reduced field")
-        # deg u < deg m, since the element is reduced
-        return FqElem(u.coeffs + (0,) * (len(self.coeffs) - len(u.coeffs)), self.modulus)
+        # deg u < n, since the element is reduced
+        return u.coeffs + (0,) * (n - len(u.coeffs))
 
 
-def _mul3(a, b, m, p):
-    """a*b mod (x^3 + m2*x^2 + m1*x + m0) over F_p, for reduced a and b."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    m0, m1, m2 = m[0], m[1], m[2]
-    t4 = a2 * b2 % p
-    t3 = (a1 * b2 + a2 * b1 - t4 * m2) % p
-    return (
-        (a0 * b0 - t3 * m0) % p,
-        (a0 * b1 + a1 * b0 - t4 * m0 - t3 * m1) % p,
-        (a0 * b2 + a1 * b1 + a2 * b0 - t4 * m1 - t3 * m2) % p,
-    )
+class CubicExtension(ExtensionField):
+    """F_p[x]/(m) for m = x^3 + m2*x^2 + m1*x + m0, in straight lines."""
 
+    __slots__ = ()
 
-def _inverse3(a, m, p):
-    """a^-1 mod (x^3 + m2*x^2 + m1*x + m0) over F_p, for reduced nonzero a."""
-    a0, a1, a2 = a
-    m0, m1, m2 = m[0], m[1], m[2]
-    # Columns of the multiplication matrix: a, b = a*x, c = a*x^2.
-    b0, b1, b2 = -a2 * m0 % p, (a0 - a2 * m1) % p, (a1 - a2 * m2) % p
-    c0, c1, c2 = -b2 * m0, b0 - b2 * m1, b1 - b2 * m2
-    # First column of the adjugate; the determinant expands along row 0.
-    u0 = b1 * c2 - c1 * b2
-    u1 = a2 * c1 - a1 * c2
-    u2 = a1 * b2 - b1 * a2
-    det = (a0 * u0 + b0 * u1 + c0 * u2) % p
-    if not det:
-        raise InvalidPrimeError("non-invertible element in reduced field")
-    inv = pow(det, -1, p)
-    return (u0 * inv % p, u1 * inv % p, u2 * inv % p)
+    def _add(self, a, b):
+        p = self.p
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2]) % p)
+
+    def _sub(self, a, b):
+        p = self.p
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p, (a[2] - b[2]) % p)
+
+    def _mul(self, a, b):
+        """a*b, reduced by x^3 = -(m2*x^2 + m1*x + m0) in closed form."""
+        p = self.p
+        m0, m1, m2, _ = self.m
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        t4 = a2 * b2 % p
+        t3 = (a1 * b2 + a2 * b1 - t4 * m2) % p
+        return (
+            (a0 * b0 - t3 * m0) % p,
+            (a0 * b1 + a1 * b0 - t4 * m0 - t3 * m1) % p,
+            (a0 * b2 + a1 * b1 + a2 * b0 - t4 * m1 - t3 * m2) % p,
+        )
+
+    def _inv(self, a):
+        """The first column of the adjugate of a's multiplication matrix over its norm."""
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero in a finite field")
+        p = self.p
+        m0, m1, m2, _ = self.m
+        a0, a1, a2 = a
+        # Columns of the multiplication matrix: a, b = a*x, c = a*x^2.
+        b0, b1, b2 = -a2 * m0 % p, (a0 - a2 * m1) % p, (a1 - a2 * m2) % p
+        c0, c1, c2 = -b2 * m0, b0 - b2 * m1, b1 - b2 * m2
+        # First column of the adjugate; the determinant expands along row 0.
+        u0 = b1 * c2 - c1 * b2
+        u1 = a2 * c1 - a1 * c2
+        u2 = a1 * b2 - b1 * a2
+        det = (a0 * u0 + b0 * u1 + c0 * u2) % p
+        if not det:
+            raise InvalidPrimeError("non-invertible element in reduced field")
+        inv = pow(det, -1, p)
+        return (u0 * inv % p, u1 * inv % p, u2 * inv % p)

@@ -76,19 +76,20 @@ class ModPoly(DensePoly):
     def pow_mod(self, e: int, modulus: "ModPoly") -> "ModPoly":
         """self^e reduced mod modulus (nonconstant).
 
-        Square-and-multiply runs on FqElem, the one multiply-and-reduce loop,
-        which needs only a monic modulus: a remainder mod the monic multiple
-        of modulus is the same remainder.
+        Square-and-multiply runs on int tuples through the multiply-and-reduce
+        of finitefield.ExtensionField, which needs only a monic modulus: a
+        remainder mod the monic multiple of modulus is the same remainder.
         """
-        from .finitefield import FqElem
+        from .finitefield import ExtensionField
 
         if e < 0:
             raise InvalidInputError("negative exponent")
         if modulus.degree < 1:
             raise InvalidInputError("pow_mod needs a nonconstant modulus")
         m = modulus.monic()
-        result = _power(FqElem.reduce(self, m), e, FqElem.reduce(self._new((1,)), m))
-        return self._new(result.coeffs)
+        F = ExtensionField(self.p, m.coeffs)
+        base = (self if self.degree < m.degree else self % m).coeffs
+        return self._new(_power(base + F.zero[len(base):], e, F.one, F._mul))
 
 
 def irreducible_mod_p(f: ModPoly) -> bool:

@@ -14,6 +14,7 @@ Irreducibility over Q is decided soundly, never guessed:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -115,8 +116,6 @@ class QuotientElem:
             return NotImplemented
         return self._wrap(self.rep + o.rep)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QuotientElem":
         return self._wrap(-self.rep)
 
@@ -126,19 +125,11 @@ class QuotientElem:
             return NotImplemented
         return self._wrap(self.rep - o.rep)
 
-    def __rsub__(self, other) -> "QuotientElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other) -> "QuotientElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self._wrap(self.rep * o.rep)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "QuotientElem":
         """Multiplicative inverse via extended gcd with the modulus."""
@@ -157,14 +148,29 @@ class QuotientElem:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other) -> "QuotientElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k: int) -> "QuotientElem":
         if k < 0:
             return self.inverse() ** (-k)
         return _power(self, k, self._wrap(UniPoly.one()))
 
+
+class QuotientField:
+    """Q[x]/(modulus) as an operation object over QuotientElem, with the
+    operations of finitefield's residue fields, for ellcurve's one law."""
+
+    __slots__ = ("modulus", "degree", "zero")
+    _add, _sub, _mul = operator.add, operator.sub, operator.mul
+    _inv = operator.methodcaller("inverse")
+
+    def __init__(self, modulus: UniPoly):
+        self.modulus, self.degree = modulus, modulus.degree
+        self.zero = self._constant(0)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QuotientField) and self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash(self.modulus)
+
+    def _constant(self, c: Fraction | int) -> QuotientElem:
+        return QuotientElem(UniPoly.constant(c), self.modulus, validate=False)

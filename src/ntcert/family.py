@@ -124,8 +124,9 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
     """Specialize the family at the conic parameter s.
 
     u and v satisfy 1 = u^2 + 3v^2 identically; t is solved from the
-    v-equation, and the fiber discriminant is recomputed independently by
-    the resultant route and checked against u^2*(a4 - a1*t)^2.
+    v-equation.  The fiber is x^3 + p*x + q, so its discriminant is
+    -4*p^3 - 27*q^2, computed from p and q and checked against the family's
+    closed form u^2*p^2, p = a4 - a1*t.
     """
     s = Fraction(s)
     a1, a4, a3, a6 = params.a1, params.a4, params.a3, params.a6
@@ -140,7 +141,7 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
         raise DegenerateFiberError(f"fiber at s={s} degenerates to x^3")
     q = a6 - a3 * t - t**2
     fiber = UniPoly((q, p, 0, 1))
-    disc = fiber.discriminant()
+    disc = -4 * p**3 - 27 * q**2
     expected = u**2 * p**2
     if disc != expected:
         raise VerificationError("fiber discriminant identity failed")

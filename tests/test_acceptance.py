@@ -116,7 +116,7 @@ def test_criterion_04_family_scan_certificates(height20_scan):
         for cert in certs:
             assert cert.disc == cert.sqrt_disc**2  # (a) exact square
             assert cert.galois_class is GaloisClass.C3  # (b)
-            assert cert.point._equation_value().is_zero  # (c) reduction to zero
+            assert cert.point._on_curve()  # (c) reduction to zero
             assert cert.nontorsion_checked_to >= cert.torsion_bound  # (e)
         # (d) pairwise distinctness: every earlier certificate in order, each
         # with the first witness prime of an oracle independent of the scan

@@ -46,9 +46,13 @@ def test_optimized_interpreter_emits_the_same_bytes():
 
 
 def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
-    """The fiber discriminant identity carries each certificate's C3 class."""
-    real = UniPoly.discriminant
-    monkeypatch.setattr(UniPoly, "discriminant", lambda f: real(f) + 1)
+    """The fiber discriminant identity carries each certificate's C3 class;
+    a6 off by one breaks the forced square, so the closed form -4p^3 - 27q^2
+    differs from u^2*p^2."""
+    real = family.derive_family
+    monkeypatch.setattr(
+        family, "derive_family", lambda a1, a4: replace(real(a1, a4), a6=real(a1, a4).a6 + 1)
+    )
     assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""

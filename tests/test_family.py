@@ -17,7 +17,7 @@ from ntcert.errors import (
     ReducibleCubicError,
     VerificationError,
 )
-from ntcert.exact import FqElem, ModPoly, QuotientElem, UniPoly, irreducible_mod_p, primes_up_to
+from ntcert.exact import ModPoly, QuotientElem, UniPoly, irreducible_mod_p, primes_up_to
 from ntcert.exact import ellcurve
 from ntcert.exact.primes import factorize
 from ntcert.exact.ellcurve import (
@@ -163,6 +163,22 @@ def test_fiber_discriminant_identity_random():
         assert fd.disc == fd.sqrt_disc**2
 
 
+@pytest.mark.parametrize("a1, a4", [(1, 1), (2, 3), (Fraction(3, 2), 1)])
+def test_closed_form_discriminant_matches_the_resultant(a1, a4):
+    """fiber_at_s's -4p^3 - 27q^2 is the generic resultant discriminant of
+    every fiber to height 8."""
+    params = derive_family(a1, a4)
+    checked = 0
+    for s in enumerate_s_by_height(8):
+        try:
+            fd = fiber_at_s(params, s)
+        except DegenerateFiberError:
+            continue
+        assert fd.disc == fd.fiber.discriminant(), s
+        checked += 1
+    assert checked >= 80
+
+
 def test_generated_fibers_are_cyclic():
     params = derive_family(1, 1)
     for s in enumerate_s_by_height(4):
@@ -201,7 +217,7 @@ def test_rational_3_torsion_random():
 def test_point_from_fiber_on_curve():
     params = derive_family(1, 1)
     P = fiber_point(params, 1)
-    assert P._equation_value().is_zero
+    assert P._on_curve()
     assert P.x.rep == UniPoly.x() and P.y.rep == UniPoly.constant(Fraction(157, 108))
 
 
@@ -272,7 +288,7 @@ def test_group_law_associative_over_cubic_field():
         QuotientElem.constant(T_rat.to_rationals()[1], mod),
     )
     pool = [P, P + P, P + T, P + P + T, (-P) + T, P + P + P, T + T + P]
-    assert all(pt._equation_value().is_zero for pt in pool if not pt.is_infinity)
+    assert all(pt._on_curve() for pt in pool if not pt.is_infinity)
     rng = random.Random(74)
     for _ in range(50):
         A, B, C = (rng.choice(pool) for _ in range(3))
@@ -365,8 +381,8 @@ def test_reduction_compatible_with_addition():
 
 
 def fp_coords(point):
-    """Integer coordinates of a point over F_p[x]/(x - r); None at infinity."""
-    return None if point.is_infinity else (point.x.coeffs[0], point.y.coeffs[0])
+    """The int coordinates of a point over F_p; None at infinity."""
+    return None if point.is_infinity else (point.x, point.y)
 
 
 def test_reduction_commutes_with_the_group_law_over_fp_and_fp3():
@@ -386,7 +402,7 @@ def test_reduction_commutes_with_the_group_law_over_fp_and_fp3():
                 if reduced is None:
                     continue
                 Pbar, order = reduced
-                d = Pbar.modulus.degree
+                d = Pbar.field.degree
                 assert Pbar.scalar_mul(order).is_infinity
                 base = oracle = fp_coords(Pbar) if d == 1 else None
                 for k, kP in multiples.items():
@@ -400,6 +416,49 @@ def test_reduction_commutes_with_the_group_law_over_fp_and_fp3():
                     assert image == (kPbar, order)
                     checked[d] += 1
     assert checked[1] >= 20 and checked[3] >= 20, checked
+
+
+def test_the_walk_is_the_reduction_of_the_exact_multiples():
+    """At the first F_p and the first F_{p^3} prime of every point to height 4,
+    the walk's k-th point is the reduction of k*P under the exact Q[theta]
+    law, k <= 6: k*Pbar is (k mod o)*Pbar when the walk meets O at o, and
+    o*P does not reduce there (it is not integral at that prime).  Where the
+    walk meets no O, its annihilation test at |E(F_{p^d})| agrees with
+    scalar_mul."""
+    walks = {1: 0, 3: 0}
+    annihilations = 0
+    for a1, a4 in ((1, 1), (2, 3)):
+        params = derive_family(a1, a4)
+        for s in enumerate_s_by_height(4):
+            fd = fiber_at_s(params, s)
+            if fd.fiber.rational_roots():
+                continue
+            P = point_from_fiber_data(params, fd)
+            exact = [P]
+            for _ in range(5):
+                exact.append(exact[-1] + P)
+            degrees = set()
+            for p in primes_up_to(200):
+                reduced = reduce_point_mod_p(P, p)
+                if reduced is None or reduced[0].field.degree in degrees:
+                    continue
+                Pbar, group_order = reduced
+                degrees.add(Pbar.field.degree)
+                walk = ellcurve._walk(Pbar, 6)
+                o = len(walk) + 1 if len(walk) < 6 else None
+                for k, kP in enumerate(exact, 1):
+                    image = reduce_point_mod_p(kP, p)
+                    if o and k % o == 0:
+                        assert image is None, (s, p, k)
+                    elif image is not None:  # else k*P is not integral at every prime above p
+                        assert image == (Pbar._sibling(walk[(k % o if o else k) - 1]), group_order)
+                        walks[Pbar.field.degree] += 1
+                if o is None:
+                    kills = Pbar.scalar_mul(group_order).is_infinity
+                    assert ellcurve._annihilates(Pbar, walk, group_order) is kills is True
+                    annihilations += 1
+            assert degrees == {1, 3}, s
+    assert walks[1] >= 100 and walks[3] >= 100 and annihilations >= 20, (walks, annihilations)
 
 
 def test_point_count_contains_three_torsion():
@@ -498,8 +557,22 @@ def test_reduce_point_mod_p_stays_on_curve():
     reduced = reduce_point_mod_p(Q, 5)
     assert reduced is not None
     point, order = reduced
-    assert point._equation_value().is_zero
-    assert order == count_points_mod_p(params.curve(), 5) or point.modulus.degree == 3
+    assert point._on_curve()
+    assert order == count_points_mod_p(params.curve(), 5) or point.field.degree == 3
+
+
+def test_reduction_skips_a_prime_in_a_denominator_of_the_modulus():
+    """With phi = theta/5 the point (5*phi, t) lies over Q[phi]/(f(5x)/125),
+    whose modulus is not 5-integral: 5 is skipped, 7 is used, as for theta."""
+    params = derive_family(1, 1)
+    fd = fiber_at_s(params, 1)
+    m = fd.fiber.compose(UniPoly((0, 5))) * Fraction(1, 125)
+    phi = QuotientElem(UniPoly((0, 5)), m, validate=False)
+    P = FieldPoint.affine(params.curve(), m, phi, QuotientElem.constant(fd.t, m))
+    assert reduce_point_mod_p(P, 5) is None
+    Pbar, order = reduce_point_mod_p(P, 7)
+    assert order == reduce_point_mod_p(fiber_point(params, 1), 7)[1]
+    assert Pbar._on_curve()
 
 
 # -- the scan -------------------------------------------------------------------------
@@ -731,7 +804,7 @@ def test_annihilation_from_the_walk_matches_scalar_mul():
                         continue
                     for n in (group_order - 1, group_order, group_order + 1):
                         kills = Pbar.scalar_mul(n).is_infinity
-                        assert ellcurve._annihilates(Pbar.a, multiples, n) is kills, (s, p, B, n)
+                        assert ellcurve._annihilates(Pbar, multiples, n) is kills, (s, p, B, n)
                         checked[kills] += 1
     assert checked[True] >= 100 and checked[False] >= 200, checked
 
@@ -744,11 +817,12 @@ def no_inert_head_prime(params, s):
 
 def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
     """One rational-root test per evaluated fiber with no inert head prime
-    (an inert prime rules out a rational root), and one discriminant per s:
-    fiber_at_s's identity check, which the torsion primes and the C3 class
-    reuse.  A repeated fiber re-runs only fiber_at_s, once, in its group."""
-    calls = {"rational_roots": 0, "discriminant": 0}
-    for name in calls:
+    (an inert prime rules out a rational root), one fiber_at_s per s and no
+    generic discriminant: fiber_at_s computes the closed form -4p^3 - 27q^2,
+    which the torsion primes and the C3 class reuse.  A repeated fiber
+    re-runs only fiber_at_s, once, in its group."""
+    calls = {"rational_roots": 0, "discriminant": 0, "fiber_at_s": 0}
+    for name in ("rational_roots", "discriminant"):
         real = getattr(UniPoly, name)
 
         def counted(self, real=real, name=name):
@@ -756,6 +830,12 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
             return real(self)
 
         monkeypatch.setattr(UniPoly, name, counted)
+
+    def fiber(params, s, real=fiber_at_s):
+        calls["fiber_at_s"] += 1
+        return real(params, s)
+
+    monkeypatch.setattr(family, "fiber_at_s", fiber)
     evaluated = []
 
     def evaluate(params, same_v, torsion_primes):
@@ -767,17 +847,17 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
     assert result.fibers_tested == len(enumerate_s_by_height(4)) == 23
     assert len(evaluated) == 17
     # every fiber there has an inert head prime
-    assert calls == {"rational_roots": 0, "discriminant": 23}
+    assert calls == {"rational_roots": 0, "discriminant": 0, "fiber_at_s": 23}
     # s = -1 is reducible, so splits at every prime: the one rational-root
     # test; its repeat -1/3 is checked in its group by one fiber_at_s, and the
     # fiber at -1 is not built again
-    calls.update(rational_roots=0, discriminant=0)
+    calls.update(rational_roots=0, fiber_at_s=0)
     evaluated.clear()
     params = derive_family(Fraction(3, 2), 1)
     result = scan_family(params, 3)
     assert result.fibers_tested == len(enumerate_s_by_height(3)) == 15
     assert len(evaluated) == 11
-    assert calls == {"rational_roots": 1, "discriminant": 15}
+    assert calls == {"rational_roots": 1, "discriminant": 0, "fiber_at_s": 15}
     monkeypatch.undo()
     assert [s for s in evaluated if no_inert_head_prime(params, s)] == [-1]
 
@@ -1047,17 +1127,16 @@ def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime():
     scan_family(params, 4)
     info = count_points_mod_p.cache_info()
     assert info.misses <= 12 < info.hits
-    # the cached invariants give the constants the generic lift into F_p[x]/(m) gives
+    # the cached invariants give the constants that ModPoly's reduction mod p gives
     degrees = set()
     for s in enumerate_s_by_height(3):
         P = fiber_point(params, s)
         for p in primes_up_to(31):
             reduced = reduce_point_mod_p(P, p)
             if reduced is not None:
-                m = reduced[0].modulus
-                degrees.add(m.degree)
-                assert reduced[0].a == tuple(
-                    FqElem.reduce(ModPoly.from_unipoly(UniPoly.constant(c), p), m)
-                    for c in params.curve().a_invariants
-                )
+                d = reduced[0].field.degree
+                degrees.add(d)
+                bars = (ModPoly.from_unipoly(UniPoly.constant(c), p).evaluate(0)
+                        for c in params.curve().a_invariants)
+                assert reduced[0].a == tuple(b if d == 1 else (b,) + (0,) * (d - 1) for b in bars)
     assert degrees == {1, 3}

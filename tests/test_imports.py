@@ -33,7 +33,6 @@ NTCERT_NAMES = {
 EXACT_NAMES = {
     "bipoly": ["BiPoly"],
     "eisenstein": ["EisensteinInt", "proj_equal"],
-    "finitefield": ["FqElem"],
     "modpoly": ["ModPoly", "count_distinct_roots", "irreducible_mod_p", "reduce_mod_p"],
     "primes": ["divisors", "is_prime", "iter_primes", "prime_factors", "primes_up_to"],
     "quotient": ["QuotientElem", "irreducible_over_q"],

@@ -5,8 +5,9 @@ triples) are checked against count_distinct_roots, which counts roots with
 ModPoly's generic gcd(x^p - x, f), and, read as split types at the good
 primes, prime by prime against splitting_type_mod_p.  The bitmask
 split-type rows and their first difference are checked against per-prime
-split types and a naive scan, and the degree-3 FqElem multiply and inverse
-against ModPoly's product-and-divmod and xgcd.
+split types and a naive scan, and the residue-field arithmetic of
+finitefield.ExtensionField on int tuples against ModPoly's product-and-divmod
+and xgcd.
 """
 
 import inspect
@@ -30,7 +31,6 @@ from ntcert.cubicfield import (
 )
 from ntcert.errors import InvalidInputError, InvalidPrimeError, RamifiedPrimeError
 from ntcert.exact import (
-    FqElem,
     ModPoly,
     UniPoly,
     count_distinct_roots,
@@ -39,6 +39,7 @@ from ntcert.exact import (
     iter_primes,
     primes_up_to,
 )
+from ntcert.exact.finitefield import ExtensionField
 
 
 def shanks_cubic(t: int) -> UniPoly:
@@ -219,31 +220,37 @@ def irreducible_cubic(rng: random.Random, p: int) -> ModPoly:
             return m
 
 
+def element(F: ExtensionField, f: ModPoly) -> tuple[int, ...]:
+    """The int tuple of F that f reduces to."""
+    cs = (f % ModPoly(F.m, F.p)).coeffs
+    return cs + F.zero[len(cs):]
+
+
 def test_fq3_multiply_and_inverse_match_modpoly():
     rng = random.Random(2024)
     primes = [5, 7, 11, 13, 101, 997] + rng.sample(primes_up_to(997)[3:], 10)
     for p in primes:
         m = irreducible_cubic(rng, p)
-        one = FqElem.reduce(ModPoly((1,), p), m)
+        F = ExtensionField(p, m.coeffs)
+        assert F.one == element(F, ModPoly((1,), p))
         for _ in range(15):
-            a, b = (FqElem.reduce(ModPoly([rng.randrange(p) for _ in range(3)], p), m)
+            a, b = (element(F, ModPoly([rng.randrange(p) for _ in range(3)], p))
                     for _ in range(2))
-            expected = FqElem.reduce(ModPoly(a.coeffs, p) * ModPoly(b.coeffs, p), m)
-            assert a * b == expected
-            if a.is_zero:
+            assert F._mul(a, b) == element(F, ModPoly(a, p) * ModPoly(b, p))
+            if a == F.zero:
                 continue
-            _, u, _ = ModPoly(a.coeffs, p).xgcd(m)
-            inv = a.inverse()
-            assert inv == FqElem.reduce(u, m)
-            assert a * inv == one
+            _, u, _ = ModPoly(a, p).xgcd(m)
+            inv = F._inv(a)
+            assert inv == element(F, u)
+            assert F._mul(a, inv) == F.one
         with pytest.raises(ZeroDivisionError):
-            FqElem((0, 0, 0), m).inverse()
+            F._inv(F.zero)
 
 
 def test_fq3_inverse_rejects_a_reducible_modulus():
-    m = ModPoly((0, 0, 0, 1), 7)  # x^3: x has no inverse
+    F = ExtensionField(7, (0, 0, 0, 1))  # x^3: x has no inverse
     with pytest.raises(InvalidPrimeError):
-        FqElem((0, 1, 0), m).inverse()
+        F._inv((0, 1, 0))
 
 
 @pytest.mark.parametrize("p", [2, 5, 13])
@@ -282,14 +289,37 @@ def test_divisors_match_trial_division():
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_fq_add_and_sub_match_modpoly(degree):
-    """Degrees 1 and 3 add and subtract in straight lines; 2 and 4 take the loop."""
+    """Degree 3 adds and subtracts in straight lines; the others take the loop."""
     rng = random.Random(3000 + degree)
     for p in (5, 7, 13, 101, 997):
         m = ModPoly([rng.randrange(p) for _ in range(degree)] + [1], p)
+        F = ExtensionField(p, m.coeffs)
         for _ in range(20):
-            a, b = (FqElem.reduce(ModPoly([rng.randrange(p) for _ in range(degree)], p), m)
+            a, b = (element(F, ModPoly([rng.randrange(p) for _ in range(degree)], p))
                     for _ in range(2))
-            A, B = ModPoly(a.coeffs, p), ModPoly(b.coeffs, p)
-            assert a + b == FqElem.reduce(A + B, m)
-            assert a - b == FqElem.reduce(A - B, m)
-            assert len((a - b).coeffs) == degree and (a - b) + b == a
+            A, B = ModPoly(a, p), ModPoly(b, p)
+            assert F._add(a, b) == element(F, A + B)
+            assert F._sub(a, b) == element(F, A - B)
+            assert len(F._sub(a, b)) == degree and F._add(F._sub(a, b), b) == a
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 5])
+def test_fq_general_multiply_and_inverse_match_modpoly(degree):
+    """Degrees other than 3 multiply by the general loop and invert by xgcd,
+    which fails exactly where the element and m share a factor."""
+    rng = random.Random(4000 + degree)
+    for p in (5, 7, 13, 101):
+        m = ModPoly([rng.randrange(p) for _ in range(degree)] + [1], p)
+        F = ExtensionField(p, m.coeffs)
+        for _ in range(20):
+            a, b = (element(F, ModPoly([rng.randrange(p) for _ in range(degree)], p))
+                    for _ in range(2))
+            assert F._mul(a, b) == element(F, ModPoly(a, p) * ModPoly(b, p))
+            if a == F.zero:
+                continue
+            g, u, _ = ModPoly(a, p).xgcd(m)
+            if g.degree == 0:
+                assert F._inv(a) == element(F, u)
+            else:
+                with pytest.raises(InvalidPrimeError):
+                    F._inv(a)
