@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args._config = _load_config(getattr(args, "config", None))
-    except (OSError, json.JSONDecodeError, NtcertError) as exc:
+    except (OSError, ValueError, NtcertError) as exc:  # ValueError: JSON or UTF-8 decoding
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:

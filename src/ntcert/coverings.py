@@ -31,7 +31,7 @@ from .errors import (
     NoAutomorphismError,
     VerificationError,
 )
-from .exact import BiPoly, EisensteinInt, UniPoly, is_prime, proj_equal
+from .exact import BiPoly, QuotientElem, UniPoly, is_prime
 
 # The Fermat screen's float root of a true x^p lies within
 # (12 + ln N)*N*2^-53 of x when N bounds the search (derived in
@@ -99,32 +99,22 @@ def model_from_n(p: int, n: int) -> SuperellipticModel:
 # -- the triangle curve X^m Y + Y^m Z + Z^m X ------------------------------------
 
 
-@dataclass(frozen=True)
-class TriangleCurve:
-    """The plane curve X^m*Y + Y^m*Z + Z^m*X = 0 and its associated prime."""
-
-    m: int
-    p: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidInputError("m must be >= 2")
-        if self.p != self.m * self.m - self.m + 1:
-            raise InvalidInputError("p must equal m^2 - m + 1")
-
-    @classmethod
-    def from_m(cls, m: int) -> "TriangleCurve":
-        return cls(m, m * m - m + 1)
-
-    def support(self) -> set[tuple[int, int, int]]:
-        return _triangle_support(self.m)
+# Q(rho) = Q[x]/(x^2 + x + 1), rho the class of x, a primitive cube root of unity
+_RHO_MODULUS = UniPoly((1, 1, 1))
 
 
-def _triangle_support(m: int) -> set[tuple[int, int, int]]:
-    return {(m, 1, 0), (0, m, 1), (1, 0, m)}
+def proj_equal(P: tuple, Q: tuple) -> bool:
+    """Projective equality of nonzero coordinate tuples of one length: every
+    2x2 cross minor vanishes, which needs no division."""
+    if len(P) != len(Q):
+        raise ValueError("projective points of different dimensions")
+    if all(c == 0 for c in P) or all(c == 0 for c in Q):
+        raise ValueError("the zero tuple is not a projective point")
+    n = len(P)
+    return all(P[i] * Q[j] - P[j] * Q[i] == 0 for i in range(n) for j in range(i + 1, n))
 
 
-def _triangle_value(m: int, P: tuple[EisensteinInt, ...]) -> EisensteinInt:
+def _triangle_value(m: int, P: tuple[QuotientElem, ...]) -> QuotientElem:
     X, Y, Z = P
     return X**m * Y + Y**m * Z + Z**m * X
 
@@ -147,29 +137,29 @@ def m_for_prime(p: int) -> int | None:
 def triangle_checks(m: int) -> dict:
     """Exact verifications on the degree-(m+1) triangle curve.
 
-    Checks, over Q(rho) arithmetic: the coordinate shift preserves the
+    Checks, in Q(rho) = Q[x]/(x^2 + x + 1): the coordinate shift preserves the
     defining polynomial (as a permutation of its monomials) and cyclically
     permutes the three coordinate points; both candidate fixed points are
     projectively fixed by the shift; and each lies on the curve exactly
     when m is not 2 mod 3 (equivalently p = m^2 - m + 1 is not divisible
     by 3).
     """
-    curve = TriangleCurve.from_m(m)
-    p = curve.p
-
-    support = curve.support()
+    if m < 2:
+        raise InvalidInputError("m must be >= 2")
+    p = m * m - m + 1
+    support = {(m, 1, 0), (0, m, 1), (1, 0, m)}
     shifted_support = {(c, a, b) for (a, b, c) in support}
     shift_preserves_curve = shifted_support == support
 
-    one = EisensteinInt(1)
-    zero = EisensteinInt(0)
+    one = QuotientElem.constant(1, _RHO_MODULUS)
+    zero = QuotientElem.constant(0, _RHO_MODULUS)
     coord_points = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
     expected_cycle = [coord_points[2], coord_points[0], coord_points[1]]
     shift_permutes_coordinate_points = all(
         proj_equal(_shift(P), Q) for P, Q in zip(coord_points, expected_cycle)
     )
 
-    rho = EisensteinInt.rho()
+    rho = QuotientElem.generator(_RHO_MODULUS)
     fixed_points = [(rho, rho * rho, one), (rho * rho, rho, one)]
     fixed_projectively = all(proj_equal(_shift(P), P) for P in fixed_points)
     on_curve = [_triangle_value(m, P).is_zero for P in fixed_points]
@@ -253,17 +243,14 @@ def psi_identities(m: int) -> dict:
         x, y = pt
         return (y, y - x)
 
-    def proj_same(P, Q) -> bool:
-        return P[0] * Q[1] - P[1] * Q[0] == 0
-
     zero_pt, one_pt, inf_pt = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (
         Fraction(1),
         Fraction(0),
     )
     cycle = (
-        proj_same(mobius(zero_pt), one_pt)
-        and proj_same(mobius(one_pt), inf_pt)
-        and proj_same(mobius(inf_pt), zero_pt)
+        proj_equal(mobius(zero_pt), one_pt)
+        and proj_equal(mobius(one_pt), inf_pt)
+        and proj_equal(mobius(inf_pt), zero_pt)
     )
     m1 = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1)))
 

@@ -8,7 +8,6 @@ from importlib import import_module
 
 _EXPORTS = {
     "bipoly": ("BiPoly",),
-    "eisenstein": ("EisensteinInt", "proj_equal"),
     "modpoly": ("ModPoly", "count_distinct_roots", "irreducible_mod_p", "reduce_mod_p"),
     "primes": ("divisors", "is_prime", "iter_primes", "prime_factors", "primes_up_to"),
     "quotient": ("QuotientElem", "irreducible_over_q"),

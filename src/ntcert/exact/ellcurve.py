@@ -11,7 +11,7 @@ without the family or the scan.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm as _int_lcm
 
 from ..errors import (
@@ -19,7 +19,8 @@ from ..errors import (
     VerificationError,
 )
 from .finitefield import ExtensionField, PrimeField
-from .modpoly import ModPoly, irreducible_mod_p
+from .modpoly import ModPoly, _residues, irreducible_mod_p
+from .power import _power
 from .primes import is_prime, iter_primes
 from .quotient import QuotientElem, QuotientField
 from .unipoly import UniPoly
@@ -102,18 +103,6 @@ def _chord_tangent(F, a, P, Q):
     x3 = sub(sub(sub(mul(lam, add(lam, a1)), a2), x1), x2)
     y3 = sub(sub(mul(lam, sub(x1, x3)), y1), add(mul(a1, x3), a3))
     return x3, y3
-
-
-def _double_and_add(F, a, P, k: int):
-    """k*P for k >= 0 by the binary method over _chord_tangent."""
-    result = None
-    while k:
-        if k & 1:
-            result = _chord_tangent(F, a, result, P)
-        k >>= 1
-        if k:
-            P = _chord_tangent(F, a, P, P)
-    return result
 
 
 class FieldPoint:
@@ -200,7 +189,8 @@ class FieldPoint:
     def scalar_mul(self, k: int) -> "FieldPoint":
         if k < 0:
             return (-self).scalar_mul(-k)
-        return self._sibling(_double_and_add(self.field, self.a, self._coords(), k))
+        add = partial(_chord_tangent, self.field, self.a)
+        return self._sibling(_power(self._coords(), k, None, add))
 
 
 # -- reduction mod p -------------------------------------------------------------
@@ -213,14 +203,6 @@ def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
     if any(c.denominator % p == 0 for c in curve.a_invariants):
         return False
     return curve.disc.numerator % p != 0
-
-
-def _residues(coeffs, p: int) -> tuple[int, ...] | None:
-    """Rational coefficients as ints mod p; None when p divides a denominator."""
-    try:
-        return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in coeffs)
-    except ValueError:
-        return None
 
 
 def _horner(coeffs, r: int) -> int:
@@ -331,7 +313,8 @@ def _annihilates(Pbar: FieldPoint, multiples: list, n: int) -> bool:
     F, a = Pbar.field, Pbar.a
     q, r = divmod(n, len(multiples))
     rest = multiples[r - 1] if r else None
-    return _chord_tangent(F, a, _double_and_add(F, a, multiples[-1], q), rest) is None
+    q_multiple = _power(multiples[-1], q, None, partial(_chord_tangent, F, a))
+    return _chord_tangent(F, a, q_multiple, rest) is None
 
 
 def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:

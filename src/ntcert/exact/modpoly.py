@@ -18,6 +18,14 @@ from .primes import is_prime, prime_factors
 from .unipoly import DensePoly, UniPoly
 
 
+def _residues(coeffs, p: int) -> tuple[int, ...] | None:
+    """Rational coefficients as ints mod p; None when p divides a denominator."""
+    try:
+        return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in coeffs)
+    except ValueError:
+        return None
+
+
 class ModPoly(DensePoly):
     __slots__ = ("p",)
 
@@ -35,11 +43,9 @@ class ModPoly(DensePoly):
         """Reduce a rational polynomial mod p; denominators must be units mod p."""
         if not is_prime(p):
             raise InvalidInputError(f"modulus {p} is not prime")
-        out = []
-        for c in f.coeffs:
-            if c.denominator % p == 0:
-                raise InvalidInputError(f"coefficient denominator divisible by {p}")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
+        out = _residues(f.coeffs, p)
+        if out is None:
+            raise InvalidInputError(f"coefficient denominator divisible by {p}")
         return cls(out, p, check_prime=False)
 
     @classmethod

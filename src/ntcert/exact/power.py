@@ -1,4 +1,5 @@
-"""Square-and-multiply, written once for every ring type in the package."""
+"""Square-and-multiply, written once for every ring type in the package and
+for multiples of a point under ellcurve's chord-tangent law."""
 
 import operator
 

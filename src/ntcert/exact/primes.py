@@ -3,7 +3,7 @@
 Everything here is desk scale: trial division and a deterministic
 Miller-Rabin (valid far beyond 64-bit inputs) are all that is needed.
 primes_up_to and iter_primes read one cached sieve of Eratosthenes, which
-grows on demand, so a scan that asks for the same primes per fiber pair
+grows on demand, so a scan that asks for the same primes for every fiber
 sieves them once.
 """
 

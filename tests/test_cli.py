@@ -253,6 +253,9 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(["family-scan", "--config", str(tmp_path / "missing.json")], capsys)
     assert code == 2
+    cfg.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    code, _ = run_cli(["family-scan", "--config", str(cfg)], capsys)
+    assert code == 2
 
 
 def test_certificate_fiber_round_trips(tmp_path):
@@ -293,6 +296,11 @@ PINNED_SCANS = {
         "5452b0ce8a0d451438d2616b064d35d221c3b83364d9cb964cc1807e707a2aac",
     ("covering-report", "9901"):
         "94872377b9a66db8458de89a5b4e07ccbaf5cf756aae3d7c2aa2e599b63aabfb",
+    # m = 2, the only triangle curve whose fixed points lie off it, and m = 3
+    ("covering-report", "3"):
+        "7b84482236076c7ddc92b360dd3b227e8afdb676a386b7394888ef79adfb19be",
+    ("covering-report", "7"):
+        "ce0ce13a098864891c38ef84da25803b213458493d8b0a84b030d96ae06f149f",
     ("degree-plan", "30", "5000"):
         "bba3fbcd231f81a2281f165b547e29b2e64d22c9593cb5f66dd82d34cf6e6b92",
     # two reducible and four presumed-equal fibers, through the pool
@@ -314,6 +322,8 @@ PINNED_SCANS = {
         "fermat3",
         "fermat7",
         "covering9901",
+        "covering3",
+        "covering7",
         "plan30",
         "reducible_jobs2",
         "primes5_17",

@@ -97,6 +97,8 @@ def test_triangle_m2_fixed_points_off_curve():
     assert report["p"] == 3
     assert report["fixed_points_on_curve"] is False
     assert report["fixed_points_projectively_fixed"]
+    with pytest.raises(InvalidInputError):
+        triangle_checks(1)  # m = 2 is the least
 
 
 def test_triangle_on_curve_rule_two_routes():

@@ -1,38 +1,30 @@
-import random
+"""Q(rho) = Q[x]/(x^2 + x + 1), in which the triangle curve's fixed points lie."""
+
 from fractions import Fraction
 
 import pytest
 
-from ntcert.exact import EisensteinInt, proj_equal
+from ntcert.coverings import _RHO_MODULUS, proj_equal
+from ntcert.exact import QuotientElem
 
 
 def test_cube_root_relations():
-    rho = EisensteinInt.rho()
+    rho = QuotientElem.generator(_RHO_MODULUS)
     assert rho**3 == 1
     assert rho * rho + rho + 1 == 0
 
 
-def test_inverse_and_norm():
-    rng = random.Random(50)
-    for _ in range(60):
-        z = EisensteinInt(
-            Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
-            Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
-        )
-        if z.is_zero:
-            continue
-        assert z * z.inverse() == 1
-        w = EisensteinInt(rng.randint(-5, 5), rng.randint(-5, 5))
-        assert (z * w).norm() == z.norm() * w.norm()
-        assert z * z.conjugate() == EisensteinInt(z.norm(), 0)
-
-
 def test_projective_equality():
-    rho = EisensteinInt.rho()
-    one = EisensteinInt(1)
+    rho = QuotientElem.generator(_RHO_MODULUS)
+    one = QuotientElem.constant(1, _RHO_MODULUS)
     P = (rho, rho * rho, one)
     scaled = tuple(rho * c for c in P)
     assert proj_equal(P, scaled)
     assert not proj_equal(P, (rho * rho, rho, one))
+    # pairs, as psi_identities compares points of the line
+    assert proj_equal((Fraction(1), Fraction(-1)), (Fraction(-3), Fraction(3)))
+    assert not proj_equal((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
-        proj_equal((one, one), (one, one))
+        proj_equal((one, one), (one, one, one))
+    with pytest.raises(ValueError):
+        proj_equal((one, one), (one * 0, one * 0))

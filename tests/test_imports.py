@@ -10,29 +10,9 @@ import pytest
 import ntcert
 import ntcert.exact
 
-NTCERT_NAMES = {
-    "cubicfield": [
-        "CubicField", "GaloisClass", "SplitType", "galois_class", "splitting_type_mod_p",
-    ],
-    "coverings": [
-        "RamificationData", "SuperellipticModel", "TriangleCurve", "fermat_search",
-        "model_from_n", "psi_identities", "quotient_genus", "rh_genus", "solve_eq5",
-        "superelliptic_genus", "triangle_checks",
-    ],
-    "exact.ellcurve": ["FieldPoint", "WeierstrassCurve", "nontorsion_certificate"],
-    "family": [
-        "ExtensionCertificate", "FamilyParams", "derive_family", "fiber_at_s", "scan_family",
-        "torsion_bound",
-    ],
-    "newton": [
-        "NewtonPolygon", "corner_check", "min_universal_degree",
-        "newton_polygon", "plan_degrees", "specialize_b", "substitute_st",
-    ],
-    "qseries": ["LaurentSeries", "euler_pow", "hauptmodul_t", "j_series", "verify_eta_identity"],
-}
+NTCERT_NAMES = {"cubicfield": ["galois_class"]}
 EXACT_NAMES = {
     "bipoly": ["BiPoly"],
-    "eisenstein": ["EisensteinInt", "proj_equal"],
     "modpoly": ["ModPoly", "count_distinct_roots", "irreducible_mod_p", "reduce_mod_p"],
     "primes": ["divisors", "is_prime", "iter_primes", "prime_factors", "primes_up_to"],
     "quotient": ["QuotientElem", "irreducible_over_q"],
@@ -98,8 +78,7 @@ SUBCOMMANDS = {
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
                       {"family", "qseries", "exact.ellcurve", "scandoc"}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
-                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.eisenstein",
-                     "pickle", *POOL}),
+                    {"coverings", "newton", "qseries", "exact.bipoly", "pickle", *POOL}),
 }
 
 
