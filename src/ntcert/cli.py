@@ -251,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--out", help="output path (stdout if omitted)")
     mod.set_defaults(func=cmd_modular_verify)
 
-    fer = sub.add_parser("fermat-search", help="brute-force search of A^p = B^p + C^p")
+    fer = sub.add_parser(
+        "fermat-search",
+        help="exact search of A^p = B^p + C^p over the Barlow-Abel candidates (Ribenboim 1999)",
+    )
     fer.add_argument("p", type=int, choices=(3, 5, 7))
     fer.add_argument("--bound", type=int, default=100)
     fer.add_argument("--full", action="store_true", help="list every solution, not just counts")

@@ -5,24 +5,21 @@ Covers the computable content of that story: the congruence
 produces; the plane curve X^m*Y + Y^m*Z + Z^m*X with its coordinate-shift
 automorphism, fixed points over Q(rho), and the monomial map
 (X:Y:Z) -> (X^m*Y : Y^m*Z : Z^m*X) onto the line a+b+c = 0; genus
-bookkeeping by Riemann-Hurwitz; and the brute-force Fermat search that
-pins down the exceptional rational points.
+bookkeeping by Riemann-Hurwitz; and the exact Fermat search that pins
+down the rational points of x^p + y^p = z^p up to a bound.
 
-The Fermat search screens only the band z^p <= 2*y^p, where every
-positive solution x <= y < z lies, since x^p = z^p - y^p <= y^p; with
-k = z - y each k starts at the least y with (y + k)^p <= 2*y^p.  There
-x^p = k*S with S = sum_{i<p} z^(p-1-i)*y^i, built in float64 from
-positive terms only, so its p-th root is within
-(12 + ln N)*N*2^-53 of x for |A|, |B|, |C| <= N; every candidate is
-confirmed in exact integer arithmetic.
+The Fermat search tests only the triples the Barlow-Abel relations allow:
+in a primitive positive solution each of z - y, z - x and x + y is t^p or
+p^(p-1)*t^p (P. Ribenboim, Fermat's Last Theorem for Amateurs, Springer
+1999), and every candidate is confirmed in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, permutations, product
-from math import ceil, gcd as _int_gcd, isqrt
+from itertools import permutations, product
+from math import gcd as _int_gcd, isqrt
 
 from .errors import (
     InconsistentRamificationError,
@@ -33,14 +30,9 @@ from .errors import (
 )
 from .exact import BiPoly, QuotientElem, UniPoly, is_prime
 
-# The Fermat screen's float root of a true x^p lies within
-# (12 + ln N)*N*2^-53 of x when N bounds the search (derived in
-# `_positive_power_triples`).  That is below this tolerance for every
-# N <= 2.8*10^8 (9.8e-7 there); _SCREEN_BOUND_MAX = 2*10^8 (6.9e-7) keeps a
-# margin.  Within it no true solution can be lost, and fermat_search
-# refuses larger bounds.
-_ROOT_SCREEN_TOLERANCE = 1e-6
-_SCREEN_BOUND_MAX = 2 * 10**8
+# fermat_search lists all 6*bound + 1 trivial solutions in memory, so it
+# refuses bounds above this one before allocating anything.
+_FERMAT_BOUND_MAX = 2 * 10**8
 
 
 # -- the winding congruence and superelliptic models -----------------------------
@@ -337,95 +329,87 @@ def quotient_genus(p: int) -> int:
 # -- the Fermat desk search ----------------------------------------------------
 
 
-def _band_values(p: int, k, y):
-    """z^p - y^p for z = y + k, as k*S with S = sum_{i<p} z^(p-1-i)*y^i.
+def _barlow_values(p: int, limit: int) -> list[int]:
+    """The numbers t^p and p^(p-1)*t^p (t >= 1) up to limit, ascending.
 
-    S is built from positive terms only: s = z + y, then s = s*z + y^j for
-    j = 2, ..., p-1.  On Python ints the value is exact.  On a float64
-    array of integers y with y + k + y < 2^53, z and z + y are exact, and
-    every term of k*S passes through at most 2p - 3 roundings, so the
-    relative error is at most (2p - 3)*2^-53 (to first order): nothing
-    cancels.
+    The two kinds never meet: their p-adic valuations are 0 and p - 1 mod p.
     """
-    z = y + k
-    s = z + y
-    y_power = y
-    for _ in range(2, p):
-        y_power = y_power * y
-        s = s * z + y_power
-    return k * s
+    values = []
+    for scale in (1, p ** (p - 1)):
+        t = 1
+        while scale * t**p <= limit:
+            values.append(scale * t**p)
+            t += 1
+    return sorted(values)
 
 
-def _band_start(p: int, k: int) -> int:
-    """Least y with (y + k)^p <= 2*y^p: from there on, z = y + k gives x <= y.
+def _barlow_candidates(p: int, bound: int) -> list[tuple[int, int, int]]:
+    """Every (x, y, z) with 1 <= x <= y < z <= bound whose z - y, z - x and
+    x + y are each t^p or p^(p-1)*t^p.
 
-    (1 + k/y)^p falls as y grows, so the band is y >= k/(2^(1/p) - 1); the
-    float estimate of that bound is moved to the exact integer.
+    With A = z - y <= B = z - x and C = x + y, z = (A + B + C)/2, x = z - B
+    and y = z - A, so x <= y follows from A <= B and x >= 1 from z > B.
     """
-    y = max(1, ceil(k / (2.0 ** (1.0 / p) - 1.0)))
-    while (y - 1 + k) ** p <= 2 * (y - 1) ** p:
-        y -= 1
-    while (y + k) ** p > 2 * y**p:
-        y += 1
-    return y
+    differences = _barlow_values(p, bound)
+    sums = _barlow_values(p, 2 * bound)
+    candidates = []
+    for i, A in enumerate(differences):
+        for B in differences[i:]:
+            for C in sums:
+                twice_z = A + B + C
+                if twice_z > 2 * bound:
+                    break
+                z = twice_z // 2
+                if twice_z % 2 == 0 and z > B:
+                    candidates.append((z - B, z - A, z))
+    return candidates
 
 
 def _positive_power_triples(p: int, bound: int) -> list[tuple[int, int, int]]:
-    """All 1 <= x <= y <= bound with x^p + y^p = z^p, as sorted (x, y, z).
+    """All 1 <= x <= y < z <= bound with x^p + y^p = z^p, as sorted (x, y, z).
 
-    With k = z - y, x <= y is exactly x^p = (y + k)^p - y^p <= y^p, that is
-    (y + k)^p <= 2*y^p, so each k is screened only from
-    y = _band_start(p, k) to bound, and k stops where that start passes
-    bound: about (2^(1/p) - 1)*bound^2/2 pairs.
-
-    Float screen, exact confirmation.  For a true solution the computed
-    k*S is x^p*(1 + t) with |t| <= (2p - 3)*2^-53 (see `_band_values`),
-    which moves its p-th root by at most 2*2^-53 relative.  Rounding 1/p
-    to a double moves V^(1/p) by at most ln(x)*2^-53 relative (cbrt, used
-    at p = 3, has no such term), and the root itself is allowed 4 ulp,
-    8*2^-53 relative.  With x <= bound the computed root is thus within
-    (12 + ln bound)*bound*2^-53 of x, the 12 absorbing second-order
-    terms.  For bound <= _SCREEN_BOUND_MAX that is below
-    _ROOT_SCREEN_TOLERANCE, so no true solution is lost; the screen may
-    admit false candidates, and exact arithmetic rejects them.
+    Each Barlow candidate that x^p + y^p == z^p confirms is scaled by
+    d = 1, ..., bound // z; `fermat_search` proves that this finds them all.
     """
-    import numpy as np
-
-    ys = np.arange(bound + 1, dtype=np.float64)
-    hits: list[tuple[int, int, int]] = []
-    for k in count(1):
-        y0 = _band_start(p, k)
-        if y0 > bound:
-            break
-        values = _band_values(p, k, ys[y0:])
-        roots = np.cbrt(values) if p == 3 else values ** (1.0 / p)
-        for idx in np.nonzero(np.abs(roots - np.rint(roots)) < _ROOT_SCREEN_TOLERANCE)[0]:
-            x = round(float(roots[idx]))
-            y = y0 + int(idx)
-            if x**p + y**p == (y + k) ** p:
-                hits.append((x, y, y + k))
-    hits.sort()
-    return hits
+    hits = set()
+    for x, y, z in _barlow_candidates(p, bound):
+        if x**p + y**p == z**p:
+            hits.update((d * x, d * y, d * z) for d in range(1, bound // z + 1))
+    return sorted(hits)
 
 
 def fermat_search(p: int, bound: int) -> list[tuple[int, int, int]]:
     """All integer solutions of A^p = B^p + C^p with |A|, |B|, |C| <= bound.
 
     The trivial families (a, a, 0), (a, 0, a), (0, a, -a) are listed
-    directly, already in sorted order.  Any nontrivial solution would come
-    from the positive screen over the band z^p <= 2*y^p (see
-    `_positive_power_triples`), expanded through signs and coordinate
-    permutations and merged in.  The screen's float error is proven below
-    its tolerance only for bound <= _SCREEN_BOUND_MAX, so larger bounds
-    are refused.
+    directly, already in sorted order.  Any nontrivial solution is a
+    positive x^p + y^p = z^p, x <= y < z <= bound, up to signs and
+    coordinate permutations; those come from `_positive_power_triples`,
+    expanded and merged in.
+
+    Completeness.  A positive solution is d times a primitive one,
+    gcd(x, y) = 1, with z <= bound // d, so it suffices that the primitive
+    ones are Barlow candidates (`_barlow_candidates`).  Let
+    Q = (z^p - y^p)/(z - y) = sum_{i<p} z^(p-1-i)*y^i, so (z - y)*Q = x^p.
+    As z = y mod (z - y), Q = p*y^(p-1) mod (z - y), and gcd(z - y, y) =
+    gcd(z, y) = 1, so gcd(z - y, Q) divides p.  If p does not divide z - y,
+    the coprime positive factors z - y and Q of a p-th power are p-th
+    powers: z - y = t^p.  If p divides z - y, then p divides neither y nor
+    z, and lifting the exponent gives v_p(Q) = 1; every other prime still
+    divides only one factor, so v_p(z - y) = p*v_p(x) - 1 and
+    z - y = p^(p-1)*t^p.  The same holds for z - x, and for x + y as a
+    factor of z^p = x^p + y^p with Q = (x^p + y^p)/(x + y) =
+    p*y^(p-1) mod (x + y), p being odd.  Here z - y and z - x are at most
+    bound and x + y is below 2*bound.  Bounds above _FERMAT_BOUND_MAX are
+    refused.
     """
     if p not in (3, 5, 7):
         raise InvalidInputError("supported exponents are 3, 5, and 7")
     if bound < 1:
         raise InvalidInputError("bound must be >= 1")
-    if bound > _SCREEN_BOUND_MAX:
+    if bound > _FERMAT_BOUND_MAX:
         raise InvalidInputError(
-            f"bound must be <= {_SCREEN_BOUND_MAX}, the range where the float screen is proven"
+            f"bound must be <= {_FERMAT_BOUND_MAX}, as all 6*bound + 1 trivial solutions are listed"
         )
     solutions = [t for a in range(-bound, 0) for t in ((a, a, 0), (a, 0, a))]
     solutions += [(0, b, -b) for b in range(-bound, bound + 1)]

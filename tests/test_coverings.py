@@ -1,19 +1,16 @@
 import json
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import permutations, product
-from math import isqrt, log
+from math import gcd
 
 import pytest
 
 from ntcert import cli
 from ntcert.coverings import (
-    _ROOT_SCREEN_TOLERANCE,
-    _SCREEN_BOUND_MAX,
+    _FERMAT_BOUND_MAX,
     RamificationData,
-    _band_start,
-    _band_values,
+    _barlow_candidates,
     _positive_power_triples,
     covering_report,
     fermat_search,
@@ -246,82 +243,38 @@ def test_full_listing_matches_the_set_and_sort_construction(capsys):
             assert doc["solutions"] == [list(t) for t in set_and_sort_solutions(p, bound)]
 
 
-def test_band_screen_finds_every_pythagorean_triple():
-    """At p = 2 the band holds solutions, so a screen that loses one fails here."""
-    for bound in (1, 2, 5, 12, 13, 300):
-        oracle = [
-            (x, y, isqrt(x * x + y * y))
-            for x in range(1, bound + 1)
-            for y in range(x, bound + 1)
-            if isqrt(x * x + y * y) ** 2 == x * x + y * y
-        ]
-        assert _positive_power_triples(2, bound) == oracle
-    assert len(oracle) == 249
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_band_start_is_the_least_y_with_x_at_most_y(p):
-    """(y + k)^p <= 2*y^p holds at the start and fails one below it, and the
-    band lies inside the looser one p*k <= y."""
-    big = _SCREEN_BOUND_MAX // 10
-    for k in [*range(1, 300), *range(big, big + 100)]:
-        y = _band_start(p, k)
-        assert (y + k) ** p <= 2 * y**p
-        assert (y - 1 + k) ** p > 2 * (y - 1) ** p
-        assert y >= p * k
-
-
-def test_pairs_the_band_drops_have_x_above_y():
-    """At p = 2 the pairs below each k's band start hold Pythagorean triples,
-    and every one of them has x > y, so the screen loses no x <= y."""
-    bound = 300
-    dropped = []
-    for k in range(1, bound + 1):
-        for y in range(1, min(_band_start(2, k), bound + 1)):
-            x2 = (y + k) ** 2 - y * y
-            if isqrt(x2) ** 2 == x2:
-                dropped.append((isqrt(x2), y, y + k))
-    assert (72, 65, 97) in dropped
-    assert all(x > y for x, y, _ in dropped)
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_difference_and_its_cofactor_share_at_most_p(p):
+    """The lemma behind the Barlow relations: for coprime 1 <= y < z,
+    Q = (z^p - y^p)/(z - y) has gcd(z - y, Q) in {1, p}, and v_p(Q) = 1
+    whenever p divides z - y."""
+    for z in range(2, 201):
+        for y in range(1, z):
+            if gcd(y, z) != 1:
+                continue
+            d = z - y
+            Q = (z**p - y**p) // d
+            assert gcd(d, Q) in (1, p)
+            if d % p == 0:
+                assert Q % p == 0 and Q % (p * p) != 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_band_values_are_differences_of_pth_powers(p):
-    import numpy as np
-
-    for k in range(1, 21):
-        ys = range(p * k, 151)
-        exact = [(y + k) ** p - y**p for y in ys]
-        assert [_band_values(p, k, y) for y in ys] == exact
-        # every partial value stays below 2^53 here, so float64 is exact too
-        floats = _band_values(p, k, np.arange(p * k, 151, dtype=np.float64))
-        assert [int(v) for v in floats] == exact
-    # at the benchmark's bounds and the largest proven one: within (2p - 3)*2^-53
-    u = Fraction(1, 2**53)
-    gamma = (2 * p - 3) * u / (1 - (2 * p - 3) * u)
-    for bound in (5000, 10**4, _SCREEN_BOUND_MAX):
-        for k in (1, 2, bound // p - 1, bound // p):
-            ys = [p * k, p * k + 1, bound // 2, bound - 1, bound]
-            floats = _band_values(p, k, np.array(ys, dtype=np.float64))
-            for y, v in zip(ys, floats):
-                exact = (y + k) ** p - y**p
-                assert abs(Fraction(float(v)) - exact) <= gamma * exact
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_screen_root_error_stays_within_the_stated_bound(p):
-    """The root of a rounded p-th power, as the screen takes it, is within
-    (12 + ln N)*N*2^-53 of x, and that is below the tolerance at the
-    largest proven bound."""
-    import numpy as np
-
-    N = _SCREEN_BOUND_MAX
-    assert (12 + log(N)) * N * 2.0**-53 < _ROOT_SCREEN_TOLERANCE
-    xs = [*range(1, 2000), *range(N - 2000, N + 1), *range(10**6, N, 99_991)]
-    values = np.array([float(x**p) for x in xs])
-    roots = np.cbrt(values) if p == 3 else values ** (1.0 / p)
-    for x, r in zip(xs, roots):
-        assert abs(float(r) - x) <= (12 + log(N)) * x * 2.0**-53
+def test_barlow_candidates_are_every_triple_the_relations_allow(p):
+    bound = 150
+    powers = {scale * t**p for scale in (1, p ** (p - 1)) for t in range(1, 2 * bound)}
+    differences = {v for v in powers if v <= bound}
+    sums = {v for v in powers if v <= 2 * bound}
+    brute = [
+        (x, y, z)
+        for z in range(2, bound + 1)
+        for y in range(1, z)
+        if z - y in differences
+        for x in range(1, y + 1)
+        if z - x in differences and x + y in sums
+    ]
+    assert sorted(_barlow_candidates(p, bound)) == sorted(brute)
+    assert len(brute) > 0
 
 
 def test_bounds_beyond_the_proven_range_are_refused_before_allocating():
@@ -331,7 +284,7 @@ def test_bounds_beyond_the_proven_range_are_refused_before_allocating():
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from ntcert import cli, coverings\n"
         "from ntcert.errors import InvalidInputError\n"
-        "bound = coverings._SCREEN_BOUND_MAX + 1\n"
+        "bound = coverings._FERMAT_BOUND_MAX + 1\n"
         "try:\n"
         "    coverings.fermat_search(3, bound)\n"
         "except InvalidInputError as exc:\n"
@@ -344,16 +297,8 @@ def test_bounds_beyond_the_proven_range_are_refused_before_allocating():
     run = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
-    reason = f"bound must be <= {_SCREEN_BOUND_MAX}, the range where the float screen is proven"
+    reason = f"bound must be <= {_FERMAT_BOUND_MAX}, as all 6*bound + 1 trivial solutions are listed"
     assert run.stdout == f"refused: {reason}\n2 error: {reason}\n"
-
-
-def test_float_screen_margin_on_perfect_powers():
-    """The root screen must see every exact p-th power within tolerance."""
-    for p in (3, 5, 7):
-        for z in range(1, 20001, 7):
-            zf = float(z**p) ** (1.0 / p)
-            assert abs(zf - round(zf)) < 1e-6
 
 
 # -- aggregate report ----------------------------------------------------------------------

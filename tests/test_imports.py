@@ -53,32 +53,34 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("ntcert.") or m i
 """
 # the modules a process pool loads: no scan loads them, as --jobs above 1 forks
 POOL = {"concurrent.futures.process", "multiprocessing"}
+# the modules outside ntcert that the probe reports
+REPORTED = sorted(POOL | {"pickle", "numpy"})
 
 
 def loaded_modules(argv):
-    """The ntcert submodules (without the prefix), POOL modules and pickle that argv loads."""
+    """The ntcert submodules (without the prefix) and REPORTED modules that argv loads."""
     run = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv), json.dumps(sorted(POOL | {"pickle"}))],
+        [sys.executable, "-c", PROBE, json.dumps(argv), json.dumps(REPORTED)],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return {m.removeprefix("ntcert.") for m in json.loads(run.stdout)}
 
 
 # argv, the module it runs, and the modules it must not load; only a scan
-# loads the scan document's writer
+# loads the scan document's writer, and none loads numpy
 SUBCOMMANDS = {
     "import-only": ([], "cli",
-                    {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc"}),
+                    {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy"}),
     "modular-verify": (["modular-verify", "--order", "12"], "qseries",
-                       {"family", "cubicfield", "coverings", "exact.ellcurve", "scandoc"}),
+                       {"family", "cubicfield", "coverings", "exact.ellcurve", "scandoc", "numpy"}),
     "degree-plan": (["degree-plan", "3", "10"], "newton",
-                    {"family", "coverings", "exact.ellcurve", "scandoc"}),
+                    {"family", "coverings", "exact.ellcurve", "scandoc", "numpy"}),
     "covering-report": (["covering-report", "7"], "coverings",
-                        {"family", "qseries", "exact.ellcurve", "scandoc"}),
+                        {"family", "qseries", "exact.ellcurve", "scandoc", "numpy"}),
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
-                      {"family", "qseries", "exact.ellcurve", "scandoc"}),
+                      {"family", "qseries", "exact.ellcurve", "scandoc", "numpy"}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
-                    {"coverings", "newton", "qseries", "exact.bipoly", "pickle", *POOL}),
+                    {"coverings", "newton", "qseries", "exact.bipoly", "pickle", "numpy", *POOL}),
 }
 
 
