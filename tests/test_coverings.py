@@ -2,15 +2,16 @@ import json
 import subprocess
 import sys
 from itertools import permutations, product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from ntcert import cli
+from ntcert import cli, coverings
 from ntcert.coverings import (
     _FERMAT_BOUND_MAX,
     RamificationData,
     _barlow_candidates,
+    _barlow_values,
     _positive_power_triples,
     covering_report,
     fermat_search,
@@ -275,6 +276,48 @@ def test_barlow_candidates_are_every_triple_the_relations_allow(p):
     ]
     assert sorted(_barlow_candidates(p, bound)) == sorted(brute)
     assert len(brute) > 0
+
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_band_values_are_differences_of_pth_powers(p):
+    """The values the search allows for the differences z - y and z - x, and
+    for x + y, are the v with v or p*v a p-th power: ascending, each once,
+    as the two kinds never meet."""
+    limit = max(20_000, p ** (p - 1))
+    pth_powers = {s**p for s in range(1, int((p * limit) ** (1 / p)) + 2)}
+    for cut in (1, 2**p, p ** (p - 1) - 1, p ** (p - 1), limit):
+        values = _barlow_values(p, cut)
+        assert values == sorted(set(values))
+        assert values == [v for v in range(1, cut + 1) if v in pth_powers or p * v in pth_powers]
+        assert not any(v in pth_powers and p * v in pth_powers for v in values)
+
+
+def test_band_screen_finds_every_pythagorean_triple(monkeypatch):
+    """No positive solution exists at p = 3, 5, 7, so the confirm-and-scale
+    step of _positive_power_triples is run at p = 2, with the primitive
+    Pythagorean triples (Euclid's formula) among non-solutions as the
+    candidates: it must keep every multiple up to the bound and nothing else."""
+
+    def candidates(p, bound):
+        primitive = [
+            (*sorted((m * m - n * n, 2 * m * n)), m * m + n * n)
+            for m in range(2, isqrt(bound) + 1)
+            for n in range(1 + m % 2, m, 2)
+            if gcd(m, n) == 1 and m * m + n * n <= bound
+        ]
+        return [(1, 1, 2), (2, 3, 4), *primitive, (6, 8, 10)]
+
+    monkeypatch.setattr(coverings, "_barlow_candidates", candidates)
+    for bound in (1, 2, 5, 12, 13, 300):
+        oracle = sorted(
+            (x, y, isqrt(x * x + y * y))
+            for x in range(1, bound + 1)
+            for y in range(x, bound + 1)
+            if isqrt(x * x + y * y) ** 2 == x * x + y * y and x * x + y * y <= bound * bound
+        )
+        assert _positive_power_triples(2, bound) == oracle
+    assert len(oracle) == 209
 
 
 def test_bounds_beyond_the_proven_range_are_refused_before_allocating():
