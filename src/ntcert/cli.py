@@ -197,18 +197,20 @@ def cmd_modular_verify(args: argparse.Namespace) -> int:
 def cmd_fermat_search(args: argparse.Namespace) -> int:
     from . import coverings
 
-    solutions = coverings.fermat_search(args.p, args.bound)
-    nontrivial = coverings.nontrivial_solutions(solutions)
+    # the listing is refused above its cap before the search runs
+    trivial = coverings.trivial_solutions(args.bound) if args.full else []
+    nontrivial = coverings.fermat_search(args.p, args.bound)
+    trivial_count = 6 * args.bound + 1
     doc = {
         "schema": SCHEMA_VERSION,
         "p": args.p,
         "bound": args.bound,
-        "solutions_found": len(solutions),
-        "trivial_count": len(solutions) - len(nontrivial),
+        "solutions_found": trivial_count + len(nontrivial),
+        "trivial_count": trivial_count,
         "nontrivial": [list(s) for s in nontrivial],
     }
     if args.full:
-        doc["solutions"] = [list(s) for s in solutions]
+        doc["solutions"] = [list(s) for s in sorted(trivial + nontrivial)]
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fer.add_argument("p", type=int, choices=(3, 5, 7))
     fer.add_argument("--bound", type=int, default=100)
-    fer.add_argument("--full", action="store_true", help="list every solution, not just counts")
+    fer.add_argument("--full", action="store_true", help="list every solution, not just counts (bound <= 2*10^8)")
     fer.add_argument("--out", help="output path (stdout if omitted)")
     fer.set_defaults(func=cmd_fermat_search)
 

@@ -11,11 +11,14 @@ down the rational points of x^p + y^p = z^p up to a bound.
 The Fermat search tests only the triples the Barlow-Abel relations allow:
 in a primitive positive solution each of z - y, z - x and x + y is t^p or
 p^(p-1)*t^p (P. Ribenboim, Fermat's Last Theorem for Amateurs, Springer
-1999), and every candidate is confirmed in exact integer arithmetic.
+1999), and every candidate is confirmed in exact integer arithmetic.  It
+returns only the nontrivial solutions; the 6*bound + 1 trivial ones have a
+closed form, and `trivial_solutions` lists them when they are asked for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -30,8 +33,9 @@ from .errors import (
 )
 from .exact import BiPoly, QuotientElem, UniPoly, is_prime
 
-# fermat_search lists all 6*bound + 1 trivial solutions in memory, so it
-# refuses bounds above this one before allocating anything.
+# trivial_solutions lists all 6*bound + 1 trivial solutions in memory, so it
+# refuses bounds above this one before allocating anything; the search
+# itself takes any bound.
 _FERMAT_BOUND_MAX = 2 * 10**8
 
 
@@ -343,16 +347,16 @@ def _barlow_values(p: int, limit: int) -> list[int]:
     return sorted(values)
 
 
-def _barlow_candidates(p: int, bound: int) -> list[tuple[int, int, int]]:
+def _barlow_candidates(p: int, bound: int) -> Iterator[tuple[int, int, int]]:
     """Every (x, y, z) with 1 <= x <= y < z <= bound whose z - y, z - x and
-    x + y are each t^p or p^(p-1)*t^p.
+    x + y are each t^p or p^(p-1)*t^p, generated one at a time, as at p = 3
+    there are about 0.44*bound of them.
 
     With A = z - y <= B = z - x and C = x + y, z = (A + B + C)/2, x = z - B
     and y = z - A, so x <= y follows from A <= B and x >= 1 from z > B.
     """
     differences = _barlow_values(p, bound)
     sums = _barlow_values(p, 2 * bound)
-    candidates = []
     for i, A in enumerate(differences):
         for B in differences[i:]:
             for C in sums:
@@ -361,8 +365,7 @@ def _barlow_candidates(p: int, bound: int) -> list[tuple[int, int, int]]:
                     break
                 z = twice_z // 2
                 if twice_z % 2 == 0 and z > B:
-                    candidates.append((z - B, z - A, z))
-    return candidates
+                    yield (z - B, z - A, z)
 
 
 def _positive_power_triples(p: int, bound: int) -> list[tuple[int, int, int]]:
@@ -378,14 +381,29 @@ def _positive_power_triples(p: int, bound: int) -> list[tuple[int, int, int]]:
     return sorted(hits)
 
 
-def fermat_search(p: int, bound: int) -> list[tuple[int, int, int]]:
-    """All integer solutions of A^p = B^p + C^p with |A|, |B|, |C| <= bound.
+def trivial_solutions(bound: int) -> list[tuple[int, int, int]]:
+    """The trivial solutions (a, a, 0), (a, 0, a), (0, a, -a) with |a| <= bound,
+    6*bound + 1 of them, in sorted order.  Bounds above _FERMAT_BOUND_MAX are
+    refused before anything is allocated."""
+    if bound < 1:
+        raise InvalidInputError("bound must be >= 1")
+    if bound > _FERMAT_BOUND_MAX:
+        raise InvalidInputError(
+            f"bound must be <= {_FERMAT_BOUND_MAX}, as all 6*bound + 1 trivial solutions are listed"
+        )
+    solutions = [t for a in range(-bound, 0) for t in ((a, a, 0), (a, 0, a))]
+    solutions += [(0, b, -b) for b in range(-bound, bound + 1)]
+    solutions += [t for a in range(1, bound + 1) for t in ((a, 0, a), (a, a, 0))]
+    return solutions
 
-    The trivial families (a, a, 0), (a, 0, a), (0, a, -a) are listed
-    directly, already in sorted order.  Any nontrivial solution is a
-    positive x^p + y^p = z^p, x <= y < z <= bound, up to signs and
-    coordinate permutations; those come from `_positive_power_triples`,
-    expanded and merged in.
+
+def fermat_search(p: int, bound: int) -> list[tuple[int, int, int]]:
+    """The nontrivial integer solutions (ABC != 0) of A^p = B^p + C^p with
+    |A|, |B|, |C| <= bound, sorted; `trivial_solutions` lists the others.
+
+    Any nontrivial solution is a positive x^p + y^p = z^p,
+    x <= y < z <= bound, up to signs and coordinate permutations; those
+    come from `_positive_power_triples` and are expanded here.
 
     Completeness.  A positive solution is d times a primitive one,
     gcd(x, y) = 1, with z <= bound // d, so it suffices that the primitive
@@ -400,20 +418,13 @@ def fermat_search(p: int, bound: int) -> list[tuple[int, int, int]]:
     z - y = p^(p-1)*t^p.  The same holds for z - x, and for x + y as a
     factor of z^p = x^p + y^p with Q = (x^p + y^p)/(x + y) =
     p*y^(p-1) mod (x + y), p being odd.  Here z - y and z - x are at most
-    bound and x + y is below 2*bound.  Bounds above _FERMAT_BOUND_MAX are
-    refused.
+    bound and x + y is below 2*bound.  None of this depends on the bound,
+    so every bound >= 1 is searched.
     """
     if p not in (3, 5, 7):
         raise InvalidInputError("supported exponents are 3, 5, and 7")
     if bound < 1:
         raise InvalidInputError("bound must be >= 1")
-    if bound > _FERMAT_BOUND_MAX:
-        raise InvalidInputError(
-            f"bound must be <= {_FERMAT_BOUND_MAX}, as all 6*bound + 1 trivial solutions are listed"
-        )
-    solutions = [t for a in range(-bound, 0) for t in ((a, a, 0), (a, 0, a))]
-    solutions += [(0, b, -b) for b in range(-bound, bound + 1)]
-    solutions += [t for a in range(1, bound + 1) for t in ((a, 0, a), (a, a, 0))]
     expanded: set[tuple[int, int, int]] = set()
     for x, y, z in _positive_power_triples(p, bound):
         for pa, pb, pc in permutations((x, y, z)):
@@ -421,13 +432,7 @@ def fermat_search(p: int, bound: int) -> list[tuple[int, int, int]]:
                 A, B, C = sa * pa, sb * pb, sc * pc
                 if max(abs(A), abs(B), abs(C)) <= bound and A**p == B**p + C**p:
                     expanded.add((A, B, C))
-    if expanded:
-        solutions = sorted(solutions + list(expanded))
-    return solutions
-
-
-def nontrivial_solutions(solutions: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    return [s for s in solutions if s[0] * s[1] * s[2] != 0]
+    return sorted(expanded)
 
 
 # -- aggregated report ----------------------------------------------------------

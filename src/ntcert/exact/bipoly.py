@@ -53,9 +53,6 @@ class BiPoly:
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.terms.get((i, j), Fraction(0))
 
-    def support(self) -> set[tuple[int, int]]:
-        return set(self.terms)
-
     @property
     def total_degree(self) -> int:
         if not self.terms:

@@ -11,59 +11,11 @@ corner.  Every target degree >= n(n-1) + 1 is reachable this way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError, VerificationError
 from .exact import BiPoly, UniPoly, irreducible_over_q
-
-
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Exponent set of a bivariate polynomial with its upper-right hull."""
-
-    points: frozenset[tuple[int, int]]
-    hull: tuple[tuple[int, int], ...]
-
-    def maximizers(self, k1: int, k2: int) -> list[tuple[int, int]]:
-        """All exponent points maximizing k1*i + k2*j (k1, k2 > 0)."""
-        if k1 <= 0 or k2 <= 0:
-            raise InvalidInputError("the functional weights must be positive")
-        best = max(k1 * i + k2 * j for i, j in self.points)
-        return sorted(p for p in self.points if k1 * p[0] + k2 * p[1] == best)
-
-
-def newton_polygon(f: BiPoly) -> NewtonPolygon:
-    """Exponent plot and its upper-right convex hull."""
-    if f.is_zero:
-        raise InvalidInputError("the zero polynomial has no Newton polygon")
-    pts = sorted(f.support())
-    return NewtonPolygon(frozenset(pts), _upper_right_hull(pts))
-
-
-def _upper_right_hull(pts: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Vertices supporting some functional k1*i + k2*j with k1, k2 > 0.
-
-    Monotone-chain upper hull on (i, j)-sorted points, then sliced to start
-    at the highest-j point (ties broken toward larger i), which is where
-    the positive-weight region of the normal fan begins.
-    """
-    pts = sorted(set(pts))
-    if len(pts) == 1:
-        return (pts[0],)
-    upper: list[tuple[int, int]] = []
-    for pt in pts:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], pt) >= 0:
-            upper.pop()
-        upper.append(pt)
-    start = max(pts, key=lambda q: (q[1], q[0]))
-    # start maximizes j + eps*i, so it is always a retained upper-hull vertex
-    return tuple(upper[upper.index(start):])
-
-
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def corner_check(f: BiPoly, n: int) -> bool:

@@ -127,25 +127,3 @@ def test_a_failed_fiber_exits_3_with_the_same_line_at_any_job_count(at, monkeypa
         assert captured.out == ""
         lines.add(captured.err)
     assert lines == {f"error: planted at s={at}\n"}
-
-
-def test_importing_the_cli_leaves_numpy_unloaded():
-    probe = "import sys, ntcert.cli; print('numpy' in sys.modules)"
-    run = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
-    )
-    assert run.stdout == "False\n"
-
-
-def test_family_scan_leaves_numpy_unloaded():
-    probe = (
-        "import io, sys, contextlib, ntcert.cli\n"
-        "for jobs in ('1', '2'):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "        code = ntcert.cli.main(['family-scan', '--s-height-max', '3', '--jobs', jobs])\n"
-        "    print(code, bool(out.getvalue()), 'numpy' in sys.modules)\n"
-    )
-    run = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True
-    )
-    assert run.stdout == "0 True False\n0 True False\n"

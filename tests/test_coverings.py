@@ -17,7 +17,6 @@ from ntcert.coverings import (
     fermat_search,
     m_for_prime,
     model_from_n,
-    nontrivial_solutions,
     psi_identities,
     quotient_genus,
     rh_genus,
@@ -26,6 +25,7 @@ from ntcert.coverings import (
     superelliptic_model,
     triangle_checks,
     triangle_nonsingular,
+    trivial_solutions,
 )
 from ntcert.errors import (
     InconsistentRamificationError,
@@ -195,22 +195,23 @@ def brute_force_fermat(p, bound):
 
 def test_fermat_matches_exhaustive_small():
     for p in (3, 5, 7):
-        assert fermat_search(p, 8) == brute_force_fermat(p, 8)
+        assert sorted(trivial_solutions(8) + fermat_search(p, 8)) == brute_force_fermat(p, 8)
 
 
 def test_fermat_trivial_only():
-    s3 = fermat_search(3, 100)
-    assert nontrivial_solutions(s3) == []
-    assert (1, 1, 0) in set(s3)
-    assert (5, 0, 5) in set(s3) and (0, 4, -4) in set(s3)
-    s7 = fermat_search(7, 50)
-    assert nontrivial_solutions(s7) == []
+    assert fermat_search(3, 100) == []
+    assert fermat_search(7, 50) == []
+    trivial = set(trivial_solutions(100))
+    assert (1, 1, 0) in trivial
+    assert (5, 0, 5) in trivial and (0, 4, -4) in trivial
 
 
 def test_fermat_trivial_count():
-    # (a,a,0), (a,0,a), (0,a,-a) for nonzero |a| <= H, plus the origin
-    for p, H in ((3, 30), (5, 12)):
-        assert len(fermat_search(p, H)) == 6 * H + 1
+    # (a,a,0), (a,0,a), (0,a,-a) for nonzero |a| <= H, plus the origin, sorted
+    for H in (1, 12, 30):
+        solutions = trivial_solutions(H)
+        assert len(solutions) == 6 * H + 1
+        assert solutions == sorted(set(solutions))
 
 
 def test_fermat_validation():
@@ -218,6 +219,8 @@ def test_fermat_validation():
         fermat_search(11, 10)
     with pytest.raises(InvalidInputError):
         fermat_search(3, 0)
+    with pytest.raises(InvalidInputError):
+        trivial_solutions(0)
 
 
 def set_and_sort_solutions(p, bound):
@@ -242,6 +245,8 @@ def test_full_listing_matches_the_set_and_sort_construction(capsys):
             doc = json.loads(capsys.readouterr().out)
             assert code == 0
             assert doc["solutions"] == [list(t) for t in set_and_sort_solutions(p, bound)]
+            assert doc["solutions_found"] == len(doc["solutions"])
+            assert doc["trivial_count"] == sum(0 in t for t in doc["solutions"])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -321,27 +326,35 @@ def test_band_screen_finds_every_pythagorean_triple(monkeypatch):
 
 
 def test_bounds_beyond_the_proven_range_are_refused_before_allocating():
-    # the address-space cap turns an unchecked bound into a MemoryError, not a full machine
+    # the address-space cap turns an unchecked bound into a MemoryError, not a full machine;
+    # only the listing of the trivial solutions is capped, the search takes any bound
     probe = (
-        "import contextlib, io, resource\n"
+        "import contextlib, io, json, resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from ntcert import cli, coverings\n"
         "from ntcert.errors import InvalidInputError\n"
         "bound = coverings._FERMAT_BOUND_MAX + 1\n"
         "try:\n"
-        "    coverings.fermat_search(3, bound)\n"
+        "    coverings.trivial_solutions(bound)\n"
         "except InvalidInputError as exc:\n"
         "    print('refused:', exc)\n"
-        "err = io.StringIO()\n"
-        "with contextlib.redirect_stderr(err):\n"
-        "    code = cli.main(['fermat-search', '7', '--bound', str(bound)])\n"
-        "print(code, err.getvalue(), end='')\n"
+        "for flags in (['--full'], []):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(['fermat-search', '7', '--bound', str(bound), *flags])\n"
+        "    counted = json.loads(out.getvalue())['trivial_count'] if code == 0 else None\n"
+        "    print(json.dumps([code, counted, err.getvalue()]))\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
     reason = f"bound must be <= {_FERMAT_BOUND_MAX}, as all 6*bound + 1 trivial solutions are listed"
-    assert run.stdout == f"refused: {reason}\n2 error: {reason}\n"
+    refused, *runs = run.stdout.splitlines()
+    assert refused == f"refused: {reason}"
+    assert [json.loads(line) for line in runs] == [
+        [2, None, f"error: {reason}\n"],  # --full
+        [0, 1_200_000_007, ""],  # 6*bound + 1, counted, not listed
+    ]
 
 
 # -- aggregate report ----------------------------------------------------------------------

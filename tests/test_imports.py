@@ -95,6 +95,7 @@ def test_a_forked_scan_loads_no_process_pool():
     loaded = loaded_modules(["family-scan", "--s-height-max", "2", "--jobs", "2"])
     assert {"family", "pickle"} <= loaded  # outcomes cross the pipes pickled
     assert not loaded & POOL, sorted(loaded & POOL)
+    assert "numpy" not in loaded
 
 
 def test_the_curve_layer_loads_neither_the_family_nor_numpy():

@@ -9,7 +9,6 @@ from ntcert.newton import (
     corner_check,
     default_b_sequence,
     min_universal_degree,
-    newton_polygon,
     plan_degrees,
     specialize_b,
     substitute_st,
@@ -70,47 +69,6 @@ def test_degree_law_random():
                         break
                 assert hit, (f, k1, k2)
         done += 1
-
-
-def test_hull_maximizer_unique_at_corner():
-    rng = random.Random(81)
-    done = 0
-    while done < 25:
-        n = rng.randint(2, 5)
-        f = random_corner_poly(rng, n)
-        if f is None:
-            continue
-        polygon = newton_polygon(f)
-        for k1 in range(2, 7):
-            for k2 in range(1, k1):
-                assert polygon.maximizers(k1, k2) == [(n - 1, 1)]
-        done += 1
-
-
-def test_hull_contains_all_positive_maximizers():
-    rng = random.Random(82)
-
-    def on_hull_polyline(pt, hull):
-        if pt in hull:
-            return True
-        for a, b in zip(hull, hull[1:]):
-            cross = (b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0])
-            within = min(a[0], b[0]) <= pt[0] <= max(a[0], b[0]) and min(
-                a[1], b[1]
-            ) <= pt[1] <= max(a[1], b[1])
-            if cross == 0 and within:
-                return True
-        return False
-
-    for _ in range(60):
-        pts = {
-            (rng.randint(0, 7), rng.randint(0, 7)) for _ in range(rng.randint(1, 8))
-        }
-        f = BiPoly({pt: 1 for pt in pts})
-        polygon = newton_polygon(f)
-        for k1, k2 in ((1, 1), (2, 1), (1, 2), (5, 3), (1, 7)):
-            for pt in polygon.maximizers(k1, k2):
-                assert on_hull_polyline(pt, polygon.hull), (pts, (k1, k2), pt)
 
 
 def test_equal_weights_only_bounded():
