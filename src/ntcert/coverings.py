@@ -18,6 +18,7 @@ closed form, and `trivial_solutions` lists them when they are asked for.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -353,18 +354,19 @@ def _barlow_candidates(p: int, bound: int) -> Iterator[tuple[int, int, int]]:
     there are about 0.44*bound of them.
 
     With A = z - y <= B = z - x and C = x + y, z = (A + B + C)/2, x = z - B
-    and y = z - A, so x <= y follows from A <= B and x >= 1 from z > B.
+    and y = z - A, so x <= y follows from A <= B, and x >= 1, that is z > B,
+    from C > B - A: the walk over the sums starts at the first such C.
     """
     differences = _barlow_values(p, bound)
     sums = _barlow_values(p, 2 * bound)
     for i, A in enumerate(differences):
         for B in differences[i:]:
-            for C in sums:
+            for C in sums[bisect_right(sums, B - A):]:
                 twice_z = A + B + C
                 if twice_z > 2 * bound:
                     break
-                z = twice_z // 2
-                if twice_z % 2 == 0 and z > B:
+                if twice_z % 2 == 0:
+                    z = twice_z // 2
                     yield (z - B, z - A, z)
 
 

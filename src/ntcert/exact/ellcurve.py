@@ -2,7 +2,7 @@
 
 One chord-tangent law serves every field: it takes the field as an
 operation object, QuotientField for Q[x]/(f) (QuotientElem coordinates) or
-a residue field from finitefield, F_p on ints or F_p[x]/(m) on int tuples,
+a residue field from finitefield, F_p on ints or F_{p^3} on int triples,
 so the non-torsion walk builds no element objects.  Only ntcert.errors and
 ntcert.exact are imported, so a certificate checker can use this layer
 without the family or the scan.
@@ -18,8 +18,8 @@ from ..errors import (
     IncompatiblePointsError, InvalidInputError, InvalidPrimeError, SingularCurveError,
     VerificationError,
 )
-from .finitefield import ExtensionField, PrimeField
-from .modpoly import ModPoly, _residues, irreducible_mod_p
+from .finitefield import CubicExtension, PrimeField
+from .modpoly import _residues
 from .power import _power
 from .primes import is_prime, iter_primes
 from .quotient import QuotientElem, QuotientField
@@ -110,9 +110,9 @@ class FieldPoint:
 
     ``field`` is K as an operation object: QuotientField for Q[x]/(modulus)
     with QuotientElem coordinates (rational points use the modulus x), or a
-    residue field of finitefield with int or int-tuple coordinates.  ``a``
-    holds the curve's a-invariants as constants of K.  The point at infinity
-    has x = y = None.
+    residue field of finitefield: F_p with int coordinates, or F_{p^3} with
+    int-triple coordinates.  ``a`` holds the curve's a-invariants as
+    constants of K.  The point at infinity has x = y = None.
     """
 
     __slots__ = ("curve", "field", "a", "x", "y")
@@ -261,10 +261,11 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
 
     Returns (Pbar, |E(F_{p^d})|), with Pbar over F_p (int coordinates) at
     the first root of the reduced modulus, found by Horner's rule on ints,
-    or else over F_p[x]/(reduced modulus) (int tuples) when that is
-    irreducible.  Any root gives a genuine residue map, so ramified primes
-    are fine; only bad reduction, a non-p-integral coordinate or modulus,
-    or an undecidable factor shape skip.
+    or else, for a cubic modulus, which is then irreducible, over
+    F_{p^3} = F_p[x]/(reduced modulus) (int triples).  Any root gives a
+    genuine residue map, so ramified primes are fine.  Bad reduction, a
+    non-p-integral coordinate or modulus, and a rootless modulus of degree
+    other than 3 skip; a cyclic cubic field has no other residue fields.
     """
     curve = P.curve
     if P.is_infinity or not is_good_prime(curve, p):
@@ -277,10 +278,10 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
     if root is not None:
         F = PrimeField(p)
         x, y = _horner(x, root) % p, _horner(y, root) % p
-    elif len(m) in (3, 4) or irreducible_mod_p(ModPoly(m, p, check_prime=False)):
-        F = ExtensionField(p, m)
+    elif len(m) == 4:
+        F = CubicExtension(p, m)
         pad = F.zero  # x and y have degree below m's
-        a = tuple((c,) + pad[1:] for c in a)
+        a = tuple((c, 0, 0) for c in a)
         x, y = x + pad[len(x):], y + pad[len(y):]
     else:
         return None

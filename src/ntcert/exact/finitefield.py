@@ -1,25 +1,24 @@
-"""Residue fields F_p and F_p[x]/(m) as operation objects over plain ints.
+"""Residue fields F_p and F_{p^3} as operation objects over plain ints.
 
-An element of F_p is an int in [0, p); one of F_p[x]/(m), m monic of degree
-n, is its reduced representative as a tuple of n ints in [0, p), lowest
-degree first.  Equality is int or tuple equality, and no element object is
-built: the field object does the arithmetic, through _add, _sub, _mul and
-_inv (underscored, as they run per element), next to zero and degree.
-ellcurve's one chord-tangent law takes such an object as its field.
+The residue field of a cyclic cubic field at any prime is F_p or F_{p^3}
+(Marcus, Number Fields, ch. 3), so these two are all the non-torsion walk
+needs.  An element of F_p is an int in [0, p); one of F_{p^3} = F_p[x]/(m),
+m an irreducible monic cubic, is its reduced representative as a triple of
+ints in [0, p), lowest degree first.  Equality is int or tuple equality,
+and no element object is built: the field object does the arithmetic,
+through _add, _sub, _mul and _inv (underscored, as they run per element),
+next to zero and degree.  ellcurve's one chord-tangent law takes such an
+object as its field.
 
-The residue fields of cyclic cubic fibers are F_p and F_{p^3}.  A cubic m
-gets CubicExtension's straight lines: the product is reduced by
+CubicExtension works in straight lines: the product is reduced by
 x^3 = -(m2*x^2 + m1*x + m0) in closed form, and the inverse of a is the
 first column of the adjugate of its multiplication matrix (columns a, a*x,
-a*x^2) over the determinant, the norm of a.  Other degrees multiply with
-the general loop, which needs only a monic m (all that ModPoly.pow_mod
-asks of it), and invert with ModPoly.xgcd.
+a*x^2) over the determinant, the norm of a.
 """
 
 from __future__ import annotations
 
 from ..errors import InvalidPrimeError
-from .modpoly import ModPoly
 
 
 class PrimeField:
@@ -50,64 +49,21 @@ class PrimeField:
         return pow(a, -1, self.p)
 
 
-class ExtensionField:
-    """F_p[x]/(m) on n-tuples of ints in [0, p), for m monic of degree n >= 1,
-    given as its coefficient tuple (m0, ..., m_{n-1}, 1).  A cubic m gets the
-    straight-line kernels of CubicExtension."""
+class CubicExtension:
+    """F_{p^3} = F_p[x]/(m) on int triples, for m = x^3 + m2*x^2 + m1*x + m0
+    irreducible mod p, given as (m0, m1, m2, 1); in straight lines."""
 
-    __slots__ = ("p", "m", "degree", "zero", "one")
+    __slots__ = ("p", "m")
+    degree, zero, one = 3, (0, 0, 0), (1, 0, 0)
 
-    def __new__(cls, p: int, m: tuple[int, ...]):
-        return super().__new__(CubicExtension if len(m) == 4 else cls)
-
-    def __init__(self, p: int, m: tuple[int, ...]):
-        self.p, self.m, self.degree = p, m, len(m) - 1
-        self.zero = (0,) * self.degree
-        self.one = (1,) + self.zero[1:]
+    def __init__(self, p: int, m: tuple[int, int, int, int]):
+        self.p, self.m = p, m
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExtensionField) and (self.p, self.m) == (other.p, other.m)
+        return isinstance(other, CubicExtension) and (self.p, self.m) == (other.p, other.m)
 
     def __hash__(self) -> int:
         return hash((self.p, self.m))
-
-    def _add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _mul(self, a, b):
-        p, m, n = self.p, self.m, self.degree
-        prod = [0] * (2 * n - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    prod[i + j] += ca * cb
-        for k in range(2 * n - 2, n - 1, -1):
-            top = prod[k] % p
-            if top:
-                for i in range(n):
-                    prod[k - n + i] -= top * m[i]
-        return tuple(c % p for c in prod[:n])
-
-    def _inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        p, n = self.p, self.degree
-        g, u, _ = ModPoly(a, p, check_prime=False).xgcd(ModPoly(self.m, p, check_prime=False))
-        if g.degree != 0:
-            raise InvalidPrimeError("non-invertible element in reduced field")
-        # deg u < n, since the element is reduced
-        return u.coeffs + (0,) * (n - len(u.coeffs))
-
-
-class CubicExtension(ExtensionField):
-    """F_p[x]/(m) for m = x^3 + m2*x^2 + m1*x + m0, in straight lines."""
-
-    __slots__ = ()
 
     def _add(self, a, b):
         p = self.p

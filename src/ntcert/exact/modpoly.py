@@ -80,22 +80,13 @@ class ModPoly(DensePoly):
         return f"ModPoly({list(self.coeffs)!r}, p={self.p})"
 
     def pow_mod(self, e: int, modulus: "ModPoly") -> "ModPoly":
-        """self^e reduced mod modulus (nonconstant).
-
-        Square-and-multiply runs on int tuples through the multiply-and-reduce
-        of finitefield.ExtensionField, which needs only a monic modulus: a
-        remainder mod the monic multiple of modulus is the same remainder.
-        """
-        from .finitefield import ExtensionField
-
+        """self^e reduced mod modulus (nonconstant), by square-and-multiply
+        with a product-and-divmod at every step."""
         if e < 0:
             raise InvalidInputError("negative exponent")
         if modulus.degree < 1:
             raise InvalidInputError("pow_mod needs a nonconstant modulus")
-        m = modulus.monic()
-        F = ExtensionField(self.p, m.coeffs)
-        base = (self if self.degree < m.degree else self % m).coeffs
-        return self._new(_power(base + F.zero[len(base):], e, F.one, F._mul))
+        return _power(self % modulus, e, self._new((1,)), lambda a, b: a * b % modulus)
 
 
 def irreducible_mod_p(f: ModPoly) -> bool:

@@ -19,6 +19,7 @@ from ntcert.errors import (
 )
 from ntcert.exact import ModPoly, QuotientElem, UniPoly, irreducible_mod_p, primes_up_to
 from ntcert.exact import ellcurve
+from ntcert.exact.finitefield import PrimeField
 from ntcert.exact.primes import factorize
 from ntcert.exact.ellcurve import (
     FieldPoint,
@@ -573,6 +574,26 @@ def test_reduction_skips_a_prime_in_a_denominator_of_the_modulus():
     Pbar, order = reduce_point_mod_p(P, 7)
     assert order == reduce_point_mod_p(fiber_point(params, 1), 7)[1]
     assert Pbar._on_curve()
+
+
+def test_reduction_skips_a_prime_where_a_quadratic_modulus_has_no_root():
+    """The residue fields of a cyclic cubic field are F_p and F_{p^3}.  A point
+    over a quadratic field reduces only where its modulus has a root mod p,
+    and the non-torsion walk, which uses only those primes, stays sound."""
+    curve = derive_family(1, 1).curve()
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    x = -3
+    # y^2 + (a1*x + a3)*y - (x^3 + a2*x^2 + a4*x + a6), irreducible over Q
+    m = UniPoly((-(x**3 + a2 * x**2 + a4 * x + a6), a1 * x + a3, 1))
+    assert m.degree == 2 and not m.rational_roots()
+    P = FieldPoint.affine(curve, m, QuotientElem.constant(x, m), QuotientElem(UniPoly((0, 1)), m))
+    assert reduce_point_mod_p(P, 5) is None
+    Pbar, order = reduce_point_mod_p(P, 11)
+    assert Pbar.field == PrimeField(11) and Pbar._on_curve()
+    assert order == count_points_mod_p(curve, 11)
+    for bound in range(1, 9):
+        naive = all(not P.scalar_mul(k).is_infinity for k in range(1, bound + 1))
+        assert nontorsion_certificate(P, bound) == naive
 
 
 # -- the scan -------------------------------------------------------------------------

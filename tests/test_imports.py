@@ -67,18 +67,22 @@ def loaded_modules(argv):
 
 
 # argv, the module it runs, and the modules it must not load; only a scan
-# loads the scan document's writer, and none loads numpy
+# loads the scan document's writer and the residue fields, and none loads numpy
 SUBCOMMANDS = {
     "import-only": ([], "cli",
                     {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy"}),
     "modular-verify": (["modular-verify", "--order", "12"], "qseries",
-                       {"family", "cubicfield", "coverings", "exact.ellcurve", "scandoc", "numpy"}),
+                       {"family", "cubicfield", "coverings", "exact.ellcurve", "exact.finitefield",
+                        "scandoc", "numpy"}),
     "degree-plan": (["degree-plan", "3", "10"], "newton",
-                    {"family", "coverings", "exact.ellcurve", "scandoc", "numpy"}),
+                    {"family", "coverings", "exact.ellcurve", "exact.finitefield", "scandoc",
+                     "numpy"}),
     "covering-report": (["covering-report", "7"], "coverings",
-                        {"family", "qseries", "exact.ellcurve", "scandoc", "numpy"}),
+                        {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
+                         "numpy"}),
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
-                      {"family", "qseries", "exact.ellcurve", "scandoc", "numpy"}),
+                      {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
+                       "numpy"}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
                     {"coverings", "newton", "qseries", "exact.bipoly", "pickle", "numpy", *POOL}),
 }
