@@ -3,8 +3,9 @@
 Subcommands: family-scan, covering-report, degree-plan, modular-verify,
 fermat-search.  Flags may also be supplied through a flat JSON config file
 (--config); explicit command-line values win.  Exit codes: 0 success,
-2 invalid input, 3 verification failure.  Each cmd_* imports the modules
-it runs, so a subcommand loads only those.
+2 invalid input (InvalidInputError), 3 verification failure
+(VerificationError).  Each cmd_* imports the modules it runs, so a
+subcommand loads only those.
 """
 
 from __future__ import annotations

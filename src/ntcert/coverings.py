@@ -25,13 +25,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import gcd as _int_gcd, isqrt
 
-from .errors import (
-    InconsistentRamificationError,
-    InvalidExponentError,
-    InvalidInputError,
-    NoAutomorphismError,
-    VerificationError,
-)
+from .errors import InvalidInputError, VerificationError
 from .exact import BiPoly, QuotientElem, UniPoly, is_prime
 
 # trivial_solutions lists all 6*bound + 1 trivial solutions in memory, so it
@@ -89,7 +83,7 @@ def superelliptic_model(p: int, r: int, s: int) -> SuperellipticModel:
 def model_from_n(p: int, n: int) -> SuperellipticModel:
     """The model y^p = x^n(x-1) for a congruence solution n."""
     if n not in solve_eq5(p):
-        raise InvalidExponentError(f"1 + n + n^2 != 0 mod {p} for n = {n}")
+        raise InvalidInputError(f"1 + n + n^2 != 0 mod {p} for n = {n}")
     return superelliptic_model(p, n, 1)
 
 
@@ -298,7 +292,7 @@ def rh_genus(data: RamificationData) -> int:
         total += sum(e - 1 for e in indices)
     rhs = data.degree * (2 * data.base_genus - 2) + total
     if rhs % 2 != 0 or rhs + 2 < 0:
-        raise InconsistentRamificationError(f"2g - 2 = {rhs} is not realizable")
+        raise InvalidInputError(f"2g - 2 = {rhs} is not realizable")
     return (rhs + 2) // 2
 
 
@@ -324,7 +318,7 @@ def quotient_genus(p: int) -> int:
             raise VerificationError("Riemann-Hurwitz disagrees with the genus at p = 3")
         return g
     if p % 6 != 1:
-        raise NoAutomorphismError(f"no order-3 symmetry for p = {p}")
+        raise InvalidInputError(f"no order-3 symmetry for p = {p}")
     g = (p - 1) // 6
     if rh_genus(RamificationData(3, g, ((3,), (3,)))) != superelliptic_genus(p):
         raise VerificationError(f"Riemann-Hurwitz disagrees with the quotient genus at p = {p}")

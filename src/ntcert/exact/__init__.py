@@ -8,8 +8,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "bipoly": ("BiPoly",),
-    "modpoly": ("ModPoly", "count_distinct_roots", "irreducible_mod_p", "reduce_mod_p"),
-    "primes": ("divisors", "is_prime", "iter_primes", "prime_factors", "primes_up_to"),
+    "modpoly": ("ModPoly", "count_distinct_roots", "reduce_mod_p"),
+    "primes": ("divisors", "is_prime", "iter_primes", "primes_up_to"),
     "quotient": ("QuotientElem", "irreducible_over_q"),
     "rationals": ("format_rational", "parse_rational", "rational_is_square"),
     "unipoly": ("UniPoly",),

@@ -131,14 +131,6 @@ class BiPoly:
             acc = acc + power(pow1, first, i) * power(pow2, second, j) * c
         return acc
 
-    def eval_second(self, b: Fraction | int) -> UniPoly:
-        """Specialize the second variable to the constant b; UniPoly in the first."""
-        b = Fraction(b)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, Fraction(0)) + c * b**j
-        return _dense(out)
-
     def as_unipoly_second(self) -> UniPoly:
         """View a polynomial constant in the first variable as UniPoly in the second."""
         if self.deg_first > 0:

@@ -14,10 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm as _int_lcm
 
-from ..errors import (
-    IncompatiblePointsError, InvalidInputError, InvalidPrimeError, SingularCurveError,
-    VerificationError,
-)
+from ..errors import InvalidInputError, SingularCurveError, VerificationError
 from .finitefield import CubicExtension, PrimeField
 from .modpoly import _residues
 from .power import _power
@@ -131,13 +128,6 @@ class FieldPoint:
         a = tuple(field._constant(c) for c in curve.a_invariants)
         return cls(curve, field, a, x, y, check=check)
 
-    @classmethod
-    def from_rationals(
-        cls, curve: WeierstrassCurve, x: Fraction | int, y: Fraction | int
-    ) -> "FieldPoint":
-        m = UniPoly.x()
-        return cls.affine(curve, m, QuotientElem.constant(x, m), QuotientElem.constant(y, m))
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -154,11 +144,6 @@ class FieldPoint:
         F, (a1, a2, a3, a4, a6), x, y = self.field, self.a, self.x, self.y
         add, mul = F._add, F._mul
         return mul(y, add(add(y, mul(a1, x)), a3)) == add(mul(x, add(mul(x, add(x, a2)), a4)), a6)
-
-    def to_rationals(self) -> tuple[Fraction, Fraction]:
-        if self.is_infinity or not isinstance(self.x, QuotientElem) or self.field.degree != 1:
-            raise InvalidInputError("not an affine rational point")
-        return self.x.rep.coefficient(0), self.y.rep.coefficient(0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldPoint):
@@ -183,7 +168,7 @@ class FieldPoint:
         if not isinstance(other, FieldPoint):
             return NotImplemented
         if self.curve != other.curve or self.field != other.field:
-            raise IncompatiblePointsError("points on different curves or fields")
+            raise InvalidInputError("points on different curves or fields")
         return self._sibling(_chord_tangent(self.field, self.a, self._coords(), other._coords()))
 
     def scalar_mul(self, k: int) -> "FieldPoint":
@@ -221,7 +206,7 @@ def count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
     Y^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so each x contributes 1 + chi(g(x)).
     """
     if not is_good_prime(curve, p):
-        raise InvalidPrimeError(f"{p} is not a prime of good reduction")
+        raise InvalidInputError(f"{p} is not a prime of good reduction")
 
     b2, b4, b6 = _residues((curve.b2, curve.b4, curve.b6), p)
     total = p + 1

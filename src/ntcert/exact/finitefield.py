@@ -18,7 +18,7 @@ a*x^2) over the determinant, the norm of a.
 
 from __future__ import annotations
 
-from ..errors import InvalidPrimeError
+from ..errors import InvalidInputError
 
 
 class PrimeField:
@@ -103,6 +103,6 @@ class CubicExtension:
         u2 = a1 * b2 - b1 * a2
         det = (a0 * u0 + b0 * u1 + c0 * u2) % p
         if not det:
-            raise InvalidPrimeError("non-invertible element in reduced field")
+            raise InvalidInputError("non-invertible element in reduced field")
         inv = pow(det, -1, p)
         return (u0 * inv % p, u1 * inv % p, u2 * inv % p)

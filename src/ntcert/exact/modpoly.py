@@ -1,11 +1,9 @@
-"""Polynomials over the prime field F_p and irreducibility witnesses.
+"""Polynomials over the prime field F_p and their roots in F_p.
 
 ModPoly is the F_p instance of unipoly.DensePoly, which holds its
 arithmetic, division, gcd and evaluation.  Coefficients are ints in
-[0, p), lowest degree first, with no stored leading zeros.  The
-irreducibility test is the distinct-degree (Rabin) criterion: f of degree
-n is irreducible over F_p iff x^(p^n) = x mod f and
-gcd(x^(p^(n/l)) - x, f) = 1 for every prime l dividing n.
+[0, p), lowest degree first, with no stored leading zeros.  f has
+deg gcd(x^p - x, f) distinct roots in F_p, with x^p mod f from pow_mod.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from typing import Iterable
 
 from ..errors import InvalidInputError
 from .power import _power
-from .primes import is_prime, prime_factors
+from .primes import is_prime
 from .unipoly import DensePoly, UniPoly
 
 
@@ -89,23 +87,6 @@ class ModPoly(DensePoly):
         return _power(self % modulus, e, self._new((1,)), lambda a, b: a * b % modulus)
 
 
-def irreducible_mod_p(f: ModPoly) -> bool:
-    """Distinct-degree irreducibility over F_p; f must be nonconstant."""
-    n = f.degree
-    if n < 1:
-        raise InvalidInputError("irreducibility requires a nonconstant polynomial")
-    p = f.p
-    fm = f.monic()
-    x = ModPoly.x(p)
-    if x.pow_mod(p**n, fm) != x % fm:
-        return False
-    for ell in prime_factors(n):
-        g = (x.pow_mod(p ** (n // ell), fm) - x).gcd(fm)
-        if g.degree != 0:
-            return False
-    return True
-
-
 def count_distinct_roots(f: ModPoly) -> int:
     """Number of distinct roots of f in F_p, via deg gcd(x^p - x, f)."""
     if f.is_zero:
@@ -127,7 +108,6 @@ def reduce_mod_p(f: UniPoly, p: int) -> ModPoly:
 
 __all__ = [
     "ModPoly",
-    "irreducible_mod_p",
     "count_distinct_roots",
     "reduce_mod_p",
 ]

@@ -80,11 +80,6 @@ def iter_primes(start: int = 2) -> Iterator[int]:
         n = primes[-1] + 1
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| in ascending order (trial division)."""
-    return sorted(factorize(n))
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent} (trial division)."""
     n = abs(n)

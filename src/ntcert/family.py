@@ -47,10 +47,8 @@ from .cubicfield import (
     galois_class,  # not called here; perfbench's tests expect it bound in family
 )
 from .errors import (
-    DegenerateFamilyError,
     DegenerateFiberError,
     InvalidInputError,
-    InvalidPrimeError,
     RationalFiberError,
     SingularCurveError,
     VerificationError,
@@ -59,6 +57,7 @@ from .exact import (
     QuotientElem,
     UniPoly,
     count_distinct_roots,  # not called here; perfbench's tests expect it bound in family
+    format_rational,
     iter_primes,
 )
 from .exact.ellcurve import (
@@ -84,16 +83,16 @@ def derive_family(a1: Fraction | int, a4: Fraction | int) -> FamilyParams:
     """Derive a3, a6 from free a1, a4; reject degenerate parameter choices."""
     a1, a4 = Fraction(a1), Fraction(a4)
     if a1 == 0 or a4 == 0:
-        raise DegenerateFamilyError("a1 and a4 must be nonzero")
+        raise InvalidInputError("a1 and a4 must be nonzero")
     if 4 * a1**4 == 27:
-        raise DegenerateFamilyError("4*a1^4 = 27 collapses the j-invariant")
+        raise InvalidInputError("4*a1^4 = 27 collapses the j-invariant")
     a6 = a4 * a1**2 / 27 - a4 / (4 * a1**2) - a4**2 / a1**2
     a3 = a1 * a6 / a4 - a4 / a1
     params = FamilyParams(a1, a4, a3, a6)
     try:
         params.curve()
     except SingularCurveError as exc:
-        raise DegenerateFamilyError(f"singular member at a1={a1}, a4={a4}") from exc
+        raise InvalidInputError(f"singular member at a1={a1}, a4={a4}") from exc
     return params
 
 
@@ -102,7 +101,7 @@ def closed_form_j(a1: Fraction | int) -> Fraction:
     a1 = Fraction(a1)
     den = (4 * a1**4 - 27) ** 3
     if den == 0:
-        raise DegenerateFamilyError("4*a1^4 = 27")
+        raise InvalidInputError("4*a1^4 = 27")
     return 256 * (a1**4 + 54) ** 3 * a1**4 / den
 
 
@@ -200,12 +199,12 @@ def torsion_bound(
         candidates = tuple(primes)
         count = len(candidates)
         if count < 2 or len(set(candidates)) != count:
-            raise InvalidPrimeError("at least two distinct primes are required")
+            raise InvalidInputError("at least two distinct primes are required")
         for p in candidates:
             if not is_good_prime(curve, p):
-                raise InvalidPrimeError(f"{p} is not a good-reduction prime")
+                raise InvalidInputError(f"{p} is not a good-reduction prime")
             if bad % p == 0:
-                raise InvalidPrimeError(f"{p} ramifies in the fiber cubic")
+                raise InvalidInputError(f"{p} ramifies in the fiber cubic")
     used: list[int] = []
     bound = 0
     for p in candidates:
@@ -257,10 +256,10 @@ class ScanResult:
     skipped_torsion: int = 0
 
     def summary(self) -> dict:
-        from .jsonio import to_jsonable
-
         return {
-            "params": {"a1": to_jsonable(self.params.a1), "a4": to_jsonable(self.params.a4)},
+            "params": {
+                "a1": format_rational(self.params.a1), "a4": format_rational(self.params.a4),
+            },
             "fibers_tested": self.fibers_tested,
             "accepted": len(self.certificates),
             "skipped_reducible": self.skipped_reducible,

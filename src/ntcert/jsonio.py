@@ -28,8 +28,6 @@ def to_jsonable(obj):
         return format_rational(obj)
     if isinstance(obj, UniPoly):
         return [format_rational(c) for c in obj.coeffs]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
-
 from .errors import InvalidInputError, VerificationError
-from .exact import BiPoly, UniPoly, irreducible_over_q
+from .exact import BiPoly
 
 
 def corner_check(f: BiPoly, n: int) -> bool:
@@ -83,20 +81,3 @@ def default_b_sequence(count: int, seed: int = 0) -> list[Fraction]:
         out.append(Fraction(num, den))
     return out
 
-
-def specialize_b(
-    f: BiPoly, candidates: Sequence[Fraction | int]
-) -> Fraction | None:
-    """First candidate b with f(v1, b) certified irreducible over Q, else None.
-
-    Certification follows the soundness policy of the quotient module:
-    root absence for degree <= 3, a mod-p witness for degree >= 4; an
-    "unknown" verdict never certifies.
-    """
-    if f.deg_first < 1:
-        raise InvalidInputError("polynomial must be nonconstant in the first variable")
-    for b in candidates:
-        g: UniPoly = f.eval_second(Fraction(b))
-        if g.degree >= 1 and irreducible_over_q(g) is True:
-            return Fraction(b)
-    return None

@@ -24,8 +24,8 @@ from ntcert.coverings import (
     trivial_solutions,
 )
 from ntcert.cubicfield import DEFAULT_WITNESS_BOUND, GaloisClass
-from ntcert.errors import DegenerateFamilyError
-from ntcert.exact import BiPoly, primes_up_to
+from ntcert.errors import InvalidInputError
+from ntcert.exact import BiPoly, QuotientElem, UniPoly, primes_up_to
 from ntcert.exact.ellcurve import FieldPoint
 from ntcert.family import closed_form_j, derive_family, scan_family
 from ntcert.jsonio import SCHEMA_VERSION
@@ -97,7 +97,7 @@ def test_criterion_03_closed_form_correspondence():
                 continue
             try:
                 params = derive_family(a1, a4)
-            except DegenerateFamilyError:
+            except InvalidInputError:
                 continue
             curve = params.curve()
             assert curve.j == closed_form_j(a1)
@@ -148,9 +148,11 @@ def test_criterion_05_three_torsion(height20_scan):
                 continue
             try:
                 params = derive_family(a1, a4)
-            except DegenerateFamilyError:
+            except InvalidInputError:
                 continue
-            P = FieldPoint.from_rationals(params.curve(), 0, a4 / a1)
+            m = UniPoly.x()  # rational points live over Q[x]/(x)
+            P = FieldPoint.affine(params.curve(), m, QuotientElem.constant(0, m),
+                                  QuotientElem.constant(a4 / a1, m))
             assert not P.is_infinity
             assert not (P + P).is_infinity
             assert (P + P) == -P

@@ -52,13 +52,6 @@ def test_substitute_reaches_high_exponents():
     assert f.substitute(BiPoly.first(), BiPoly.second()) == f
 
 
-def test_eval_second_gives_unipoly():
-    f = BiPoly({(2, 1): 1, (0, 3): 1, (1, 0): 1, (0, 0): 1})
-    g = f.eval_second(Fraction(2))
-    # v1^2*2 + 8 + v1 + 1
-    assert g.coefficient(2) == 2 and g.coefficient(1) == 1 and g.coefficient(0) == 9
-
-
 def test_as_unipoly_second_requires_constant_first():
     f = BiPoly({(0, 2): 3, (0, 0): -1})
     g = f.as_unipoly_second()

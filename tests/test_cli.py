@@ -233,6 +233,24 @@ def test_malformed_scan_input_exits_2(tmp_path, capsys, argv, config):
 
 
 @pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["covering-report", "5"], "no order-3 symmetry for p = 5"),
+        (["family-scan", "--a1", "0"], "a1 and a4 must be nonzero"),
+        (["family-scan", "--torsion-primes", "2,3", "--s-height-max", "2"],
+         "2 is not a good-reduction prime"),
+        (["family-scan", "--torsion-primes", "5,7", "--s-height-max", "2"],
+         "7 ramifies in the fiber cubic"),
+        (["family-scan", "--torsion-primes", "5,5"], "at least two distinct primes are required"),
+    ],
+)
+def test_failed_preconditions_exit_2_with_their_line(capsys, argv, line):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
     "argv", [["family-scan", "--s-height-max", "1"], ["degree-plan", "3", "10"]], ids=["scan", "desk"]
 )
 def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):

@@ -6,21 +6,14 @@ import pytest
 from ntcert.cubicfield import (
     CubicField,
     GaloisClass,
-    SplitType,
     SplitTypeMatrix,
     _first_difference,
+    _root_counts,
     _split_codes,
     galois_class,
-    splitting_type_mod_p,
 )
-from ntcert.errors import (
-    InvalidInputError,
-    RamifiedPrimeError,
-    ReducibleCubicError,
-    VerificationError,
-    WrongClassError,
-)
-from ntcert.exact import UniPoly, primes_up_to
+from ntcert.errors import InvalidInputError, VerificationError
+from ntcert.exact import UniPoly, count_distinct_roots, primes_up_to, reduce_mod_p
 
 CYCLIC = UniPoly((1, -3, 0, 1))  # x^3 - 3x + 1, disc 81
 
@@ -38,6 +31,13 @@ def witness(K1, K2, bound=1000):
 def shanks_cubic(t: int) -> UniPoly:
     """x^3 - t x^2 - (t+3) x - 1, cyclic for every integer t."""
     return UniPoly((-1, -(t + 3), -t, 1))
+
+
+def roots_mod_p(f: UniPoly, p: int) -> int:
+    """Distinct roots of f in F_p by the generic gcd(x^p - x, f); the root
+    count is the split type: 3 splits completely, 0 inert, 1 linear times
+    quadratic."""
+    return count_distinct_roots(reduce_mod_p(f, p))
 
 
 def brute_roots_mod_p(f: UniPoly, p: int) -> int:
@@ -60,35 +60,22 @@ def test_classification_examples():
     assert K2.galois_class is GaloisClass.S3
     assert K2.disc == -108 and K2.sqrt_disc is None
 
-    with pytest.raises(ReducibleCubicError):
+    with pytest.raises(InvalidInputError, match="has a rational root"):
         galois_class(UniPoly((0, -1, 0, 1)))  # x^3 - x
 
 
 def test_splitting_examples_against_brute_force():
-    assert brute_roots_mod_p(CYCLIC, 17) == 3
-    assert splitting_type_mod_p(CYCLIC, 17) is SplitType.SPLITS_COMPLETELY
-
     cube = UniPoly((-2, 0, 0, 1))
-    assert brute_roots_mod_p(cube, 7) == 0
-    assert splitting_type_mod_p(cube, 7) is SplitType.IRREDUCIBLE
-
-    assert brute_roots_mod_p(CYCLIC, 2) == 0
-    assert splitting_type_mod_p(CYCLIC, 2) is SplitType.IRREDUCIBLE
+    for f, p, roots in ((CYCLIC, 17, 3), (cube, 7, 0), (CYCLIC, 2, 0)):
+        assert brute_roots_mod_p(f, p) == roots
+        assert _root_counts(f, (p,)) == [roots]
 
 
 def test_splitting_matches_brute_force_widely():
     for f in (CYCLIC, UniPoly((-2, 0, 0, 1)), shanks_cubic(2)):
         disc = f.discriminant()
-        for p in primes_up_to(60):
-            if disc.numerator % p == 0:
-                continue
-            roots = brute_roots_mod_p(f, p)
-            expected = {
-                3: SplitType.SPLITS_COMPLETELY,
-                1: SplitType.LINEAR_TIMES_QUADRATIC,
-                0: SplitType.IRREDUCIBLE,
-            }[roots]
-            assert splitting_type_mod_p(f, p) is expected
+        primes = tuple(p for p in primes_up_to(60) if disc.numerator % p)
+        assert _root_counts(f, primes) == [brute_roots_mod_p(f, p) for p in primes]
 
 
 def test_cyclic_cubics_never_split_linear_times_quadratic():
@@ -99,7 +86,7 @@ def test_cyclic_cubics_never_split_linear_times_quadratic():
         for p in primes_up_to(100):
             if K.disc.numerator % p == 0:
                 continue
-            assert splitting_type_mod_p(f, p) is not SplitType.LINEAR_TIMES_QUADRATIC
+            assert roots_mod_p(f, p) != 1
 
 
 def test_class_invariant_under_shift():
@@ -112,8 +99,11 @@ def test_class_invariant_under_shift():
 
 
 def test_ramified_prime_rejected():
-    with pytest.raises(RamifiedPrimeError):
-        splitting_type_mod_p(CYCLIC, 3)  # 3 | 81
+    primes = primes_up_to(20)
+    split, inert = _split_codes(galois_class(CYCLIC), primes)
+    # 3 | 81 ramifies and gets neither bit; every other prime gets one
+    assert primes[1] == 3 and not (split | inert) & 0b10
+    assert split & inert == 0 and (split | inert).bit_count() == len(primes) - 1
 
 
 def test_witness_examples():
@@ -123,11 +113,11 @@ def test_witness_examples():
     p = witness(K1, K2)
     assert isinstance(p, int)
     # recomputing both splitting types at the witness prime reproduces it
-    assert splitting_type_mod_p(K1.defining, p) != splitting_type_mod_p(K2.defining, p)
+    assert {roots_mod_p(K1.defining, p), roots_mod_p(K2.defining, p)} == {0, 3}
 
     assert witness(K1, K1, bound=500) is None
 
-    with pytest.raises(WrongClassError):
+    with pytest.raises(InvalidInputError, match="require two C3 fields"):
         SplitTypeMatrix().admit(galois_class(UniPoly((-2, 0, 0, 1))), (0, 0))
 
 
@@ -142,7 +132,7 @@ def test_witness_rejects_a_bound_below_two():
 def test_witness_refutes_a_c3_label_at_a_linear_times_quadratic_prime():
     """x^3 - 2 has one root mod 5 (cubing permutes F_5), and 5 is unramified."""
     f = UniPoly((-2, 0, 0, 1))
-    assert splitting_type_mod_p(f, 5) is SplitType.LINEAR_TIMES_QUADRATIC
+    assert roots_mod_p(f, 5) == 1
     mislabelled = CubicField(f, f.discriminant(), None, GaloisClass.C3)
     K = galois_class(CYCLIC)
     # 2 and 3 are bad for x^3 - 2: no prime below 5 tests the label
@@ -204,9 +194,7 @@ def test_staged_witness_matches_naive_scan():
                     d1, d2 = K1.disc, K2.disc
                     if d1.numerator % p == 0 or d2.numerator % p == 0:
                         continue
-                    if splitting_type_mod_p(K1.defining, p) != splitting_type_mod_p(
-                        K2.defining, p
-                    ):
+                    if roots_mod_p(K1.defining, p) != roots_mod_p(K2.defining, p):
                         naive_prime = p
                         break
                 col = _first_difference(_split_codes(K1, primes), _split_codes(K2, primes))

@@ -13,8 +13,8 @@ import ntcert.exact
 NTCERT_NAMES = {"cubicfield": ["galois_class"]}
 EXACT_NAMES = {
     "bipoly": ["BiPoly"],
-    "modpoly": ["ModPoly", "count_distinct_roots", "irreducible_mod_p", "reduce_mod_p"],
-    "primes": ["divisors", "is_prime", "iter_primes", "prime_factors", "primes_up_to"],
+    "modpoly": ["ModPoly", "count_distinct_roots", "reduce_mod_p"],
+    "primes": ["divisors", "is_prime", "iter_primes", "primes_up_to"],
     "quotient": ["QuotientElem", "irreducible_over_q"],
     "rationals": ["format_rational", "parse_rational", "rational_is_square"],
     "unipoly": ["UniPoly"],
@@ -67,7 +67,8 @@ def loaded_modules(argv):
 
 
 # argv, the module it runs, and the modules it must not load; only a scan
-# loads the scan document's writer and the residue fields, and none loads numpy
+# loads the scan document's writer and the residue fields, none loads numpy,
+# and the degree planner needs neither quotient rings nor F_p polynomials
 SUBCOMMANDS = {
     "import-only": ([], "cli",
                     {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy"}),
@@ -75,8 +76,8 @@ SUBCOMMANDS = {
                        {"family", "cubicfield", "coverings", "exact.ellcurve", "exact.finitefield",
                         "scandoc", "numpy"}),
     "degree-plan": (["degree-plan", "3", "10"], "newton",
-                    {"family", "coverings", "exact.ellcurve", "exact.finitefield", "scandoc",
-                     "numpy"}),
+                    {"family", "coverings", "exact.ellcurve", "exact.finitefield",
+                     "exact.quotient", "exact.modpoly", "scandoc", "numpy"}),
     "covering-report": (["covering-report", "7"], "coverings",
                         {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
                          "numpy"}),

@@ -2,10 +2,10 @@
 
 The pure-Python cubic root counts (square-and-multiply on coefficient
 triples) are checked against count_distinct_roots, which counts roots with
-ModPoly's generic gcd(x^p - x, f), and, read as split types at the good
-primes, prime by prime against splitting_type_mod_p.  The bitmask
+ModPoly's generic gcd(x^p - x, f), both on integral cubics and, at the good
+primes, prime by prime on the reduction of rational ones.  The bitmask
 split-type rows and their first difference are checked against per-prime
-split types and a naive scan, the F_{p^3} arithmetic of
+root counts and a naive scan, the F_{p^3} arithmetic of
 finitefield.CubicExtension on int triples against ModPoly's product-and-divmod
 and xgcd, and ModPoly.pow_mod against repeated multiplication.
 """
@@ -20,16 +20,14 @@ import pytest
 
 from ntcert.cubicfield import (
     GaloisClass,
-    SplitType,
     _bad_part,
     _cubic_root_counts,
     _first_difference,
     _root_counts,
     _split_codes,
     galois_class,
-    splitting_type_mod_p,
 )
-from ntcert.errors import InvalidInputError, InvalidPrimeError, RamifiedPrimeError
+from ntcert.errors import InvalidInputError
 from ntcert.exact import (
     ModPoly,
     UniPoly,
@@ -38,6 +36,7 @@ from ntcert.exact import (
     is_prime,
     iter_primes,
     primes_up_to,
+    reduce_mod_p,
 )
 from ntcert.exact.finitefield import CubicExtension
 
@@ -68,28 +67,21 @@ CHUNKED_BOUND = 1500
 
 
 def fingerprint(f: UniPoly, bound: int) -> tuple:
-    """The split type of f at every prime <= bound from the kernel's root
-    counts, None at the primes _bad_part marks as ramified or bad."""
-    split_types = {
-        3: SplitType.SPLITS_COMPLETELY,
-        1: SplitType.LINEAR_TIMES_QUADRATIC,
-        0: SplitType.IRREDUCIBLE,
-    }
+    """The split type of f at every prime <= bound as the kernel's root count
+    (3 split, 0 inert, 1 linear times quadratic), None at the primes
+    _bad_part marks as ramified or bad."""
     bad = _bad_part(f, f.discriminant())
     primes = primes_up_to(bound)
-    return tuple(
-        split_types[n] if bad % p else None for p, n in zip(primes, _root_counts(f, primes))
-    )
+    return tuple(n if bad % p else None for p, n in zip(primes, _root_counts(f, primes)))
 
 
 def per_prime_fingerprint(f: UniPoly, bound: int) -> tuple:
-    out = []
-    for p in primes_up_to(bound):
-        try:
-            out.append(splitting_type_mod_p(f, p))
-        except RamifiedPrimeError:
-            out.append(None)
-    return tuple(out)
+    """The same from the generic count_distinct_roots, prime by prime, None
+    at the primes is_bad marks."""
+    return tuple(
+        None if is_bad(f, p) else count_distinct_roots(reduce_mod_p(f, p))
+        for p in primes_up_to(bound)
+    )
 
 
 def is_bad(f: UniPoly, p: int) -> bool:
@@ -110,21 +102,16 @@ def test_vectorised_fingerprint_matches_per_prime_split_types(bound):
     for f in FIELDS:
         fp = fingerprint(f, bound)
         assert fp == per_prime_fingerprint(f, bound), f
-        for p, split in zip(primes_up_to(bound), fp):
-            assert (split is None) == is_bad(f, p), (f, p)
         seen.update(fp)
     if bound >= 97:
-        assert seen == {None, *SplitType}
+        assert seen == {None, 0, 1, 3}
 
 
 def test_fingerprint_at_two_and_three():
     # x^3 + x + 1 has no root mod 2 and one root (x = 1) mod 3.
-    assert fingerprint(UniPoly((1, 1, 0, 1)), 3) == (
-        SplitType.IRREDUCIBLE,
-        SplitType.LINEAR_TIMES_QUADRATIC,
-    )
+    assert fingerprint(UniPoly((1, 1, 0, 1)), 3) == (0, 1)
     # Shanks t = 0 has discriminant 81: 3 ramifies, 2 is inert.
-    assert fingerprint(shanks_cubic(0), 3) == (SplitType.IRREDUCIBLE, None)
+    assert fingerprint(shanks_cubic(0), 3) == (0, None)
     # 2 divides the discriminant 23104 and 3 the denominator 27: both are bad.
     assert fingerprint(FIELDS[6], 3) == (None, None)
 
@@ -204,7 +191,7 @@ def test_bitmask_first_difference_matches_a_naive_scan():
 
 @pytest.mark.parametrize("bound", [2, 97, 1000])
 def test_split_codes_match_per_prime_split_types(bound):
-    codes = {None: 0, SplitType.SPLITS_COMPLETELY: 1, SplitType.IRREDUCIBLE: 2}
+    codes = {None: 0, 3: 1, 0: 2}
     primes = primes_up_to(bound)
     for f in FIELDS:
         K = galois_class(f)
@@ -249,7 +236,7 @@ def test_fq3_multiply_and_inverse_match_modpoly():
 
 def test_fq3_inverse_rejects_a_reducible_modulus():
     F = CubicExtension(7, (0, 0, 0, 1))  # x^3: x has no inverse
-    with pytest.raises(InvalidPrimeError):
+    with pytest.raises(InvalidInputError, match="non-invertible element"):
         F._inv((0, 1, 0))
 
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from ntcert.errors import InvalidInputError
-from ntcert.exact import ModPoly, UniPoly, count_distinct_roots, irreducible_mod_p, reduce_mod_p
+from ntcert.exact import ModPoly, UniPoly, count_distinct_roots, reduce_mod_p
 from ntcert.exact.unipoly import DensePoly
 
 
@@ -21,27 +21,30 @@ def brute_force_irreducible(coeffs, p):
 
 
 def test_irreducible_examples():
-    # brute-force oracles inline
+    # a quadratic or a cubic is irreducible over F_p exactly when it has no root there
     cubes_mod_7 = {x**3 % 7 for x in range(7)}
     assert 2 not in cubes_mod_7
-    assert irreducible_mod_p(ModPoly((-2, 0, 0, 1), 7)) is True
+    assert count_distinct_roots(ModPoly((-2, 0, 0, 1), 7)) == 0
 
     assert any((x * x - 1) % 5 == 0 for x in range(5))
-    assert irreducible_mod_p(ModPoly((-1, 0, 1), 5)) is False
+    assert count_distinct_roots(ModPoly((-1, 0, 1), 5)) == 2
 
     assert all((x**3 + x + 1) % 2 != 0 for x in range(2))
-    assert irreducible_mod_p(ModPoly((1, 1, 0, 1), 2)) is True
+    assert count_distinct_roots(ModPoly((1, 1, 0, 1), 2)) == 0
 
 
 def test_irreducible_agrees_with_exhaustive_search():
+    """Below degree 4, having no root in F_p is irreducibility: the test that
+    ellcurve.reduce_point_mod_p applies to a cubic modulus."""
     for p in (2, 3, 5):
-        for deg in range(1, 5):
+        for deg in range(1, 4):
             for lead in range(1, p):
                 for tail in product(range(p), repeat=deg):
                     coeffs = list(tail) + [lead]
-                    assert irreducible_mod_p(ModPoly(coeffs, p)) == brute_force_irreducible(
+                    rootless = count_distinct_roots(ModPoly(coeffs, p)) == 0
+                    assert (deg == 1 or rootless) == brute_force_irreducible(coeffs, p), (
                         coeffs, p
-                    ), (coeffs, p)
+                    )
 
 
 def test_count_distinct_roots_vs_enumeration():
@@ -130,5 +133,3 @@ def test_reduction_guards():
         reduce_mod_p(UniPoly((1, 5)), 5)
     with pytest.raises(InvalidInputError):
         ModPoly((1, 1), 6)
-    with pytest.raises(InvalidInputError):
-        irreducible_mod_p(ModPoly((3,), 5))

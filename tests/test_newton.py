@@ -10,7 +10,6 @@ from ntcert.newton import (
     default_b_sequence,
     min_universal_degree,
     plan_degrees,
-    specialize_b,
     substitute_st,
 )
 
@@ -90,20 +89,6 @@ def test_plan_degrees():
         ach = plan_degrees(n, 60)
         lower = min_universal_degree(n)
         assert all(d in ach for d in range(lower, 61))
-
-
-def test_specialize_b_examples():
-    assert specialize_b(BiPoly({(3, 0): 1, (0, 1): -1}), [2]) == 2
-    assert specialize_b(BiPoly({(2, 0): 1, (0, 2): -1}), [1]) is None
-    assert specialize_b(BiPoly({(3, 0): 1, (1, 0): -1, (0, 1): -1}), [0, 1]) == 1
-    with pytest.raises(InvalidInputError):
-        specialize_b(BiPoly({(0, 2): 1}), [1])
-
-
-def test_specialize_b_never_certifies_unknown():
-    # f(v1, b) = v1^4 + 1 for b = 0: factors mod every prime, stays unknown
-    f = BiPoly({(4, 0): 1, (0, 0): 1})
-    assert specialize_b(f, [0]) is None
 
 
 def test_default_b_sequence_deterministic():

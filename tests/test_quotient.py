@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ntcert.errors import MixedModulusError, ReducibleModulusError
+from ntcert.errors import InvalidInputError
 from ntcert.exact import QuotientElem, UniPoly, irreducible_over_q
 
 
@@ -22,7 +22,7 @@ def test_inverse_of_one():
 
 
 def test_reducible_modulus_rejected_at_construction():
-    with pytest.raises(ReducibleModulusError):
+    with pytest.raises(InvalidInputError, match="is reducible over Q"):
         QuotientElem.generator(UniPoly((-1, 0, 1)))  # x^2 - 1
 
 
@@ -46,7 +46,7 @@ def test_zero_inverse_and_mixed_modulus():
     with pytest.raises(ZeroDivisionError):
         QuotientElem.constant(0, mod).inverse()
     other = UniPoly((-2, 0, 0, 1))
-    with pytest.raises(MixedModulusError):
+    with pytest.raises(InvalidInputError, match="different quotient rings"):
         QuotientElem.generator(mod) + QuotientElem.generator(other)
 
 
@@ -63,9 +63,10 @@ def test_irreducibility_policy():
     assert irreducible_over_q(UniPoly((1, -3, 0, 1))) is True  # no rational roots
     assert irreducible_over_q(UniPoly((-1, 0, 1))) is False  # roots +-1
     assert irreducible_over_q(UniPoly((2, 1))) is True  # degree 1
-    # x^4 + x + 1 is irreducible mod 2, hence certified
-    assert irreducible_over_q(UniPoly((1, 1, 0, 0, 1))) is True
-    # x^4 + 1 factors modulo every prime: the sound policy must answer unknown
+    # degree >= 4 is never decided, irreducible (x^4 + x + 1, x^4 + 1) or
+    # not (x^4 - 1): the sound policy answers unknown, never a guess
+    assert irreducible_over_q(UniPoly((1, 1, 0, 0, 1))) is None
     assert irreducible_over_q(UniPoly((1, 0, 0, 0, 1))) is None
-    # reducible degree-4 input finds no witness either; never certified True
     assert irreducible_over_q(UniPoly((-1, 0, 0, 0, 1))) is None
+    # so a quotient ring accepts such a modulus; only a known factor refuses
+    assert QuotientElem.generator(UniPoly((-1, 0, 0, 0, 1))) ** 4 == 1
