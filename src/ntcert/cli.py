@@ -5,7 +5,9 @@ fermat-search.  Flags may also be supplied through a flat JSON config file
 (--config); explicit command-line values win.  Exit codes: 0 success,
 2 invalid input (InvalidInputError), 3 verification failure
 (VerificationError).  Each cmd_* imports the modules it runs, so a
-subcommand loads only those.
+subcommand loads only those; coverings and jsonio likewise import the
+polynomial modules inside the functions that use them, so fermat-search
+and the CLI's own start-up load no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidInputError, NtcertError, VerificationError
 from .exact import parse_rational
@@ -37,8 +39,7 @@ _SCAN_DEFAULTS = {
 _CONFIG_TYPES = {"a1": (str, int), "a4": (str, int), "torsion_primes": (int, str, list)}
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     """Merged family-scan settings (defaults < config file < CLI flags)."""
 
     a1: Fraction

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd as _int_gcd, isqrt
+from typing import NamedTuple
 
 from .errors import InvalidInputError, VerificationError
-from .exact import BiPoly, QuotientElem, UniPoly, is_prime
+from .exact import is_prime
 
 # trivial_solutions lists all 6*bound + 1 trivial solutions in memory, so it
 # refuses bounds above this one before allocating anything; the search
@@ -44,8 +44,7 @@ def solve_eq5(p: int) -> list[int]:
     return [n for n in range(1, p) if (1 + n + n * n) % p == 0]
 
 
-@dataclass(frozen=True)
-class SuperellipticModel:
+class SuperellipticModel(NamedTuple):
     """y^p = x^r * (x-1)^s with local winding residues at 0, 1, infinity."""
 
     p: int
@@ -90,10 +89,6 @@ def model_from_n(p: int, n: int) -> SuperellipticModel:
 # -- the triangle curve X^m Y + Y^m Z + Z^m X ------------------------------------
 
 
-# Q(rho) = Q[x]/(x^2 + x + 1), rho the class of x, a primitive cube root of unity
-_RHO_MODULUS = UniPoly((1, 1, 1))
-
-
 def proj_equal(P: tuple, Q: tuple) -> bool:
     """Projective equality of nonzero coordinate tuples of one length: every
     2x2 cross minor vanishes, which needs no division."""
@@ -135,6 +130,8 @@ def triangle_checks(m: int) -> dict:
     when m is not 2 mod 3 (equivalently p = m^2 - m + 1 is not divisible
     by 3).
     """
+    from .exact import QuotientElem, UniPoly
+
     if m < 2:
         raise InvalidInputError("m must be >= 2")
     p = m * m - m + 1
@@ -142,15 +139,17 @@ def triangle_checks(m: int) -> dict:
     shifted_support = {(c, a, b) for (a, b, c) in support}
     shift_preserves_curve = shifted_support == support
 
-    one = QuotientElem.constant(1, _RHO_MODULUS)
-    zero = QuotientElem.constant(0, _RHO_MODULUS)
+    # Q(rho) = Q[x]/(x^2 + x + 1), rho the class of x, a primitive cube root of unity
+    rho_modulus = UniPoly((1, 1, 1))
+    one = QuotientElem.constant(1, rho_modulus)
+    zero = QuotientElem.constant(0, rho_modulus)
     coord_points = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
     expected_cycle = [coord_points[2], coord_points[0], coord_points[1]]
     shift_permutes_coordinate_points = all(
         proj_equal(_shift(P), Q) for P, Q in zip(coord_points, expected_cycle)
     )
 
-    rho = QuotientElem.generator(_RHO_MODULUS)
+    rho = QuotientElem.generator(rho_modulus)
     fixed_points = [(rho, rho * rho, one), (rho * rho, rho, one)]
     fixed_projectively = all(proj_equal(_shift(P), P) for P in fixed_points)
     on_curve = [_triangle_value(m, P).is_zero for P in fixed_points]
@@ -178,9 +177,19 @@ def triangle_nonsingular(m: int) -> bool:
     so it suffices to rule out singular points in the Z = 1 patch.  There
     the partial with respect to Z is linear in X; substituting its unique
     solution X = -Y^m / m into the other two partials leaves two univariate
-    polynomials whose gcd is constant exactly when no common zero exists
-    over the algebraic closure.
+    polynomials h1, h2 whose gcd is constant exactly when no common zero
+    exists over the algebraic closure.
+
+    h1 and h2 have two terms each and degree up to m^2, so the gcd is
+    deflated (_sparse_gcd_degree): with h_i = Y^(v_i) * A_i(Y^g), v_i the
+    lowest exponent of h_i and g the gcd of the exponent offsets,
+    deg gcd(h1, h2) = min(v1, v2) + g * deg gcd(A1, A2), by two identities:
+    gcd(Y^a*A, Y^b*B) = Y^min(a,b) * gcd(A, B) when A(0)*B(0) != 0, and
+    gcd(A(Y^g), B(Y^g)) = gcd(A, B)(Y^g), as a Bezout identity
+    S*A + T*B = gcd(A, B) survives Y -> Y^g.  Here A1 and A2 are linear.
     """
+    from .exact import BiPoly
+
     if m < 2:
         raise InvalidInputError("m must be >= 2")
     # Projective partials restricted to Z = 1, as polynomials in (X, Y):
@@ -188,9 +197,22 @@ def triangle_nonsingular(m: int) -> bool:
     fy = BiPoly({(m, 0): 1, (0, m - 1): m})  # X^m + m Y^(m-1) Z
     x_solved = BiPoly({(0, m): Fraction(-1, m)})  # from Y^m + m Z^(m-1) X = 0
     second = BiPoly.second()
-    h1 = fx.substitute(x_solved, second).as_unipoly_second()
-    h2 = fy.substitute(x_solved, second).as_unipoly_second()
-    return h1.gcd(h2).degree == 0
+    h1 = fx.substitute(x_solved, second).as_sparse_second()
+    h2 = fy.substitute(x_solved, second).as_sparse_second()
+    return _sparse_gcd_degree(h1, h2) == 0
+
+
+def _sparse_gcd_degree(h1: dict[int, Fraction], h2: dict[int, Fraction]) -> int:
+    """deg gcd(h1, h2) over Q, for nonzero {exponent: coefficient}
+    polynomials in Y: the exact Euclid of DensePoly.gcd on the deflated
+    A1, A2 of triangle_nonsingular's docstring."""
+    from .exact import UniPoly
+
+    lows = [min(h) for h in (h1, h2)]
+    g = _int_gcd(*(e - v for h, v in zip((h1, h2), lows) for e in h)) or 1
+    A1, A2 = (sum((UniPoly.monomial((e - v) // g, c) for e, c in h.items()), UniPoly.zero())
+              for h, v in zip((h1, h2), lows))
+    return min(lows) + g * A1.gcd(A2).degree
 
 
 def psi_identities(m: int) -> dict:
@@ -203,6 +225,8 @@ def psi_identities(m: int) -> dict:
     (iii) the coordinate shift induces u -> 1/(1-u), which 3-cycles
         0 -> 1 -> infinity -> 0.
     """
+    from .exact import UniPoly
+
     if m < 2:
         raise InvalidInputError("m must be >= 2")
     N = m * m - m + 1
@@ -270,8 +294,7 @@ def psi_identities(m: int) -> dict:
 # -- Riemann-Hurwitz ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(NamedTuple):
     """A covering degree, base genus, and ramification indices per branch point."""
 
     degree: int

@@ -27,10 +27,10 @@ classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import InvalidInputError, VerificationError
 from .exact import (
@@ -48,8 +48,7 @@ class GaloisClass(str, Enum):
     S3 = "S3"
 
 
-@dataclass(frozen=True)
-class CubicField:
+class CubicField(NamedTuple):
     """An irreducible monic cubic with its discriminant data and Galois class."""
 
     defining: UniPoly

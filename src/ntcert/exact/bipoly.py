@@ -13,7 +13,6 @@ from typing import Mapping
 
 from ..errors import InvalidInputError
 from .power import _power
-from .unipoly import UniPoly
 
 
 class BiPoly:
@@ -131,16 +130,9 @@ class BiPoly:
             acc = acc + power(pow1, first, i) * power(pow2, second, j) * c
         return acc
 
-    def as_unipoly_second(self) -> UniPoly:
-        """View a polynomial constant in the first variable as UniPoly in the second."""
+    def as_sparse_second(self) -> dict[int, Fraction]:
+        """A polynomial constant in the first variable, as {degree: coefficient}
+        in the second."""
         if self.deg_first > 0:
             raise InvalidInputError("polynomial still involves the first variable")
-        return _dense({j: c for (_, j), c in self.terms.items()})
-
-
-def _dense(terms: dict[int, Fraction]) -> UniPoly:
-    """The UniPoly with the {degree: coefficient} terms."""
-    coeffs = [0] * (max(terms, default=-1) + 1)
-    for k, c in terms.items():
-        coeffs[k] = c
-    return UniPoly(coeffs)
+        return {j: c for (_, j), c in self.terms.items()}

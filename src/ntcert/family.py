@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
-from typing import ClassVar, Sequence
+from typing import NamedTuple, Sequence
 
 from . import cubicfield
 from .cubicfield import (
@@ -65,8 +64,7 @@ from .exact.ellcurve import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Family coefficients: a1, a4 free, a3 and a6 derived."""
 
     a1: Fraction
@@ -108,8 +106,7 @@ def closed_form_j(a1: Fraction | int) -> Fraction:
 # -- fibers and their points -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberData:
+class FiberData(NamedTuple):
     s: Fraction
     t: Fraction
     u: Fraction
@@ -221,12 +218,11 @@ def torsion_bound(
 # -- certificates and the scan --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionCertificate:
+class ExtensionCertificate(NamedTuple):
     """Audit record for one accepted fiber.  Every accepted fiber is C3:
     it is irreducible, and fiber_at_s has proved its discriminant a square."""
 
-    galois_class: ClassVar[GaloisClass] = GaloisClass.C3
+    galois_class = GaloisClass.C3  # unannotated: a class constant, not a field
 
     s: Fraction
     t: Fraction
@@ -246,14 +242,16 @@ class ExtensionCertificate:
         return CubicField(self.fiber, self.disc, self.sqrt_disc, self.galois_class)
 
 
-@dataclass
 class ScanResult:
-    params: FamilyParams
-    certificates: list[ExtensionCertificate] = field(default_factory=list)
-    fibers_tested: int = 0
-    skipped_reducible: int = 0
-    skipped_presumed_equal: int = 0
-    skipped_torsion: int = 0
+    """One scan's accepted certificates and skip counts, filled in by its fold."""
+
+    def __init__(self, params: FamilyParams, fibers_tested: int = 0) -> None:
+        self.params = params
+        self.certificates: list[ExtensionCertificate] = []
+        self.fibers_tested = fibers_tested
+        self.skipped_reducible = 0
+        self.skipped_presumed_equal = 0
+        self.skipped_torsion = 0
 
     def summary(self) -> dict:
         return {
@@ -459,7 +457,7 @@ def scan_family(
                 if witnesses is not None:
                     earlier = (cert.s for cert in result.certificates)
                     result.certificates.append(
-                        replace(outcome, disjointness=tuple(zip(earlier, witnesses)))
+                        outcome._replace(disjointness=tuple(zip(earlier, witnesses)))
                     )
                     skipped -= 1
                 outcome = "presumed_equal"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exact import UniPoly, format_rational, parse_rational
+from .exact.rationals import format_rational, parse_rational
 
 SCHEMA_VERSION = "v1"
 
@@ -26,12 +26,16 @@ def to_jsonable(obj):
     """
     if isinstance(obj, Fraction):
         return format_rational(obj)
+    from .exact.unipoly import UniPoly  # imported here, so the CLI's start-up skips it
+
     if isinstance(obj, UniPoly):
         return [format_rational(c) for c in obj.coeffs]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def poly_from_list(items: list[str]) -> UniPoly:
+    from .exact.unipoly import UniPoly
+
     return UniPoly([parse_rational(s) for s in items])
 
 

@@ -52,12 +52,11 @@ def test_substitute_reaches_high_exponents():
     assert f.substitute(BiPoly.first(), BiPoly.second()) == f
 
 
-def test_as_unipoly_second_requires_constant_first():
+def test_as_sparse_second_requires_constant_first():
     f = BiPoly({(0, 2): 3, (0, 0): -1})
-    g = f.as_unipoly_second()
-    assert g.coefficient(2) == 3 and g.coefficient(0) == -1
+    assert f.as_sparse_second() == {2: 3, 0: -1}
     with pytest.raises(InvalidInputError):
-        BiPoly({(1, 1): 1}).as_unipoly_second()
+        BiPoly({(1, 1): 1}).as_sparse_second()
 
 
 def test_degrees_and_zero():

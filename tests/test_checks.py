@@ -4,7 +4,6 @@ import ast
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,7 +50,7 @@ def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
     differs from u^2*p^2."""
     real = family.derive_family
     monkeypatch.setattr(
-        family, "derive_family", lambda a1, a4: replace(real(a1, a4), a6=real(a1, a4).a6 + 1)
+        family, "derive_family", lambda a1, a4: real(a1, a4)._replace(a6=real(a1, a4).a6 + 1)
     )
     assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
@@ -95,7 +94,7 @@ def plant_in_fiber_at_s(monkeypatch, at, error=None):
             return fd
         if error is not None:
             raise error
-        return replace(fd, fiber=fd.fiber + UniPoly.constant(1))
+        return fd._replace(fiber=fd.fiber + UniPoly.constant(1))
 
     monkeypatch.setattr(family, "fiber_at_s", planted)
 

@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, isqrt
 
@@ -13,6 +15,7 @@ from ntcert.coverings import (
     _barlow_candidates,
     _barlow_values,
     _positive_power_triples,
+    _sparse_gcd_degree,
     covering_report,
     fermat_search,
     m_for_prime,
@@ -28,7 +31,7 @@ from ntcert.coverings import (
     trivial_solutions,
 )
 from ntcert.errors import InvalidInputError
-from ntcert.exact import primes_up_to
+from ntcert.exact import BiPoly, UniPoly, primes_up_to
 
 
 # -- the congruence ---------------------------------------------------------------
@@ -107,6 +110,74 @@ def test_triangle_on_curve_rule_two_routes():
 def test_triangle_nonsingular_small_m():
     for m in range(2, 7):
         assert triangle_nonsingular(m) is True
+
+
+@pytest.mark.parametrize("p", [8011, 9901, 10303])
+def test_triangle_nonsingular_at_the_benchmark_covering_primes(p):
+    m = m_for_prime(p)
+    assert m in (90, 100, 102)
+    assert triangle_nonsingular(m) is True
+
+
+def _dense(h: dict) -> UniPoly:
+    return sum((UniPoly.monomial(e, c) for e, c in h.items()), UniPoly.zero())
+
+
+def _sparse(f: UniPoly) -> dict:
+    return {e: c for e, c in enumerate(f.coeffs) if c}
+
+
+def _random_poly(rng, degree: int) -> UniPoly:
+    """A random polynomial of the given degree with a nonzero constant term."""
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(degree + 1)]
+    coeffs[0] = coeffs[0] or Fraction(1)
+    coeffs[-1] = coeffs[-1] or Fraction(-1)
+    return UniPoly(coeffs)
+
+
+def test_sparse_gcd_degree_matches_the_dense_gcd():
+    """Y^v1*A(Y^g) and Y^v2*B(Y^g) with a shared factor, and pairs of random
+    sparse exponents, against Euclid on the dense polynomials."""
+    rng = random.Random(27)
+    beyond_y_powers = 0
+    for trial in range(50):
+        if trial % 5 == 4:
+            h1, h2 = ({rng.randint(0, 40): Fraction(rng.choice((-3, -1, 1, 2)))
+                       for _ in range(rng.randint(1, 4))} for _ in range(2))
+        else:
+            g = rng.randint(1, 6)
+            inflate = UniPoly.monomial(g)
+            shared = _random_poly(rng, rng.randint(0, 2))
+            h1, h2 = (
+                _sparse((_random_poly(rng, rng.randint(0, 3)) * shared).compose(inflate)
+                        * UniPoly.monomial(rng.randint(0, 4)))
+                for _ in range(2)
+            )
+        expected = _dense(h1).gcd(_dense(h2)).degree
+        assert _sparse_gcd_degree(h1, h2) == expected, (h1, h2)
+        beyond_y_powers += expected > min(min(h1), min(h2))
+    assert beyond_y_powers >= 20  # the gcd of the deflated polynomials is nonconstant
+
+
+def test_sparse_gcd_degree_examples():
+    one = Fraction(1)
+    assert _sparse_gcd_degree({6: one, 0: -one}, {4: one, 0: -one}) == 2  # Y^2 - 1
+    # Y^3*(Y^2 + 1) and Y^5*(Y^4 - 1) share Y^3*(Y^2 + 1)
+    assert _sparse_gcd_degree({5: one, 3: one}, {9: one, 5: -one}) == 5
+    assert _sparse_gcd_degree({7: one}, {2: one, 0: one}) == 0
+    assert _sparse_gcd_degree({7: one}, {3: -one}) == 3
+
+
+def test_triangle_partials_have_the_gcd_the_dense_route_finds():
+    """The sparse h1, h2 of triangle_nonsingular: two terms each, and the
+    same gcd degree (zero) as the dense Euclid, for small m."""
+    for m in range(2, 9):
+        x_solved, second = BiPoly({(0, m): Fraction(-1, m)}), BiPoly.second()
+        fx = BiPoly({(m - 1, 1): m, (0, 0): 1})
+        fy = BiPoly({(m, 0): 1, (0, m - 1): m})
+        h1, h2 = (f.substitute(x_solved, second).as_sparse_second() for f in (fx, fy))
+        assert len(h1) == len(h2) == 2
+        assert _sparse_gcd_degree(h1, h2) == _dense(h1).gcd(_dense(h2)).degree == 0
 
 
 def test_psi_identity_reports():

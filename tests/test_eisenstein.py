@@ -4,19 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from ntcert.coverings import _RHO_MODULUS, proj_equal
-from ntcert.exact import QuotientElem
+from ntcert.coverings import proj_equal
+from ntcert.exact import QuotientElem, UniPoly
+
+RHO_MODULUS = UniPoly((1, 1, 1))  # x^2 + x + 1
 
 
 def test_cube_root_relations():
-    rho = QuotientElem.generator(_RHO_MODULUS)
+    rho = QuotientElem.generator(RHO_MODULUS)
     assert rho**3 == 1
     assert rho * rho + rho + 1 == 0
 
 
 def test_projective_equality():
-    rho = QuotientElem.generator(_RHO_MODULUS)
-    one = QuotientElem.constant(1, _RHO_MODULUS)
+    rho = QuotientElem.generator(RHO_MODULUS)
+    one = QuotientElem.constant(1, RHO_MODULUS)
     P = (rho, rho * rho, one)
     scaled = tuple(rho * c for c in P)
     assert proj_equal(P, scaled)

@@ -53,8 +53,12 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("ntcert.") or m i
 """
 # the modules a process pool loads: no scan loads them, as --jobs above 1 forks
 POOL = {"concurrent.futures.process", "multiprocessing"}
+# dataclasses loads inspect, which loads ast, dis and tokenize: no subcommand needs them
+STARTUP = {"dataclasses", "inspect"}
 # the modules outside ntcert that the probe reports
-REPORTED = sorted(POOL | {"pickle", "numpy"})
+REPORTED = sorted(POOL | STARTUP | {"pickle", "numpy"})
+# the polynomial arithmetic, which neither the CLI's start-up nor the Fermat search runs
+POLYNOMIALS = {"exact.unipoly", "exact.bipoly", "exact.quotient"}
 
 
 def loaded_modules(argv):
@@ -67,25 +71,29 @@ def loaded_modules(argv):
 
 
 # argv, the module it runs, and the modules it must not load; only a scan
-# loads the scan document's writer and the residue fields, none loads numpy,
-# and the degree planner needs neither quotient rings nor F_p polynomials
+# loads the scan document's writer and the residue fields, none loads numpy
+# or dataclasses, and the degree planner needs neither quotient rings nor
+# F_p polynomials nor dense ones
 SUBCOMMANDS = {
     "import-only": ([], "cli",
-                    {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy"}),
+                    {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy",
+                     *POLYNOMIALS, *STARTUP}),
     "modular-verify": (["modular-verify", "--order", "12"], "qseries",
                        {"family", "cubicfield", "coverings", "exact.ellcurve", "exact.finitefield",
-                        "scandoc", "numpy"}),
+                        "scandoc", "numpy", *STARTUP}),
     "degree-plan": (["degree-plan", "3", "10"], "newton",
                     {"family", "coverings", "exact.ellcurve", "exact.finitefield",
-                     "exact.quotient", "exact.modpoly", "scandoc", "numpy"}),
+                     "exact.quotient", "exact.modpoly", "exact.unipoly", "scandoc", "numpy",
+                     *STARTUP}),
     "covering-report": (["covering-report", "7"], "coverings",
                         {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
-                         "numpy"}),
+                         "numpy", *STARTUP}),
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
                       {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
-                       "numpy"}),
+                       "numpy", *POLYNOMIALS, *STARTUP}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
-                    {"coverings", "newton", "qseries", "exact.bipoly", "pickle", "numpy", *POOL}),
+                    {"coverings", "newton", "qseries", "exact.bipoly", "pickle", "numpy", *POOL,
+                     *STARTUP}),
 }
 
 
