@@ -81,7 +81,9 @@ def superelliptic_model(p: int, r: int, s: int) -> SuperellipticModel:
 
 def model_from_n(p: int, n: int) -> SuperellipticModel:
     """The model y^p = x^n(x-1) for a congruence solution n."""
-    if n not in solve_eq5(p):
+    if not is_prime(p):
+        raise InvalidInputError(f"{p} is not prime")
+    if not (1 <= n <= p - 1 and (1 + n + n * n) % p == 0):
         raise InvalidInputError(f"1 + n + n^2 != 0 mod {p} for n = {n}")
     return superelliptic_model(p, n, 1)
 

@@ -1,14 +1,21 @@
-"""Truncated Laurent q-expansions with exact coefficients.
+"""Truncated Laurent q-expansions with exact integer coefficients.
 
-A series is a valuation (possibly negative), a coefficient list starting
-there, and an exclusive truncation order: coefficients are known exactly
-for every exponent below the order.  Arithmetic tracks how far results
-stay exact, so identities verified here are coefficient-for-coefficient
-statements, never numerics.  Coefficients are kept as given, so the
-modular series, built from ints, have int coefficients throughout.
+A series is a valuation (possibly negative), a list of ints starting
+there, and an exclusive truncation order below which every coefficient is
+known exactly, so identities verified here are coefficient-for-coefficient
+statements, never numerics.
 
-Built on this: the Euler products prod (1 - q^n)^k, the weight-12 eta
-quotient t = q^-1 * prod (1-q^n)^12 / prod (1-q^3n)^12 on Gamma0(3), the
+One kernel multiplies int lists, by Kronecker substitution (D. Harvey,
+J. Symbolic Comput. 44(10), 2009): each factor is packed through
+``to_bytes``/``from_bytes`` into one int with a signed w-byte slot per
+coefficient, the two ints are multiplied once (Karatsuba in CPython), and
+each slot of the product is read back with the borrow of the slot below.
+A series with lead +-1 is inverted by Newton's iteration b <- b*(2 - a*b);
+any other lead would leave the integers and is refused.
+
+Built on this: the Euler products prod (1 - q^n)^k from the pentagonal
+number theorem, the weight-12 eta quotient
+t = q^-1 * prod (1-q^n)^12 / prod (1-q^3n)^12 on Gamma0(3), the
 j-function via E4^3 / Delta as an independent oracle, and the exact
 verification that f = t + 27 satisfies j = f*(f+216)^3/(f-27)^3 together
 with its closed-form counterpart 256*(a^4+54)^3*a^4/(4*a^4-27)^3.
@@ -22,11 +29,9 @@ records both facts.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
-from .exact import UniPoly
 from .exact.power import _power
 
 PRINTED_ETA_EXPONENT = 2
@@ -42,54 +47,55 @@ PRINTED_F_COEFFICIENTS: tuple[tuple[int, int], ...] = (
     (4, 1188),
 )
 
+# byte -> its top bit, which in a slot's top byte is the slot's sign
+_SIGN_BIT = bytes(b >> 7 for b in range(256))
+
+
+def _pack(cs: Sequence[int], w: int) -> int:
+    """sum c_i * 256^(w*i), from the signed w-byte slots of `cs`."""
+    buf = b"".join(c.to_bytes(w, "little", signed=True) for c in cs)
+    # read unsigned, a negative slot stands for c_i + 256^w: take that 1 back
+    # from the slot above, all slots at once
+    borrow = bytearray(len(buf) + w)
+    borrow[w::w] = buf[w - 1 :: w].translate(_SIGN_BIT)
+    return int.from_bytes(buf, "little") - int.from_bytes(borrow, "little")
+
+
+def _mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of the product of the int lists a and b."""
+    a, b = a[:n], b[:n]
+    bound = min(len(a), len(b)) * max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    if not bound:
+        return [0] * n
+    # every product coefficient c has |c| <= bound < 256^w / 2, so a slot
+    # read as signed is c less the borrow its lower neighbour made
+    w = (bound.bit_length() + 8) // 8
+    product = _pack(a, w) * _pack(b, w)
+    buf = (product & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+    slots = [int.from_bytes(buf[i : i + w], "little", signed=True) for i in range(0, w * n, w)]
+    return [s + (below < 0) for s, below in zip(slots, [0] + slots)]
+
+
+def _full_mul(a: list[int], b: list[int]) -> list[int]:
+    """The whole product of two nonempty int lists, as polynomials."""
+    return _mul(a, b, len(a) + len(b) - 1)
+
 
 class LaurentSeries:
-    """Coefficients from `valuation` up to (excluding) `order`, exact throughout."""
+    """Int coefficients from `valuation` up to (excluding) `order`."""
 
     __slots__ = ("valuation", "coeffs", "order")
 
-    def __init__(self, valuation: int, coeffs: Iterable[Fraction | int], order: int):
-        cs = list(coeffs)
+    def __init__(self, valuation: int, coeffs: Iterable[int], order: int):
+        cs = tuple(coeffs)
         if valuation + len(cs) != order:
             raise InvalidInputError("coefficient count must span valuation..order")
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            valuation += 1
-        if not cs:
-            valuation = order
-        self.valuation = valuation
-        self.coeffs: tuple[Fraction | int, ...] = tuple(cs)
+        lead = next((i for i, c in enumerate(cs) if c), len(cs))
+        self.valuation = valuation + lead
+        self.coeffs = cs[lead:]
         self.order = order
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "LaurentSeries":
-        return cls(order, (), order)
-
-    @classmethod
-    def one(cls, order: int) -> "LaurentSeries":
-        return cls.q_power(0, order)
-
-    @classmethod
-    def q_power(cls, k: int, order: int) -> "LaurentSeries":
-        if k >= order:
-            raise InvalidInputError("monomial exponent must lie below the order")
-        return cls(k, (1,) + (0,) * (order - k - 1), order)
-
-    @classmethod
-    def from_constant(cls, c: Fraction | int, order: int) -> "LaurentSeries":
-        if order <= 0:
-            raise InvalidInputError("a constant needs order > 0")
-        return cls(0, (c,) + (0,) * (order - 1), order)
-
-    # -- access ----------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, e: int) -> Fraction | int:
+    def coefficient(self, e: int) -> int:
         if e >= self.order:
             raise InvalidInputError(f"coefficient of q^{e} is beyond the truncation")
         if e < self.valuation:
@@ -100,123 +106,52 @@ class LaurentSeries:
         if order > self.order:
             raise InvalidInputError("cannot extend a truncated series")
         if order <= self.valuation:
-            return LaurentSeries.zero(order)
+            return LaurentSeries(order, (), order)
         return LaurentSeries(self.valuation, self.coeffs[: order - self.valuation], order)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentSeries):
-            return (
-                self.valuation == other.valuation
-                and self.order == other.order
-                and self.coeffs == other.coeffs
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.valuation, self.coeffs, self.order))
-
-    def __repr__(self) -> str:
-        shown = ", ".join(
-            f"q^{self.valuation + i}: {c}" for i, c in enumerate(self.coeffs[:6])
-        )
-        return f"LaurentSeries({shown}, ... order {self.order})"
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def _coerce(self, other) -> "LaurentSeries | None":
-        if isinstance(other, LaurentSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentSeries.from_constant(other, self.order)
-        return None
-
-    def __add__(self, other) -> "LaurentSeries":
-        o = self._coerce(other)
-        if o is None:
+    def __add__(self, c) -> "LaurentSeries":
+        """The series plus the constant int c."""
+        if not isinstance(c, int):
             return NotImplemented
-        order = min(self.order, o.order)
-        if self.is_zero and o.is_zero:
-            return LaurentSeries.zero(order)
-        vals = [v for v in (self.valuation, o.valuation) if v < order]
-        if not vals:
-            return LaurentSeries.zero(order)
-        val = min(vals)
-        coeffs = [
-            self.coefficient(e) + o.coefficient(e) for e in range(val, order)
-        ]
-        return LaurentSeries(val, coeffs, order)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.valuation, [-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other) -> "LaurentSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "LaurentSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        if self.order <= 0:
+            raise InvalidInputError("a constant needs order > 0")
+        val = min(self.valuation, 0)
+        cs = [0] * (self.valuation - val) + list(self.coeffs)
+        cs[-val] += c
+        return LaurentSeries(val, cs, self.order)
 
     def __mul__(self, other) -> "LaurentSeries":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentSeries.zero(self.order)
-            return LaurentSeries(
-                self.valuation, [c * other for c in self.coeffs], self.order
-            )
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentSeries.zero(min(self.order, other.order))
+        if not self.coeffs or not other.coeffs:
+            order = min(self.order, other.order)
+            return LaurentSeries(order, (), order)
         # exactness horizon: unknown tails contribute from o1+v2 and o2+v1
         order = min(self.order + other.valuation, other.order + self.valuation)
         val = self.valuation + other.valuation
-        length = order - val
-        out = [0] * length
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            jmax = min(len(other.coeffs), length - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return LaurentSeries(val, out, order)
-
-    __rmul__ = __mul__
+        return LaurentSeries(val, _mul(self.coeffs, other.coeffs, order - val), order)
 
     def __pow__(self, k: int) -> "LaurentSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        if k == 0:
-            if self.order < 1:
-                raise InvalidInputError("cannot represent 1 below order 1")
-            return LaurentSeries.one(self.order)
-        return _power(self, k, None)
+        if k == 0 and self.order < 1:
+            raise InvalidInputError("cannot represent 1 below order 1")
+        return _power(self, k, LaurentSeries(0, (1,) + (0,) * (self.order - 1), self.order))
 
     def inverse(self) -> "LaurentSeries":
-        """Inverse Laurent series; valuation negates, known length is preserved."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of the zero series")
-        n = self.order - self.valuation
+        """Inverse of a series with lead +-1; valuation negates, known length is kept."""
         a = self.coeffs
-        lead = a[0]
-        # +-1 is its own inverse, so an int series with a unit lead stays int;
-        # int / int would give a float
-        inv_lead = lead if lead in (1, -1) else 1 / Fraction(lead)
-        b = [0] * n
-        b[0] = inv_lead
-        for k in range(1, n):
-            acc = 0
-            for i in range(1, min(k, len(a) - 1) + 1):
-                acc += a[i] * b[k - i]
-            b[k] = -acc * inv_lead
+        if not a:
+            raise InvalidInputError("inverse of the zero series")
+        if a[0] not in (1, -1):
+            raise InvalidInputError("only a series with lead +-1 has an int inverse")
+        n = self.order - self.valuation
+        b, known = [a[0]], 1
+        while known < n:  # Newton: each pass doubles the known coefficients of 1/a
+            known = min(2 * known, n)
+            correction = [-c for c in _mul(a, b, known)]
+            correction[0] += 2
+            b = _mul(b, correction, known)
         return LaurentSeries(-self.valuation, b, -self.valuation + n)
 
     def dilate(self, k: int, order: int | None = None) -> "LaurentSeries":
@@ -226,12 +161,9 @@ class LaurentSeries:
         new_order = self.order * k if order is None else min(order, self.order * k)
         val = self.valuation * k
         if val >= new_order:
-            return LaurentSeries.zero(new_order)
+            return LaurentSeries(new_order, (), new_order)
         out = [0] * (new_order - val)
-        for i, c in enumerate(self.coeffs):
-            e = (self.valuation + i) * k
-            if e < new_order:
-                out[e - val] = c
+        out[::k] = self.coeffs[: len(range(0, len(out), k))]
         return LaurentSeries(val, out, new_order)
 
     def shift(self, d: int) -> "LaurentSeries":
@@ -243,15 +175,21 @@ class LaurentSeries:
 
 
 def euler_pow(k: int, order: int) -> LaurentSeries:
-    """prod_{n>=1} (1 - q^n)^k to the given order, by iterated sparse products."""
+    """prod_{n>=1} (1 - q^n)^k to the given order.
+
+    The product itself is Euler's pentagonal series, sum over j of
+    (-1)^j q^(j(3j-1)/2) for every integer j, which has O(sqrt(order)) terms.
+    """
     if order < 1:
         raise InvalidInputError("order must be >= 1")
     base = [0] * order
     base[0] = 1
-    for n in range(1, order):
-        # multiply in place by (1 - q^n)
-        for e in range(order - 1, n - 1, -1):
-            base[e] -= base[e - n]
+    j = 1
+    while j * (3 * j - 1) // 2 < order:
+        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if e < order:
+                base[e] = -1 if j % 2 else 1
+        j += 1
     return LaurentSeries(0, base, order) ** k
 
 
@@ -345,12 +283,13 @@ def verify_eta_identity(order: int) -> dict:
                 first_mismatch = {"exponent": e, "lhs": str(lhs), "rhs": str(rhs)}
             break
 
-    # closed form in a = a1: 256 a^4 (a^4+54)^3 vs 4a^4 (4a^4+216)^3, both
-    # over the shared denominator (4a^4-27)^3
-    a4 = UniPoly.monomial(4)
-    closed_ok = 256 * a4 * (a4 + 54) ** 3 == 4 * a4 * (4 * a4 + 216) ** 3
+    # closed form in b = a^4, coefficient lists from b^0 up: 256 b (b+54)^3 vs
+    # 4b (4b+216)^3, both over the shared denominator (4b-27)^3
+    closed_ok = _full_mul([0, 256], _power([54, 1], 3, [1], _full_mul)) == _full_mul(
+        [0, 4], _power([216, 4], 3, [1], _full_mul)
+    )
 
-    report = {
+    return {
         "order": order,
         "printed_coefficients_match": printed_ok,
         "j_identity_match": j_ok,
@@ -363,4 +302,3 @@ def verify_eta_identity(order: int) -> dict:
             "reproduces the printed integral expansion"
         ),
     }
-    return report

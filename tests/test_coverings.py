@@ -63,6 +63,12 @@ def test_model_examples():
     assert (m.w0 + m.w1 + m.w_inf) % 7 == 0
     with pytest.raises(InvalidInputError, match=r"1 \+ n \+ n\^2 != 0 mod 7 for n = 3"):
         model_from_n(7, 3)
+    # n = 0 is no solution; n = p + 2 meets the congruence but lies outside 1..p-1
+    for n in (0, 7 + 2):
+        with pytest.raises(InvalidInputError, match=rf"1 \+ n \+ n\^2 != 0 mod 7 for n = {n}$"):
+            model_from_n(7, n)
+    with pytest.raises(InvalidInputError, match="9 is not prime"):
+        model_from_n(9, 2)
     with pytest.raises(InvalidInputError):
         superelliptic_model(7, 7, 1)
 

@@ -72,15 +72,16 @@ def loaded_modules(argv):
 
 # argv, the module it runs, and the modules it must not load; only a scan
 # loads the scan document's writer and the residue fields, none loads numpy
-# or dataclasses, and the degree planner needs neither quotient rings nor
-# F_p polynomials nor dense ones
+# or dataclasses, the series check multiplies int lists and no polynomials,
+# and the degree planner needs neither quotient rings nor F_p polynomials nor
+# dense ones
 SUBCOMMANDS = {
     "import-only": ([], "cli",
                     {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy",
                      *POLYNOMIALS, *STARTUP}),
     "modular-verify": (["modular-verify", "--order", "12"], "qseries",
                        {"family", "cubicfield", "coverings", "exact.ellcurve", "exact.finitefield",
-                        "scandoc", "numpy", *STARTUP}),
+                        "exact.modpoly", "scandoc", "numpy", *POLYNOMIALS, *STARTUP}),
     "degree-plan": (["degree-plan", "3", "10"], "newton",
                     {"family", "coverings", "exact.ellcurve", "exact.finitefield",
                      "exact.quotient", "exact.modpoly", "exact.unipoly", "scandoc", "numpy",
