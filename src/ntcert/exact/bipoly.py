@@ -116,18 +116,11 @@ class BiPoly:
         return _power(self, k, BiPoly.constant(1))
 
     def substitute(self, first: "BiPoly", second: "BiPoly") -> "BiPoly":
-        """Evaluate self at (first, second); powers are cached per exponent."""
-        pow1: list[BiPoly] = [BiPoly.constant(1)]
-        pow2: list[BiPoly] = [BiPoly.constant(1)]
-
-        def power(cache: list[BiPoly], base: "BiPoly", k: int) -> "BiPoly":
-            for _ in range(len(cache), k + 1):
-                cache.append(cache[-1] * base)
-            return cache[k]
-
+        """Evaluate self at (first, second); each term's powers by
+        square-and-multiply, so only the exponents present are built."""
         acc = BiPoly.zero()
         for (i, j), c in sorted(self.terms.items()):
-            acc = acc + power(pow1, first, i) * power(pow2, second, j) * c
+            acc = acc + first**i * second**j * c
         return acc
 
     def as_sparse_second(self) -> dict[int, Fraction]:

@@ -235,8 +235,8 @@ class ExtensionCertificate(NamedTuple):
     nontorsion_checked_to: int
     # the field's split-type row at cubicfield's head primes
     row: tuple[int, int]
-    # (the s of an earlier certificate, the first prime that tells the two fields apart)
-    disjointness: tuple[tuple[Fraction, int], ...]
+    # for each earlier certificate, in order, the first prime that tells the two fields apart
+    witnesses: tuple[int, ...]
 
     def cubic_field(self) -> CubicField:
         return CubicField(self.fiber, self.disc, self.sqrt_disc, self.galois_class)
@@ -297,7 +297,7 @@ def evaluate_fiber(
     VerificationError.  The pipeline runs at the first s.  Returns
     "reducible" when the fiber degenerates to x^3 or has a rational root,
     "torsion" when its point has finite order (at most the torsion bound),
-    and otherwise the fiber's certificate with disjointness=(), which the
+    and otherwise the fiber's certificate with witnesses=(), which the
     scan's distinctness fold fills in.  The certificate's field is C3: the
     fiber is irreducible, and fiber_at_s has proved its discriminant the
     square sqrt_disc^2.  Its head row is built here, so the fold does only
@@ -341,7 +341,7 @@ def evaluate_fiber(
         torsion_bound=bound,
         nontorsion_checked_to=bound,
         row=row,
-        disjointness=(),
+        witnesses=(),
     )
 
 
@@ -455,10 +455,7 @@ def scan_family(
             if not isinstance(outcome, str):
                 witnesses = matrix.admit(outcome.cubic_field(), outcome.row)
                 if witnesses is not None:
-                    earlier = (cert.s for cert in result.certificates)
-                    result.certificates.append(
-                        outcome._replace(disjointness=tuple(zip(earlier, witnesses)))
-                    )
+                    result.certificates.append(outcome._replace(witnesses=witnesses))
                     skipped -= 1
                 outcome = "presumed_equal"
             if outcome == "reducible":

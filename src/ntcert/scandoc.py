@@ -1,6 +1,8 @@
 """The family-scan document, written as text in dumps_canonical's layout.
 
-Its pairwise witnesses would otherwise cost a dict each and a walk of
+A certificate keeps only its witness primes; this writer pairs each with
+the s of the earlier certificate it tells apart, as v1's disjointness
+entries.  Those pairs would otherwise cost a dict each and a walk of
 json's pure-Python encoder.  Only family-scan imports this module.
 """
 
@@ -17,24 +19,27 @@ def dumps_scan(head: dict, certificates) -> str:
     """dumps_canonical of ``{"certificates": [...], **head}``, where head
     holds config, schema and summary.
 
-    Each certificate is read for the fields of a family ExtensionCertificate,
-    and its pairs as (vs_s, witness prime) tuples.  Each distinct witness
-    prime's lines and each vs_s line are rendered once, so a pair costs one
-    join, not a dict.
+    Each certificate is read for the fields of a family ExtensionCertificate.
+    Its witnesses are positional: witness j tells it apart from certificate
+    j, and v1 writes it with that certificate's s as vs_s, so a certificate
+    needs one witness per certificate before it; otherwise ValueError.  Each
+    distinct witness prime's lines and each vs_s line are rendered once, so
+    a pair costs one join, not a dict.
     """
     if not head or min(head) <= "certificates":
         raise ValueError("the scan document's other members must sort after 'certificates'")
     witness_text: dict[int, str] = {}
-    # keyed by id: every vs_s stays alive in `certificates` meanwhile
-    vs_text: dict[int, str] = {}
+    vs_text: list[str] = []  # the vs_s line of each certificate so far
     rendered = []
     for cert in certificates:
+        if len(cert.witnesses) != len(vs_text):
+            raise ValueError(f"certificate {len(vs_text)} has {len(cert.witnesses)} witnesses")
         entries = [
-            (witness_text.get(p) or witness_text.setdefault(p, _witness_lines(p)))
-            + (vs_text.get(id(s)) or vs_text.setdefault(id(s), _scalar(s) + "\n        }"))
-            for s, p in cert.disjointness
+            (witness_text.get(p) or witness_text.setdefault(p, _witness_lines(p))) + vs
+            for p, vs in zip(cert.witnesses, vs_text)
         ]
         rendered.append(_certificate(cert, _array(entries, " " * 6)))
+        vs_text.append(_scalar(cert.s) + "\n        }")
     # one join of the whole text: each copy of a large string costs its size again
     tail = dumps_canonical(head)[2:]  # without its opening "{\n"
     return "".join(('{\n  "certificates": ', _array(rendered, "  "), ",\n", tail))

@@ -122,8 +122,8 @@ def test_criterion_04_family_scan_certificates(height20_scan):
         # with the first witness prime of an oracle independent of the scan
         fields = [cert.cubic_field() for cert in certs]
         for i, cert in enumerate(certs):
-            assert [s for s, _ in cert.disjointness] == [c.s for c in certs[:i]]
-            for j, (_, prime) in enumerate(cert.disjointness):
+            assert len(cert.witnesses) == i
+            for j, prime in enumerate(cert.witnesses):
                 assert prime == first_witness(fields[j], fields[i], DEFAULT_WITNESS_BOUND)
 
 

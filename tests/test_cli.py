@@ -361,3 +361,11 @@ def test_optimized_interpreter_keeps_the_serial_pin():
         capture_output=True, timeout=120, check=True,
     )
     assert hashlib.sha256(run.stdout).hexdigest() == PINNED_SCANS[argv]
+
+
+def test_forked_height20_scan_bytes_are_pinned(capsys):
+    """The fork path at a size with 71,631 witness pairs; --jobs 1 writes the same bytes."""
+    argv = ["family-scan", "--a1", "2", "--a4", "3", "--s-height-max", "20", "--jobs", "2"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "9d1467e39f9179521fdb440fa08c6e04cade73e113626f027d3d7f4800038ffd"

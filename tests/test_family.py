@@ -633,8 +633,8 @@ def test_scan_family_small():
         assert cert.nontorsion_checked_to >= cert.torsion_bound
     # each accepted fiber carries one witness prime per previously accepted fiber
     for i, cert in enumerate(result.certificates):
-        assert [s for s, _ in cert.disjointness] == [c.s for c in result.certificates[:i]]
-        assert all(type(p) is int for _, p in cert.disjointness)
+        assert type(cert.witnesses) is tuple and len(cert.witnesses) == i
+        assert all(type(p) is int for p in cert.witnesses)
 
 
 def test_certificate_class_is_a_constant_not_a_field():

@@ -36,8 +36,9 @@ def test_unknown_type_rejected():
         to_jsonable(object())
 
 
-def certificate_dict(cert):
-    """A scan certificate's JSON form as a dict, for json's own encoder."""
+def certificate_dict(cert, earlier):
+    """A scan certificate's JSON form as a dict, for json's own encoder; its
+    witness j tells it apart from earlier[j]."""
     return {
         "s": cert.s,
         "t": cert.t,
@@ -50,14 +51,16 @@ def certificate_dict(cert):
         "torsion_bound": cert.torsion_bound,
         "nontorsion_checked_to": cert.nontorsion_checked_to,
         "disjointness": [
-            {"vs_s": s, "verdict": "distinct_fields", "prime": p} for s, p in cert.disjointness
+            {"vs_s": e.s, "verdict": "distinct_fields", "prime": p}
+            for e, p in zip(earlier, cert.witnesses, strict=True)
         ],
     }
 
 
 def oracle(head, certificates):
     """The scan document through the dict form and json's own encoder."""
-    return dumps_canonical({**head, "certificates": [certificate_dict(c) for c in certificates]})
+    dicts = [certificate_dict(c, certificates[:i]) for i, c in enumerate(certificates)]
+    return dumps_canonical({**head, "certificates": dicts})
 
 
 def scan_head(result, config):
@@ -99,7 +102,7 @@ def test_scan_writer_with_explicit_torsion_primes_and_no_certificates():
 
 def test_scan_writer_renders_each_witness_once(monkeypatch):
     result = family.scan_family(family.derive_family(1, 1), 4, witness_bound=500)
-    pairs = [p for cert in result.certificates for _, p in cert.disjointness]
+    pairs = [p for cert in result.certificates for p in cert.witnesses]
     expected = oracle({"schema": "v1"}, result.certificates)
     calls = []
     lines = scandoc._witness_lines
@@ -114,8 +117,23 @@ def test_scan_writer_refuses_a_layout_it_cannot_keep():
         dumps_scan({"accepted": 1}, result.certificates)
     with pytest.raises(ValueError, match="sort after 'certificates'"):
         dumps_scan({}, result.certificates)
-    cert = result.certificates[1]
+    first, cert = result.certificates[:2]
     for unwritable in (None, True, "5"):
-        planted = cert._replace(disjointness=((cert.s, unwritable),))
+        planted = cert._replace(witnesses=(unwritable,))
         with pytest.raises(TypeError, match="as a scan scalar"):
-            dumps_scan({"schema": "v1"}, [planted])
+            dumps_scan({"schema": "v1"}, [first, planted])
+
+
+def test_scan_writer_refuses_a_witness_count_that_is_not_positional():
+    """Witness j pairs with certificate j, so a certificate with a witness
+    too few or too many would shift or drop a pair; the writer refuses it."""
+    certs = family.scan_family(family.derive_family(1, 1), 4).certificates
+    assert len(certs) >= 3
+    assert dumps_scan({"schema": "v1"}, certs)
+    for i in (1, len(certs) // 2, len(certs) - 1):
+        cert = certs[i]
+        assert len(cert.witnesses) == i
+        for witnesses in (cert.witnesses[:-1], cert.witnesses + (cert.witnesses[0],)):
+            planted = [*certs[:i], cert._replace(witnesses=witnesses), *certs[i + 1 :]]
+            with pytest.raises(ValueError, match=f"certificate {i} has {len(witnesses)} witnesses"):
+                dumps_scan({"schema": "v1"}, planted)
