@@ -131,9 +131,8 @@ def cmd_family_scan(args: argparse.Namespace) -> int:
     )
     jobs = _merged(args, "jobs")
 
-    params = derive_family(config.a1, config.a4)
     result = scan_family(
-        params,
+        derive_family(config.a1, config.a4),
         s_height_max=config.s_height_max,
         witness_bound=config.witness_bound,
         torsion_primes=config.torsion_primes,

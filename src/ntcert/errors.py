@@ -1,9 +1,9 @@
 """Exception types shared across the toolkit.
 
 The command line maps InvalidInputError, like any NtcertError other than
-VerificationError, to exit 2, and VerificationError to exit 3.  The three
+VerificationError, to exit 2, and VerificationError to exit 3.  The two
 fiber and curve errors are kept apart because family catches them by type,
-to skip a fiber or to reword a degenerate family.
+to skip a degenerate fiber or to reword a singular family.
 """
 
 
@@ -21,10 +21,6 @@ class SingularCurveError(NtcertError, ValueError):
 
 class DegenerateFiberError(NtcertError, ValueError):
     """A specialization whose cubic degenerates (zero discriminant)."""
-
-
-class RationalFiberError(NtcertError, ValueError):
-    """A fiber cubic that is reducible over Q, so no cubic field arises."""
 
 
 class VerificationError(NtcertError):

@@ -16,11 +16,11 @@ from math import lcm as _int_lcm
 
 from ..errors import InvalidInputError, SingularCurveError, VerificationError
 from .finitefield import CubicExtension, PrimeField
-from .modpoly import _residues
 from .power import _power
 from .primes import is_prime, iter_primes
 from .quotient import QuotientElem, QuotientField
-from .unipoly import UniPoly
+from .rationals import _residues
+from .unipoly import UniPoly, _horner
 
 
 class WeierstrassCurve:
@@ -188,14 +188,6 @@ def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
     if any(c.denominator % p == 0 for c in curve.a_invariants):
         return False
     return curve.disc.numerator % p != 0
-
-
-def _horner(coeffs, r: int) -> int:
-    """The integer value of the polynomial with these int coefficients at r."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
 
 
 @lru_cache(maxsize=1024)  # a scan asks for the same few (curve, p) for every fiber

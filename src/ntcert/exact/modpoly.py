@@ -4,6 +4,11 @@ ModPoly is the F_p instance of unipoly.DensePoly, which holds its
 arithmetic, division, gcd and evaluation.  Coefficients are ints in
 [0, p), lowest degree first, with no stored leading zeros.  f has
 deg gcd(x^p - x, f) distinct roots in F_p, with x^p mod f from pow_mod.
+
+This module imports unipoly, and unipoly does not import it back: the
+root screens that subcommands run (UniPoly.rational_roots, cubicfield's
+root counts) work on integers, and the tests check them against
+count_distinct_roots.
 """
 
 from __future__ import annotations
@@ -13,15 +18,8 @@ from typing import Iterable
 from ..errors import InvalidInputError
 from .power import _power
 from .primes import is_prime
+from .rationals import _residues
 from .unipoly import DensePoly, UniPoly
-
-
-def _residues(coeffs, p: int) -> tuple[int, ...] | None:
-    """Rational coefficients as ints mod p; None when p divides a denominator."""
-    try:
-        return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in coeffs)
-    except ValueError:
-        return None
 
 
 class ModPoly(DensePoly):

@@ -2,8 +2,8 @@
 
 Fraction already maintains the invariants required here (lowest terms,
 positive denominator, canonical zero), so this module only adds the
-square-root decision and the wire format: "num/den" decimal strings with
-the denominator omitted when it is 1.
+square-root decision, the one reduction of rationals mod p, and the wire
+format: "num/den" decimal strings with the denominator omitted when it is 1.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ def rational_is_square(q: Fraction | int) -> Fraction | None:
     if rd * rd != q.denominator:
         return None
     return Fraction(rn, rd)
+
+
+def _residues(coeffs, p: int) -> tuple[int, ...] | None:
+    """Rationals as ints mod p; None when p divides a denominator."""
+    try:
+        return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in coeffs)
+    except ValueError:
+        return None
 
 
 def format_rational(q: Fraction | int) -> str:

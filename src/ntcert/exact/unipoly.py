@@ -7,9 +7,11 @@ The zero polynomial is the empty tuple and has degree -1 (sentinel).
 DensePoly holds the ring arithmetic, the one Euclidean division loop
 (Cohen, GTM 138, §3.1), monic form, gcd and extended gcd.  UniPoly
 is its instance over exact rationals; ModPoly (in modpoly.py) is its
-instance over F_p.  Degrees stay small (<= ~60 after substitutions, ~10^4
-for the triangle-curve binomials), so the dense representation and
-schoolbook arithmetic are the right trade-off.  The rational resultant is
+instance over F_p, and this module does not depend on modpoly: its root
+screen mod small primes evaluates by _horner, the one integer Horner's
+rule, which exact.ellcurve shares.  Degrees stay small (<= ~60 after
+substitutions, ~10^4 for the triangle-curve binomials), so the dense
+representation and schoolbook arithmetic are the right trade-off.  The rational resultant is
 computed by the subresultant pseudo-remainder sequence over cleared
 integer coefficients, which keeps every intermediate value exact and
 auditable.
@@ -341,8 +343,9 @@ class UniPoly(DensePoly):
 
         A candidate p/q in lowest terms must have q dividing the leading
         coefficient, so it survives reduction at any prime r not dividing
-        that coefficient: if some such r leaves the reduction rootless,
-        there is no rational root and the divisor enumeration is skipped.
+        that coefficient: if some such r leaves the reduction rootless (no
+        value 0 at 0, ..., r - 1 mod r), there is no rational root and the
+        divisor enumeration is skipped.
         """
         if self.is_zero:
             raise InvalidInputError("zero polynomial has every rational root")
@@ -357,12 +360,8 @@ class UniPoly(DensePoly):
         if len(ints) == 1:
             return roots
         a0, an = ints[0], ints[-1]
-        from .modpoly import ModPoly, count_distinct_roots
-
         for r in (5, 7, 11, 13, 17, 19, 23, 29):
-            if an % r == 0:
-                continue
-            if count_distinct_roots(ModPoly(ints, r, check_prime=False)) == 0:
+            if an % r and all(_horner(ints, x) % r for x in range(r)):
                 return roots
         n = len(ints) - 1
         for p in divisors(a0):
@@ -379,6 +378,14 @@ class UniPoly(DensePoly):
                     if value == 0:
                         roots.add(Fraction(num, q))
         return roots
+
+
+def _horner(coeffs, r: int) -> int:
+    """The integer value of the polynomial with these int coefficients at r."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
 
 
 def _trim(r: list[int]) -> None:

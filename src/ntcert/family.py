@@ -13,13 +13,16 @@ has discriminant (-4*(a4-a1*t) - 27*w^2) * (a4-a1*t)^2 with w = a6/a4 + t/a1,
 and the leading factor completes to a square on the rational curve
 1 = u^2 + 3*v^2.  Rational s parametrizes that conic; every fiber therefore
 has square discriminant, so its irreducible specializations generate cyclic
-cubic fields.  This module constructs those fibers, puts exact points on
-the curve over the resulting cubic fields, bounds torsion by reduction modulo
-at least two good primes, and assembles audit certificates; the group law,
-reduction mod p and the non-torsion check are in exact.ellcurve.  A scan
-groups the s that share a fiber (the same v) and evaluates each group once;
-with more than one job it forks worker processes for the groups and folds
-their outcomes in this process, in enumeration order.
+cubic fields.  The family is its curve: derive_family returns the
+WeierstrassCurve, and every function here takes it.  This module constructs
+those fibers, decides each one's reducibility once (in evaluate_fiber),
+puts exact points on the curve over the resulting cubic fields, bounds
+torsion by reduction modulo at least two good primes, and assembles audit
+certificates; the group law, reduction mod p and the non-torsion check are
+in exact.ellcurve.  A scan groups the s that share a fiber (the same v) and
+evaluates each group once; with more than one job it forks worker
+processes for the groups and folds their outcomes in this process, in
+enumeration order.
 
 The j-invariant of the family depends on a1 alone:
 
@@ -31,7 +34,6 @@ from __future__ import annotations
 import os
 from contextlib import ExitStack
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd as _int_gcd
 from typing import NamedTuple, Sequence
 
@@ -48,7 +50,6 @@ from .cubicfield import (
 from .errors import (
     DegenerateFiberError,
     InvalidInputError,
-    RationalFiberError,
     SingularCurveError,
     VerificationError,
 )
@@ -64,43 +65,29 @@ from .exact.ellcurve import (
 )
 
 
-class FamilyParams(NamedTuple):
-    """Family coefficients: a1, a4 free, a3 and a6 derived."""
+def derive_family(a1: Fraction | int, a4: Fraction | int) -> WeierstrassCurve:
+    """The family's curve y^2 + a1*x*y + a3*y = x^3 + a4*x + a6 at free a1, a4,
+    with a3 and a6 derived; rejects a zero parameter or a singular member.
 
-    a1: Fraction
-    a4: Fraction
-    a3: Fraction
-    a6: Fraction
-
-    @lru_cache  # one cache per process, keyed by the params' values
-    def curve(self) -> WeierstrassCurve:
-        return WeierstrassCurve(self.a1, 0, self.a3, self.a4, self.a6)
-
-
-def derive_family(a1: Fraction | int, a4: Fraction | int) -> FamilyParams:
-    """Derive a3, a6 from free a1, a4; reject degenerate parameter choices."""
+    The j-invariant's denominator 4*a1^4 - 27 never vanishes over Q: with
+    a1 = p/q in lowest terms, 4p^4 = 27q^4 forces 3 | p, then 81 | 27q^4,
+    so 3 | q, against lowest terms.
+    """
     a1, a4 = Fraction(a1), Fraction(a4)
     if a1 == 0 or a4 == 0:
         raise InvalidInputError("a1 and a4 must be nonzero")
-    if 4 * a1**4 == 27:
-        raise InvalidInputError("4*a1^4 = 27 collapses the j-invariant")
     a6 = a4 * a1**2 / 27 - a4 / (4 * a1**2) - a4**2 / a1**2
     a3 = a1 * a6 / a4 - a4 / a1
-    params = FamilyParams(a1, a4, a3, a6)
     try:
-        params.curve()
+        return WeierstrassCurve(a1, 0, a3, a4, a6)
     except SingularCurveError as exc:
         raise InvalidInputError(f"singular member at a1={a1}, a4={a4}") from exc
-    return params
 
 
 def closed_form_j(a1: Fraction | int) -> Fraction:
     """j as a function of a1 alone (a4 cancels)."""
     a1 = Fraction(a1)
-    den = (4 * a1**4 - 27) ** 3
-    if den == 0:
-        raise InvalidInputError("4*a1^4 = 27")
-    return 256 * (a1**4 + 54) ** 3 * a1**4 / den
+    return 256 * (a1**4 + 54) ** 3 * a1**4 / (4 * a1**4 - 27) ** 3
 
 
 # -- fibers and their points -------------------------------------------------
@@ -116,7 +103,7 @@ class FiberData(NamedTuple):
     sqrt_disc: Fraction
 
 
-def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
+def fiber_at_s(curve: WeierstrassCurve, s: Fraction | int) -> FiberData:
     """Specialize the family at the conic parameter s.
 
     u and v satisfy 1 = u^2 + 3v^2 identically; t is solved from the
@@ -125,7 +112,7 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
     closed form u^2*p^2, p = a4 - a1*t.
     """
     s = Fraction(s)
-    a1, a4, a3, a6 = params.a1, params.a4, params.a3, params.a6
+    a1, a4, a3, a6 = curve.a1, curve.a4, curve.a3, curve.a6
     den = 1 + 3 * s**2
     u = (1 - 3 * s**2) / den
     v = 2 * s / den
@@ -145,16 +132,10 @@ def fiber_at_s(params: FamilyParams, s: Fraction | int) -> FiberData:
     return FiberData(s, t, u, v, fiber, disc, sqrt_disc)
 
 
-def point_from_fiber_data(
-    params: FamilyParams, fd: FiberData, *, irreducible: bool = False,
-) -> FieldPoint:
-    """(theta, t) over Q[theta]/(fiber); errors if the fiber has a rational root.
-    As a2 = 0, the point is on the curve iff E(x, t) = -fiber(x) in Q[x]: no
-    Q[theta] arithmetic.  irreducible=True skips the rational-root test, for
-    a caller that has already proved the fiber has no rational root."""
-    if not irreducible and fd.fiber.rational_roots():
-        raise RationalFiberError(f"fiber at s={fd.s} is reducible over Q")
-    curve = params.curve()
+def point_from_fiber_data(curve: WeierstrassCurve, fd: FiberData) -> FieldPoint:
+    """(theta, t) over Q[theta]/(fiber).  The caller has ruled out a rational
+    root of the fiber, so Q[theta] is a field.  As a2 = 0, the point is on
+    the curve iff E(x, t) = -fiber(x) in Q[x]: no Q[theta] arithmetic."""
     a1, a2, a3, a4, a6 = curve.a_invariants
     t, m = fd.t, fd.fiber
     if UniPoly((t * t + a3 * t - a6, a1 * t - a4, -a2, -1)) != -m:
@@ -173,8 +154,7 @@ _MAX_TORSION_PRIMES = 12
 
 
 def torsion_bound(
-    params: FamilyParams, fiber: UniPoly, primes: int | Sequence[int] = 2,
-    *, _disc: Fraction | None = None,
+    curve: WeierstrassCurve, fd: FiberData, primes: int | Sequence[int] = 2,
 ) -> tuple[int, tuple[int, ...]]:
     """(bound, primes): the gcd over the primes of |E(F_{p^d_p})|, d_p from the fiber mod p.
 
@@ -183,10 +163,11 @@ def torsion_bound(
     good for the curve and unramified for the fiber, or a list of at least two
     distinct such primes, used as given.  Past a count, more primes join while
     the bound is large: a gcd over more good primes still bounds the torsion,
-    and a smaller bound keeps the non-torsion walk short.
+    and a smaller bound keeps the non-torsion walk short.  The ramified primes
+    come from the discriminant that fiber_at_s proved.
     """
-    curve = params.curve()
-    bad = _bad_part(fiber, fiber.discriminant() if _disc is None else _disc)
+    fiber = fd.fiber
+    bad = _bad_part(fiber, fd.disc)
     if isinstance(primes, int):
         if primes < 2:
             raise InvalidInputError("at least two torsion primes are required")
@@ -245,8 +226,8 @@ class ExtensionCertificate(NamedTuple):
 class ScanResult:
     """One scan's accepted certificates and skip counts, filled in by its fold."""
 
-    def __init__(self, params: FamilyParams, fibers_tested: int = 0) -> None:
-        self.params = params
+    def __init__(self, curve: WeierstrassCurve, fibers_tested: int = 0) -> None:
+        self.curve = curve
         self.certificates: list[ExtensionCertificate] = []
         self.fibers_tested = fibers_tested
         self.skipped_reducible = 0
@@ -256,7 +237,7 @@ class ScanResult:
     def summary(self) -> dict:
         return {
             "params": {
-                "a1": format_rational(self.params.a1), "a4": format_rational(self.params.a4),
+                "a1": format_rational(self.curve.a1), "a4": format_rational(self.curve.a4),
             },
             "fibers_tested": self.fibers_tested,
             "accepted": len(self.certificates),
@@ -285,7 +266,7 @@ def enumerate_s_by_height(height_max: int) -> list[Fraction]:
 
 
 def evaluate_fiber(
-    params: FamilyParams,
+    curve: WeierstrassCurve,
     same_v: Sequence[Fraction],
     torsion_primes: int | Sequence[int] = 2,
 ) -> ExtensionCertificate | str:
@@ -295,7 +276,8 @@ def evaluate_fiber(
     The fiber depends on s only through v, so every later s of same_v must
     give the first one's fiber and sqrt_disc, or degenerate too; otherwise
     VerificationError.  The pipeline runs at the first s.  Returns
-    "reducible" when the fiber degenerates to x^3 or has a rational root,
+    "reducible" when the fiber degenerates to x^3 or has a rational root
+    (the one place a fiber's reducibility is decided),
     "torsion" when its point has finite order (at most the torsion bound),
     and otherwise the fiber's certificate with witnesses=(), which the
     scan's distinctness fold fills in.  The certificate's field is C3: the
@@ -308,7 +290,7 @@ def evaluate_fiber(
     first = same_v[0]
     for s in same_v:
         try:
-            fd = fiber_at_s(params, s)
+            fd = fiber_at_s(curve, s)
             key = fd.fiber, fd.sqrt_disc
         except DegenerateFiberError:
             fd = key = None
@@ -323,19 +305,14 @@ def evaluate_fiber(
     # factors, so its row is all split and never fails the C3 check.
     field = CubicField(fd.fiber, fd.disc, fd.sqrt_disc, GaloisClass.C3)
     row = cubicfield.head_row(field)
-    try:
-        point = point_from_fiber_data(params, fd, irreducible=row[1] != 0)
-    except RationalFiberError:
+    if not row[1] and fd.fiber.rational_roots():
         return "reducible"
-    bound, primes = torsion_bound(params, fd.fiber, torsion_primes, _disc=fd.disc)
+    point = point_from_fiber_data(curve, fd)
+    bound, primes = torsion_bound(curve, fd, torsion_primes)
     if not nontorsion_certificate(point, bound):
         return "torsion"
     return ExtensionCertificate(
-        s=fd.s,
-        t=fd.t,
-        fiber=fd.fiber,
-        disc=fd.disc,
-        sqrt_disc=fd.sqrt_disc,
+        fd.s, fd.t, fd.fiber, fd.disc, fd.sqrt_disc,
         point=point,
         torsion_primes=primes,
         torsion_bound=bound,
@@ -345,7 +322,7 @@ def evaluate_fiber(
     )
 
 
-def _fork_worker(stack: ExitStack, params: FamilyParams, share, torsion_primes):
+def _fork_worker(stack: ExitStack, curve: WeierstrassCurve, share, torsion_primes):
     """Fork a child that runs evaluate_fiber on each group of s in share, in
     order; return a function of a group that reads the child's outcome for it.
 
@@ -366,7 +343,7 @@ def _fork_worker(stack: ExitStack, params: FamilyParams, share, torsion_primes):
             with open(write_fd, "wb") as out:
                 for same_v in share:
                     try:
-                        item = (True, evaluate_fiber(params, same_v, torsion_primes))
+                        item = (True, evaluate_fiber(curve, same_v, torsion_primes))
                     except Exception as exc:
                         item = (False, exc)
                     pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
@@ -394,7 +371,7 @@ def _fork_worker(stack: ExitStack, params: FamilyParams, share, torsion_primes):
     return outcome_of
 
 
-def _outcomes(params: FamilyParams, groups, torsion_primes, readers):
+def _outcomes(curve: WeierstrassCurve, groups, torsion_primes, readers):
     """evaluate_fiber's outcome for each group of s in groups, in order.
 
     Group i belongs to worker i % (len(readers) + 1): worker 0 evaluates it
@@ -404,11 +381,11 @@ def _outcomes(params: FamilyParams, groups, torsion_primes, readers):
     workers = len(readers) + 1
     for i, same_v in enumerate(groups):
         w = i % workers
-        yield readers[w - 1](same_v) if w else evaluate_fiber(params, same_v, torsion_primes)
+        yield readers[w - 1](same_v) if w else evaluate_fiber(curve, same_v, torsion_primes)
 
 
 def scan_family(
-    params: FamilyParams,
+    curve: WeierstrassCurve,
     s_height_max: int,
     witness_bound: int = DEFAULT_WITNESS_BOUND,
     torsion_primes: int | Sequence[int] = 2,
@@ -443,14 +420,14 @@ def scan_family(
         by_v.setdefault(2 * s / (1 + 3 * s * s), []).append(s)
     groups = list(by_v.values())
     workers = min(jobs, os.cpu_count() or 1, len(groups)) if hasattr(os, "fork") else 1
-    result = ScanResult(params, fibers_tested=len(s_values))
+    result = ScanResult(curve, fibers_tested=len(s_values))
     matrix = SplitTypeMatrix(witness_bound)
     with ExitStack() as stack:
         readers = [
-            _fork_worker(stack, params, groups[w::workers], torsion_primes)
+            _fork_worker(stack, curve, groups[w::workers], torsion_primes)
             for w in range(1, workers)
         ]
-        for same_v, outcome in zip(groups, _outcomes(params, groups, torsion_primes, readers)):
+        for same_v, outcome in zip(groups, _outcomes(curve, groups, torsion_primes, readers)):
             skipped = len(same_v)
             if not isinstance(outcome, str):
                 witnesses = matrix.admit(outcome.cubic_field(), outcome.row)

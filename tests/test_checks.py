@@ -49,9 +49,12 @@ def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
     a6 off by one breaks the forced square, so the closed form -4p^3 - 27q^2
     differs from u^2*p^2."""
     real = family.derive_family
-    monkeypatch.setattr(
-        family, "derive_family", lambda a1, a4: real(a1, a4)._replace(a6=real(a1, a4).a6 + 1)
-    )
+
+    def planted(a1, a4):
+        curve = real(a1, a4)
+        return ellcurve.WeierstrassCurve(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6 + 1)
+
+    monkeypatch.setattr(family, "derive_family", planted)
     assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -9,7 +9,6 @@ from ntcert.cubicfield import GaloisClass, galois_class
 from ntcert.errors import (
     DegenerateFiberError,
     InvalidInputError,
-    RationalFiberError,
     VerificationError,
 )
 from ntcert.exact import ModPoly, QuotientElem, UniPoly, count_distinct_roots, primes_up_to
@@ -27,8 +26,6 @@ from ntcert.exact.ellcurve import (
 )
 from ntcert.family import (
     ExtensionCertificate,
-    FamilyParams,
-    FiberData,
     closed_form_j,
     derive_family,
     enumerate_s_by_height,
@@ -52,17 +49,17 @@ def rationals(point: FieldPoint) -> tuple[Fraction, Fraction]:
     return point.x.rep.coefficient(0), point.y.rep.coefficient(0)
 
 
-def three_torsion(params: FamilyParams) -> FieldPoint:
+def three_torsion(params: WeierstrassCurve) -> FieldPoint:
     """The rational point (0, a4/a1) of the family's curve."""
-    return rational_point(params.curve(), 0, params.a4 / params.a1)
+    return rational_point(params, 0, params.a4 / params.a1)
 
 
-def fiber_point(params: FamilyParams, s) -> FieldPoint:
+def fiber_point(params: WeierstrassCurve, s) -> FieldPoint:
     """The point (theta, t) over Q[theta]/(fiber) at s."""
     return point_from_fiber_data(params, fiber_at_s(params, s))
 
 
-def random_params(rng) -> FamilyParams:
+def random_params(rng) -> WeierstrassCurve:
     while True:
         a1 = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         a4 = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
@@ -120,22 +117,21 @@ def test_derive_family_errors():
 
 
 def test_j_examples():
-    assert derive_family(1, 1).curve().j == Fraction(-42592000, 12167)
-    assert derive_family(1, 2).curve().j == Fraction(-42592000, 12167)
+    assert derive_family(1, 1).j == Fraction(-42592000, 12167)
+    assert derive_family(1, 2).j == Fraction(-42592000, 12167)
     # plugging a1 = 2 into the closed form: 256 * 70^3 * 16 / 37^3
     assert closed_form_j(2) == Fraction(256 * 70**3 * 16, 37**3)
-    assert derive_family(2, 5).curve().j == closed_form_j(2)
+    assert derive_family(2, 5).j == closed_form_j(2)
 
 
 def test_j_independent_of_a4_random():
     rng = random.Random(70)
     for _ in range(25):
-        params = random_params(rng)
-        curve = params.curve()
-        assert curve.j == closed_form_j(params.a1)
-        other = derive_family(params.a1, params.a4 + 1) if params.a4 != -1 else None
+        curve = random_params(rng)
+        assert curve.j == closed_form_j(curve.a1)
+        other = derive_family(curve.a1, curve.a4 + 1) if curve.a4 != -1 else None
         if other is not None:
-            assert other.curve().j == curve.j
+            assert other.j == curve.j
 
 
 # -- fibers ---------------------------------------------------------------------
@@ -228,21 +224,13 @@ def test_point_from_fiber_on_curve():
     assert P.x.rep == UniPoly.x() and P.y.rep == UniPoly.constant(Fraction(157, 108))
 
 
-def test_point_from_fiber_rejects_reducible():
+def test_evaluate_fiber_rejects_a_fiber_with_a_rational_root():
     # no reducible fiber exists for (1,1) up to height 20 (the scan records
-    # skipped_reducible = 0), so exercise the guard on a fabricated record
-    params = derive_family(1, 1)
-    fake = FiberData(
-        s=Fraction(0),
-        t=Fraction(0),
-        u=Fraction(1),
-        v=Fraction(0),
-        fiber=UniPoly((0, -1, 0, 1)),
-        disc=Fraction(1),
-        sqrt_disc=Fraction(1),
-    )
-    with pytest.raises(RationalFiberError):
-        point_from_fiber_data(params, fake)
+    # skipped_reducible = 0); at (3/2, 1), s = -1 and -1/3 share a fiber that
+    # has a rational root and does not degenerate
+    curve = derive_family(Fraction(3, 2), 1)
+    assert fiber_at_s(curve, -1).fiber.rational_roots()
+    assert evaluate_fiber(curve, [Fraction(-1), Fraction(-1, 3)]) == "reducible"
 
 
 def test_group_identity_and_inverse():
@@ -289,7 +277,7 @@ def test_group_law_associative_over_cubic_field():
     T_rat = three_torsion(params)
     mod = fd.fiber
     T = FieldPoint.affine(
-        params.curve(),
+        params,
         mod,
         QuotientElem.constant(rationals(T_rat)[0], mod),
         QuotientElem.constant(rationals(T_rat)[1], mod),
@@ -396,13 +384,12 @@ def test_reduction_commutes_with_the_group_law_over_fp_and_fp3():
     """reduce(k*P) == k*reduce(P) and |E(F_{p^d})| kills reduce(P), for d = 1 and 3."""
     checked = {1: 0, 3: 0}
     for a1, a4 in ((1, 1), (2, 3)):
-        params = derive_family(a1, a4)
-        curve = params.curve()
+        curve = derive_family(a1, a4)
         for s in enumerate_s_by_height(2):
-            fd = fiber_at_s(params, s)
+            fd = fiber_at_s(curve, s)
             if fd.fiber.rational_roots():
                 continue
-            P = point_from_fiber_data(params, fd)
+            P = point_from_fiber_data(curve, fd)
             multiples = {k: P.scalar_mul(k) for k in range(2, 6)}
             for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
                 reduced = reduce_point_mod_p(P, p)
@@ -469,8 +456,7 @@ def test_the_walk_is_the_reduction_of_the_exact_multiples():
 
 
 def test_point_count_contains_three_torsion():
-    params = derive_family(1, 1)
-    curve = params.curve()
+    curve = derive_family(1, 1)
     for p in (5, 7, 11, 13):
         assert is_good_prime(curve, p)
         assert count_points_mod_p(curve, p) % 3 == 0
@@ -485,8 +471,7 @@ def test_trace_recursion_trivial_case():
 
 def test_trace_recursion_against_brute_force_extension_count():
     """Count E(F_{p^3}) by enumeration and compare with the trace recursion."""
-    params = derive_family(1, 1)
-    curve = params.curve()
+    curve = derive_family(1, 1)
     p = 5
     a_p = p + 1 - count_points_mod_p(curve, p)
     predicted = p**3 + 1 - trace_over_extension(a_p, p, 3)
@@ -513,29 +498,29 @@ def test_trace_recursion_against_brute_force_extension_count():
 def test_torsion_bound_symmetric_and_divisible_by_three():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
-    primes = torsion_bound(params, fd.fiber, 2)[1][:2]  # the two smallest usable primes
-    b1, _ = torsion_bound(params, fd.fiber, primes)
-    b2, _ = torsion_bound(params, fd.fiber, list(reversed(primes)))
+    primes = torsion_bound(params, fd, 2)[1][:2]  # the two smallest usable primes
+    b1, _ = torsion_bound(params, fd, primes)
+    b2, _ = torsion_bound(params, fd, list(reversed(primes)))
     assert b1 == b2
     assert b1 % 3 == 0
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(params, s)
         if fd.fiber.rational_roots():
             continue
-        bound, ps = torsion_bound(params, fd.fiber, 2)
+        bound, ps = torsion_bound(params, fd, 2)
         assert bound % 3 == 0
-        assert torsion_bound(params, fd.fiber, ps) == (bound, ps)  # a count and its list agree
+        assert torsion_bound(params, fd, ps) == (bound, ps)  # a count and its list agree
 
 
 def test_torsion_bound_prime_validation():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
     with pytest.raises(InvalidInputError, match="at least two distinct primes"):
-        torsion_bound(params, fd.fiber, [5])
+        torsion_bound(params, fd, [5])
     with pytest.raises(InvalidInputError, match="23 is not a good-reduction prime"):
-        torsion_bound(params, fd.fiber, [5, 23])  # 23 divides the family disc
+        torsion_bound(params, fd, [5, 23])  # 23 divides the family disc
     with pytest.raises(InvalidInputError, match="7 ramifies in the fiber cubic"):
-        torsion_bound(params, fd.fiber, [5, 7])  # 7 ramifies in this fiber
+        torsion_bound(params, fd, [5, 7])  # 7 ramifies in this fiber
 
 
 def test_nontorsion_certificate_examples():
@@ -545,7 +530,7 @@ def test_nontorsion_certificate_examples():
     assert nontorsion_certificate(P, 2) is True
     assert nontorsion_certificate(P.scalar_mul(3), 1) is False  # identity input
     Q = fiber_point(params, 1)
-    bound, _ = torsion_bound(params, fiber_at_s(params, 1).fiber)
+    bound, _ = torsion_bound(params, fiber_at_s(params, 1))
     assert nontorsion_certificate(Q, bound) is True
 
 
@@ -565,7 +550,7 @@ def test_reduce_point_mod_p_stays_on_curve():
     assert reduced is not None
     point, order = reduced
     assert point._on_curve()
-    assert order == count_points_mod_p(params.curve(), 5) or point.field.degree == 3
+    assert order == count_points_mod_p(params, 5) or point.field.degree == 3
 
 
 def test_reduction_skips_a_prime_in_a_denominator_of_the_modulus():
@@ -575,7 +560,7 @@ def test_reduction_skips_a_prime_in_a_denominator_of_the_modulus():
     fd = fiber_at_s(params, 1)
     m = fd.fiber.compose(UniPoly((0, 5))) * Fraction(1, 125)
     phi = QuotientElem(UniPoly((0, 5)), m, validate=False)
-    P = FieldPoint.affine(params.curve(), m, phi, QuotientElem.constant(fd.t, m))
+    P = FieldPoint.affine(params, m, phi, QuotientElem.constant(fd.t, m))
     assert reduce_point_mod_p(P, 5) is None
     Pbar, order = reduce_point_mod_p(P, 7)
     assert order == reduce_point_mod_p(fiber_point(params, 1), 7)[1]
@@ -586,7 +571,7 @@ def test_reduction_skips_a_prime_where_a_quadratic_modulus_has_no_root():
     """The residue fields of a cyclic cubic field are F_p and F_{p^3}.  A point
     over a quadratic field reduces only where its modulus has a root mod p,
     and the non-torsion walk, which uses only those primes, stays sound."""
-    curve = derive_family(1, 1).curve()
+    curve = derive_family(1, 1)
     a1, a2, a3, a4, a6 = curve.a_invariants
     x = -3
     # y^2 + (a1*x + a3)*y - (x^3 + a2*x^2 + a4*x + a6), irreducible over Q
@@ -675,8 +660,7 @@ def test_point_count_against_direct_equation_oracle():
     """Count points by brute force on the raw Weierstrass equation mod p."""
     rng = random.Random(76)
     for _ in range(8):
-        params = random_params(rng)
-        curve = params.curve()
+        curve = random_params(rng)
         p = next((q for q in (5, 7, 11, 13, 17, 19, 23, 29, 31) if is_good_prime(curve, q)), None)
         if p is None:
             continue
@@ -753,7 +737,7 @@ def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
             if fd.fiber.rational_roots():
                 continue
             P = point_from_fiber_data(params, fd)
-            bound, _ = torsion_bound(params, fd.fiber)
+            bound, _ = torsion_bound(params, fd)
             for p in primes_up_to(31):
                 reduced = reduce_point_mod_p(P, p)
                 if reduced is None:
@@ -797,7 +781,7 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(params, s)
         P = point_from_fiber_data(params, fd)
-        bound, _ = torsion_bound(params, fd.fiber)
+        bound, _ = torsion_bound(params, fd)
         usable.clear()
         with pytest.raises(VerificationError, match="does not annihilate"):
             nontorsion_certificate(P, bound)
@@ -819,7 +803,7 @@ def test_annihilation_from_the_walk_matches_scalar_mul():
             if fd.fiber.rational_roots():
                 continue
             P = point_from_fiber_data(params, fd)
-            bound, _ = torsion_bound(params, fd.fiber)
+            bound, _ = torsion_bound(params, fd)
             for p in primes_up_to(31):
                 reduced = reduce_point_mod_p(P, p)
                 if reduced is None:
@@ -897,11 +881,16 @@ def test_point_construction_rejects_a_point_off_the_curve():
         point_from_fiber_data(params, fd._replace(t=fd.t + 1))
 
 
-def test_family_curve_is_built_once_per_params():
-    params = derive_family(1, 1)
-    assert params.curve() is params.curve()
-    assert derive_family(1, 1).curve() is params.curve()
-    assert derive_family(2, 3).curve() != params.curve()
+def test_equal_params_give_equal_equally_hashed_curves():
+    """exact.ellcurve's per-prime caches key on the curve, so two derivations
+    from equal params share their entries."""
+    curve = derive_family(1, 1)
+    again = derive_family(Fraction(2, 2), Fraction(3, 3))
+    assert again is not curve and again == curve and hash(again) == hash(curve)
+    assert derive_family(2, 3) != curve
+    count_points_mod_p.cache_clear()
+    assert count_points_mod_p(curve, 5) == count_points_mod_p(again, 5)
+    assert count_points_mod_p.cache_info().hits == 1
 
 
 # -- the split-type matrix fold and repeated fibers -------------------------------------
@@ -1164,6 +1153,6 @@ def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime():
                 d = reduced[0].field.degree
                 degrees.add(d)
                 bars = (ModPoly.from_unipoly(UniPoly.constant(c), p).evaluate(0)
-                        for c in params.curve().a_invariants)
+                        for c in params.a_invariants)
                 assert reduced[0].a == tuple(b if d == 1 else (b,) + (0,) * (d - 1) for b in bars)
     assert degrees == {1, 3}

@@ -1,9 +1,12 @@
 """Lazy package re-exports, and which modules each subcommand loads."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from graphlib import TopologicalSorter
+from pathlib import Path
 
 import pytest
 
@@ -87,8 +90,8 @@ SUBCOMMANDS = {
                      "exact.quotient", "exact.modpoly", "exact.unipoly", "scandoc", "numpy",
                      *STARTUP}),
     "covering-report": (["covering-report", "7"], "coverings",
-                        {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
-                         "numpy", *STARTUP}),
+                        {"family", "qseries", "exact.ellcurve", "exact.finitefield",
+                         "exact.modpoly", "scandoc", "numpy", *STARTUP}),
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
                       {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
                        "numpy", *POLYNOMIALS, *STARTUP}),
@@ -119,4 +122,33 @@ def test_the_curve_layer_loads_neither_the_family_nor_numpy():
     )
     loaded = set(json.loads(run.stdout))
     assert "ntcert.exact.ellcurve" in loaded
-    assert not loaded & {"ntcert.family", "ntcert.cubicfield", "numpy"}
+    assert not loaded & {"ntcert.family", "ntcert.cubicfield", "ntcert.exact.modpoly", "numpy"}
+
+
+def relative_imports(path, package):
+    """The ntcert modules that the module at path names in a relative import,
+    at module level or inside a function; package is the module's package."""
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package.rsplit(".", node.level - 1)[0]
+            # from .module import name, or from . import module
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            targets.update(f"{base}.{name}" for name in names)
+    return targets
+
+
+def test_the_package_import_graph_has_no_cycle():
+    root = Path(ntcert.__file__).parent
+    graph = {}
+    for path in root.rglob("*.py"):
+        parts = ["ntcert", *path.relative_to(root).with_suffix("").parts]
+        if parts[-1] == "__init__":
+            parts.pop()
+            package = ".".join(parts)
+        else:
+            package = ".".join(parts[:-1])
+        graph[".".join(parts)] = relative_imports(path, package)
+    assert {"ntcert.family", "ntcert.exact.unipoly", "ntcert.exact.modpoly"} <= set(graph)
+    assert "ntcert.exact.unipoly" in graph["ntcert.exact.modpoly"]
+    TopologicalSorter(graph).prepare()  # raises CycleError, naming a cycle

@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from ntcert.errors import InvalidInputError
-from ntcert.exact import UniPoly
+from ntcert.exact import ModPoly, UniPoly, count_distinct_roots
+from ntcert.exact.unipoly import _horner
 
 
 def poly_from_roots(roots, lead=1):
@@ -113,6 +114,51 @@ def test_rational_roots_random_reconstruction():
         roots = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
         f = poly_from_roots(roots, rng.choice((1, 2, -6)))
         assert f.rational_roots() == set(roots)
+
+
+def sympy_rational_roots(f: UniPoly) -> set[Fraction]:
+    """The roots of f's linear factors over Q, from sympy's factorization."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
+    roots = set()
+    for factor, _ in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            root = -b / a
+            roots.add(Fraction(int(root.p), int(root.q)))
+    return roots
+
+
+def test_rational_roots_screen_matches_sympy_and_the_modpoly_root_count():
+    """rational_roots screens the cleared integer polynomial at each prime
+    r <= 29 not dividing its leading coefficient, rootless when no value at
+    0, ..., r - 1 is 0 mod r: that is count_distinct_roots(ModPoly) == 0, and
+    the roots it returns are sympy's, for polynomials with and without
+    rational roots."""
+    rng = random.Random(17)
+    pool = [Fraction(a, b) for a in range(-6, 7) for b in (1, 2, 3, 5)]
+    seen = {"rooted": 0, "rootless": 0, "screened": 0, "enumerated": 0}
+    for i in range(160):
+        degree = rng.randint(1, 4)
+        rooted = rng.randint(1, degree) if i % 2 else 0
+        cofactor = [Fraction(rng.randint(-30, 30), rng.randint(1, 4))
+                    for _ in range(degree - rooted)] + [rng.choice((1, -2, 3, 6))]
+        roots = [rng.choice(pool) for _ in range(rooted)]
+        f = poly_from_roots(roots) * UniPoly(cofactor)
+        expected = sympy_rational_roots(f)
+        assert f.rational_roots() == expected, f
+        seen["rooted" if expected else "rootless"] += 1
+        _, ints = f.integer_primitive()
+        screened = False
+        for r in (5, 7, 11, 13, 17, 19, 23, 29):
+            if ints[-1] % r == 0:
+                continue
+            rootless = all(_horner(ints, x) % r for x in range(r))
+            assert rootless == (count_distinct_roots(ModPoly(ints, r)) == 0), (f, r)
+            screened = screened or rootless
+        if not expected:
+            seen["screened" if screened else "enumerated"] += 1
+    assert all(seen.values()), seen
 
 
 def test_divmod_and_gcd():
