@@ -17,9 +17,11 @@ completely, one where it is inert, neither where the prime is ramified or
 bad.  Two fields' first witness is the lowest set bit of
 (S1 & I2) | (I1 & S2).  A scan builds each field's row at the primes up
 to 97, a prefix of the witness primes, where it evaluates the fiber, and
-keeps its accepted fields in one SplitTypeMatrix with those rows; only when
-two of them agree does the matrix build and compare the two fields' whole
-rows.  An unramified prime of a Galois cubic
+keeps its accepted fields in one SplitTypeMatrix with those rows.  When
+two of them agree there, the matrix first tries to prove the fields equal
+by a scaling (the second cubic is lambda^3 f(x/lambda) for the first f),
+and only otherwise builds and compares the two fields' whole rows.  An
+unramified prime of a Galois cubic
 field splits completely or is inert (Marcus, Number Fields, ch. 3), so a
 linear-times-quadratic prime met while building a row refutes the C3
 classification.
@@ -33,14 +35,19 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import InvalidInputError, VerificationError
-from .exact import (
-    UniPoly,
-    count_distinct_roots,  # not called here; perfbench's tests expect it bound in cubicfield
-    primes_up_to,
-    rational_is_square,
-)
+from .exact import UniPoly, primes_up_to, rational_is_square
 
 DEFAULT_WITNESS_BOUND = 1000
+
+
+def __getattr__(name: str):
+    """count_distinct_roots, re-exported lazily (PEP 562) for perfbench's tests:
+    no scan calls it, so a scan never loads exact.modpoly."""
+    if name != "count_distinct_roots":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .exact import count_distinct_roots
+
+    return count_distinct_roots
 
 
 class GaloisClass(str, Enum):
@@ -175,6 +182,18 @@ def _first_difference(row1: tuple[int, int], row2: tuple[int, int]) -> int | Non
 _FIRST_STAGE = 97
 
 
+def _scales_to(f: UniPoly, g: UniPoly) -> bool:
+    """Whether the depressed cubic g = x^3 + P*x + Q is lambda^3 f(x/lambda)
+    for f = x^3 + p*x + q: then lambda = Q*p/(q*P), and lambda^2 p = P and
+    lambda^3 q = Q hold exactly.  lambda*theta is then a root of g in
+    Q[theta]/(f), so both cubics define one field."""
+    (q, p, f2, _), (Q, P, g2, _) = f.coeffs, g.coeffs
+    if f2 or g2 or not (q and P):
+        return False
+    lam = Q * p / (q * P)
+    return lam * lam * p == P and lam**3 * q == Q
+
+
 def head_row(K: CubicField) -> tuple[int, int]:
     """K's row at the head primes, as SplitTypeMatrix.admit takes it."""
     return _split_codes(K, primes_up_to(_FIRST_STAGE))
@@ -187,9 +206,12 @@ class SplitTypeMatrix:
     in order of acceptance, and accepts K; each is the first prime <= bound
     where both fields are unramified and one splits completely while the
     other is inert.  If some accepted field agrees with K at every prime
-    <= bound, K is not accepted and admit returns None: inconclusive.  row
-    is K's row (from _split_codes) at primes that begin with the matrix's
-    head primes, as head_row's do.
+    <= bound, K is not accepted and admit returns None: inconclusive.  A
+    field that agrees with an accepted one at every head prime and whose
+    cubic is a scaling of that field's (_scales_to) is the same field, which
+    no prime tells apart: admit returns None without building a whole row.
+    row is K's row (from _split_codes) at primes that begin with the
+    matrix's head primes, as head_row's do.
     """
 
     def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):
@@ -215,7 +237,8 @@ class SplitTypeMatrix:
         primes = []
         for entry in self._entries:
             j = _first_difference(entry[1], new[1])
-            if j is None and len(self._head) < len(self._primes):
+            if (j is None and len(self._head) < len(self._primes)
+                    and not _scales_to(entry[0].defining, K.defining)):
                 # K agrees with this field at every head prime: compare whole rows
                 j = _first_difference(self._whole_row(entry), self._whole_row(new))
             if j is None:

@@ -2,10 +2,9 @@
 
 One chord-tangent law serves every field: it takes the field as an
 operation object, QuotientField for Q[x]/(f) (QuotientElem coordinates) or
-a residue field from finitefield, F_p on ints or F_{p^3} on int triples,
-so the non-torsion walk builds no element objects.  Only ntcert.errors and
-ntcert.exact are imported, so a certificate checker can use this layer
-without the family or the scan.
+finitefield's F_p on ints, so the non-torsion walk builds no element
+objects.  Only ntcert.errors and ntcert.exact are imported, so a
+certificate checker can use this layer without the family or the scan.
 """
 
 from __future__ import annotations
@@ -13,11 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm as _int_lcm
+from typing import Iterable
 
 from ..errors import InvalidInputError, SingularCurveError, VerificationError
-from .finitefield import CubicExtension, PrimeField
+from .finitefield import PrimeField
 from .power import _power
-from .primes import is_prime, iter_primes
+from .primes import is_prime
 from .quotient import QuotientElem, QuotientField
 from .rationals import _residues
 from .unipoly import UniPoly, _horner
@@ -106,27 +106,32 @@ class FieldPoint:
     """A point of the curve with coordinates in a field K.
 
     ``field`` is K as an operation object: QuotientField for Q[x]/(modulus)
-    with QuotientElem coordinates (rational points use the modulus x), or a
-    residue field of finitefield: F_p with int coordinates, or F_{p^3} with
-    int-triple coordinates.  ``a`` holds the curve's a-invariants as
-    constants of K.  The point at infinity has x = y = None.
+    with QuotientElem coordinates (rational points use the modulus x), or
+    finitefield's F_p with int coordinates.  ``a`` holds the curve's
+    a-invariants as constants of K; given as None, they are built from the
+    field on first use, so a point that is only reduced mod p never builds
+    them.  The point at infinity has x = y = None.
     """
 
-    __slots__ = ("curve", "field", "a", "x", "y")
+    __slots__ = ("curve", "field", "_a", "x", "y")
 
     def __init__(self, curve, field, a, x=None, y=None, *, check=True):
-        self.curve, self.field, self.a, self.x, self.y = curve, field, a, x, y
+        self.curve, self.field, self._a, self.x, self.y = curve, field, a, x, y
         if x is not None and check and not self._on_curve():
             raise InvalidInputError("point does not satisfy the curve equation")
+
+    @property
+    def a(self) -> tuple:
+        if self._a is None:
+            self._a = tuple(self.field._constant(c) for c in self.curve.a_invariants)
+        return self._a
 
     @classmethod
     def affine(
         cls, curve: WeierstrassCurve, modulus: UniPoly, x: QuotientElem, y: QuotientElem,
         *, check: bool = True,
     ) -> "FieldPoint":
-        field = QuotientField(modulus)
-        a = tuple(field._constant(c) for c in curve.a_invariants)
-        return cls(curve, field, a, x, y, check=check)
+        return cls(curve, QuotientField(modulus), None, x, y, check=check)
 
     @property
     def is_infinity(self) -> bool:
@@ -138,7 +143,7 @@ class FieldPoint:
     def _sibling(self, coords) -> "FieldPoint":
         """The point with these coordinates (None: infinity) on the same curve over K."""
         x, y = coords or (None, None)
-        return FieldPoint(self.curve, self.field, self.a, x, y, check=False)
+        return FieldPoint(self.curve, self.field, self._a, x, y, check=False)
 
     def _on_curve(self) -> bool:
         F, (a1, a2, a3, a4, a6), x, y = self.field, self.a, self.x, self.y
@@ -181,6 +186,7 @@ class FieldPoint:
 # -- reduction mod p -------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)  # the torsion primes and the walk ask for the same few per fiber
 def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
     """Good reduction for this model: p > 3, prime, unit denominators, p ∤ num(disc)."""
     if p <= 3 or not is_prime(p):
@@ -234,15 +240,12 @@ def _invariants_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, ...]:
 
 
 def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
-    """Reduce P at a residue-field hom above p; None when p is unusable.
+    """Reduce P to F_p at the first root mod p of its modulus; None when p is unusable.
 
-    Returns (Pbar, |E(F_{p^d})|), with Pbar over F_p (int coordinates) at
-    the first root of the reduced modulus, found by Horner's rule on ints,
-    or else, for a cubic modulus, which is then irreducible, over
-    F_{p^3} = F_p[x]/(reduced modulus) (int triples).  Any root gives a
-    genuine residue map, so ramified primes are fine.  Bad reduction, a
-    non-p-integral coordinate or modulus, and a rootless modulus of degree
-    other than 3 skip; a cyclic cubic field has no other residue fields.
+    Returns (Pbar, |E(F_p)|), Pbar with int coordinates; the root is found
+    by Horner's rule on ints.  Any root gives a genuine residue map, so
+    ramified primes are fine.  Bad reduction, a non-p-integral coordinate
+    or modulus, and a modulus with no root mod p skip.
     """
     curve = P.curve
     if P.is_infinity or not is_good_prime(curve, p):
@@ -250,22 +253,14 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
     x, y, m = (_residues(f.coeffs, p) for f in (P.x.rep, P.y.rep, P.field.modulus))
     if x is None or y is None or m is None:
         return None
-    a = _invariants_mod_p(curve, p)
     root = next((r for r in range(p) if _horner(m, r) % p == 0), None)
-    if root is not None:
-        F = PrimeField(p)
-        x, y = _horner(x, root) % p, _horner(y, root) % p
-    elif len(m) == 4:
-        F = CubicExtension(p, m)
-        pad = F.zero  # x and y have degree below m's
-        a = tuple((c, 0, 0) for c in a)
-        x, y = x + pad[len(x):], y + pad[len(y):]
-    else:
+    if root is None:
         return None
-    Pbar = FieldPoint(curve, F, a, x, y, check=False)
+    x, y = _horner(x, root) % p, _horner(y, root) % p
+    Pbar = FieldPoint(curve, PrimeField(p), _invariants_mod_p(curve, p), x, y, check=False)
     if not Pbar._on_curve():
         raise VerificationError("reduction left the curve")
-    return Pbar, _group_order(curve, p, F.degree)
+    return Pbar, count_points_mod_p(curve, p)
 
 
 # -- non-torsion -------------------------------------------------------------------
@@ -295,16 +290,28 @@ def _annihilates(Pbar: FieldPoint, multiples: list, n: int) -> bool:
     return _chord_tangent(F, a, q_multiple, rest) is None
 
 
-def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
+# The walk uses at most this many primes before the exact fallback.
+_MAX_WALKS = 12
+
+
+def nontorsion_certificate(P: FieldPoint, bound: int, primes: Iterable[int]) -> bool:
     """True iff k*P is never the identity for 1 <= k <= bound.
 
     Reduction at a good prime is a homomorphism (Silverman, The Arithmetic of
-    Elliptic Curves, VII.2.1), so k*P = O forces k*Pbar = O.  At each usable
-    prime the walk Pbar, 2*Pbar, ..., bound*Pbar either misses O, which proves
-    the claim, or first meets it at the order of Pbar; the exact law then tests
-    only multiples of the lcm of those orders (at most six primes).  At the
-    first usable prime |E(F_{p^d})| must annihilate Pbar, checking the count;
-    when the walk met no O, that product starts from the walk's last multiple.
+    Elliptic Curves, VII.2.1), so k*P = O forces k*Pbar = O.  primes are the
+    candidate primes, ascending, such as those where the fiber splits; the
+    walk starts at the first with p + 1 - 2*sqrt(p) > bound, where
+    |E(F_p)| > bound by Hasse, so one walk usually settles the claim, and
+    uses the first twelve at which P reduces to F_p.  At each one the walk
+    Pbar, 2*Pbar, ..., bound*Pbar either misses O, which proves the claim,
+    or first meets it at the order of Pbar; the exact law then tests only
+    multiples of the lcm of those orders.  The verdict is the same whichever
+    primes are walked: False needs some k <= bound with k*P = O in exact
+    arithmetic, and if P has order n <= bound, each reduced order divides
+    n, so no walk misses O and n is one of the multiples tested.  At the
+    first prime used |E(F_p)| must annihilate Pbar, checking the count;
+    when the walk met no O, that product starts from the walk's last
+    multiple.
     """
     if bound < 1:
         raise InvalidInputError("bound must be >= 1")
@@ -312,16 +319,18 @@ def nontorsion_certificate(P: FieldPoint, bound: int) -> bool:
         return False
     step = 1
     used = 0
-    for p in iter_primes(5):
-        if used >= 6 or step > bound:
+    for p in primes:
+        if used >= _MAX_WALKS or step > bound:
             break
+        if p + 1 <= bound or (p + 1 - bound) ** 2 <= 4 * p:
+            continue  # below the Hasse start
         reduced = reduce_point_mod_p(P, p)
         if reduced is None:
             continue
         Pbar, group_order = reduced
         multiples = _walk(Pbar, bound)
         order = len(multiples) + 1 if len(multiples) < bound else None
-        if not used and not (  # |E(F_{p^d})| kills Pbar: the walk's order divides it
+        if not used and not (  # |E(F_p)| kills Pbar: the walk's order divides it
             group_order % order == 0 if order else _annihilates(Pbar, multiples, group_order)
         ):
             raise VerificationError("the reduced group order does not annihilate the point")

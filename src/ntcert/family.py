@@ -34,8 +34,9 @@ from __future__ import annotations
 import os
 from contextlib import ExitStack
 from fractions import Fraction
-from math import gcd as _int_gcd
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from math import gcd as _int_gcd, lcm
+from typing import Iterator, NamedTuple, Sequence
 
 from . import cubicfield
 from .cubicfield import (
@@ -53,16 +54,20 @@ from .errors import (
     SingularCurveError,
     VerificationError,
 )
-from .exact import (
-    QuotientElem,
-    UniPoly,
-    count_distinct_roots,  # not called here; perfbench's tests expect it bound in family
-    format_rational,
-    iter_primes,
-)
+from .exact import QuotientElem, UniPoly, format_rational, iter_primes, primes_up_to
 from .exact.ellcurve import (
     FieldPoint, WeierstrassCurve, _group_order, is_good_prime, nontorsion_certificate,
 )
+
+
+def __getattr__(name: str):
+    """count_distinct_roots, re-exported lazily (PEP 562) for perfbench's tests:
+    no scan calls it, so a scan never loads exact.modpoly."""
+    if name != "count_distinct_roots":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .exact import count_distinct_roots
+
+    return count_distinct_roots
 
 
 def derive_family(a1: Fraction | int, a4: Fraction | int) -> WeierstrassCurve:
@@ -103,42 +108,61 @@ class FiberData(NamedTuple):
     sqrt_disc: Fraction
 
 
-def fiber_at_s(curve: WeierstrassCurve, s: Fraction | int) -> FiberData:
-    """Specialize the family at the conic parameter s.
+@lru_cache(maxsize=64)
+def _v_polynomials(curve: WeierstrassCurve) -> tuple[tuple[int, ...], ...]:
+    """t, p and q of the fiber as polynomials in v, each as (d, c0, c1, ...):
+    integer coefficients over one denominator d.  t = a1*v/3 + c with the
+    curve constant c = a1*(2*a1^2/27 - a6/a4), p = a4 - a1*t and
+    q = a6 - a3*t - t^2."""
+    a1, a3, a4, a6 = curve.a1, curve.a3, curve.a4, curve.a6
+    t0, t1 = a1 * (2 * a1**2 / 27 - a6 / a4), a1 / 3
+    polys = (t0, t1), (a4 - a1 * t0, -a1 * t1), (a6 - a3 * t0 - t0**2, -(a3 + 2 * t0) * t1, -t1**2)
+    out = []
+    for cs in polys:
+        d = lcm(*(c.denominator for c in cs))
+        out.append((d, *(c.numerator * (d // c.denominator) for c in cs)))
+    return tuple(out)
 
-    u and v satisfy 1 = u^2 + 3v^2 identically; t is solved from the
-    v-equation.  The fiber is x^3 + p*x + q, so its discriminant is
-    -4*p^3 - 27*q^2, computed from p and q and checked against the family's
-    closed form u^2*p^2, p = a4 - a1*t.
+
+def fiber_at_s(curve: WeierstrassCurve, s: Fraction | int) -> FiberData:
+    """Specialize the family at the conic parameter s, on integer numerators.
+
+    With s = a/b in lowest terms and den = b^2 + 3a^2, u = (b^2 - 3a^2)/den
+    and v = 2ab/den, and u^2 + 3v^2 = 1 is the integer identity
+    (b^2 - 3a^2)^2 + 3(2ab)^2 = den^2.  t, solved from the v-equation, p and
+    q are polynomials in v (_v_polynomials, once per curve), so each is an
+    integer over a known denominator: t over dt*den, p over dp*den and q
+    over dq*den^2.  The fiber is x^3 + p*x + q, so its discriminant is
+    -4*p^3 - 27*q^2; the family's closed form u^2*p^2, p = a4 - a1*t, is
+    checked against it as an integer identity, and sqrt_disc = |u*p|.
     """
     s = Fraction(s)
-    a1, a4, a3, a6 = curve.a1, curve.a4, curve.a3, curve.a6
-    den = 1 + 3 * s**2
-    u = (1 - 3 * s**2) / den
-    v = 2 * s / den
-    if u**2 + 3 * v**2 != 1:
+    a, b = s.numerator, s.denominator
+    den, m, n = b * b + 3 * a * a, b * b - 3 * a * a, 2 * a * b  # u = m/den, v = n/den
+    if m * m + 3 * n * n != den * den:
         raise VerificationError("(u, v) is off the conic u^2 + 3v^2 = 1")
-    t = a1 * (v / 3 - a6 / a4 + 2 * a1**2 / 27)
-    p = a4 - a1 * t
-    if p == 0:
+    (dt, t0, t1), (dp, p0, p1), (dq, q0, q1, q2) = _v_polynomials(curve)
+    pn, pd = p0 * den + p1 * n, dp * den
+    if pn == 0:
         raise DegenerateFiberError(f"fiber at s={s} degenerates to x^3")
-    q = a6 - a3 * t - t**2
-    fiber = UniPoly((q, p, 0, 1))
-    disc = -4 * p**3 - 27 * q**2
-    expected = u**2 * p**2
-    if disc != expected:
+    qn, qd = (q0 * den + q1 * n) * den + q2 * n * n, dq * den * den
+    # -4p^3 - 27q^2 = u^2 p^2, both sides times pd^3 qd^2 den^2
+    if (-4 * pn**3 * qd**2 - 27 * qn**2 * pd**3) * den**2 != m**2 * pn**2 * pd * qd**2:
         raise VerificationError("fiber discriminant identity failed")
-    sqrt_disc = abs(u * p)
-    return FiberData(s, t, u, v, fiber, disc, sqrt_disc)
+    sqrt_disc = Fraction(abs(m * pn), den * pd)
+    fiber = UniPoly((Fraction(qn, qd), Fraction(pn, pd), 0, 1))
+    t = Fraction(t0 * den + t1 * n, dt * den)
+    return FiberData(s, t, Fraction(m, den), Fraction(n, den), fiber, sqrt_disc**2, sqrt_disc)
 
 
 def point_from_fiber_data(curve: WeierstrassCurve, fd: FiberData) -> FieldPoint:
     """(theta, t) over Q[theta]/(fiber).  The caller has ruled out a rational
-    root of the fiber, so Q[theta] is a field.  As a2 = 0, the point is on
-    the curve iff E(x, t) = -fiber(x) in Q[x]: no Q[theta] arithmetic."""
+    root of the fiber, so Q[theta] is a field.  The point is on the curve iff
+    E(x, t) = -fiber(x) in Q[x], that is, iff the fiber's coefficients are
+    a6 - a3*t - t^2, a4 - a1*t, a2 and 1: no Q[theta] arithmetic."""
     a1, a2, a3, a4, a6 = curve.a_invariants
     t, m = fd.t, fd.fiber
-    if UniPoly((t * t + a3 * t - a6, a1 * t - a4, -a2, -1)) != -m:
+    if m.coeffs != (a6 - a3 * t - t * t, a4 - a1 * t, a2, 1):
         raise VerificationError(f"(theta, t) at s={fd.s} is off the curve")
     x = QuotientElem(UniPoly.x(), m, validate=False)
     y = QuotientElem(UniPoly.constant(t), m, validate=False)
@@ -154,9 +178,10 @@ _MAX_TORSION_PRIMES = 12
 
 
 def torsion_bound(
-    curve: WeierstrassCurve, fd: FiberData, primes: int | Sequence[int] = 2,
+    curve: WeierstrassCurve, fd: FiberData, row: tuple[int, int],
+    primes: int | Sequence[int] = 2,
 ) -> tuple[int, tuple[int, ...]]:
-    """(bound, primes): the gcd over the primes of |E(F_{p^d_p})|, d_p from the fiber mod p.
+    """(bound, primes): the gcd over the primes of |E(F_{p^d_p})|, d_p the residue degree.
 
     Torsion over the cubic field injects into each reduced group, so the gcd
     bounds its order.  ``primes`` is a count (>= 2) of the smallest primes > 3
@@ -164,9 +189,12 @@ def torsion_bound(
     distinct such primes, used as given.  Past a count, more primes join while
     the bound is large: a gcd over more good primes still bounds the torsion,
     and a smaller bound keeps the non-torsion walk short.  The ramified primes
-    come from the discriminant that fiber_at_s proved.
+    come from the discriminant that fiber_at_s proved.  d_p is 3 where the
+    fiber is inert and 1 where it splits: read from row, the fiber's head
+    row, up to 97, and from its root count mod p past that.
     """
     fiber = fd.fiber
+    head = primes_up_to(cubicfield._FIRST_STAGE)
     bad = _bad_part(fiber, fd.disc)
     if isinstance(primes, int):
         if primes < 2:
@@ -187,7 +215,8 @@ def torsion_bound(
     bound = 0
     for p in candidates:
         used.append(p)
-        residue_degree = 3 if _root_counts(fiber, (p,)) == [0] else 1
+        inert = row[1] >> head.index(p) & 1 if p <= head[-1] else _root_counts(fiber, (p,)) == [0]
+        residue_degree = 3 if inert else 1
         bound = _int_gcd(bound, _group_order(curve, p, residue_degree))
         if len(used) >= count and (
             bound <= _TORSION_BOUND_TARGET or len(used) >= _MAX_TORSION_PRIMES
@@ -247,6 +276,14 @@ class ScanResult:
         }
 
 
+def _split_primes(fd: FiberData, row: tuple[int, int]) -> Iterator[int]:
+    """The primes where the fiber splits completely, ascending: read from its
+    head row up to 97, and decided by its root count mod p past that."""
+    head = primes_up_to(cubicfield._FIRST_STAGE)
+    yield from (p for i, p in enumerate(head) if row[0] >> i & 1)
+    yield from (p for p in iter_primes(head[-1] + 1) if _root_counts(fd.fiber, (p,)) == [3])
+
+
 def enumerate_s_by_height(height_max: int) -> list[Fraction]:
     """Rationals ordered by height max(|num|, den), ascending value within a height."""
     if height_max < 1:
@@ -285,7 +322,9 @@ def evaluate_fiber(
     square sqrt_disc^2.  Its head row is built here, so the fold does only
     bit operations; a prime inert in the row rules out a rational root,
     which reduces to a root mod every prime that does not divide a
-    denominator (those are bad, so in no row).
+    denominator (those are bad, so in no row).  The row also gives the
+    torsion primes' residue degrees and the split primes where the
+    non-torsion walk runs over F_p.
     """
     first = same_v[0]
     for s in same_v:
@@ -308,8 +347,8 @@ def evaluate_fiber(
     if not row[1] and fd.fiber.rational_roots():
         return "reducible"
     point = point_from_fiber_data(curve, fd)
-    bound, primes = torsion_bound(curve, fd, torsion_primes)
-    if not nontorsion_certificate(point, bound):
+    bound, primes = torsion_bound(curve, fd, row, torsion_primes)
+    if not nontorsion_certificate(point, bound, _split_primes(fd, row)):
         return "torsion"
     return ExtensionCertificate(
         fd.s, fd.t, fd.fiber, fd.disc, fd.sqrt_disc,
@@ -327,10 +366,12 @@ def _fork_worker(stack: ExitStack, curve: WeierstrassCurve, share, torsion_prime
     order; return a function of a group that reads the child's outcome for it.
 
     The child pickles each (True, outcome), or (False, exception) and stops,
-    into a pipe, and leaves through os._exit: it never flushes the inherited
-    stdout or returns into the caller's code.  On leaving the stack the child
-    is killed and then reaped, so it stops at once, even mid-fiber or blocked
-    on a full pipe.
+    into a pipe through one Pickler, which this process reads through one
+    Unpickler, so an object that outcomes share, such as the curve, crosses
+    the pipe once.  The child leaves through os._exit: it never flushes the
+    inherited stdout or returns into the caller's code.  On leaving the
+    stack the child is killed and then reaped, so it stops at once, even
+    mid-fiber or blocked on a full pipe.
     """
     import pickle  # only a scan with more than one worker forks
     import signal
@@ -341,12 +382,13 @@ def _fork_worker(stack: ExitStack, curve: WeierstrassCurve, share, torsion_prime
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
+                pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
                 for same_v in share:
                     try:
                         item = (True, evaluate_fiber(curve, same_v, torsion_primes))
                     except Exception as exc:
                         item = (False, exc)
-                    pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                    pickler.dump(item)
                     out.flush()
                     if not item[0]:
                         break
@@ -357,11 +399,11 @@ def _fork_worker(stack: ExitStack, curve: WeierstrassCurve, share, torsion_prime
     stack.callback(os.kill, pid, signal.SIGKILL)
     # closed before the next fork, so the child's exit ends the pipe
     os.close(write_fd)
-    pipe = stack.enter_context(open(read_fd, "rb"))
+    unpickler = pickle.Unpickler(stack.enter_context(open(read_fd, "rb")))
 
     def outcome_of(same_v):
         try:
-            ok, outcome = pickle.load(pipe)
+            ok, outcome = unpickler.load()
         except (EOFError, pickle.UnpicklingError):
             raise ChildProcessError(f"a worker exited before evaluating s={same_v[0]}") from None
         if not ok:

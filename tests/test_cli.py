@@ -369,3 +369,14 @@ def test_forked_height20_scan_bytes_are_pinned(capsys):
     assert cli.main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "9d1467e39f9179521fdb440fa08c6e04cade73e113626f027d3d7f4800038ffd"
+
+
+def test_height30_scan_bytes_are_pinned(capsys):
+    """(2, 3) at height 30: 806 certificates.  At s = -9/8 and 7/17 the point
+    reduces to an order at most the torsion bound, 6, at most primes below
+    29, so a walk over the small primes needs the exact Q[theta] check
+    there; the bytes are the same whichever primes settle the claim."""
+    argv = ["family-scan", "--a1", "2", "--a4", "3", "--s-height-max", "30"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "18ae17854b1ae9c0a2f411a791f01d55bdb347402898c4abd395c9b1e0227579"

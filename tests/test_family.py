@@ -11,7 +11,9 @@ from ntcert.errors import (
     InvalidInputError,
     VerificationError,
 )
-from ntcert.exact import ModPoly, QuotientElem, UniPoly, count_distinct_roots, primes_up_to
+from ntcert.exact import (
+    ModPoly, QuotientElem, UniPoly, count_distinct_roots, iter_primes, primes_up_to,
+)
 from ntcert.exact import ellcurve
 from ntcert.exact.finitefield import PrimeField
 from ntcert.exact.primes import factorize
@@ -57,6 +59,20 @@ def three_torsion(params: WeierstrassCurve) -> FieldPoint:
 def fiber_point(params: WeierstrassCurve, s) -> FieldPoint:
     """The point (theta, t) over Q[theta]/(fiber) at s."""
     return point_from_fiber_data(params, fiber_at_s(params, s))
+
+
+def fiber_row(fd) -> tuple[int, int]:
+    """The fiber's head row, as evaluate_fiber builds it."""
+    return cubicfield.head_row(cubicfield.CubicField(fd.fiber, fd.disc, fd.sqrt_disc, GaloisClass.C3))
+
+
+def split_primes(fd):
+    """The candidate primes evaluate_fiber gives the non-torsion walk."""
+    return family._split_primes(fd, fiber_row(fd))
+
+
+def fiber_torsion_bound(params, fd, primes=2):
+    return torsion_bound(params, fd, fiber_row(fd), primes)
 
 
 def random_params(rng) -> WeierstrassCurve:
@@ -380,9 +396,16 @@ def fp_coords(point):
     return None if point.is_infinity else (point.x, point.y)
 
 
-def test_reduction_commutes_with_the_group_law_over_fp_and_fp3():
-    """reduce(k*P) == k*reduce(P) and |E(F_{p^d})| kills reduce(P), for d = 1 and 3."""
-    checked = {1: 0, 3: 0}
+def roots_mod_p(f: UniPoly, p: int) -> int:
+    """The roots in F_p of a p-integral f, by evaluation at every residue."""
+    cs = [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
+    return sum(sum(c * r**i for i, c in enumerate(cs)) % p == 0 for r in range(p))
+
+
+def test_reduction_commutes_with_the_group_law_over_fp():
+    """reduce(k*P) == k*reduce(P) and |E(F_p)| kills reduce(P); at a good
+    prime where the fiber has no root mod p, P does not reduce."""
+    checked = rootless = 0
     for a1, a4 in ((1, 1), (2, 3)):
         curve = derive_family(a1, a4)
         for s in enumerate_s_by_height(2):
@@ -394,33 +417,35 @@ def test_reduction_commutes_with_the_group_law_over_fp_and_fp3():
             for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
                 reduced = reduce_point_mod_p(P, p)
                 if reduced is None:
+                    if is_good_prime(curve, p) and all(c.denominator % p for c in fd.fiber.coeffs):
+                        assert roots_mod_p(fd.fiber, p) == 0, (s, p)
+                        rootless += 1
                     continue
                 Pbar, order = reduced
-                d = Pbar.field.degree
+                assert Pbar.field == PrimeField(p) and order == count_points_mod_p(curve, p)
                 assert Pbar.scalar_mul(order).is_infinity
-                base = oracle = fp_coords(Pbar) if d == 1 else None
+                base = oracle = fp_coords(Pbar)
                 for k, kP in multiples.items():
                     kPbar = Pbar.scalar_mul(k)
-                    if d == 1:  # the integer law above is an independent oracle over F_p
-                        oracle = modp_add(curve, oracle, base, p)
-                        assert oracle == fp_coords(kPbar)
+                    # the integer law above is an independent oracle over F_p
+                    oracle = modp_add(curve, oracle, base, p)
+                    assert oracle == fp_coords(kPbar)
                     image = reduce_point_mod_p(kP, p)
                     if image is None:
                         continue  # k*P is not integral at every prime above p
                     assert image == (kPbar, order)
-                    checked[d] += 1
-    assert checked[1] >= 20 and checked[3] >= 20, checked
+                    checked += 1
+    assert checked >= 20 and rootless >= 20, (checked, rootless)
 
 
 def test_the_walk_is_the_reduction_of_the_exact_multiples():
-    """At the first F_p and the first F_{p^3} prime of every point to height 4,
-    the walk's k-th point is the reduction of k*P under the exact Q[theta]
-    law, k <= 6: k*Pbar is (k mod o)*Pbar when the walk meets O at o, and
-    o*P does not reduce there (it is not integral at that prime).  Where the
-    walk meets no O, its annihilation test at |E(F_{p^d})| agrees with
+    """At the first three primes where each point to height 4 reduces, the
+    walk's k-th point is the reduction of k*P under the exact Q[theta] law,
+    k <= 6: k*Pbar is (k mod o)*Pbar when the walk meets O at o, and o*P
+    does not reduce there (it is not integral at that prime).  Where the
+    walk meets no O, its annihilation test at |E(F_p)| agrees with
     scalar_mul."""
-    walks = {1: 0, 3: 0}
-    annihilations = 0
+    walks = annihilations = 0
     for a1, a4 in ((1, 1), (2, 3)):
         params = derive_family(a1, a4)
         for s in enumerate_s_by_height(4):
@@ -431,13 +456,13 @@ def test_the_walk_is_the_reduction_of_the_exact_multiples():
             exact = [P]
             for _ in range(5):
                 exact.append(exact[-1] + P)
-            degrees = set()
+            used = 0
             for p in primes_up_to(200):
                 reduced = reduce_point_mod_p(P, p)
-                if reduced is None or reduced[0].field.degree in degrees:
+                if reduced is None:
                     continue
                 Pbar, group_order = reduced
-                degrees.add(Pbar.field.degree)
+                used += 1
                 walk = ellcurve._walk(Pbar, 6)
                 o = len(walk) + 1 if len(walk) < 6 else None
                 for k, kP in enumerate(exact, 1):
@@ -446,13 +471,15 @@ def test_the_walk_is_the_reduction_of_the_exact_multiples():
                         assert image is None, (s, p, k)
                     elif image is not None:  # else k*P is not integral at every prime above p
                         assert image == (Pbar._sibling(walk[(k % o if o else k) - 1]), group_order)
-                        walks[Pbar.field.degree] += 1
+                        walks += 1
                 if o is None:
                     kills = Pbar.scalar_mul(group_order).is_infinity
                     assert ellcurve._annihilates(Pbar, walk, group_order) is kills is True
                     annihilations += 1
-            assert degrees == {1, 3}, s
-    assert walks[1] >= 100 and walks[3] >= 100 and annihilations >= 20, (walks, annihilations)
+                if used == 3:
+                    break
+            assert used == 3, s
+    assert walks >= 200 and annihilations >= 20, (walks, annihilations)
 
 
 def test_point_count_contains_three_torsion():
@@ -498,40 +525,40 @@ def test_trace_recursion_against_brute_force_extension_count():
 def test_torsion_bound_symmetric_and_divisible_by_three():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
-    primes = torsion_bound(params, fd, 2)[1][:2]  # the two smallest usable primes
-    b1, _ = torsion_bound(params, fd, primes)
-    b2, _ = torsion_bound(params, fd, list(reversed(primes)))
+    primes = fiber_torsion_bound(params, fd, 2)[1][:2]  # the two smallest usable primes
+    b1, _ = fiber_torsion_bound(params, fd, primes)
+    b2, _ = fiber_torsion_bound(params, fd, list(reversed(primes)))
     assert b1 == b2
     assert b1 % 3 == 0
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(params, s)
         if fd.fiber.rational_roots():
             continue
-        bound, ps = torsion_bound(params, fd, 2)
+        bound, ps = fiber_torsion_bound(params, fd, 2)
         assert bound % 3 == 0
-        assert torsion_bound(params, fd, ps) == (bound, ps)  # a count and its list agree
+        assert fiber_torsion_bound(params, fd, ps) == (bound, ps)  # a count and its list agree
 
 
 def test_torsion_bound_prime_validation():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
     with pytest.raises(InvalidInputError, match="at least two distinct primes"):
-        torsion_bound(params, fd, [5])
+        fiber_torsion_bound(params, fd, [5])
     with pytest.raises(InvalidInputError, match="23 is not a good-reduction prime"):
-        torsion_bound(params, fd, [5, 23])  # 23 divides the family disc
+        fiber_torsion_bound(params, fd, [5, 23])  # 23 divides the family disc
     with pytest.raises(InvalidInputError, match="7 ramifies in the fiber cubic"):
-        torsion_bound(params, fd, [5, 7])  # 7 ramifies in this fiber
+        fiber_torsion_bound(params, fd, [5, 7])  # 7 ramifies in this fiber
 
 
 def test_nontorsion_certificate_examples():
     params = derive_family(1, 1)
     P = three_torsion(params)
-    assert nontorsion_certificate(P, 3) is False
-    assert nontorsion_certificate(P, 2) is True
-    assert nontorsion_certificate(P.scalar_mul(3), 1) is False  # identity input
-    Q = fiber_point(params, 1)
-    bound, _ = torsion_bound(params, fiber_at_s(params, 1))
-    assert nontorsion_certificate(Q, bound) is True
+    assert nontorsion_certificate(P, 3, iter_primes(5)) is False
+    assert nontorsion_certificate(P, 2, iter_primes(5)) is True
+    assert nontorsion_certificate(P.scalar_mul(3), 1, iter_primes(5)) is False  # identity input
+    fd = fiber_at_s(params, 1)
+    bound, _ = fiber_torsion_bound(params, fd)
+    assert nontorsion_certificate(point_from_fiber_data(params, fd), bound, split_primes(fd)) is True
 
 
 def test_nontorsion_certificate_matches_naive_scan():
@@ -540,17 +567,18 @@ def test_nontorsion_certificate_matches_naive_scan():
     for k in range(2, 5):
         Pk = P  # order 3: naive truth is k >= 3
         naive = all(not Pk.scalar_mul(j).is_infinity for j in range(1, k + 1))
-        assert nontorsion_certificate(Pk, k) == naive
+        assert nontorsion_certificate(Pk, k, iter_primes(5)) == naive
 
 
 def test_reduce_point_mod_p_stays_on_curve():
     params = derive_family(1, 1)
     Q = fiber_point(params, 1)
-    reduced = reduce_point_mod_p(Q, 5)
+    p = next(split_primes(fiber_at_s(params, 1)))
+    reduced = reduce_point_mod_p(Q, p)
     assert reduced is not None
     point, order = reduced
     assert point._on_curve()
-    assert order == count_points_mod_p(params, 5) or point.field.degree == 3
+    assert order == count_points_mod_p(params, p)
 
 
 def test_reduction_skips_a_prime_in_a_denominator_of_the_modulus():
@@ -568,9 +596,9 @@ def test_reduction_skips_a_prime_in_a_denominator_of_the_modulus():
 
 
 def test_reduction_skips_a_prime_where_a_quadratic_modulus_has_no_root():
-    """The residue fields of a cyclic cubic field are F_p and F_{p^3}.  A point
-    over a quadratic field reduces only where its modulus has a root mod p,
-    and the non-torsion walk, which uses only those primes, stays sound."""
+    """A point over a quadratic field reduces only where its modulus has a
+    root mod p, as a point over a cyclic cubic field does, and the
+    non-torsion walk, which uses only those primes, stays sound."""
     curve = derive_family(1, 1)
     a1, a2, a3, a4, a6 = curve.a_invariants
     x = -3
@@ -584,7 +612,7 @@ def test_reduction_skips_a_prime_where_a_quadratic_modulus_has_no_root():
     assert order == count_points_mod_p(curve, 11)
     for bound in range(1, 9):
         naive = all(not P.scalar_mul(k).is_infinity for k in range(1, bound + 1))
-        assert nontorsion_certificate(P, bound) == naive
+        assert nontorsion_certificate(P, bound, iter_primes(5)) == naive
 
 
 # -- the scan -------------------------------------------------------------------------
@@ -650,7 +678,7 @@ def test_scan_family_counts_reducible_and_presumed_equal_fibers():
 
 
 def test_scan_family_counts_torsion_skips(monkeypatch):
-    monkeypatch.setattr(family, "nontorsion_certificate", lambda P, bound: False)
+    monkeypatch.setattr(family, "nontorsion_certificate", lambda P, bound, primes: False)
     result = scan_family(derive_family(1, 1), 2)
     assert result.certificates == []
     assert result.skipped_torsion == result.fibers_tested == len(enumerate_s_by_height(2))
@@ -707,7 +735,7 @@ def test_nontorsion_certificate_exhaustive_small_bounds():
                     naive = False
                     break
                 acc = acc + P
-            assert nontorsion_certificate(P, bound) == naive, (P, bound)
+            assert nontorsion_certificate(P, bound, iter_primes(5)) == naive, (P, bound)
 
 
 # -- the non-torsion walk and the point path ------------------------------------------
@@ -737,7 +765,7 @@ def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
             if fd.fiber.rational_roots():
                 continue
             P = point_from_fiber_data(params, fd)
-            bound, _ = torsion_bound(params, fd)
+            bound, _ = fiber_torsion_bound(params, fd)
             for p in primes_up_to(31):
                 reduced = reduce_point_mod_p(P, p)
                 if reduced is None:
@@ -758,7 +786,7 @@ def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
             for _ in range(bound - 1):
                 multiple = multiple + P
                 naive = naive and not multiple.is_infinity
-            assert nontorsion_certificate(P, bound) is naive is True
+            assert nontorsion_certificate(P, bound, split_primes(fd)) is naive is True
     assert walked["order"] >= 10 and walked["none"] >= 10, walked
 
 
@@ -781,10 +809,10 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(params, s)
         P = point_from_fiber_data(params, fd)
-        bound, _ = torsion_bound(params, fd)
+        bound, _ = fiber_torsion_bound(params, fd)
         usable.clear()
         with pytest.raises(VerificationError, match="does not annihilate"):
-            nontorsion_certificate(P, bound)
+            nontorsion_certificate(P, bound, split_primes(fd))
         assert len(usable) == 1
         Pbar, _ = real(P, usable[0])
         walk_found_order.add(walk_order(Pbar, bound) is not None)
@@ -803,7 +831,7 @@ def test_annihilation_from_the_walk_matches_scalar_mul():
             if fd.fiber.rational_roots():
                 continue
             P = point_from_fiber_data(params, fd)
-            bound, _ = torsion_bound(params, fd)
+            bound, _ = fiber_torsion_bound(params, fd)
             for p in primes_up_to(31):
                 reduced = reduce_point_mod_p(P, p)
                 if reduced is None:
@@ -988,20 +1016,85 @@ def test_lazy_rows_match_distinctness_witness_past_a_short_first_stage(monkeypat
         assert agrees_at_every_head_prime(fields.index(K), fields, head), K.defining
 
 
+def recording_admits(monkeypatch, built):
+    """Record (field, witnesses, whole rows built) for every admit call."""
+    real = cubicfield.SplitTypeMatrix.admit
+    admits = []
+
+    def admit(self, K, row):
+        before = len(built)
+        witnesses = real(self, K, row)
+        admits.append((K, witnesses, built[before:]))
+        return witnesses
+
+    monkeypatch.setattr(cubicfield.SplitTypeMatrix, "admit", admit)
+    return admits
+
+
 def test_scan_fold_makes_no_pairwise_calls_and_extends_rows_lazily(monkeypatch):
+    """A head row per field, and a whole row only for a field that agrees
+    with an accepted one at every head prime and is no scaling of it: at
+    height 8 every such tie is a scaling, so no whole row is built."""
     built = recording_rows(monkeypatch)
     result = scan_family(derive_family(1, 1), 8)
     monkeypatch.undo()
     head = primes_up_to(97)
     heads = [K for K, n in built if n == len(head)]
-    whole = [K for K, n in built if n > len(head)]
     # one head row per fiber that reaches the fold: every certificate of a first s
     assert len(heads) == result.fibers_tested - 18
-    assert len(whole) == len(set(whole)) >= 2
-    # no row is built per pair: a head row per field, and a whole row for a few
-    assert len(built) == len(heads) + len(whole)
-    for K in whole:
-        assert agrees_at_every_head_prime(heads.index(K), heads, head), K.defining
+    assert len(built) == len(heads)
+    assert result.skipped_presumed_equal - 18 == 3  # three ties besides the repeats
+
+
+def test_scaling_ties_are_proven_without_whole_rows(monkeypatch):
+    """At height 20, (1, 1), each of the 18 fields the fold rejects is a
+    scaling of an accepted field's cubic, and none builds a whole row; the
+    whole rows built tell fields apart past 97.  At height 30 the one tie
+    that is no scaling, s = 27/5 against the fiber of s = -7/4 and -4/21,
+    compares whole rows."""
+    curve = derive_family(1, 1)
+    for height, unscaled in ((20, []), (30, [Fraction(27, 5)])):
+        built = recording_rows(monkeypatch)
+        admits = recording_admits(monkeypatch, built)
+        scan_family(curve, height)
+        monkeypatch.undo()
+        rejected = [(K, rows) for K, witnesses, rows in admits if witnesses is None]
+        assert len(rejected) == {20: 18, 30: 33}[height]
+        assert [K for K, rows in rejected if rows] == [
+            galois_class(fiber_at_s(curve, s).fiber) for s in unscaled
+        ]
+        assert all(max(witnesses) > 97 for _, witnesses, rows in admits if rows and witnesses)
+
+
+def test_a_scaled_cubic_has_no_witness_and_is_rejected_without_a_whole_row(monkeypatch):
+    """g = lambda^3 f(x/lambda) has the root lambda*theta in Q[theta]/(f): the
+    whole rows of f and g show no witness at any prime <= 1000, and the fold
+    rejects g without building either."""
+    rng = random.Random(77)
+    primes = primes_up_to(1000)
+    checked = 0
+    while checked < 12:
+        curve = random_params(rng)
+        try:
+            fd = fiber_at_s(curve, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            f = galois_class(fd.fiber)
+        except (DegenerateFiberError, InvalidInputError):
+            continue
+        lam = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+        q, p = fd.fiber.coeffs[:2]
+        g = galois_class(UniPoly((lam**3 * q, lam**2 * p, 0, 1)))
+        assert cubicfield._scales_to(f.defining, g.defining)
+        assert cubicfield._first_difference(
+            cubicfield._split_codes(f, primes), cubicfield._split_codes(g, primes)
+        ) is None
+        matrix = cubicfield.SplitTypeMatrix()
+        assert matrix.admit(f, head_row(f)) == ()
+        row = head_row(g)
+        built = recording_rows(monkeypatch)
+        assert matrix.admit(g, row) is None
+        monkeypatch.undo()
+        assert built == []
+        checked += 1
 
 
 def test_repeated_fibers_are_evaluated_once_with_the_parents_counts(monkeypatch):
@@ -1137,22 +1230,92 @@ def test_a_workers_error_is_raised_at_its_fiber(monkeypatch, at):
         assert_no_child_is_left()
 
 
-def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime():
+def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime(monkeypatch):
+    """|E(F_p)| is counted once per prime the scan uses, for the torsion bound
+    or the walk, and read from the cache for every other fiber."""
     params = derive_family(1, 1)
+    used = set()
+    real_bound, real_reduce = torsion_bound, reduce_point_mod_p
+
+    def bound(*args):
+        out = real_bound(*args)
+        used.update(out[1])
+        return out
+
+    def reduce(P, p):
+        out = real_reduce(P, p)
+        if out is not None:
+            used.add(p)
+        return out
+
+    monkeypatch.setattr(family, "torsion_bound", bound)
+    monkeypatch.setattr(ellcurve, "reduce_point_mod_p", reduce)
     count_points_mod_p.cache_clear()
     scan_family(params, 4)
+    monkeypatch.undo()
     info = count_points_mod_p.cache_info()
-    assert info.misses <= 12 < info.hits
+    assert info.misses == len(used) < info.hits
     # the cached invariants give the constants that ModPoly's reduction mod p gives
-    degrees = set()
     for s in enumerate_s_by_height(3):
         P = fiber_point(params, s)
         for p in primes_up_to(31):
             reduced = reduce_point_mod_p(P, p)
             if reduced is not None:
-                d = reduced[0].field.degree
-                degrees.add(d)
                 bars = (ModPoly.from_unipoly(UniPoly.constant(c), p).evaluate(0)
                         for c in params.a_invariants)
-                assert reduced[0].a == tuple(b if d == 1 else (b,) + (0,) * (d - 1) for b in bars)
-    assert degrees == {1, 3}
+                assert reduced[0].a == tuple(bars)
+
+
+def test_is_good_prime_is_cached_per_curve_and_prime():
+    params = derive_family(1, 1)
+    is_good_prime.cache_clear()
+    scan_family(params, 4)
+    info = is_good_prime.cache_info()
+    assert info.misses < info.hits
+
+
+def test_a_planted_torsion_point_is_still_torsion(monkeypatch):
+    """The walk runs only at split primes from the Hasse start, and the
+    verdict is the same: the rational 3-torsion point over each fiber's
+    field gives "torsion", and its sum with the fiber point does not."""
+    curve = derive_family(1, 1)
+    T = three_torsion(curve)
+    checked = 0
+    for s in enumerate_s_by_height(3):
+        fd = fiber_at_s(curve, s)
+        m = fd.fiber
+        planted = FieldPoint.affine(curve, m, *(QuotientElem.constant(c, m) for c in rationals(T)))
+        bound, _ = fiber_torsion_bound(curve, fd)
+        assert nontorsion_certificate(planted, bound, split_primes(fd)) is False
+        P = point_from_fiber_data(curve, fd) + planted
+        assert nontorsion_certificate(P, bound, split_primes(fd)) is True
+        checked += 1
+    monkeypatch.setattr(family, "point_from_fiber_data", lambda curve, fd: FieldPoint.affine(
+        curve, fd.fiber, *(QuotientElem.constant(c, fd.fiber) for c in rationals(T))))
+    assert evaluate_fiber(curve, [Fraction(1), Fraction(1, 3)]) == "torsion"
+    assert checked == len(enumerate_s_by_height(3))
+
+
+def test_a_bound_past_the_head_walks_at_split_primes_the_kernel_finds(monkeypatch):
+    """At bound 100 the Hasse start p + 1 - 2*sqrt(p) > 100 is p = 127, past
+    the head primes, so the fiber's root counts mod p decide where it splits,
+    and the walk runs only there."""
+    curve = derive_family(1, 1)
+    fd = fiber_at_s(curve, 1)
+    walked, counted = [], []
+    real_reduce, real_counts = reduce_point_mod_p, family._root_counts
+
+    def reduce(P, p):
+        walked.append(p)
+        return real_reduce(P, p)
+
+    def counts(f, primes):
+        counted.extend(primes)
+        return real_counts(f, primes)
+
+    monkeypatch.setattr(ellcurve, "reduce_point_mod_p", reduce)
+    monkeypatch.setattr(family, "_root_counts", counts)
+    assert nontorsion_certificate(point_from_fiber_data(curve, fd), 100, split_primes(fd)) is True
+    assert walked and walked[0] == min(p for p in walked) >= 127
+    assert all(roots_mod_p(fd.fiber, p) == 3 for p in walked)
+    assert min(counted) == 101 and set(walked) <= set(counted)

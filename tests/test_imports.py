@@ -76,8 +76,8 @@ def loaded_modules(argv):
 # argv, the module it runs, and the modules it must not load; only a scan
 # loads the scan document's writer and the residue fields, none loads numpy
 # or dataclasses, the series check multiplies int lists and no polynomials,
-# and the degree planner needs neither quotient rings nor F_p polynomials nor
-# dense ones
+# the degree planner needs neither quotient rings nor F_p polynomials nor
+# dense ones, and no subcommand loads the F_p polynomials
 SUBCOMMANDS = {
     "import-only": ([], "cli",
                     {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy",
@@ -96,8 +96,8 @@ SUBCOMMANDS = {
                       {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
                        "numpy", *POLYNOMIALS, *STARTUP}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
-                    {"coverings", "newton", "qseries", "exact.bipoly", "pickle", "numpy", *POOL,
-                     *STARTUP}),
+                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.modpoly", "pickle",
+                     "numpy", *POOL, *STARTUP}),
 }
 
 

@@ -5,9 +5,8 @@ triples) are checked against count_distinct_roots, which counts roots with
 ModPoly's generic gcd(x^p - x, f), both on integral cubics and, at the good
 primes, prime by prime on the reduction of rational ones.  The bitmask
 split-type rows and their first difference are checked against per-prime
-root counts and a naive scan, the F_{p^3} arithmetic of
-finitefield.CubicExtension on int triples against ModPoly's product-and-divmod
-and xgcd, and ModPoly.pow_mod against repeated multiplication.
+root counts and a naive scan, and ModPoly.pow_mod against repeated
+multiplication.
 """
 
 import inspect
@@ -38,7 +37,6 @@ from ntcert.exact import (
     primes_up_to,
     reduce_mod_p,
 )
-from ntcert.exact.finitefield import CubicExtension
 
 
 def shanks_cubic(t: int) -> UniPoly:
@@ -200,46 +198,6 @@ def test_split_codes_match_per_prime_split_types(bound):
             assert _split_codes(K, primes) == row_of(expected), f
 
 
-def irreducible_cubic(rng: random.Random, p: int) -> ModPoly:
-    while True:
-        m = ModPoly([rng.randrange(p) for _ in range(3)] + [1], p)
-        if all(m.evaluate(r) for r in range(p)):
-            return m
-
-
-def element(F: CubicExtension, f: ModPoly) -> tuple[int, ...]:
-    """The int tuple of F that f reduces to."""
-    cs = (f % ModPoly(F.m, F.p)).coeffs
-    return cs + F.zero[len(cs):]
-
-
-def test_fq3_multiply_and_inverse_match_modpoly():
-    rng = random.Random(2024)
-    primes = [5, 7, 11, 13, 101, 997] + rng.sample(primes_up_to(997)[3:], 10)
-    for p in primes:
-        m = irreducible_cubic(rng, p)
-        F = CubicExtension(p, m.coeffs)
-        assert F.one == element(F, ModPoly((1,), p))
-        for _ in range(15):
-            a, b = (element(F, ModPoly([rng.randrange(p) for _ in range(3)], p))
-                    for _ in range(2))
-            assert F._mul(a, b) == element(F, ModPoly(a, p) * ModPoly(b, p))
-            if a == F.zero:
-                continue
-            _, u, _ = ModPoly(a, p).xgcd(m)
-            inv = F._inv(a)
-            assert inv == element(F, u)
-            assert F._mul(a, inv) == F.one
-        with pytest.raises(ZeroDivisionError):
-            F._inv(F.zero)
-
-
-def test_fq3_inverse_rejects_a_reducible_modulus():
-    F = CubicExtension(7, (0, 0, 0, 1))  # x^3: x has no inverse
-    with pytest.raises(InvalidInputError, match="non-invertible element"):
-        F._inv((0, 1, 0))
-
-
 @pytest.mark.parametrize("p", [2, 5, 13])
 def test_pow_mod_matches_repeated_multiplication_for_any_modulus(p):
     rng = random.Random(p)
@@ -272,18 +230,3 @@ def test_divisors_match_trial_division():
         assert divisors(n) == divisors(-n) == expected
     with pytest.raises(ValueError):
         divisors(0)
-
-
-@pytest.mark.parametrize("degree", [3])
-def test_fq_add_and_sub_match_modpoly(degree):
-    rng = random.Random(3000 + degree)
-    for p in (5, 7, 13, 101, 997):
-        m = ModPoly([rng.randrange(p) for _ in range(degree)] + [1], p)
-        F = CubicExtension(p, m.coeffs)
-        for _ in range(20):
-            a, b = (element(F, ModPoly([rng.randrange(p) for _ in range(degree)], p))
-                    for _ in range(2))
-            A, B = ModPoly(a, p), ModPoly(b, p)
-            assert F._add(a, b) == element(F, A + B)
-            assert F._sub(a, b) == element(F, A - B)
-            assert len(F._sub(a, b)) == degree and F._add(F._sub(a, b), b) == a

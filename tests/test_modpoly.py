@@ -34,8 +34,7 @@ def test_irreducible_examples():
 
 
 def test_irreducible_agrees_with_exhaustive_search():
-    """Below degree 4, having no root in F_p is irreducibility: the test that
-    ellcurve.reduce_point_mod_p applies to a cubic modulus."""
+    """Below degree 4, having no root in F_p is irreducibility."""
     for p in (2, 3, 5):
         for deg in range(1, 4):
             for lead in range(1, p):
