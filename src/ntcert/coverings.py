@@ -206,7 +206,7 @@ def triangle_nonsingular(m: int) -> bool:
 
 def _sparse_gcd_degree(h1: dict[int, Fraction], h2: dict[int, Fraction]) -> int:
     """deg gcd(h1, h2) over Q, for nonzero {exponent: coefficient}
-    polynomials in Y: the exact Euclid of DensePoly.gcd on the deflated
+    polynomials in Y: the exact Euclid of UniPoly.gcd on the deflated
     A1, A2 of triangle_nonsingular's docstring."""
     from .exact import UniPoly
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -197,6 +198,20 @@ def _scales_to(f: UniPoly, g: UniPoly) -> bool:
 def head_row(K: CubicField) -> tuple[int, int]:
     """K's row at the head primes, as SplitTypeMatrix.admit takes it."""
     return _split_codes(K, primes_up_to(_FIRST_STAGE))
+
+
+@lru_cache(maxsize=None)
+def _head_columns(stage: int) -> dict[int, int]:
+    return {p: i for i, p in enumerate(primes_up_to(stage))}
+
+
+def _root_count(f: UniPoly, row: tuple[int, int], p: int) -> int | None:
+    """The roots mod p of the monic cubic f with head row row: from the row at
+    a head prime (3 split, 0 inert, None ramified or bad), else _root_counts'."""
+    if p > _FIRST_STAGE:
+        return _root_counts(f, (p,))[0]
+    i = _head_columns(_FIRST_STAGE)[p]
+    return 3 if row[0] >> i & 1 else 0 if row[1] >> i & 1 else None
 
 
 class SplitTypeMatrix:

@@ -8,7 +8,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "bipoly": ("BiPoly",),
-    "modpoly": ("ModPoly", "count_distinct_roots", "reduce_mod_p"),
+    "modpoly": ("count_distinct_roots",),
     "primes": ("divisors", "is_prime", "iter_primes", "primes_up_to"),
     "quotient": ("QuotientElem", "irreducible_over_q"),
     "rationals": ("format_rational", "parse_rational", "rational_is_square"),

@@ -146,12 +146,12 @@ class QuotientField:
     """Q[x]/(modulus) as an operation object over QuotientElem, with the
     operations of finitefield's residue fields, for ellcurve's one law."""
 
-    __slots__ = ("modulus", "degree", "zero")
+    __slots__ = ("modulus", "zero")
     _add, _sub, _mul = operator.add, operator.sub, operator.mul
     _inv = operator.methodcaller("inverse")
 
     def __init__(self, modulus: UniPoly):
-        self.modulus, self.degree = modulus, modulus.degree
+        self.modulus = modulus
         self.zero = self._constant(0)
 
     def __eq__(self, other: object) -> bool:

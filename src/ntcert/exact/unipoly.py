@@ -1,20 +1,18 @@
-"""Dense univariate polynomials over a field: one core for Q[x] and F_p[x].
+"""Dense univariate polynomials over Q: UniPoly, the one dense polynomial class.
 
-A polynomial is a tuple of field elements, lowest degree first:
+A polynomial is a tuple of exact rationals, lowest degree first:
 c0 + c1*x + ... + cn*x^n  <->  (c0, c1, ..., cn) with cn != 0.
 The zero polynomial is the empty tuple and has degree -1 (sentinel).
 
-DensePoly holds the ring arithmetic, the one Euclidean division loop
-(Cohen, GTM 138, §3.1), monic form, gcd and extended gcd.  UniPoly
-is its instance over exact rationals; ModPoly (in modpoly.py) is its
-instance over F_p, and this module does not depend on modpoly: its root
-screen mod small primes evaluates by _horner, the one integer Horner's
-rule, which exact.ellcurve shares.  Degrees stay small (<= ~60 after
-substitutions, ~10^4 for the triangle-curve binomials), so the dense
-representation and schoolbook arithmetic are the right trade-off.  The rational resultant is
-computed by the subresultant pseudo-remainder sequence over cleared
-integer coefficients, which keeps every intermediate value exact and
-auditable.
+UniPoly holds the ring arithmetic, the one Euclidean division loop
+(Cohen, GTM 138, §3.1), monic form, gcd and extended gcd.  Work mod p runs
+on ints: the rational-root screen mod small primes evaluates by _horner,
+the one integer Horner's rule, which exact.ellcurve shares.  Degrees stay
+small (<= ~60 after substitutions; the triangle curve's gcds are deflated
+to degree 1 first), so dense schoolbook arithmetic is the right trade-off.
+The rational resultant is computed by the subresultant pseudo-remainder
+sequence over cleared integer coefficients, which keeps every
+intermediate value exact and auditable.
 """
 
 from __future__ import annotations
@@ -28,144 +26,8 @@ from .power import _power
 from .primes import divisors
 
 
-class DensePoly:
-    """Arithmetic, division, gcd and evaluation for a dense polynomial over a field.
-
-    A subclass constructor puts coefficients into its field and trims
-    leading zeros; it supplies ``_new(coeffs)`` (a polynomial of its own ring
-    built through that constructor), ``_operand(other)`` (the other operand
-    in its ring, or NotImplemented), ``_reduce(c)`` (a coefficient into
-    canonical form) and ``_lead_inverse()``.  Sums and products are left for
-    ``_new`` to reduce.
-    """
-
+class UniPoly:
     __slots__ = ("coeffs",)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return self._new(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self._new(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return self._new(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        """(q, r) with self = q*other + r and deg r < deg other.
-
-        Walks the quotient's degrees from the top; a zero quotient
-        coefficient and the divisor's zero coefficients cost nothing.  The
-        divisor's leading term is never subtracted: the remainder keeps only
-        the coefficients below it.
-        """
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        reduce, inv = self._reduce, other._lead_inverse()
-        db = other.degree
-        terms = [(i, c) for i, c in enumerate(other.coeffs[:db]) if c]
-        r = list(self.coeffs)
-        q = [0] * max(len(r) - db, 0)
-        for k in range(len(q) - 1, -1, -1):
-            f = reduce(r[k + db] * inv)
-            if f:
-                q[k] = f
-                for i, c in terms:
-                    r[i + k] -= f * c
-        return self._new(q), self._new(r[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def evaluate(self, x):
-        """Horner's rule; the value lies in the coefficient field."""
-        reduce, acc = self._reduce, 0
-        for c in reversed(self.coeffs):
-            acc = reduce(acc * x + c)
-        return acc
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        return self * self._new((self._lead_inverse(),))
-
-    def gcd(self, other):
-        """Monic gcd (monic zero convention: gcd(0,0) = 0)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def xgcd(self, other):
-        """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
-        r0, r1 = self, other
-        u0, u1 = self._new((1,)), self._new(())
-        v0, v1 = u1, u0
-        while not r1.is_zero:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, u0 - q * u1
-            v0, v1 = v1, v0 - q * v1
-        if r0.is_zero:
-            return r0, u0, v0
-        scale = r0._new((r0._lead_inverse(),))
-        return r0 * scale, u0 * scale, v0 * scale
-
-
-class UniPoly(DensePoly):
-    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [Fraction(c) for c in coeffs]
@@ -197,24 +59,26 @@ class UniPoly(DensePoly):
             raise InvalidInputError("monomial exponent must be nonnegative")
         return cls((0,) * k + (c,))
 
-    def _new(self, coeffs) -> "UniPoly":
-        return UniPoly(coeffs)
-
-    def _operand(self, other) -> "UniPoly":
+    @staticmethod
+    def _operand(other) -> "UniPoly":  # ints and Fractions are constants
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
             return UniPoly.constant(other)
         return NotImplemented
 
-    @staticmethod
-    def _reduce(c: Fraction) -> Fraction:
-        return c
-
-    def _lead_inverse(self) -> Fraction:
-        return 1 / self.leading
-
     # -- structure ---------------------------------------------------------
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     @property
     def leading(self) -> Fraction:
@@ -232,11 +96,8 @@ class UniPoly(DensePoly):
         return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly.constant(other)
-        return NotImplemented
+        other = self._operand(other)
+        return NotImplemented if other is NotImplemented else self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -268,10 +129,121 @@ class UniPoly(DensePoly):
 
     # -- ring operations ---------------------------------------------------
 
+    def __add__(self, other) -> "UniPoly":
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return UniPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other) -> "UniPoly":
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "UniPoly":
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other) -> "UniPoly":
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return UniPoly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return UniPoly(out)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other) -> tuple["UniPoly", "UniPoly"]:
+        """(q, r) with self = q*other + r and deg r < deg other.
+
+        Walks the quotient's degrees from the top; a zero quotient
+        coefficient and the divisor's zero coefficients cost nothing.  The
+        divisor's leading term is never subtracted: the remainder keeps only
+        the coefficients below it.
+        """
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        inv = 1 / other.leading
+        db = other.degree
+        terms = [(i, c) for i, c in enumerate(other.coeffs[:db]) if c]
+        r = list(self.coeffs)
+        q = [0] * max(len(r) - db, 0)
+        for k in range(len(q) - 1, -1, -1):
+            f = r[k + db] * inv
+            if f:
+                q[k] = f
+                for i, c in terms:
+                    r[i + k] -= f * c
+        return UniPoly(q), UniPoly(r[:db])
+
+    def __floordiv__(self, other) -> "UniPoly":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other) -> "UniPoly":
+        return divmod(self, other)[1]
+
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise InvalidInputError("negative polynomial power")
         return _power(self, k, UniPoly.one())
+
+    def evaluate(self, x):
+        """Horner's rule."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def monic(self) -> "UniPoly":
+        if self.is_zero:
+            return self
+        return self * UniPoly.constant(1 / self.leading)
+
+    def gcd(self, other: "UniPoly") -> "UniPoly":
+        """Monic gcd (monic zero convention: gcd(0,0) = 0)."""
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
+
+    def xgcd(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly", "UniPoly"]:
+        """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
+        r0, r1 = self, other
+        u0, u1 = UniPoly.one(), UniPoly.zero()
+        v0, v1 = u1, u0
+        while not r1.is_zero:
+            q, r = divmod(r0, r1)
+            r0, r1 = r1, r
+            u0, u1 = u1, u0 - q * u1
+            v0, v1 = v1, v0 - q * v1
+        if r0.is_zero:
+            return r0, u0, v0
+        scale = UniPoly.constant(1 / r0.leading)
+        return r0 * scale, u0 * scale, v0 * scale
 
     # -- composition / calculus ---------------------------------------------
 

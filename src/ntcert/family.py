@@ -45,7 +45,7 @@ from .cubicfield import (
     GaloisClass,
     SplitTypeMatrix,
     _bad_part,
-    _root_counts,
+    _root_count,
     galois_class,  # not called here; perfbench's tests expect it bound in family
 )
 from .errors import (
@@ -54,7 +54,7 @@ from .errors import (
     SingularCurveError,
     VerificationError,
 )
-from .exact import QuotientElem, UniPoly, format_rational, iter_primes, primes_up_to
+from .exact import QuotientElem, UniPoly, format_rational, iter_primes
 from .exact.ellcurve import (
     FieldPoint, WeierstrassCurve, _group_order, is_good_prime, nontorsion_certificate,
 )
@@ -190,12 +190,9 @@ def torsion_bound(
     the bound is large: a gcd over more good primes still bounds the torsion,
     and a smaller bound keeps the non-torsion walk short.  The ramified primes
     come from the discriminant that fiber_at_s proved.  d_p is 3 where the
-    fiber is inert and 1 where it splits: read from row, the fiber's head
-    row, up to 97, and from its root count mod p past that.
+    fiber is inert and 1 where it splits, as _root_count reads it from row.
     """
-    fiber = fd.fiber
-    head = primes_up_to(cubicfield._FIRST_STAGE)
-    bad = _bad_part(fiber, fd.disc)
+    bad = _bad_part(fd.fiber, fd.disc)
     if isinstance(primes, int):
         if primes < 2:
             raise InvalidInputError("at least two torsion primes are required")
@@ -215,8 +212,7 @@ def torsion_bound(
     bound = 0
     for p in candidates:
         used.append(p)
-        inert = row[1] >> head.index(p) & 1 if p <= head[-1] else _root_counts(fiber, (p,)) == [0]
-        residue_degree = 3 if inert else 1
+        residue_degree = 3 if _root_count(fd.fiber, row, p) == 0 else 1
         bound = _int_gcd(bound, _group_order(curve, p, residue_degree))
         if len(used) >= count and (
             bound <= _TORSION_BOUND_TARGET or len(used) >= _MAX_TORSION_PRIMES
@@ -277,11 +273,9 @@ class ScanResult:
 
 
 def _split_primes(fd: FiberData, row: tuple[int, int]) -> Iterator[int]:
-    """The primes where the fiber splits completely, ascending: read from its
-    head row up to 97, and decided by its root count mod p past that."""
-    head = primes_up_to(cubicfield._FIRST_STAGE)
-    yield from (p for i, p in enumerate(head) if row[0] >> i & 1)
-    yield from (p for p in iter_primes(head[-1] + 1) if _root_counts(fd.fiber, (p,)) == [3])
+    """The primes where the fiber splits completely, ascending, as
+    _root_count reads them from its head row and past it."""
+    return (p for p in iter_primes() if _root_count(fd.fiber, row, p) == 3)
 
 
 def enumerate_s_by_height(height_max: int) -> list[Fraction]:

@@ -11,9 +11,7 @@ from ntcert.errors import (
     InvalidInputError,
     VerificationError,
 )
-from ntcert.exact import (
-    ModPoly, QuotientElem, UniPoly, count_distinct_roots, iter_primes, primes_up_to,
-)
+from ntcert.exact import QuotientElem, UniPoly, count_distinct_roots, iter_primes, primes_up_to
 from ntcert.exact import ellcurve
 from ntcert.exact.finitefield import PrimeField
 from ntcert.exact.primes import factorize
@@ -396,10 +394,14 @@ def fp_coords(point):
     return None if point.is_infinity else (point.x, point.y)
 
 
+def residue(c: Fraction, p: int) -> int:
+    """The residue mod p of a p-integral rational."""
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
 def roots_mod_p(f: UniPoly, p: int) -> int:
     """The roots in F_p of a p-integral f, by evaluation at every residue."""
-    cs = [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
-    return sum(sum(c * r**i for i, c in enumerate(cs)) % p == 0 for r in range(p))
+    return count_distinct_roots(f.coeffs, p)
 
 
 def test_reduction_commutes_with_the_group_law_over_fp():
@@ -503,22 +505,22 @@ def test_trace_recursion_against_brute_force_extension_count():
     a_p = p + 1 - count_points_mod_p(curve, p)
     predicted = p**3 + 1 - trace_over_extension(a_p, p, 3)
 
-    mod = ModPoly((1, 1, 0, 1), p)  # x^3 + x + 1, rootless hence irreducible mod 5
-    assert count_distinct_roots(mod) == 0
-    elements = [
-        ModPoly((c0, c1, c2), p) for c0 in range(p) for c1 in range(p) for c2 in range(p)
-    ]
-    consts = [
-        ModPoly((c.numerator * pow(c.denominator, -1, p) % p,), p)
-        for c in curve.a_invariants
-    ]
-    a1, a2, a3, a4, a6 = consts
+    mod = UniPoly((1, 1, 0, 1))  # x^3 + x + 1, rootless hence irreducible mod 5
+    assert count_distinct_roots(mod.coeffs, p) == 0
+
+    def reduced(f: UniPoly) -> tuple:
+        """f in F_5[x]/(x^3 + x + 1) as a residue triple: mod is monic and f
+        integral, so the remainder over Q, reduced mod 5, is the one over F_5."""
+        r = f % mod
+        return tuple(r.coefficient(i) % p for i in range(3))
+
+    elements = [UniPoly((c0, c1, c2)) for c0 in range(p) for c1 in range(p) for c2 in range(p)]
+    a1, a2, a3, a4, a6 = (residue(c, p) for c in curve.a_invariants)
     count = 1  # infinity
     for x in elements:
-        rhs = ((x + a2) * x + a4) * x + a6
-        for y in elements:
-            if ((y + a1 * x + a3) * y) % mod == rhs % mod:
-                count += 1
+        rhs = reduced(((x + a2) * x + a4) * x + a6)
+        a = a1 * x + a3
+        count += sum(reduced((y + a) * y) == rhs for y in elements)
     assert count == predicted
 
 
@@ -1255,15 +1257,13 @@ def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime(monk
     monkeypatch.undo()
     info = count_points_mod_p.cache_info()
     assert info.misses == len(used) < info.hits
-    # the cached invariants give the constants that ModPoly's reduction mod p gives
+    # the cached invariants are the residues of the curve's a-invariants
     for s in enumerate_s_by_height(3):
         P = fiber_point(params, s)
         for p in primes_up_to(31):
             reduced = reduce_point_mod_p(P, p)
             if reduced is not None:
-                bars = (ModPoly.from_unipoly(UniPoly.constant(c), p).evaluate(0)
-                        for c in params.a_invariants)
-                assert reduced[0].a == tuple(bars)
+                assert reduced[0].a == tuple(residue(c, p) for c in params.a_invariants)
 
 
 def test_is_good_prime_is_cached_per_curve_and_prime():
@@ -1303,7 +1303,8 @@ def test_a_bound_past_the_head_walks_at_split_primes_the_kernel_finds(monkeypatc
     curve = derive_family(1, 1)
     fd = fiber_at_s(curve, 1)
     walked, counted = [], []
-    real_reduce, real_counts = reduce_point_mod_p, family._root_counts
+    real_reduce, real_counts = reduce_point_mod_p, cubicfield._root_counts
+    candidates = split_primes(fd)  # its head row is built here, before the count is patched
 
     def reduce(P, p):
         walked.append(p)
@@ -1314,8 +1315,8 @@ def test_a_bound_past_the_head_walks_at_split_primes_the_kernel_finds(monkeypatc
         return real_counts(f, primes)
 
     monkeypatch.setattr(ellcurve, "reduce_point_mod_p", reduce)
-    monkeypatch.setattr(family, "_root_counts", counts)
-    assert nontorsion_certificate(point_from_fiber_data(curve, fd), 100, split_primes(fd)) is True
+    monkeypatch.setattr(cubicfield, "_root_counts", counts)
+    assert nontorsion_certificate(point_from_fiber_data(curve, fd), 100, candidates) is True
     assert walked and walked[0] == min(p for p in walked) >= 127
     assert all(roots_mod_p(fd.fiber, p) == 3 for p in walked)
     assert min(counted) == 101 and set(walked) <= set(counted)

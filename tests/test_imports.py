@@ -16,7 +16,7 @@ import ntcert.exact
 NTCERT_NAMES = {"cubicfield": ["galois_class"]}
 EXACT_NAMES = {
     "bipoly": ["BiPoly"],
-    "modpoly": ["ModPoly", "count_distinct_roots", "reduce_mod_p"],
+    "modpoly": ["count_distinct_roots"],
     "primes": ["divisors", "is_prime", "iter_primes", "primes_up_to"],
     "quotient": ["QuotientElem", "irreducible_over_q"],
     "rationals": ["format_rational", "parse_rational", "rational_is_square"],
@@ -76,12 +76,12 @@ def loaded_modules(argv):
 # argv, the module it runs, and the modules it must not load; only a scan
 # loads the scan document's writer and the residue fields, none loads numpy
 # or dataclasses, the series check multiplies int lists and no polynomials,
-# the degree planner needs neither quotient rings nor F_p polynomials nor
-# dense ones, and no subcommand loads the F_p polynomials
+# the degree planner needs neither quotient rings nor dense polynomials, and
+# no subcommand loads exact.modpoly, the tests' root-count oracle
 SUBCOMMANDS = {
     "import-only": ([], "cli",
                     {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy",
-                     *POLYNOMIALS, *STARTUP}),
+                     "exact.modpoly", *POLYNOMIALS, *STARTUP}),
     "modular-verify": (["modular-verify", "--order", "12"], "qseries",
                        {"family", "cubicfield", "coverings", "exact.ellcurve", "exact.finitefield",
                         "exact.modpoly", "scandoc", "numpy", *POLYNOMIALS, *STARTUP}),
@@ -93,8 +93,8 @@ SUBCOMMANDS = {
                         {"family", "qseries", "exact.ellcurve", "exact.finitefield",
                          "exact.modpoly", "scandoc", "numpy", *STARTUP}),
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
-                      {"family", "qseries", "exact.ellcurve", "exact.finitefield", "scandoc",
-                       "numpy", *POLYNOMIALS, *STARTUP}),
+                      {"family", "qseries", "exact.ellcurve", "exact.finitefield",
+                       "exact.modpoly", "scandoc", "numpy", *POLYNOMIALS, *STARTUP}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
                     {"coverings", "newton", "qseries", "exact.bipoly", "exact.modpoly", "pickle",
                      "numpy", *POOL, *STARTUP}),
@@ -150,5 +150,6 @@ def test_the_package_import_graph_has_no_cycle():
             package = ".".join(parts[:-1])
         graph[".".join(parts)] = relative_imports(path, package)
     assert {"ntcert.family", "ntcert.exact.unipoly", "ntcert.exact.modpoly"} <= set(graph)
-    assert "ntcert.exact.unipoly" in graph["ntcert.exact.modpoly"]
+    # the tests' root-count oracle: the package's own modules never import it
+    assert not [m for m, targets in graph.items() if "ntcert.exact.modpoly" in targets]
     TopologicalSorter(graph).prepare()  # raises CycleError, naming a cycle

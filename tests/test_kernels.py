@@ -1,12 +1,11 @@
-"""The fast F_p kernels against the generic code they replace.
+"""The fast F_p kernels against oracles that share none of their code.
 
 The pure-Python cubic root counts (square-and-multiply on coefficient
-triples) are checked against count_distinct_roots, which counts roots with
-ModPoly's generic gcd(x^p - x, f), both on integral cubics and, at the good
-primes, prime by prime on the reduction of rational ones.  The bitmask
-split-type rows and their first difference are checked against per-prime
-root counts and a naive scan, and ModPoly.pow_mod against repeated
-multiplication.
+triples, then deg gcd(x^p - x, f)) are checked against
+count_distinct_roots, which evaluates f at every residue mod p, both on
+integral cubics and, at the good primes, prime by prime on rational ones.
+The bitmask split-type rows and their first difference are checked against
+per-prime root counts and a naive scan.
 """
 
 import inspect
@@ -26,16 +25,13 @@ from ntcert.cubicfield import (
     _split_codes,
     galois_class,
 )
-from ntcert.errors import InvalidInputError
 from ntcert.exact import (
-    ModPoly,
     UniPoly,
     count_distinct_roots,
     divisors,
     is_prime,
     iter_primes,
     primes_up_to,
-    reduce_mod_p,
 )
 
 
@@ -74,11 +70,10 @@ def fingerprint(f: UniPoly, bound: int) -> tuple:
 
 
 def per_prime_fingerprint(f: UniPoly, bound: int) -> tuple:
-    """The same from the generic count_distinct_roots, prime by prime, None
-    at the primes is_bad marks."""
+    """The same from count_distinct_roots, prime by prime, None at the
+    primes is_bad marks."""
     return tuple(
-        None if is_bad(f, p) else count_distinct_roots(reduce_mod_p(f, p))
-        for p in primes_up_to(bound)
+        None if is_bad(f, p) else count_distinct_roots(f.coeffs, p) for p in primes_up_to(bound)
     )
 
 
@@ -151,9 +146,7 @@ def test_cubic_root_counts_match_count_distinct_roots():
     seen = set()
     for c2, c1, c0 in monic_cubics(random.Random(8)):
         counts = _cubic_root_counts(primes, c2, c1, c0)
-        expected = [
-            count_distinct_roots(ModPoly((c0 % p, c1 % p, c2 % p, 1), p)) for p in primes
-        ]
+        expected = [count_distinct_roots((c0, c1, c2, 1), p) for p in primes]
         assert counts == expected, (c2, c1, c0)
         seen.update(counts)
     assert seen == {0, 1, 2, 3}
@@ -196,21 +189,6 @@ def test_split_codes_match_per_prime_split_types(bound):
         if K.galois_class is GaloisClass.C3:
             expected = [codes[split] for split in per_prime_fingerprint(f, bound)]
             assert _split_codes(K, primes) == row_of(expected), f
-
-
-@pytest.mark.parametrize("p", [2, 5, 13])
-def test_pow_mod_matches_repeated_multiplication_for_any_modulus(p):
-    rng = random.Random(p)
-    for degree in (1, 2, 3, 4):
-        for lead in {1, p - 1}:
-            m = ModPoly([rng.randrange(p) for _ in range(degree)] + [lead], p)
-            f = ModPoly([rng.randrange(p) for _ in range(degree + 2)], p)
-            acc = ModPoly((1,), p)
-            for e in range(12):
-                assert f.pow_mod(e, m) == acc % m
-                acc = acc * f % m
-    with pytest.raises(InvalidInputError):
-        ModPoly.x(p).pow_mod(3, ModPoly((1,), p))
 
 
 def test_cached_sieve_matches_primality():

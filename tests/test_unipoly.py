@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from ntcert.errors import InvalidInputError
-from ntcert.exact import ModPoly, UniPoly, count_distinct_roots
+from ntcert.exact import UniPoly, count_distinct_roots
 from ntcert.exact.unipoly import _horner
 
 
@@ -132,7 +132,7 @@ def sympy_rational_roots(f: UniPoly) -> set[Fraction]:
 def test_rational_roots_screen_matches_sympy_and_the_modpoly_root_count():
     """rational_roots screens the cleared integer polynomial at each prime
     r <= 29 not dividing its leading coefficient, rootless when no value at
-    0, ..., r - 1 is 0 mod r: that is count_distinct_roots(ModPoly) == 0, and
+    0, ..., r - 1 is 0 mod r: that is count_distinct_roots == 0, and
     the roots it returns are sympy's, for polynomials with and without
     rational roots."""
     rng = random.Random(17)
@@ -154,7 +154,7 @@ def test_rational_roots_screen_matches_sympy_and_the_modpoly_root_count():
             if ints[-1] % r == 0:
                 continue
             rootless = all(_horner(ints, x) % r for x in range(r))
-            assert rootless == (count_distinct_roots(ModPoly(ints, r)) == 0), (f, r)
+            assert rootless == (count_distinct_roots(ints, r) == 0), (f, r)
             screened = screened or rootless
         if not expected:
             seen["screened" if screened else "enumerated"] += 1
@@ -189,6 +189,16 @@ def test_divmod_and_gcd():
             divmod(f, bad)
         with pytest.raises(TypeError):
             f % bad
+    for zero in (UniPoly.zero(), UniPoly((0, 0)), 0):
+        with pytest.raises(ZeroDivisionError):
+            divmod(f, zero)
+        with pytest.raises(ZeroDivisionError):
+            f % zero
+
+
+def test_only_the_zero_polynomial_is_falsy():
+    assert not UniPoly(()) and not UniPoly((0, Fraction(0)))
+    assert UniPoly((Fraction(1, 3),)) and UniPoly((0, 1))
 
 
 def test_xgcd_bezout_identity():

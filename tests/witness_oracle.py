@@ -1,19 +1,19 @@
 """An oracle for distinctness witnesses that shares no search with the scan.
 
-It walks the primes one at a time and counts roots with the generic
-count_distinct_roots(reduce_mod_p(f, p)), not with the split-type rows and
-the cubic root-count kernel of cubicfield.
+It walks the primes one at a time and counts roots with
+count_distinct_roots(f.coeffs, p), which evaluates f at every residue, not
+with the split-type rows and the cubic root-count kernel of cubicfield.
 """
 
 from functools import lru_cache
 
 from ntcert.cubicfield import _bad_part
-from ntcert.exact import count_distinct_roots, primes_up_to, reduce_mod_p
+from ntcert.exact import count_distinct_roots, primes_up_to
 
 
 @lru_cache(maxsize=None)
 def _roots(f, p):
-    return count_distinct_roots(reduce_mod_p(f, p))
+    return count_distinct_roots(f.coeffs, p)
 
 
 def first_witness(K1, K2, bound):
