@@ -14,7 +14,10 @@ triples, in pure Python, prime by prime.
 _split_codes builds every split-type row: a pair of Python ints used as
 bitmasks over a list of primes, one bit set where the field splits
 completely, one where it is inert, neither where the prime is ramified or
-bad.  Two fields' first witness is the lowest set bit of
+bad.  The row code reads a monic cubic as its coefficient tuple, lowest
+degree first, with its discriminant: a scan builds no UniPoly and no
+CubicField, so it loads exact.unipoly only for a fiber that needs
+rational_roots.  Two fields' first witness is the lowest set bit of
 (S1 & I2) | (I1 & S2).  A scan builds each field's row at the primes up
 to 97, a prefix of the witness primes, where it evaluates the fiber, and
 keeps its accepted fields in one SplitTypeMatrix with those rows.  When
@@ -33,10 +36,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, VerificationError
-from .exact import UniPoly, primes_up_to, rational_is_square
+from .exact import primes_up_to, rational_is_square
+
+if TYPE_CHECKING:
+    from .exact.unipoly import UniPoly
 
 DEFAULT_WITNESS_BOUND = 1000
 
@@ -80,11 +86,11 @@ def galois_class(f: UniPoly) -> CubicField:
     return CubicField(f, disc, root, GaloisClass.C3)
 
 
-def _bad_part(f: UniPoly, disc: Fraction) -> int:
-    """An integer divisible by exactly the ramified or bad primes of f: those
-    dividing the discriminant's numerator or denominator or a coefficient's
-    denominator."""
-    return disc.numerator * disc.denominator * lcm(*(c.denominator for c in f.coeffs))
+def _bad_part(coeffs: tuple[Fraction, ...], disc: Fraction) -> int:
+    """An integer divisible by exactly the ramified or bad primes of the cubic
+    with these coefficients: those dividing the discriminant's numerator or
+    denominator or a coefficient's denominator."""
+    return disc.numerator * disc.denominator * lcm(*(c.denominator for c in coeffs))
 
 
 def _gcd_degree(a2: int, a1: int, a0: int, g2: int, g1: int, g0: int, p: int) -> int:
@@ -133,29 +139,32 @@ def _cubic_root_counts(primes: tuple[int, ...], c2: int, c1: int, c0: int) -> li
     return counts
 
 
-def _root_counts(f: UniPoly, primes: tuple[int, ...]) -> list[int]:
-    """Roots mod p of the monic cubic f, for every p in primes.
+def _root_counts(coeffs: tuple[Fraction, ...], primes: tuple[int, ...]) -> list[int]:
+    """Roots mod p of the monic cubic f with these coefficients, for every p in primes.
 
     With D the lcm of the denominators, D^3 f(y/D) is a monic integral cubic
     with as many roots as f mod every p not dividing D (and p | D is bad).
     _cubic_root_counts counts its roots at each prime.
     """
-    c0, c1, c2 = f.coeffs[:3]
+    c0, c1, c2 = coeffs[:3]
     d = lcm(c0.denominator, c1.denominator, c2.denominator)
     return _cubic_root_counts(primes, int(c2 * d), int(c1 * d**2), int(c0 * d**3))
 
 
-def _split_codes(K: CubicField, primes: tuple[int, ...]) -> tuple[int, int]:
-    """K's row at these primes: bit i of the first mask is set when K splits
-    completely at primes[i], of the second when K is inert there; neither
-    is set at a ramified or bad prime.
+def _split_codes(
+    coeffs: tuple[Fraction, ...], disc: Fraction, primes: tuple[int, ...],
+) -> tuple[int, int]:
+    """The row at these primes of the C3 field of the monic cubic with these
+    coefficients and discriminant: bit i of the first mask is set when the
+    field splits completely at primes[i], of the second when it is inert
+    there; neither is set at a ramified or bad prime.
 
     A C3 field has no other split type at an unramified prime, so any other
     root count at a good prime raises VerificationError.
     """
-    bad = _bad_part(K.defining, K.disc)
+    bad = _bad_part(coeffs, disc)
     split = inert = 0
-    for i, (p, n) in enumerate(zip(primes, _root_counts(K.defining, primes))):
+    for i, (p, n) in enumerate(zip(primes, _root_counts(coeffs, primes))):
         if not bad % p:
             continue
         if n == 3:
@@ -163,8 +172,10 @@ def _split_codes(K: CubicField, primes: tuple[int, ...]) -> tuple[int, int]:
         elif n == 0:
             inert |= 1 << i
         else:
+            from .exact.unipoly import UniPoly  # only to name the cubic
+
             raise VerificationError(
-                f"{K.defining} is linear times quadratic mod the unramified prime {p}, so not C3"
+                f"{UniPoly(coeffs)} is linear times quadratic mod the unramified prime {p}, so not C3"
             )
     return split, inert
 
@@ -183,21 +194,22 @@ def _first_difference(row1: tuple[int, int], row2: tuple[int, int]) -> int | Non
 _FIRST_STAGE = 97
 
 
-def _scales_to(f: UniPoly, g: UniPoly) -> bool:
+def _scales_to(f: tuple[Fraction, ...], g: tuple[Fraction, ...]) -> bool:
     """Whether the depressed cubic g = x^3 + P*x + Q is lambda^3 f(x/lambda)
     for f = x^3 + p*x + q: then lambda = Q*p/(q*P), and lambda^2 p = P and
     lambda^3 q = Q hold exactly.  lambda*theta is then a root of g in
     Q[theta]/(f), so both cubics define one field."""
-    (q, p, f2, _), (Q, P, g2, _) = f.coeffs, g.coeffs
+    (q, p, f2, _), (Q, P, g2, _) = f, g
     if f2 or g2 or not (q and P):
         return False
     lam = Q * p / (q * P)
     return lam * lam * p == P and lam**3 * q == Q
 
 
-def head_row(K: CubicField) -> tuple[int, int]:
-    """K's row at the head primes, as SplitTypeMatrix.admit takes it."""
-    return _split_codes(K, primes_up_to(_FIRST_STAGE))
+def head_row(coeffs: tuple[Fraction, ...], disc: Fraction) -> tuple[int, int]:
+    """The row at the head primes of the C3 field of the monic cubic with
+    these coefficients and discriminant, as SplitTypeMatrix.admit takes it."""
+    return _split_codes(coeffs, disc, primes_up_to(_FIRST_STAGE))
 
 
 @lru_cache(maxsize=None)
@@ -205,11 +217,12 @@ def _head_columns(stage: int) -> dict[int, int]:
     return {p: i for i, p in enumerate(primes_up_to(stage))}
 
 
-def _root_count(f: UniPoly, row: tuple[int, int], p: int) -> int | None:
-    """The roots mod p of the monic cubic f with head row row: from the row at
-    a head prime (3 split, 0 inert, None ramified or bad), else _root_counts'."""
+def _root_count(coeffs: tuple[Fraction, ...], row: tuple[int, int], p: int) -> int | None:
+    """The roots mod p of the monic cubic with these coefficients and head row
+    row: from the row at a head prime (3 split, 0 inert, None ramified or
+    bad), else _root_counts'."""
     if p > _FIRST_STAGE:
-        return _root_counts(f, (p,))[0]
+        return _root_counts(coeffs, (p,))[0]
     i = _head_columns(_FIRST_STAGE)[p]
     return 3 if row[0] >> i & 1 else 0 if row[1] >> i & 1 else None
 
@@ -217,16 +230,19 @@ def _root_count(f: UniPoly, row: tuple[int, int], p: int) -> int | None:
 class SplitTypeMatrix:
     """Split-type rows of pairwise distinct C3 fields, for one witness bound.
 
-    admit(K, row) returns K's witness primes against every accepted field,
-    in order of acceptance, and accepts K; each is the first prime <= bound
-    where both fields are unramified and one splits completely while the
-    other is inert.  If some accepted field agrees with K at every prime
-    <= bound, K is not accepted and admit returns None: inconclusive.  A
-    field that agrees with an accepted one at every head prime and whose
-    cubic is a scaling of that field's (_scales_to) is the same field, which
-    no prime tells apart: admit returns None without building a whole row.
-    row is K's row (from _split_codes) at primes that begin with the
-    matrix's head primes, as head_row's do.
+    admit(coeffs, disc, row) takes the field K of the monic cubic with
+    these coefficients and discriminant, which must be a rational square,
+    so that K is C3 when the cubic is irreducible, as the caller proves.  It
+    returns K's witness primes against every accepted field, in order of
+    acceptance, and accepts K; each is the first prime <= bound where both
+    fields are unramified and one splits completely while the other is
+    inert.  If some accepted field agrees with K at every prime <= bound, K
+    is not accepted and admit returns None: inconclusive.  A field that
+    agrees with an accepted one at every head prime and whose cubic is a
+    scaling of that field's (_scales_to) is the same field, which no prime
+    tells apart: admit returns None without building a whole row.  row is
+    K's row (from _split_codes) at primes that begin with the matrix's head
+    primes, as head_row's do.
     """
 
     def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):
@@ -236,24 +252,27 @@ class SplitTypeMatrix:
         # a prefix of self._primes, so a column indexes both
         self._head = primes_up_to(min(_FIRST_STAGE, bound))
         self._head_mask = (1 << len(self._head)) - 1
-        # [field, head row, whole row or None until its first tie], in order of acceptance
+        # [coefficients, disc, head row, whole row or None until its first tie],
+        # in order of acceptance
         self._entries: list[list] = []
 
     def _whole_row(self, entry: list) -> tuple[int, int]:
-        if entry[2] is None:
-            entry[2] = _split_codes(entry[0], self._primes)
-        return entry[2]
+        if entry[3] is None:
+            entry[3] = _split_codes(entry[0], entry[1], self._primes)
+        return entry[3]
 
-    def admit(self, K: CubicField, row: tuple[int, int]) -> tuple[int, ...] | None:
-        if K.galois_class is not GaloisClass.C3:
+    def admit(
+        self, coeffs: tuple[Fraction, ...], disc: Fraction, row: tuple[int, int],
+    ) -> tuple[int, ...] | None:
+        if not disc or rational_is_square(disc) is None:
             raise InvalidInputError("distinctness certificates require two C3 fields")
         mask = self._head_mask
-        new = [K, (row[0] & mask, row[1] & mask), None]
+        new = [coeffs, disc, (row[0] & mask, row[1] & mask), None]
         primes = []
         for entry in self._entries:
-            j = _first_difference(entry[1], new[1])
+            j = _first_difference(entry[2], new[2])
             if (j is None and len(self._head) < len(self._primes)
-                    and not _scales_to(entry[0].defining, K.defining)):
+                    and not _scales_to(entry[0], coeffs)):
                 # K agrees with this field at every head prime: compare whole rows
                 j = _first_difference(self._whole_row(entry), self._whole_row(new))
             if j is None:

@@ -3,8 +3,14 @@
 One chord-tangent law serves every field: it takes the field as an
 operation object, QuotientField for Q[x]/(f) (QuotientElem coordinates) or
 finitefield's F_p on ints, so the non-torsion walk builds no element
-objects.  Only ntcert.errors and ntcert.exact are imported, so a
-certificate checker can use this layer without the family or the scan.
+objects.  Reduction mod p and nontorsion_certificate read a point over
+Q[x]/(m) as coefficient tuples (x, y, m), lowest degree first, so a scan
+reduces its points without building a polynomial.  exact.unipoly and
+exact.quotient load on demand: where a Q[x]/(m) point is built
+(FieldPoint.affine, or _exact_point for the exact fallback of
+nontorsion_certificate).  Only ntcert.errors and ntcert.exact are
+imported, so a certificate checker can use this layer without the family
+or the scan.
 """
 
 from __future__ import annotations
@@ -12,15 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm as _int_lcm
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import InvalidInputError, SingularCurveError, VerificationError
 from .finitefield import PrimeField
 from .power import _power
 from .primes import is_prime
-from .quotient import QuotientElem, QuotientField
-from .rationals import _residues
-from .unipoly import UniPoly, _horner
+from .rationals import _horner, _residues
+
+if TYPE_CHECKING:
+    from .quotient import QuotientElem
+    from .unipoly import UniPoly
 
 
 class WeierstrassCurve:
@@ -131,6 +139,8 @@ class FieldPoint:
         cls, curve: WeierstrassCurve, modulus: UniPoly, x: QuotientElem, y: QuotientElem,
         *, check: bool = True,
     ) -> "FieldPoint":
+        from .quotient import QuotientField
+
         return cls(curve, QuotientField(modulus), None, x, y, check=check)
 
     @property
@@ -239,18 +249,18 @@ def _invariants_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, ...]:
     return _residues(curve.a_invariants, p)
 
 
-def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
-    """Reduce P to F_p at the first root mod p of its modulus; None when p is unusable.
+def _reduce_point(curve: WeierstrassCurve, point: tuple, p: int) -> tuple[FieldPoint, int] | None:
+    """Reduce the point (x, y) over Q[z]/(m), given as the coefficient tuples
+    (x, y, m), to F_p at the first root of m mod p; None when p is unusable.
 
     Returns (Pbar, |E(F_p)|), Pbar with int coordinates; the root is found
     by Horner's rule on ints.  Any root gives a genuine residue map, so
     ramified primes are fine.  Bad reduction, a non-p-integral coordinate
     or modulus, and a modulus with no root mod p skip.
     """
-    curve = P.curve
-    if P.is_infinity or not is_good_prime(curve, p):
+    if not is_good_prime(curve, p):
         return None
-    x, y, m = (_residues(f.coeffs, p) for f in (P.x.rep, P.y.rep, P.field.modulus))
+    x, y, m = (_residues(coeffs, p) for coeffs in point)
     if x is None or y is None or m is None:
         return None
     root = next((r for r in range(p) if _horner(m, r) % p == 0), None)
@@ -261,6 +271,30 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
     if not Pbar._on_curve():
         raise VerificationError("reduction left the curve")
     return Pbar, count_points_mod_p(curve, p)
+
+
+def _coefficients(P: FieldPoint) -> tuple | None:
+    """The affine point P over Q[z]/(m) as the coefficient tuples (x, y, m); None at O."""
+    if P.is_infinity:
+        return None
+    return P.x.rep.coeffs, P.y.rep.coeffs, P.field.modulus.coeffs
+
+
+def _exact_point(curve: WeierstrassCurve, point: tuple) -> FieldPoint:
+    """The point over Q[z]/(m) with the coefficient tuples (x, y, m), for the
+    exact law; the caller has put it on the curve."""
+    from .quotient import QuotientElem
+    from .unipoly import UniPoly
+
+    x, y, m = (UniPoly(coeffs) for coeffs in point)
+    x, y = QuotientElem(x, m, validate=False), QuotientElem(y, m, validate=False)
+    return FieldPoint.affine(curve, m, x, y, check=False)
+
+
+def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
+    """Reduce the point P over Q[z]/(m) mod p as _reduce_point does; None at O."""
+    point = _coefficients(P)
+    return None if point is None else _reduce_point(P.curve, point, p)
 
 
 # -- non-torsion -------------------------------------------------------------------
@@ -294,8 +328,14 @@ def _annihilates(Pbar: FieldPoint, multiples: list, n: int) -> bool:
 _MAX_WALKS = 12
 
 
-def nontorsion_certificate(P: FieldPoint, bound: int, primes: Iterable[int]) -> bool:
+def nontorsion_certificate(
+    curve: WeierstrassCurve, point: tuple | None, bound: int, primes: Iterable[int],
+) -> bool:
     """True iff k*P is never the identity for 1 <= k <= bound.
+
+    P is the point over Q[z]/(m) given as the coefficient tuples (x, y, m),
+    or O as None.  The walk reduces it by _reduce_point, and only the exact
+    fallback builds it as a FieldPoint (_exact_point).
 
     Reduction at a good prime is a homomorphism (Silverman, The Arithmetic of
     Elliptic Curves, VII.2.1), so k*P = O forces k*Pbar = O.  primes are the
@@ -315,7 +355,7 @@ def nontorsion_certificate(P: FieldPoint, bound: int, primes: Iterable[int]) -> 
     """
     if bound < 1:
         raise InvalidInputError("bound must be >= 1")
-    if P.is_infinity:
+    if point is None:
         return False
     step = 1
     used = 0
@@ -324,7 +364,7 @@ def nontorsion_certificate(P: FieldPoint, bound: int, primes: Iterable[int]) -> 
             break
         if p + 1 <= bound or (p + 1 - bound) ** 2 <= 4 * p:
             continue  # below the Hasse start
-        reduced = reduce_point_mod_p(P, p)
+        reduced = _reduce_point(curve, point, p)
         if reduced is None:
             continue
         Pbar, group_order = reduced
@@ -338,9 +378,10 @@ def nontorsion_certificate(P: FieldPoint, bound: int, primes: Iterable[int]) -> 
             return True
         step = _int_lcm(step, order)
         used += 1
-    k = step
-    while k <= bound:
+    if step > bound:
+        return True
+    P = _exact_point(curve, point)
+    for k in range(step, bound + 1, step):
         if P.scalar_mul(k).is_infinity:
             return False
-        k += step
     return True

@@ -2,8 +2,9 @@
 
 Fraction already maintains the invariants required here (lowest terms,
 positive denominator, canonical zero), so this module only adds the
-square-root decision, the one reduction of rationals mod p, and the wire
-format: "num/den" decimal strings with the denominator omitted when it is 1.
+square-root decision, the one reduction of rationals mod p with the one
+integer Horner's rule that evaluates the residues, and the wire format:
+"num/den" decimal strings with the denominator omitted when it is 1.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ def _residues(coeffs, p: int) -> tuple[int, ...] | None:
         return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in coeffs)
     except ValueError:
         return None
+
+
+def _horner(coeffs, r: int) -> int:
+    """The integer value of the polynomial with these int coefficients at r."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
 
 
 def format_rational(q: Fraction | int) -> str:

@@ -6,8 +6,11 @@ The zero polynomial is the empty tuple and has degree -1 (sentinel).
 
 UniPoly holds the ring arithmetic, the one Euclidean division loop
 (Cohen, GTM 138, §3.1), monic form, gcd and extended gcd.  Work mod p runs
-on ints: the rational-root screen mod small primes evaluates by _horner,
-the one integer Horner's rule, which exact.ellcurve shares.  Degrees stay
+on ints: the rational-root screen mod small primes evaluates by
+rationals._horner, the one integer Horner's rule, which exact.ellcurve
+shares.  A scan carries each fiber as its coefficient tuple, not as a
+UniPoly, so it loads this module only when a fiber needs rational_roots
+or a point needs the exact Q[theta] law.  Degrees stay
 small (<= ~60 after substitutions; the triangle curve's gcds are deflated
 to degree 1 first), so dense schoolbook arithmetic is the right trade-off.
 The rational resultant is computed by the subresultant pseudo-remainder
@@ -24,6 +27,7 @@ from typing import Iterable
 from ..errors import InvalidInputError
 from .power import _power
 from .primes import divisors
+from .rationals import _horner
 
 
 class UniPoly:
@@ -200,9 +204,6 @@ class UniPoly:
                     r[i + k] -= f * c
         return UniPoly(q), UniPoly(r[:db])
 
-    def __floordiv__(self, other) -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other) -> "UniPoly":
         return divmod(self, other)[1]
 
@@ -252,10 +253,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * inner + UniPoly.constant(c)
         return acc
-
-    def shift(self, c: Fraction | int) -> "UniPoly":
-        """f(x + c)."""
-        return self.compose(UniPoly((c, 1)))
 
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
@@ -350,14 +347,6 @@ class UniPoly:
                     if value == 0:
                         roots.add(Fraction(num, q))
         return roots
-
-
-def _horner(coeffs, r: int) -> int:
-    """The integer value of the polynomial with these int coefficients at r."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
 
 
 def _trim(r: list[int]) -> None:

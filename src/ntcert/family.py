@@ -24,6 +24,14 @@ evaluates each group once; with more than one job it forks worker
 processes for the groups and folds their outcomes in this process, in
 enumeration order.
 
+A scan carries each fiber as its coefficient tuple (q, p, 0, 1), Fractions
+as UniPoly stores them, and its point (theta, t) as the coefficient tuples
+that exact.ellcurve reduces mod p.  The polynomial and quotient-ring layers
+(exact.unipoly, exact.quotient) load on demand: for rational_roots on a
+fiber with no inert head prime, for the exact Q[theta] fallback of the
+non-torsion check, and for the fiber views of FiberData and
+ExtensionCertificate and the latter's point view.
+
 The j-invariant of the family depends on a1 alone:
 
     j = 256 * (a1^4 + 54)^3 * a1^4 / (4*a1^4 - 27)^3.
@@ -36,17 +44,16 @@ from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from . import cubicfield
 from .cubicfield import (
     DEFAULT_WITNESS_BOUND,
-    CubicField,
     GaloisClass,
     SplitTypeMatrix,
     _bad_part,
     _root_count,
     galois_class,  # not called here; perfbench's tests expect it bound in family
+    head_row,
 )
 from .errors import (
     DegenerateFiberError,
@@ -54,10 +61,14 @@ from .errors import (
     SingularCurveError,
     VerificationError,
 )
-from .exact import QuotientElem, UniPoly, format_rational, iter_primes
+from .exact import format_rational, iter_primes
 from .exact.ellcurve import (
-    FieldPoint, WeierstrassCurve, _group_order, is_good_prime, nontorsion_certificate,
+    WeierstrassCurve, _exact_point, _group_order, is_good_prime, nontorsion_certificate,
 )
+
+if TYPE_CHECKING:
+    from .exact.ellcurve import FieldPoint
+    from .exact.unipoly import UniPoly
 
 
 def __getattr__(name: str):
@@ -98,14 +109,30 @@ def closed_form_j(a1: Fraction | int) -> Fraction:
 # -- fibers and their points -------------------------------------------------
 
 
+def _fiber_view(record) -> UniPoly:
+    """The fiber of a FiberData or ExtensionCertificate as a UniPoly, built on demand."""
+    from .exact.unipoly import UniPoly
+
+    return UniPoly(record.coeffs)
+
+
 class FiberData(NamedTuple):
     s: Fraction
     t: Fraction
     u: Fraction
     v: Fraction
-    fiber: UniPoly
+    # the fiber x^3 + p*x + q as (q, p, 0, 1)
+    coeffs: tuple[Fraction, ...]
     disc: Fraction
     sqrt_disc: Fraction
+
+    fiber = property(_fiber_view)
+
+
+# the fiber's 0 and 1 as UniPoly stores them, so the scan document writes them as strings
+_ZERO, _ONE = Fraction(0), Fraction(1)
+# theta, the point's x over Q[theta]/(fiber), as a coefficient tuple
+_THETA = (_ZERO, _ONE)
 
 
 @lru_cache(maxsize=64)
@@ -150,23 +177,28 @@ def fiber_at_s(curve: WeierstrassCurve, s: Fraction | int) -> FiberData:
     if (-4 * pn**3 * qd**2 - 27 * qn**2 * pd**3) * den**2 != m**2 * pn**2 * pd * qd**2:
         raise VerificationError("fiber discriminant identity failed")
     sqrt_disc = Fraction(abs(m * pn), den * pd)
-    fiber = UniPoly((Fraction(qn, qd), Fraction(pn, pd), 0, 1))
+    coeffs = (Fraction(qn, qd), Fraction(pn, pd), _ZERO, _ONE)
     t = Fraction(t0 * den + t1 * n, dt * den)
-    return FiberData(s, t, Fraction(m, den), Fraction(n, den), fiber, sqrt_disc**2, sqrt_disc)
+    return FiberData(s, t, Fraction(m, den), Fraction(n, den), coeffs, sqrt_disc**2, sqrt_disc)
+
+
+def _fiber_point(curve: WeierstrassCurve, fd: FiberData) -> tuple:
+    """(theta, t) over Q[theta]/(fiber) as nontorsion_certificate takes it:
+    the coefficient tuples (x, y, fiber).  The caller has ruled out a
+    rational root of the fiber, so Q[theta] is a field.  The point is on the
+    curve iff E(x, t) = -fiber(x) in Q[x], that is, iff the fiber's
+    coefficients are a6 - a3*t - t^2, a4 - a1*t, a2 and 1: no Q[theta]
+    arithmetic."""
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    t = fd.t
+    if fd.coeffs != (a6 - a3 * t - t * t, a4 - a1 * t, a2, 1):
+        raise VerificationError(f"(theta, t) at s={fd.s} is off the curve")
+    return _THETA, (t,) if t else (), fd.coeffs
 
 
 def point_from_fiber_data(curve: WeierstrassCurve, fd: FiberData) -> FieldPoint:
-    """(theta, t) over Q[theta]/(fiber).  The caller has ruled out a rational
-    root of the fiber, so Q[theta] is a field.  The point is on the curve iff
-    E(x, t) = -fiber(x) in Q[x], that is, iff the fiber's coefficients are
-    a6 - a3*t - t^2, a4 - a1*t, a2 and 1: no Q[theta] arithmetic."""
-    a1, a2, a3, a4, a6 = curve.a_invariants
-    t, m = fd.t, fd.fiber
-    if m.coeffs != (a6 - a3 * t - t * t, a4 - a1 * t, a2, 1):
-        raise VerificationError(f"(theta, t) at s={fd.s} is off the curve")
-    x = QuotientElem(UniPoly.x(), m, validate=False)
-    y = QuotientElem(UniPoly.constant(t), m, validate=False)
-    return FieldPoint.affine(curve, m, x, y, check=False)
+    """(theta, t) over Q[theta]/(fiber) as a FieldPoint, checked as _fiber_point checks it."""
+    return _exact_point(curve, _fiber_point(curve, fd))
 
 
 # -- torsion bounds ------------------------------------------------------------
@@ -192,7 +224,7 @@ def torsion_bound(
     come from the discriminant that fiber_at_s proved.  d_p is 3 where the
     fiber is inert and 1 where it splits, as _root_count reads it from row.
     """
-    bad = _bad_part(fd.fiber, fd.disc)
+    bad = _bad_part(fd.coeffs, fd.disc)
     if isinstance(primes, int):
         if primes < 2:
             raise InvalidInputError("at least two torsion primes are required")
@@ -212,7 +244,7 @@ def torsion_bound(
     bound = 0
     for p in candidates:
         used.append(p)
-        residue_degree = 3 if _root_count(fd.fiber, row, p) == 0 else 1
+        residue_degree = 3 if _root_count(fd.coeffs, row, p) == 0 else 1
         bound = _int_gcd(bound, _group_order(curve, p, residue_degree))
         if len(used) >= count and (
             bound <= _TORSION_BOUND_TARGET or len(used) >= _MAX_TORSION_PRIMES
@@ -226,16 +258,19 @@ def torsion_bound(
 
 class ExtensionCertificate(NamedTuple):
     """Audit record for one accepted fiber.  Every accepted fiber is C3:
-    it is irreducible, and fiber_at_s has proved its discriminant a square."""
+    it is irreducible, and fiber_at_s has proved its discriminant a square.
+    Its point is (theta, t) over Q[theta]/(fiber); the fiber and point
+    views build the UniPoly and the FieldPoint on demand."""
 
     galois_class = GaloisClass.C3  # unannotated: a class constant, not a field
 
+    curve: WeierstrassCurve
     s: Fraction
     t: Fraction
-    fiber: UniPoly
+    # the fiber as FiberData.coeffs holds it
+    coeffs: tuple[Fraction, ...]
     disc: Fraction
     sqrt_disc: Fraction
-    point: FieldPoint
     torsion_primes: tuple[int, ...]
     torsion_bound: int
     nontorsion_checked_to: int
@@ -244,8 +279,23 @@ class ExtensionCertificate(NamedTuple):
     # for each earlier certificate, in order, the first prime that tells the two fields apart
     witnesses: tuple[int, ...]
 
-    def cubic_field(self) -> CubicField:
-        return CubicField(self.fiber, self.disc, self.sqrt_disc, self.galois_class)
+    fiber = property(_fiber_view)
+
+    @property
+    def point(self) -> FieldPoint:
+        return point_from_fiber_data(self.curve, self)  # reads s, t and coeffs, as of a FiberData
+
+
+def _certificate(curve, fd: FiberData, primes, bound: int, row) -> ExtensionCertificate:
+    """The certificate of the fiber fd, with witnesses=() for the fold to fill in."""
+    return ExtensionCertificate(
+        curve, fd.s, fd.t, fd.coeffs, fd.disc, fd.sqrt_disc,
+        torsion_primes=primes,
+        torsion_bound=bound,
+        nontorsion_checked_to=bound,
+        row=row,
+        witnesses=(),
+    )
 
 
 class ScanResult:
@@ -275,7 +325,7 @@ class ScanResult:
 def _split_primes(fd: FiberData, row: tuple[int, int]) -> Iterator[int]:
     """The primes where the fiber splits completely, ascending, as
     _root_count reads them from its head row and past it."""
-    return (p for p in iter_primes() if _root_count(fd.fiber, row, p) == 3)
+    return (p for p in iter_primes() if _root_count(fd.coeffs, row, p) == 3)
 
 
 def enumerate_s_by_height(height_max: int) -> list[Fraction]:
@@ -324,7 +374,7 @@ def evaluate_fiber(
     for s in same_v:
         try:
             fd = fiber_at_s(curve, s)
-            key = fd.fiber, fd.sqrt_disc
+            key = fd.coeffs, fd.sqrt_disc
         except DegenerateFiberError:
             fd = key = None
         if s == first:
@@ -336,73 +386,90 @@ def evaluate_fiber(
         return "reducible"
     # A reducible fiber with a square discriminant splits into three rational
     # factors, so its row is all split and never fails the C3 check.
-    field = CubicField(fd.fiber, fd.disc, fd.sqrt_disc, GaloisClass.C3)
-    row = cubicfield.head_row(field)
+    row = head_row(fd.coeffs, fd.disc)
     if not row[1] and fd.fiber.rational_roots():
         return "reducible"
-    point = point_from_fiber_data(curve, fd)
+    point = _fiber_point(curve, fd)
     bound, primes = torsion_bound(curve, fd, row, torsion_primes)
-    if not nontorsion_certificate(point, bound, _split_primes(fd, row)):
+    if not nontorsion_certificate(curve, point, bound, _split_primes(fd, row)):
         return "torsion"
-    return ExtensionCertificate(
-        fd.s, fd.t, fd.fiber, fd.disc, fd.sqrt_disc,
-        point=point,
-        torsion_primes=primes,
-        torsion_bound=bound,
-        nontorsion_checked_to=bound,
-        row=row,
-        witnesses=(),
-    )
+    return _certificate(curve, fd, primes, bound, row)
 
 
 def _fork_worker(stack: ExitStack, curve: WeierstrassCurve, share, torsion_primes):
     """Fork a child that runs evaluate_fiber on each group of s in share, in
     order; return a function of a group that reads the child's outcome for it.
 
-    The child pickles each (True, outcome), or (False, exception) and stops,
-    into a pipe through one Pickler, which this process reads through one
-    Unpickler, so an object that outcomes share, such as the curve, crosses
-    the pipe once.  The child leaves through os._exit: it never flushes the
-    inherited stdout or returns into the caller's code.  On leaving the
-    stack the child is killed and then reaped, so it stops at once, even
-    mid-fiber or blocked on a full pipe.
+    The child writes one marshal record per group into a pipe: a skip kind
+    ("reducible" or "torsion"), or a certificate's torsion primes, bound and
+    head row, from which this process rebuilds the certificate at the
+    group's first s through fiber_at_s.  A child's exception crosses as its
+    pickle, the one bytes record, and ends the child's records; only then is
+    pickle imported, here and in the child.  The child leaves through
+    os._exit: it never flushes the inherited stdout or returns into the
+    caller's code.  On leaving the stack the child is reaped; on an early
+    exit, with records of its share unread, it is first killed (the one use
+    of signal), so it stops at once, even mid-fiber or blocked on a full pipe.
+
+    Right before the fork the collector's generations are frozen, as
+    CPython documents for a fork without exec: no later collection in
+    either process walks the objects that exist at the fork, including the
+    collections of this process's exit.  Those objects, the caller's too,
+    stay out of cycle collection for the rest of the process.
     """
-    import pickle  # only a scan with more than one worker forks
-    import signal
+    import gc
+    import marshal
 
     read_fd, write_fd = os.pipe()
+    gc.freeze()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
                 for same_v in share:
                     try:
-                        item = (True, evaluate_fiber(curve, same_v, torsion_primes))
+                        outcome = evaluate_fiber(curve, same_v, torsion_primes)
                     except Exception as exc:
-                        item = (False, exc)
-                    pickler.dump(item)
-                    out.flush()
-                    if not item[0]:
+                        import pickle
+
+                        marshal.dump(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL), out)
                         break
+                    if not isinstance(outcome, str):
+                        outcome = outcome.torsion_primes, outcome.torsion_bound, outcome.row
+                    marshal.dump(outcome, out)
+                    out.flush()
         finally:
             os._exit(0)
-    # last in, first out: the kill runs before the wait
-    stack.callback(os.waitpid, pid, 0)
-    stack.callback(os.kill, pid, signal.SIGKILL)
+    unread = len(share)
+
+    def reap():
+        if unread:  # an early exit
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+    stack.callback(reap)
     # closed before the next fork, so the child's exit ends the pipe
     os.close(write_fd)
-    unpickler = pickle.Unpickler(stack.enter_context(open(read_fd, "rb")))
+    records = stack.enter_context(open(read_fd, "rb"))
 
     def outcome_of(same_v):
+        nonlocal unread
         try:
-            ok, outcome = unpickler.load()
-        except (EOFError, pickle.UnpicklingError):
+            record = marshal.load(records)
+        except (EOFError, ValueError):
             raise ChildProcessError(f"a worker exited before evaluating s={same_v[0]}") from None
-        if not ok:
-            raise outcome
-        return outcome
+        if isinstance(record, bytes):
+            import pickle
+
+            raise pickle.loads(record)
+        unread -= 1
+        if isinstance(record, str):
+            return record
+        primes, bound, row = record
+        return _certificate(curve, fiber_at_s(curve, same_v[0]), primes, bound, row)
 
     return outcome_of
 
@@ -466,7 +533,7 @@ def scan_family(
         for same_v, outcome in zip(groups, _outcomes(curve, groups, torsion_primes, readers)):
             skipped = len(same_v)
             if not isinstance(outcome, str):
-                witnesses = matrix.admit(outcome.cubic_field(), outcome.row)
+                witnesses = matrix.admit(outcome.coeffs, outcome.disc, outcome.row)
                 if witnesses is not None:
                     result.certificates.append(outcome._replace(witnesses=witnesses))
                     skipped -= 1

@@ -19,7 +19,9 @@ def dumps_scan(head: dict, certificates) -> str:
     """dumps_canonical of ``{"certificates": [...], **head}``, where head
     holds config, schema and summary.
 
-    Each certificate is read for the fields of a family ExtensionCertificate.
+    Each certificate is read for the fields of a family ExtensionCertificate:
+    coeffs is its fiber and t the y of its point (theta, t), whose x is
+    theta, written as the coefficients [0, 1].
     Its witnesses are positional: witness j tells it apart from certificate
     j, and v1 writes it with that certificate's s as vs_s, so a certificate
     needs one witness per certificate before it; otherwise ValueError.  Each
@@ -62,6 +64,10 @@ def _array(items: list[str], pad: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{pad}]"
 
 
+# theta, the point's x, as the coefficients [0, 1]: Fractions, so quoted
+_THETA = _array([_scalar(Fraction(0)), _scalar(Fraction(1))], " " * 8)
+
+
 def _witness_lines(prime: int) -> str:
     """A disjointness entry up to its vs_s value, which comes last."""
     return (
@@ -78,16 +84,19 @@ def _certificate(cert, disjointness: str) -> str:
     def array(values, pad=" " * 6) -> str:
         return _array([_scalar(v) for v in values], pad)
 
+    # the point's y is the constant t, and the zero constant has no coefficient
+    y = (cert.t,) if cert.t else ()
+
     return (
         "{\n"
         f'      "disc": {_scalar(cert.disc)},\n'
         f'      "disjointness": {disjointness},\n'
-        f'      "fiber": {array(cert.fiber.coeffs)},\n'
+        f'      "fiber": {array(cert.coeffs)},\n'
         f'      "galois_class": {_string(cert.galois_class.value)},\n'
         f'      "nontorsion_checked_to": {_scalar(cert.nontorsion_checked_to)},\n'
         '      "point": {\n'
-        f'        "x": {array(cert.point.x.rep.coeffs, " " * 8)},\n'
-        f'        "y": {array(cert.point.y.rep.coeffs, " " * 8)}\n'
+        f'        "x": {_THETA},\n'
+        f'        "y": {array(y, " " * 8)}\n'
         "      },\n"
         f'      "s": {_scalar(cert.s)},\n'
         f'      "sqrt_disc": {_scalar(cert.sqrt_disc)},\n'

@@ -23,7 +23,7 @@ from ntcert.coverings import (
     triangle_checks,
     trivial_solutions,
 )
-from ntcert.cubicfield import DEFAULT_WITNESS_BOUND, GaloisClass
+from ntcert.cubicfield import DEFAULT_WITNESS_BOUND, GaloisClass, galois_class
 from ntcert.errors import InvalidInputError
 from ntcert.exact import BiPoly, QuotientElem, UniPoly, primes_up_to
 from ntcert.exact.ellcurve import FieldPoint
@@ -118,8 +118,10 @@ def test_criterion_04_family_scan_certificates(height20_scan):
             assert cert.point._on_curve()  # (c) reduction to zero
             assert cert.nontorsion_checked_to >= cert.torsion_bound  # (e)
         # (d) pairwise distinctness: every earlier certificate in order, each
-        # with the first witness prime of an oracle independent of the scan
-        fields = [cert.cubic_field() for cert in certs]
+        # with the first witness prime of an oracle independent of the scan,
+        # on fields classified anew from the fibers
+        fields = [galois_class(cert.fiber) for cert in certs]
+        assert all(K.galois_class is GaloisClass.C3 for K in fields)
         for i, cert in enumerate(certs):
             assert len(cert.witnesses) == i
             for j, prime in enumerate(cert.witnesses):

@@ -11,7 +11,7 @@ import pytest
 
 from ntcert import cli, cubicfield, family
 from ntcert.errors import VerificationError
-from ntcert.exact import UniPoly, ellcurve
+from ntcert.exact import ellcurve
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ntcert"
 
@@ -62,13 +62,14 @@ def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
 
 
 def test_non_annihilating_group_order_exits_3(monkeypatch, capsys):
-    real = ellcurve.reduce_point_mod_p
+    """The scan's walk reduces its points by ellcurve._reduce_point."""
+    real = ellcurve._reduce_point
 
-    def off_by_one(P, p):
-        reduced = real(P, p)
+    def off_by_one(curve, point, p):
+        reduced = real(curve, point, p)
         return reduced and (reduced[0], reduced[1] + 1)
 
-    monkeypatch.setattr(ellcurve, "reduce_point_mod_p", off_by_one)
+    monkeypatch.setattr(ellcurve, "_reduce_point", off_by_one)
     assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -97,7 +98,8 @@ def plant_in_fiber_at_s(monkeypatch, at, error=None):
             return fd
         if error is not None:
             raise error
-        return fd._replace(fiber=fd.fiber + UniPoly.constant(1))
+        q, *rest = fd.coeffs
+        return fd._replace(coeffs=(q + 1, *rest))
 
     monkeypatch.setattr(family, "fiber_at_s", planted)
 

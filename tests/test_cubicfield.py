@@ -18,13 +18,18 @@ from ntcert.exact import UniPoly, count_distinct_roots, primes_up_to
 CYCLIC = UniPoly((1, -3, 0, 1))  # x^3 - 3x + 1, disc 81
 
 
+def row(K: CubicField, primes) -> tuple[int, int]:
+    """K's split-type row at these primes, from its cubic's coefficients."""
+    return _split_codes(K.defining.coeffs, K.disc, primes)
+
+
 def witness(K1, K2, bound=1000):
     """K2's witness prime against K1 from a two-field SplitTypeMatrix, or
     None when the matrix finds none up to the bound."""
     matrix = SplitTypeMatrix(bound)
     head = primes_up_to(min(97, bound))  # the matrix's head primes
-    matrix.admit(K1, _split_codes(K1, head))
-    primes = matrix.admit(K2, _split_codes(K2, head))
+    matrix.admit(K1.defining.coeffs, K1.disc, row(K1, head))
+    primes = matrix.admit(K2.defining.coeffs, K2.disc, row(K2, head))
     return None if primes is None else primes[0]
 
 
@@ -57,14 +62,14 @@ def test_splitting_examples_against_brute_force():
     cube = UniPoly((-2, 0, 0, 1))
     for f, p, roots in ((CYCLIC, 17, 3), (cube, 7, 0), (CYCLIC, 2, 0)):
         assert roots_mod_p(f, p) == roots
-        assert _root_counts(f, (p,)) == [roots]
+        assert _root_counts(f.coeffs, (p,)) == [roots]
 
 
 def test_splitting_matches_brute_force_widely():
     for f in (CYCLIC, UniPoly((-2, 0, 0, 1)), shanks_cubic(2)):
         disc = f.discriminant()
         primes = tuple(p for p in primes_up_to(60) if disc.numerator % p)
-        assert _root_counts(f, primes) == [roots_mod_p(f, p) for p in primes]
+        assert _root_counts(f.coeffs, primes) == [roots_mod_p(f, p) for p in primes]
 
 
 def test_cyclic_cubics_never_split_linear_times_quadratic():
@@ -84,12 +89,12 @@ def test_class_invariant_under_shift():
         base = galois_class(f).galois_class
         for _ in range(6):
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            assert galois_class(f.shift(c)).galois_class is base
+            assert galois_class(f.compose(UniPoly((c, 1)))).galois_class is base  # f(x + c)
 
 
 def test_ramified_prime_rejected():
     primes = primes_up_to(20)
-    split, inert = _split_codes(galois_class(CYCLIC), primes)
+    split, inert = row(galois_class(CYCLIC), primes)
     # 3 | 81 ramifies and gets neither bit; every other prime gets one
     assert primes[1] == 3 and not (split | inert) & 0b10
     assert split & inert == 0 and (split | inert).bit_count() == len(primes) - 1
@@ -106,8 +111,9 @@ def test_witness_examples():
 
     assert witness(K1, K1, bound=500) is None
 
+    S3 = galois_class(UniPoly((-2, 0, 0, 1)))  # disc -108, not a square
     with pytest.raises(InvalidInputError, match="require two C3 fields"):
-        SplitTypeMatrix().admit(galois_class(UniPoly((-2, 0, 0, 1))), (0, 0))
+        SplitTypeMatrix().admit(S3.defining.coeffs, S3.disc, (0, 0))
 
 
 def test_witness_rejects_a_bound_below_two():
@@ -119,10 +125,13 @@ def test_witness_rejects_a_bound_below_two():
 
 
 def test_witness_refutes_a_c3_label_at_a_linear_times_quadratic_prime():
-    """x^3 - 2 has one root mod 5 (cubing permutes F_5), and 5 is unramified."""
+    """x^3 - 2 has one root mod 5 (cubing permutes F_5), and 5 is unramified.
+    It is labelled C3 by a claimed square discriminant, 36, with the bad
+    primes 2 and 3 of its true discriminant -108."""
     f = UniPoly((-2, 0, 0, 1))
     assert roots_mod_p(f, 5) == 1
-    mislabelled = CubicField(f, f.discriminant(), None, GaloisClass.C3)
+    assert f.discriminant() == -108
+    mislabelled = CubicField(f, Fraction(36), Fraction(6), GaloisClass.C3)
     K = galois_class(CYCLIC)
     # 2 and 3 are bad for x^3 - 2: no prime below 5 tests the label
     assert witness(mislabelled, K, bound=4) is None
@@ -186,6 +195,6 @@ def test_staged_witness_matches_naive_scan():
                     if roots_mod_p(K1.defining, p) != roots_mod_p(K2.defining, p):
                         naive_prime = p
                         break
-                col = _first_difference(_split_codes(K1, primes), _split_codes(K2, primes))
+                col = _first_difference(row(K1, primes), row(K2, primes))
                 assert (None if col is None else primes[col]) == naive_prime
                 assert witness(K1, K2, bound) == naive_prime

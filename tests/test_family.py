@@ -1,5 +1,9 @@
+import fcntl
 import os
 import random
+import termios
+import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -61,7 +65,7 @@ def fiber_point(params: WeierstrassCurve, s) -> FieldPoint:
 
 def fiber_row(fd) -> tuple[int, int]:
     """The fiber's head row, as evaluate_fiber builds it."""
-    return cubicfield.head_row(cubicfield.CubicField(fd.fiber, fd.disc, fd.sqrt_disc, GaloisClass.C3))
+    return cubicfield.head_row(fd.coeffs, fd.disc)
 
 
 def split_primes(fd):
@@ -71,6 +75,12 @@ def split_primes(fd):
 
 def fiber_torsion_bound(params, fd, primes=2):
     return torsion_bound(params, fd, fiber_row(fd), primes)
+
+
+def nontorsion(P: FieldPoint, bound, primes) -> bool:
+    """nontorsion_certificate for the point P over Q[z]/(m), as the
+    coefficient tuples it takes (None at O)."""
+    return nontorsion_certificate(P.curve, ellcurve._coefficients(P), bound, primes)
 
 
 def random_params(rng) -> WeierstrassCurve:
@@ -555,12 +565,12 @@ def test_torsion_bound_prime_validation():
 def test_nontorsion_certificate_examples():
     params = derive_family(1, 1)
     P = three_torsion(params)
-    assert nontorsion_certificate(P, 3, iter_primes(5)) is False
-    assert nontorsion_certificate(P, 2, iter_primes(5)) is True
-    assert nontorsion_certificate(P.scalar_mul(3), 1, iter_primes(5)) is False  # identity input
+    assert nontorsion(P, 3, iter_primes(5)) is False
+    assert nontorsion(P, 2, iter_primes(5)) is True
+    assert nontorsion(P.scalar_mul(3), 1, iter_primes(5)) is False  # identity input
     fd = fiber_at_s(params, 1)
     bound, _ = fiber_torsion_bound(params, fd)
-    assert nontorsion_certificate(point_from_fiber_data(params, fd), bound, split_primes(fd)) is True
+    assert nontorsion(point_from_fiber_data(params, fd), bound, split_primes(fd)) is True
 
 
 def test_nontorsion_certificate_matches_naive_scan():
@@ -569,7 +579,7 @@ def test_nontorsion_certificate_matches_naive_scan():
     for k in range(2, 5):
         Pk = P  # order 3: naive truth is k >= 3
         naive = all(not Pk.scalar_mul(j).is_infinity for j in range(1, k + 1))
-        assert nontorsion_certificate(Pk, k, iter_primes(5)) == naive
+        assert nontorsion(Pk, k, iter_primes(5)) == naive
 
 
 def test_reduce_point_mod_p_stays_on_curve():
@@ -614,7 +624,7 @@ def test_reduction_skips_a_prime_where_a_quadratic_modulus_has_no_root():
     assert order == count_points_mod_p(curve, 11)
     for bound in range(1, 9):
         naive = all(not P.scalar_mul(k).is_infinity for k in range(1, bound + 1))
-        assert nontorsion_certificate(P, bound, iter_primes(5)) == naive
+        assert nontorsion(P, bound, iter_primes(5)) == naive
 
 
 # -- the scan -------------------------------------------------------------------------
@@ -680,7 +690,7 @@ def test_scan_family_counts_reducible_and_presumed_equal_fibers():
 
 
 def test_scan_family_counts_torsion_skips(monkeypatch):
-    monkeypatch.setattr(family, "nontorsion_certificate", lambda P, bound, primes: False)
+    monkeypatch.setattr(family, "nontorsion_certificate", lambda curve, point, bound, primes: False)
     result = scan_family(derive_family(1, 1), 2)
     assert result.certificates == []
     assert result.skipped_torsion == result.fibers_tested == len(enumerate_s_by_height(2))
@@ -737,7 +747,7 @@ def test_nontorsion_certificate_exhaustive_small_bounds():
                     naive = False
                     break
                 acc = acc + P
-            assert nontorsion_certificate(P, bound, iter_primes(5)) == naive, (P, bound)
+            assert nontorsion(P, bound, iter_primes(5)) == naive, (P, bound)
 
 
 # -- the non-torsion walk and the point path ------------------------------------------
@@ -788,24 +798,25 @@ def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
             for _ in range(bound - 1):
                 multiple = multiple + P
                 naive = naive and not multiple.is_infinity
-            assert nontorsion_certificate(P, bound, split_primes(fd)) is naive is True
+            assert nontorsion(P, bound, split_primes(fd)) is naive is True
     assert walked["order"] >= 10 and walked["none"] >= 10, walked
 
 
 def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(monkeypatch):
     """A group order that does not kill Pbar fails the certificate, whether or
-    not the walk at that prime found the order of Pbar."""
-    real = reduce_point_mod_p
+    not the walk at that prime found the order of Pbar.  The walk reduces by
+    ellcurve._reduce_point."""
+    real = ellcurve._reduce_point
     usable = []
 
-    def off_by_one(P, p):
-        reduced = real(P, p)
+    def off_by_one(curve, point, p):
+        reduced = real(curve, point, p)
         if reduced is None:
             return None
         usable.append(p)
         return reduced[0], reduced[1] + 1
 
-    monkeypatch.setattr(ellcurve, "reduce_point_mod_p", off_by_one)
+    monkeypatch.setattr(ellcurve, "_reduce_point", off_by_one)
     walk_found_order = set()
     params = derive_family(1, 1)
     for s in enumerate_s_by_height(3):
@@ -814,9 +825,9 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
         bound, _ = fiber_torsion_bound(params, fd)
         usable.clear()
         with pytest.raises(VerificationError, match="does not annihilate"):
-            nontorsion_certificate(P, bound, split_primes(fd))
+            nontorsion(P, bound, split_primes(fd))
         assert len(usable) == 1
-        Pbar, _ = real(P, usable[0])
+        Pbar, _ = real(params, ellcurve._coefficients(P), usable[0])
         walk_found_order.add(walk_order(Pbar, bound) is not None)
     assert walk_found_order == {True, False}
 
@@ -852,8 +863,7 @@ def test_annihilation_from_the_walk_matches_scalar_mul():
 
 def no_inert_head_prime(params, s):
     """Whether the fiber at s splits completely at every good prime up to 97."""
-    fd = fiber_at_s(params, s)
-    return head_row(cubicfield.CubicField(fd.fiber, fd.disc, fd.sqrt_disc, GaloisClass.C3))[1] == 0
+    return fiber_row(fiber_at_s(params, s))[1] == 0
 
 
 def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
@@ -937,9 +947,15 @@ def c3_fields_up_to_height(params, height):
     return fields
 
 
+def field_args(K) -> tuple:
+    """K as the row code and SplitTypeMatrix.admit take it: its cubic's
+    coefficients and its discriminant."""
+    return K.defining.coeffs, K.disc
+
+
 def head_row(K):
     """K's split-type row at the primes up to 97, as cubicfield.head_row builds it."""
-    return cubicfield._split_codes(K, primes_up_to(97))
+    return cubicfield._split_codes(*field_args(K), primes_up_to(97))
 
 
 def admit_against_pairwise_oracle(fields, bound):
@@ -951,7 +967,7 @@ def admit_against_pairwise_oracle(fields, bound):
     accepted, primes, rejected = [], [], 0
     for K in fields:
         oracle = tuple(first_witness(prev, K, bound) for prev in accepted)
-        witnesses = matrix.admit(K, head_row(K))
+        witnesses = matrix.admit(*field_args(K), head_row(K))
         if None in oracle:
             assert witnesses is None
             rejected += 1
@@ -972,13 +988,14 @@ def test_matrix_witnesses_match_distinctness_witness(bound):
 
 
 def recording_rows(monkeypatch):
-    """Record (field, number of primes) for every split-type row built."""
+    """Record (the field's coefficient tuple, number of primes) for every
+    split-type row built."""
     real = cubicfield._split_codes
     built = []
 
-    def codes(K, primes):
-        built.append((K, len(primes)))
-        return real(K, primes)
+    def codes(coeffs, disc, primes):
+        built.append((coeffs, len(primes)))
+        return real(coeffs, disc, primes)
 
     monkeypatch.setattr(cubicfield, "_split_codes", codes)
     return built
@@ -986,7 +1003,7 @@ def recording_rows(monkeypatch):
 
 def agrees_at_every_head_prime(i, fields, head):
     """Whether fields[i] agrees at every prime in `head` with another entry."""
-    rows = [cubicfield._split_codes(K, head) for K in fields]
+    rows = [cubicfield._split_codes(*field_args(K), head) for K in fields]
     return any(
         j != i and cubicfield._first_difference(rows[i], row) is None
         for j, row in enumerate(rows)
@@ -1008,25 +1025,27 @@ def test_lazy_rows_match_distinctness_witness_past_a_short_first_stage(monkeypat
     built = recording_rows(monkeypatch)
     matrix = cubicfield.SplitTypeMatrix(bound)
     for K, row in zip(fields, rows):
-        matrix.admit(K, row)
+        matrix.admit(*field_args(K), row)
     monkeypatch.undo()
-    whole = [K for K, n in built if n > len(head)]
+    whole = [f for f, n in built if n > len(head)]
     # `fields` holds each repeated fiber's field again as an equal object,
     # which the matrix admits anew: so count whole rows per admitted object
-    assert len(whole) == len({id(K) for K in whole}) >= 10
-    for K in whole:
-        assert agrees_at_every_head_prime(fields.index(K), fields, head), K.defining
+    assert len(whole) == len({id(f) for f in whole}) >= 10
+    cubics = [K.defining.coeffs for K in fields]
+    for f in whole:
+        assert agrees_at_every_head_prime(cubics.index(f), fields, head), f
 
 
 def recording_admits(monkeypatch, built):
-    """Record (field, witnesses, whole rows built) for every admit call."""
+    """Record (the field's coefficient tuple, witnesses, whole rows built)
+    for every admit call."""
     real = cubicfield.SplitTypeMatrix.admit
     admits = []
 
-    def admit(self, K, row):
+    def admit(self, coeffs, disc, row):
         before = len(built)
-        witnesses = real(self, K, row)
-        admits.append((K, witnesses, built[before:]))
+        witnesses = real(self, coeffs, disc, row)
+        admits.append((coeffs, witnesses, built[before:]))
         return witnesses
 
     monkeypatch.setattr(cubicfield.SplitTypeMatrix, "admit", admit)
@@ -1062,9 +1081,7 @@ def test_scaling_ties_are_proven_without_whole_rows(monkeypatch):
         monkeypatch.undo()
         rejected = [(K, rows) for K, witnesses, rows in admits if witnesses is None]
         assert len(rejected) == {20: 18, 30: 33}[height]
-        assert [K for K, rows in rejected if rows] == [
-            galois_class(fiber_at_s(curve, s).fiber) for s in unscaled
-        ]
+        assert [f for f, rows in rejected if rows] == [fiber_at_s(curve, s).coeffs for s in unscaled]
         assert all(max(witnesses) > 97 for _, witnesses, rows in admits if rows and witnesses)
 
 
@@ -1085,15 +1102,16 @@ def test_a_scaled_cubic_has_no_witness_and_is_rejected_without_a_whole_row(monke
         lam = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
         q, p = fd.fiber.coeffs[:2]
         g = galois_class(UniPoly((lam**3 * q, lam**2 * p, 0, 1)))
-        assert cubicfield._scales_to(f.defining, g.defining)
+        assert cubicfield._scales_to(f.defining.coeffs, g.defining.coeffs)
         assert cubicfield._first_difference(
-            cubicfield._split_codes(f, primes), cubicfield._split_codes(g, primes)
+            cubicfield._split_codes(*field_args(f), primes),
+            cubicfield._split_codes(*field_args(g), primes),
         ) is None
         matrix = cubicfield.SplitTypeMatrix()
-        assert matrix.admit(f, head_row(f)) == ()
+        assert matrix.admit(*field_args(f), head_row(f)) == ()
         row = head_row(g)
         built = recording_rows(monkeypatch)
-        assert matrix.admit(g, row) is None
+        assert matrix.admit(*field_args(g), row) is None
         monkeypatch.undo()
         assert built == []
         checked += 1
@@ -1134,7 +1152,7 @@ def test_a_repeated_s_must_reproduce_the_kept_fiber(monkeypatch):
     def shifted_at_one_third(params, s):
         fd = real(params, s)
         if s == Fraction(1, 3):  # shares v with s = 1, which comes first
-            return fd._replace(fiber=fd.fiber + UniPoly.constant(1))
+            return fd._replace(coeffs=(fd.coeffs[0] + 1, *fd.coeffs[1:]))
         return fd
 
     def degenerate_at_one_third(params, s):
@@ -1192,27 +1210,52 @@ def interrupt(fd):
 
 @pytest.mark.parametrize("plant, error", [
     (None, None),  # success
-    (lambda fd: fd._replace(fiber=fd.fiber + UniPoly.constant(1)), VerificationError),
+    (lambda fd: fd._replace(coeffs=(fd.coeffs[0] + 1, *fd.coeffs[1:])), VerificationError),
     (interrupt, KeyboardInterrupt),
 ])
 def test_no_child_is_left_on_any_way_out_of_a_forked_scan(monkeypatch, plant, error):
-    """At height 12 a child's share outgrows the pipe, so a scan that stops at
-    s = 1/3, in the group of s = 1 that this process evaluates, leaves it
-    blocked on a write: it is killed, then reaped."""
-    real = fiber_at_s
+    """At height 20 a child's share is 195 records of about 33 bytes, more
+    than a pipe of one page holds.  So on such a pipe a scan that stops at
+    s = 1/3, in the group of s = 1 that this process evaluates, stops once
+    the child is blocked on a write: it is killed, then reaped."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    real_pipe, real = os.pipe, fiber_at_s
+    reads = []
+
+    def one_page_pipe():
+        read_fd, write_fd = real_pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, page)
+        reads.append(read_fd)
+        return read_fd, write_fd
 
     def planted(params, s):
         fd = real(params, s)
-        return plant(fd) if s == Fraction(1, 3) else fd
+        if s != Fraction(1, 3):
+            return fd
+        # a record fits no more: the child, ahead in its share, is blocked
+        [read_fd] = reads
+        deadline = time.monotonic() + 60
+        while page - unread_bytes(read_fd) >= 24:
+            assert time.monotonic() < deadline, "the child never filled its pipe"
+            time.sleep(0.01)
+        return plant(fd)
 
+    monkeypatch.setattr(os, "pipe", one_page_pipe)
     if plant is not None:
         monkeypatch.setattr(family, "fiber_at_s", planted)
     if error is None:
-        assert scan_family(derive_family(1, 1), 12, jobs=2).certificates
+        assert scan_family(derive_family(1, 1), 20, jobs=2).certificates
     else:
         with pytest.raises(error):
-            scan_family(derive_family(1, 1), 12, jobs=2)
+            scan_family(derive_family(1, 1), 20, jobs=2)
     assert_no_child_is_left()
+
+
+def unread_bytes(read_fd: int) -> int:
+    """The bytes a pipe holds, read through its read end."""
+    count = array("i", [0])
+    fcntl.ioctl(read_fd, termios.FIONREAD, count)
+    return count[0]
 
 
 @pytest.mark.parametrize("at", [Fraction(-1), Fraction(0)])  # groups 0 and 1: each worker
@@ -1232,26 +1275,47 @@ def test_a_workers_error_is_raised_at_its_fiber(monkeypatch, at):
         assert_no_child_is_left()
 
 
+def test_a_foreign_error_in_a_child_keeps_its_type_and_message(monkeypatch):
+    """An exception that is no ntcert error, here at s = 0 in the child's
+    first group, crosses the pipe pickled: the scan raises it as a serial
+    scan does, with the same type and message."""
+    real = fiber_at_s
+
+    def failing(params, s):
+        if s == 0:
+            raise ArithmeticError(f"planted at s={s}")
+        return real(params, s)
+
+    monkeypatch.setattr(family, "fiber_at_s", failing)
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(ArithmeticError) as info:
+            scan_family(derive_family(1, 1), 3, jobs=jobs)
+        raised.append((type(info.value), str(info.value)))
+        assert_no_child_is_left()
+    assert raised == [(ArithmeticError, "planted at s=0")] * 2
+
+
 def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime(monkeypatch):
     """|E(F_p)| is counted once per prime the scan uses, for the torsion bound
     or the walk, and read from the cache for every other fiber."""
     params = derive_family(1, 1)
     used = set()
-    real_bound, real_reduce = torsion_bound, reduce_point_mod_p
+    real_bound, real_reduce = torsion_bound, ellcurve._reduce_point
 
     def bound(*args):
         out = real_bound(*args)
         used.update(out[1])
         return out
 
-    def reduce(P, p):
-        out = real_reduce(P, p)
+    def reduce(curve, point, p):  # the walk's reduction
+        out = real_reduce(curve, point, p)
         if out is not None:
             used.add(p)
         return out
 
     monkeypatch.setattr(family, "torsion_bound", bound)
-    monkeypatch.setattr(ellcurve, "reduce_point_mod_p", reduce)
+    monkeypatch.setattr(ellcurve, "_reduce_point", reduce)
     count_points_mod_p.cache_clear()
     scan_family(params, 4)
     monkeypatch.undo()
@@ -1286,12 +1350,13 @@ def test_a_planted_torsion_point_is_still_torsion(monkeypatch):
         m = fd.fiber
         planted = FieldPoint.affine(curve, m, *(QuotientElem.constant(c, m) for c in rationals(T)))
         bound, _ = fiber_torsion_bound(curve, fd)
-        assert nontorsion_certificate(planted, bound, split_primes(fd)) is False
+        assert nontorsion(planted, bound, split_primes(fd)) is False
         P = point_from_fiber_data(curve, fd) + planted
-        assert nontorsion_certificate(P, bound, split_primes(fd)) is True
+        assert nontorsion(P, bound, split_primes(fd)) is True
         checked += 1
-    monkeypatch.setattr(family, "point_from_fiber_data", lambda curve, fd: FieldPoint.affine(
-        curve, fd.fiber, *(QuotientElem.constant(c, fd.fiber) for c in rationals(T))))
+    # the scan's point, as the coefficient tuples of the planted one
+    monkeypatch.setattr(family, "_fiber_point", lambda curve, fd: ellcurve._coefficients(
+        FieldPoint.affine(curve, fd.fiber, *(QuotientElem.constant(c, fd.fiber) for c in rationals(T)))))
     assert evaluate_fiber(curve, [Fraction(1), Fraction(1, 3)]) == "torsion"
     assert checked == len(enumerate_s_by_height(3))
 
@@ -1303,20 +1368,20 @@ def test_a_bound_past_the_head_walks_at_split_primes_the_kernel_finds(monkeypatc
     curve = derive_family(1, 1)
     fd = fiber_at_s(curve, 1)
     walked, counted = [], []
-    real_reduce, real_counts = reduce_point_mod_p, cubicfield._root_counts
+    real_reduce, real_counts = ellcurve._reduce_point, cubicfield._root_counts
     candidates = split_primes(fd)  # its head row is built here, before the count is patched
 
-    def reduce(P, p):
+    def reduce(curve, point, p):  # the walk's reduction
         walked.append(p)
-        return real_reduce(P, p)
+        return real_reduce(curve, point, p)
 
     def counts(f, primes):
         counted.extend(primes)
         return real_counts(f, primes)
 
-    monkeypatch.setattr(ellcurve, "reduce_point_mod_p", reduce)
+    monkeypatch.setattr(ellcurve, "_reduce_point", reduce)
     monkeypatch.setattr(cubicfield, "_root_counts", counts)
-    assert nontorsion_certificate(point_from_fiber_data(curve, fd), 100, candidates) is True
+    assert nontorsion(point_from_fiber_data(curve, fd), 100, candidates) is True
     assert walked and walked[0] == min(p for p in walked) >= 127
     assert all(roots_mod_p(fd.fiber, p) == 3 for p in walked)
     assert min(counted) == 101 and set(walked) <= set(counted)

@@ -58,8 +58,11 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("ntcert.") or m i
 POOL = {"concurrent.futures.process", "multiprocessing"}
 # dataclasses loads inspect, which loads ast, dis and tokenize: no subcommand needs them
 STARTUP = {"dataclasses", "inspect"}
+# a forked scan's outcomes cross its pipes as marshal records: pickle carries
+# only a child's exception, and signal only kills a child on an early exit
+PIPE = {"pickle", "signal"}
 # the modules outside ntcert that the probe reports
-REPORTED = sorted(POOL | STARTUP | {"pickle", "numpy"})
+REPORTED = sorted(POOL | STARTUP | PIPE | {"numpy"})
 # the polynomial arithmetic, which neither the CLI's start-up nor the Fermat search runs
 POLYNOMIALS = {"exact.unipoly", "exact.bipoly", "exact.quotient"}
 
@@ -76,8 +79,10 @@ def loaded_modules(argv):
 # argv, the module it runs, and the modules it must not load; only a scan
 # loads the scan document's writer and the residue fields, none loads numpy
 # or dataclasses, the series check multiplies int lists and no polynomials,
-# the degree planner needs neither quotient rings nor dense polynomials, and
-# no subcommand loads exact.modpoly, the tests' root-count oracle
+# the degree planner needs neither quotient rings nor dense polynomials, a
+# scan that needs no rational root and no exact Q[theta] law carries its
+# fibers as coefficient tuples and loads neither, and no subcommand loads
+# exact.modpoly, the tests' root-count oracle
 SUBCOMMANDS = {
     "import-only": ([], "cli",
                     {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy",
@@ -96,8 +101,8 @@ SUBCOMMANDS = {
                       {"family", "qseries", "exact.ellcurve", "exact.finitefield",
                        "exact.modpoly", "scandoc", "numpy", *POLYNOMIALS, *STARTUP}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
-                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.modpoly", "pickle",
-                     "numpy", *POOL, *STARTUP}),
+                    {"coverings", "newton", "qseries", "exact.bipoly", "exact.modpoly",
+                     "exact.unipoly", "exact.quotient", "numpy", *PIPE, *POOL, *STARTUP}),
 }
 
 
@@ -110,9 +115,20 @@ def test_each_subcommand_loads_only_its_modules(argv, runs, absent):
 
 def test_a_forked_scan_loads_no_process_pool():
     loaded = loaded_modules(["family-scan", "--s-height-max", "2", "--jobs", "2"])
-    assert {"family", "pickle"} <= loaded  # outcomes cross the pipes pickled
-    assert not loaded & POOL, sorted(loaded & POOL)
+    assert "family" in loaded
+    # outcomes cross the pipes as marshal records, and no child fails or is left early
+    assert not loaded & (POOL | PIPE), sorted(loaded & (POOL | PIPE))
     assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_scan_loads_the_polynomials_where_a_fiber_needs_rational_roots(jobs):
+    """At (3/2, 1), height 3, the fiber at s = -1 splits at every head prime,
+    so rational_roots runs once, in this process at any job count."""
+    argv = ["family-scan", "--a1", "3/2", "--a4", "1", "--s-height-max", "3", "--jobs", jobs]
+    loaded = loaded_modules(argv)
+    assert {"family", "exact.unipoly"} <= loaded
+    assert not loaded & (POOL | PIPE), sorted(loaded & (POOL | PIPE))
 
 
 def test_the_curve_layer_loads_neither_the_family_nor_numpy():

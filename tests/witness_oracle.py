@@ -19,7 +19,7 @@ def _roots(f, p):
 def first_witness(K1, K2, bound):
     """The first prime <= bound, good for both fields, where one field has 3
     roots and the other none; None if no prime up to the bound is one."""
-    bad = _bad_part(K1.defining, K1.disc) * _bad_part(K2.defining, K2.disc)
+    bad = _bad_part(K1.defining.coeffs, K1.disc) * _bad_part(K2.defining.coeffs, K2.disc)
     for p in primes_up_to(bound):
         if bad % p and {_roots(K1.defining, p), _roots(K2.defining, p)} == {0, 3}:
             return p
