@@ -2,10 +2,10 @@
 
 One chord-tangent law serves every field: it takes the field as an
 operation object, QuotientField for Q[x]/(f) (QuotientElem coordinates) or
-finitefield's F_p on ints, so the non-torsion walk builds no element
-objects.  Reduction mod p and nontorsion_certificate read a point over
-Q[x]/(m) as coefficient tuples (x, y, m), lowest degree first, so a scan
-reduces its points without building a polynomial.  exact.unipoly and
+finitefield's F_p on ints, so the non-torsion check's products over F_p
+build no element objects.  Reduction mod p and nontorsion_certificate
+read a point over Q[x]/(m) as coefficient tuples (x, y, m), lowest degree
+first, so a scan reduces its points without building a polynomial.  exact.unipoly and
 exact.quotient load on demand: where a Q[x]/(m) point is built
 (FieldPoint.affine, or _exact_point for the exact fallback of
 nontorsion_certificate).  Only ntcert.errors and ntcert.exact are
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm as _int_lcm
 from typing import TYPE_CHECKING, Iterable
 
 from ..errors import InvalidInputError, SingularCurveError, VerificationError
@@ -196,7 +195,7 @@ class FieldPoint:
 # -- reduction mod p -------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)  # the torsion primes and the walk ask for the same few per fiber
+@lru_cache(maxsize=1024)  # the torsion primes and the non-torsion check ask for the same few per fiber
 def is_good_prime(curve: WeierstrassCurve, p: int) -> bool:
     """Good reduction for this model: p > 3, prime, unit denominators, p ∤ num(disc)."""
     if p <= 3 or not is_prime(p):
@@ -300,67 +299,41 @@ def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
 # -- non-torsion -------------------------------------------------------------------
 
 
-def _walk(Pbar: FieldPoint, bound: int) -> list:
-    """The coordinates of Pbar, 2*Pbar, ...: the bound of them, or those
-    before the first k <= bound with k*Pbar = O, whose order is then k."""
-    F, a, P = Pbar.field, Pbar.a, Pbar._coords()
-    multiples = []
-    Q = None
-    for _ in range(bound):
-        Q = _chord_tangent(F, a, Q, P)
-        if Q is None:
-            break
-        multiples.append(Q)
-    return multiples
-
-
-def _annihilates(Pbar: FieldPoint, multiples: list, n: int) -> bool:
-    """Whether n*Pbar = O, from a walk that met no O up to B*Pbar, B = len(multiples):
-    with n = q*B + r, n*Pbar = q*(B*Pbar) + r*Pbar, and r*Pbar is in the walk."""
-    F, a = Pbar.field, Pbar.a
-    q, r = divmod(n, len(multiples))
-    rest = multiples[r - 1] if r else None
-    q_multiple = _power(multiples[-1], q, None, partial(_chord_tangent, F, a))
-    return _chord_tangent(F, a, q_multiple, rest) is None
-
-
-# The walk uses at most this many primes before the exact fallback.
-_MAX_WALKS = 12
+# nontorsion_certificate tries at most this many primes before the exact fallback.
+_MAX_PRIMES = 12
 
 
 def nontorsion_certificate(
     curve: WeierstrassCurve, point: tuple | None, bound: int, primes: Iterable[int],
 ) -> bool:
-    """True iff k*P is never the identity for 1 <= k <= bound.
+    """True iff P has infinite order, so that k*P != O for 1 <= k <= bound.
 
     P is the point over Q[z]/(m) given as the coefficient tuples (x, y, m),
-    or O as None.  The walk reduces it by _reduce_point, and only the exact
-    fallback builds it as a FieldPoint (_exact_point).
+    or O as None; only the exact fallback builds it (_exact_point).
 
-    Reduction at a good prime is a homomorphism (Silverman, The Arithmetic of
-    Elliptic Curves, VII.2.1), so k*P = O forces k*Pbar = O.  primes are the
-    candidate primes, ascending, such as those where the fiber splits; the
-    walk starts at the first with p + 1 - 2*sqrt(p) > bound, where
-    |E(F_p)| > bound by Hasse, so one walk usually settles the claim, and
-    uses the first twelve at which P reduces to F_p.  At each one the walk
-    Pbar, 2*Pbar, ..., bound*Pbar either misses O, which proves the claim,
-    or first meets it at the order of Pbar; the exact law then tests only
-    multiples of the lcm of those orders.  The verdict is the same whichever
-    primes are walked: False needs some k <= bound with k*P = O in exact
-    arithmetic, and if P has order n <= bound, each reduced order divides
-    n, so no walk misses O and n is one of the multiples tested.  At the
-    first prime used |E(F_p)| must annihilate Pbar, checking the count;
-    when the walk met no O, that product starts from the walk's last
-    multiple.
+    Precondition, which this function cannot check: bound is a multiple of
+    every torsion order of E(K).  family.torsion_bound's gcd of reduced
+    group orders meets it, for counted and explicit torsion primes alike:
+    torsion injects into each good, unramified reduction (Silverman, The
+    Arithmetic of Elliptic Curves, VII.3.1).  So bound*P != O means P has
+    infinite order, hence k*P != O for every k <= bound, which is the
+    certificate's nontorsion_checked_to; and a torsion P gives bound*P = O.
+
+    Reduction at a good prime is a homomorphism (VII.2.1), so bound*Pbar != O
+    at one prime proves bound*P != O.  The primes, ascending (such as those
+    where the fiber splits), are tried from the first with
+    p + 1 - 2*sqrt(p) > bound, where |E(F_p)| > bound by Hasse, and at most
+    twelve at which P reduces to F_p.  At the first, |E(F_p)|*Pbar = O
+    checks the count.  If bound*Pbar = O at every one, the single exact
+    product bound*P over Q[z]/(m) decides.
     """
     if bound < 1:
         raise InvalidInputError("bound must be >= 1")
     if point is None:
         return False
-    step = 1
     used = 0
     for p in primes:
-        if used >= _MAX_WALKS or step > bound:
+        if used >= _MAX_PRIMES:
             break
         if p + 1 <= bound or (p + 1 - bound) ** 2 <= 4 * p:
             continue  # below the Hasse start
@@ -368,20 +341,9 @@ def nontorsion_certificate(
         if reduced is None:
             continue
         Pbar, group_order = reduced
-        multiples = _walk(Pbar, bound)
-        order = len(multiples) + 1 if len(multiples) < bound else None
-        if not used and not (  # |E(F_p)| kills Pbar: the walk's order divides it
-            group_order % order == 0 if order else _annihilates(Pbar, multiples, group_order)
-        ):
+        if not used and not Pbar.scalar_mul(group_order).is_infinity:
             raise VerificationError("the reduced group order does not annihilate the point")
-        if order is None:
+        if not Pbar.scalar_mul(bound).is_infinity:
             return True
-        step = _int_lcm(step, order)
         used += 1
-    if step > bound:
-        return True
-    P = _exact_point(curve, point)
-    for k in range(step, bound + 1, step):
-        if P.scalar_mul(k).is_infinity:
-            return False
-    return True
+    return not _exact_point(curve, point).scalar_mul(bound).is_infinity

@@ -4,7 +4,7 @@ An element of F_p is an int in [0, p), equality is int equality, and no
 element object is built: the field object does the arithmetic, through
 _add, _sub, _mul and _inv (underscored, as they run per element), next to
 zero.  ellcurve's one chord-tangent law takes such an object as its field.
-The non-torsion walk reduces only at primes where the fiber has a root
+The non-torsion check reduces only at primes where the fiber has a root
 mod p, where the residue field of the cyclic cubic field is F_p, so no
 other finite field is needed.
 """

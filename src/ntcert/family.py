@@ -215,12 +215,14 @@ def torsion_bound(
 ) -> tuple[int, tuple[int, ...]]:
     """(bound, primes): the gcd over the primes of |E(F_{p^d_p})|, d_p the residue degree.
 
-    Torsion over the cubic field injects into each reduced group, so the gcd
-    bounds its order.  ``primes`` is a count (>= 2) of the smallest primes > 3
-    good for the curve and unramified for the fiber, or a list of at least two
-    distinct such primes, used as given.  Past a count, more primes join while
-    the bound is large: a gcd over more good primes still bounds the torsion,
-    and a smaller bound keeps the non-torsion walk short.  The ramified primes
+    Torsion over the cubic field injects into each reduced group, so the
+    gcd is a multiple of every torsion order, as nontorsion_certificate
+    requires.  ``primes`` is a count (>= 2) of the smallest primes > 3 good
+    for the curve and unramified for the fiber, or a list of at least two
+    distinct such primes, used as given.  Past a count, more primes join
+    while the bound exceeds 30, up to twelve in all: one product per prime
+    decides non-torsion at any bound, so this stays only because v1
+    documents pin torsion_primes and torsion_bound.  The ramified primes
     come from the discriminant that fiber_at_s proved.  d_p is 3 where the
     fiber is inert and 1 where it splits, as _root_count reads it from row.
     """
@@ -368,7 +370,7 @@ def evaluate_fiber(
     which reduces to a root mod every prime that does not divide a
     denominator (those are bad, so in no row).  The row also gives the
     torsion primes' residue degrees and the split primes where the
-    non-torsion walk runs over F_p.
+    non-torsion check multiplies over F_p.
     """
     first = same_v[0]
     for s in same_v:

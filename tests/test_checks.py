@@ -62,7 +62,7 @@ def test_failed_check_exits_3_without_traceback(monkeypatch, capsys):
 
 
 def test_non_annihilating_group_order_exits_3(monkeypatch, capsys):
-    """The scan's walk reduces its points by ellcurve._reduce_point."""
+    """The scan's non-torsion check reduces its points by ellcurve._reduce_point."""
     real = ellcurve._reduce_point
 
     def off_by_one(curve, point, p):

@@ -374,9 +374,18 @@ def test_forked_height20_scan_bytes_are_pinned(capsys):
 def test_height30_scan_bytes_are_pinned(capsys):
     """(2, 3) at height 30: 806 certificates.  At s = -9/8 and 7/17 the point
     reduces to an order at most the torsion bound, 6, at most primes below
-    29, so a walk over the small primes needs the exact Q[theta] check
-    there; the bytes are the same whichever primes settle the claim."""
+    29, so a check over the small primes could reach the exact Q[theta]
+    product there; the bytes are the same whichever primes settle the claim."""
     argv = ["family-scan", "--a1", "2", "--a4", "3", "--s-height-max", "30"]
     assert cli.main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "18ae17854b1ae9c0a2f411a791f01d55bdb347402898c4abd395c9b1e0227579"
+
+
+def test_height30_default_family_scan_bytes_are_pinned(capsys):
+    """(1, 1) at height 30, past the height-20 pin: every certificate's
+    non-torsion verdict is bound*Pbar != O at a split prime."""
+    argv = ["family-scan", "--a1", "1", "--a4", "1", "--s-height-max", "30"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "1563bc3f481a51745ac8bab9a588c44bdbc312a81d3abba5201af2093ea0842c"

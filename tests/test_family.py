@@ -18,6 +18,7 @@ from ntcert.errors import (
 from ntcert.exact import QuotientElem, UniPoly, count_distinct_roots, iter_primes, primes_up_to
 from ntcert.exact import ellcurve
 from ntcert.exact.finitefield import PrimeField
+from ntcert.exact.quotient import QuotientField
 from ntcert.exact.primes import factorize
 from ntcert.exact.ellcurve import (
     FieldPoint,
@@ -69,7 +70,7 @@ def fiber_row(fd) -> tuple[int, int]:
 
 
 def split_primes(fd):
-    """The candidate primes evaluate_fiber gives the non-torsion walk."""
+    """The candidate primes evaluate_fiber gives the non-torsion check."""
     return family._split_primes(fd, fiber_row(fd))
 
 
@@ -450,14 +451,12 @@ def test_reduction_commutes_with_the_group_law_over_fp():
     assert checked >= 20 and rootless >= 20, (checked, rootless)
 
 
-def test_the_walk_is_the_reduction_of_the_exact_multiples():
-    """At the first three primes where each point to height 4 reduces, the
-    walk's k-th point is the reduction of k*P under the exact Q[theta] law,
-    k <= 6: k*Pbar is (k mod o)*Pbar when the walk meets O at o, and o*P
-    does not reduce there (it is not integral at that prime).  Where the
-    walk meets no O, its annihilation test at |E(F_p)| agrees with
-    scalar_mul."""
-    walks = annihilations = 0
+def test_reduced_multiples_are_the_reductions_of_the_exact_multiples():
+    """At the first three primes where each point to height 4 reduces,
+    Pbar.scalar_mul(k) is the reduction of k*P under the exact Q[theta] law,
+    k <= 6, wherever k*P reduces; where k*Pbar = O, k*P does not reduce
+    there (it is not integral at that prime).  |E(F_p)| kills every Pbar."""
+    checked = killed = 0
     for a1, a4 in ((1, 1), (2, 3)):
         params = derive_family(a1, a4)
         for s in enumerate_s_by_height(4):
@@ -475,23 +474,20 @@ def test_the_walk_is_the_reduction_of_the_exact_multiples():
                     continue
                 Pbar, group_order = reduced
                 used += 1
-                walk = ellcurve._walk(Pbar, 6)
-                o = len(walk) + 1 if len(walk) < 6 else None
+                assert Pbar.scalar_mul(group_order).is_infinity
                 for k, kP in enumerate(exact, 1):
+                    kPbar = Pbar.scalar_mul(k)
                     image = reduce_point_mod_p(kP, p)
-                    if o and k % o == 0:
+                    if kPbar.is_infinity:
                         assert image is None, (s, p, k)
+                        killed += 1
                     elif image is not None:  # else k*P is not integral at every prime above p
-                        assert image == (Pbar._sibling(walk[(k % o if o else k) - 1]), group_order)
-                        walks += 1
-                if o is None:
-                    kills = Pbar.scalar_mul(group_order).is_infinity
-                    assert ellcurve._annihilates(Pbar, walk, group_order) is kills is True
-                    annihilations += 1
+                        assert image == (kPbar, group_order)
+                        checked += 1
                 if used == 3:
                     break
             assert used == 3, s
-    assert walks >= 200 and annihilations >= 20, (walks, annihilations)
+    assert checked >= 200 and killed >= 10, (checked, killed)
 
 
 def test_point_count_contains_three_torsion():
@@ -574,12 +570,13 @@ def test_nontorsion_certificate_examples():
 
 
 def test_nontorsion_certificate_matches_naive_scan():
+    """At bounds the contract admits, multiples of the order 3, the
+    three-torsion point gets False, as the naive scan says."""
     params = derive_family(1, 1)
     P = three_torsion(params)
-    for k in range(2, 5):
-        Pk = P  # order 3: naive truth is k >= 3
-        naive = all(not Pk.scalar_mul(j).is_infinity for j in range(1, k + 1))
-        assert nontorsion(Pk, k, iter_primes(5)) == naive
+    for k in (3, 6, 9):
+        naive = all(not P.scalar_mul(j).is_infinity for j in range(1, k + 1))
+        assert nontorsion(P, k, iter_primes(5)) == naive is False
 
 
 def test_reduce_point_mod_p_stays_on_curve():
@@ -610,7 +607,7 @@ def test_reduction_skips_a_prime_in_a_denominator_of_the_modulus():
 def test_reduction_skips_a_prime_where_a_quadratic_modulus_has_no_root():
     """A point over a quadratic field reduces only where its modulus has a
     root mod p, as a point over a cyclic cubic field does, and the
-    non-torsion walk, which uses only those primes, stays sound."""
+    non-torsion check, which uses only those primes, stays sound."""
     curve = derive_family(1, 1)
     a1, a2, a3, a4, a6 = curve.a_invariants
     x = -3
@@ -730,16 +727,22 @@ def test_group_law_vertical_cases():
 
 
 def test_nontorsion_certificate_exhaustive_small_bounds():
-    """Reduction-shortcut decision must equal the naive incremental scan for
-    torsion points, non-torsion points, and the identity, at every small bound."""
+    """The decision equals the naive incremental scan for torsion points,
+    a non-torsion point and the identity, at every small bound the contract
+    admits: multiples of the order for the torsion points, any bound else."""
     params = derive_family(1, 1)
     torsion3 = three_torsion(params)
     two_torsion_curve = WeierstrassCurve(0, 0, 0, -1, 0)
     order2 = rational_point(two_torsion_curve, 0, 0)
     fiber_pt = fiber_point(params, 1)
     identity = torsion3.scalar_mul(3)
-    for P in (torsion3, order2, fiber_pt, identity):
-        for bound in range(1, 9):
+    for P, bounds in (
+        (torsion3, range(3, 13, 3)),
+        (order2, range(2, 9, 2)),
+        (fiber_pt, range(1, 9)),
+        (identity, range(1, 9)),
+    ):
+        for bound in bounds:
             naive = True
             acc = P
             for _ in range(bound):
@@ -750,7 +753,7 @@ def test_nontorsion_certificate_exhaustive_small_bounds():
             assert nontorsion(P, bound, iter_primes(5)) == naive, (P, bound)
 
 
-# -- the non-torsion walk and the point path ------------------------------------------
+# -- the non-torsion product and the point path ---------------------------------------
 
 
 def factor_stripping_order(Pbar, group_order):
@@ -762,14 +765,11 @@ def factor_stripping_order(Pbar, group_order):
     return o
 
 
-def walk_order(Pbar, bound):
-    """The order of Pbar if the walk meets O by bound*Pbar, else None."""
-    walked = len(ellcurve._walk(Pbar, bound))
-    return walked + 1 if walked < bound else None
-
-
-def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
-    walked = {"order": 0, "none": 0}
+def test_bound_kills_pbar_exactly_when_the_factor_stripping_order_divides_it():
+    """bound*Pbar = O exactly when the order of Pbar, found by stripping
+    prime factors off |E(F_p)|, divides the bound; and the certificate
+    agrees with the naive exact scan k*P != O for k <= bound."""
+    killed = {True: 0, False: 0}
     for a1, a4 in ((1, 1), (2, 3)):
         params = derive_family(a1, a4)
         for s in enumerate_s_by_height(3):
@@ -784,28 +784,21 @@ def test_walk_matches_factor_stripping_order_and_naive_nontorsion():
                     continue
                 Pbar, group_order = reduced
                 assert Pbar.scalar_mul(group_order).is_infinity
-                oracle = factor_stripping_order(Pbar, group_order)
-                if oracle <= bound:
-                    assert walk_order(Pbar, bound) == oracle
-                    assert walk_order(Pbar, oracle) == oracle
-                    assert walk_order(Pbar, oracle - 1) is None
-                    walked["order"] += 1
-                else:
-                    assert walk_order(Pbar, bound) is None
-                    walked["none"] += 1
+                divides = bound % factor_stripping_order(Pbar, group_order) == 0
+                assert Pbar.scalar_mul(bound).is_infinity is divides
+                killed[divides] += 1
             # naive exact check over Q[theta]: k*P != O for k = 1..bound
             multiple, naive = P, True
             for _ in range(bound - 1):
                 multiple = multiple + P
                 naive = naive and not multiple.is_infinity
             assert nontorsion(P, bound, split_primes(fd)) is naive is True
-    assert walked["order"] >= 10 and walked["none"] >= 10, walked
+    assert killed[True] >= 10 and killed[False] >= 10, killed
 
 
 def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(monkeypatch):
-    """A group order that does not kill Pbar fails the certificate, whether or
-    not the walk at that prime found the order of Pbar.  The walk reduces by
-    ellcurve._reduce_point."""
+    """A group order that does not kill Pbar fails the certificate at the
+    first prime where the point reduces, by ellcurve._reduce_point."""
     real = ellcurve._reduce_point
     usable = []
 
@@ -817,7 +810,6 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
         return reduced[0], reduced[1] + 1
 
     monkeypatch.setattr(ellcurve, "_reduce_point", off_by_one)
-    walk_found_order = set()
     params = derive_family(1, 1)
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(params, s)
@@ -827,38 +819,68 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
         with pytest.raises(VerificationError, match="does not annihilate"):
             nontorsion(P, bound, split_primes(fd))
         assert len(usable) == 1
-        Pbar, _ = real(params, ellcurve._coefficients(P), usable[0])
-        walk_found_order.add(walk_order(Pbar, bound) is not None)
-    assert walk_found_order == {True, False}
 
 
-def test_annihilation_from_the_walk_matches_scalar_mul():
-    """q*(B*Pbar) + r*Pbar = O, with r*Pbar read from the walk, decides
-    n*Pbar = O as the binary method does, at the group order and next to it,
-    for every reduced point to height 4 whose walk meets no O up to B."""
-    checked = {True: 0, False: 0}
-    for a1, a4 in ((1, 1), (2, 3)):
-        params = derive_family(a1, a4)
-        for s in enumerate_s_by_height(4):
-            fd = fiber_at_s(params, s)
-            if fd.fiber.rational_roots():
-                continue
-            P = point_from_fiber_data(params, fd)
-            bound, _ = fiber_torsion_bound(params, fd)
-            for p in primes_up_to(31):
-                reduced = reduce_point_mod_p(P, p)
-                if reduced is None:
-                    continue
-                Pbar, group_order = reduced
-                for B in (1, 2, bound):
-                    multiples = ellcurve._walk(Pbar, B)
-                    if len(multiples) < B:
-                        continue
-                    for n in (group_order - 1, group_order, group_order + 1):
-                        kills = Pbar.scalar_mul(n).is_infinity
-                        assert ellcurve._annihilates(Pbar, multiples, n) is kills, (s, p, B, n)
-                        checked[kills] += 1
-    assert checked[True] >= 100 and checked[False] >= 200, checked
+def planted_three_torsion(params, fd) -> tuple:
+    """The rational 3-torsion point (0, a4/a1) over Q[theta]/(fiber), as the
+    coefficient tuples nontorsion_certificate takes."""
+    return (), (params.a4 / params.a1,), fd.coeffs
+
+
+def test_primes_where_the_bound_kills_pbar_drive_the_loop_on(monkeypatch):
+    """A prime where bound*Pbar = O proves nothing, so the loop goes on and
+    returns True at the first prime where bound*Pbar != O: one reduction per
+    prime tried, and no exact product."""
+    params = derive_family(1, 1)
+    fd = fiber_at_s(params, Fraction(-4, 3))
+    bound, _ = fiber_torsion_bound(params, fd)
+    point = family._fiber_point(params, fd)
+    usable = [
+        p for p in primes_up_to(400)
+        if (p + 1 - bound) ** 2 > 4 * p and p + 1 > bound
+        and ellcurve._reduce_point(params, point, p) is not None
+    ]
+    killing = [
+        p for p in usable if ellcurve._reduce_point(params, point, p)[0].scalar_mul(bound).is_infinity
+    ]
+    assert len(killing) >= 2
+    primes = killing[:2] + [p for p in usable if p > killing[1] and p not in killing]
+    real, reduced_at = ellcurve._reduce_point, []
+
+    def counted(curve, point, p):
+        reduced_at.append(p)
+        return real(curve, point, p)
+
+    def no_fallback(curve, point):
+        raise AssertionError("the exact fallback ran")
+
+    monkeypatch.setattr(ellcurve, "_reduce_point", counted)
+    monkeypatch.setattr(ellcurve, "_exact_point", no_fallback)
+    assert nontorsion_certificate(params, point, bound, primes) is True
+    assert reduced_at == primes[:3]
+
+
+def test_a_forced_fallback_makes_one_exact_product(monkeypatch):
+    """With no prime to reduce at, the verdict is the one exact product
+    bound*P over Q[theta]: O for the planted torsion point, and not O for
+    the fiber's point."""
+    params = derive_family(1, 1)
+    fd = fiber_at_s(params, 1)
+    bound, _ = fiber_torsion_bound(params, fd)
+    real, products = FieldPoint.scalar_mul, []
+
+    def counted(P, k):
+        products.append((type(P.field), k))
+        return real(P, k)
+
+    monkeypatch.setattr(FieldPoint, "scalar_mul", counted)
+    torsion, point = planted_three_torsion(params, fd), family._fiber_point(params, fd)
+    assert nontorsion_certificate(params, torsion, bound, ()) is False
+    assert products == [(QuotientField, bound)]
+    products.clear()
+    monkeypatch.setattr(ellcurve, "_reduce_point", lambda curve, point, p: None)
+    assert nontorsion_certificate(params, point, bound, primes_up_to(200)) is True
+    assert products == [(QuotientField, bound)]
 
 
 def no_inert_head_prime(params, s):
@@ -1298,7 +1320,7 @@ def test_a_foreign_error_in_a_child_keeps_its_type_and_message(monkeypatch):
 
 def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime(monkeypatch):
     """|E(F_p)| is counted once per prime the scan uses, for the torsion bound
-    or the walk, and read from the cache for every other fiber."""
+    or the non-torsion check, and read from the cache for every other fiber."""
     params = derive_family(1, 1)
     used = set()
     real_bound, real_reduce = torsion_bound, ellcurve._reduce_point
@@ -1308,7 +1330,7 @@ def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime(monk
         used.update(out[1])
         return out
 
-    def reduce(curve, point, p):  # the walk's reduction
+    def reduce(curve, point, p):  # the non-torsion check's reduction
         out = real_reduce(curve, point, p)
         if out is not None:
             used.add(p)
@@ -1339,18 +1361,29 @@ def test_is_good_prime_is_cached_per_curve_and_prime():
 
 
 def test_a_planted_torsion_point_is_still_torsion(monkeypatch):
-    """The walk runs only at split primes from the Hasse start, and the
+    """The product runs only at split primes from the Hasse start, and the
     verdict is the same: the rational 3-torsion point over each fiber's
-    field gives "torsion", and its sum with the fiber point does not."""
+    field gives "torsion", after bound*Pbar = O at the twelve primes tried,
+    and its sum with the fiber point does not."""
     curve = derive_family(1, 1)
     T = three_torsion(curve)
+    real_reduce, reduced = ellcurve._reduce_point, []
+
+    def reduce(curve, point, p):
+        out = real_reduce(curve, point, p)
+        reduced.append(out is not None)
+        return out
+
+    monkeypatch.setattr(ellcurve, "_reduce_point", reduce)
     checked = 0
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(curve, s)
         m = fd.fiber
         planted = FieldPoint.affine(curve, m, *(QuotientElem.constant(c, m) for c in rationals(T)))
         bound, _ = fiber_torsion_bound(curve, fd)
+        reduced.clear()
         assert nontorsion(planted, bound, split_primes(fd)) is False
+        assert sum(reduced) == ellcurve._MAX_PRIMES
         P = point_from_fiber_data(curve, fd) + planted
         assert nontorsion(P, bound, split_primes(fd)) is True
         checked += 1
@@ -1364,14 +1397,14 @@ def test_a_planted_torsion_point_is_still_torsion(monkeypatch):
 def test_a_bound_past_the_head_walks_at_split_primes_the_kernel_finds(monkeypatch):
     """At bound 100 the Hasse start p + 1 - 2*sqrt(p) > 100 is p = 127, past
     the head primes, so the fiber's root counts mod p decide where it splits,
-    and the walk runs only there."""
+    and the non-torsion check runs only there."""
     curve = derive_family(1, 1)
     fd = fiber_at_s(curve, 1)
     walked, counted = [], []
     real_reduce, real_counts = ellcurve._reduce_point, cubicfield._root_counts
     candidates = split_primes(fd)  # its head row is built here, before the count is patched
 
-    def reduce(curve, point, p):  # the walk's reduction
+    def reduce(curve, point, p):  # the non-torsion check's reduction
         walked.append(p)
         return real_reduce(curve, point, p)
 
