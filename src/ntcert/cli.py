@@ -1,42 +1,61 @@
 """Command-line front end emitting deterministic JSON artifacts.
 
 Subcommands: family-scan, covering-report, degree-plan, modular-verify,
-fermat-search.  Flags may also be supplied through a flat JSON config file
-(--config); explicit command-line values win.  Exit codes: 0 success,
-2 invalid input (InvalidInputError), 3 verification failure
-(VerificationError).  Each cmd_* imports the modules it runs, so a
-subcommand loads only those; coverings and jsonio likewise import the
-polynomial modules inside the functions that use them, so fermat-search
-and the CLI's own start-up load no polynomial arithmetic.
+fermat-search, read from argv by the _COMMANDS table.  A flat JSON config
+file (--config) may supply flags; explicit ones win.  Exit codes: 0 success
+(-h included), 2 invalid input (InvalidInputError, argv errors included),
+3 verification failure (VerificationError).  Each cmd_* imports the
+modules it runs, so a subcommand loads only those; coverings and jsonio
+likewise import the polynomial modules and Fraction inside the functions
+that use them, so start-up loads neither, fermat-search no polynomials,
+and modular-verify and fermat-search no fractions or decimal.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import InvalidInputError, NtcertError, VerificationError
-from .exact import parse_rational
 from .jsonio import SCHEMA_VERSION, dumps_canonical
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_VERIFICATION_FAILURE = 3
 
-_SCAN_DEFAULTS = {
-    "a1": "1",
-    "a4": "1",
-    "s_height_max": 10,
-    "witness_bound": None,  # cubicfield.DEFAULT_WITNESS_BOUND, read when a scan runs
-    "torsion_primes": "2",
-    "jobs": 1,
+# Options: dest -> (type, default, help, JSON types of a --config value); the
+# flag is --dest with dashes, a bool is a switch, and _parse leaves an option
+# with JSON types None, so that _merged can take it from --config first.
+_OUT = {"out": (str, None, "output path (stdout if omitted)", ())}
+_SCAN_OPTIONS = {
+    "a1": (str, "1", "family coefficient a1 (rational, nonzero)", (str, int)),
+    "a4": (str, "1", "family coefficient a4 (rational, nonzero)", (str, int)),
+    "s_height_max": (int, 10, "max height of s", (int,)),
+    # None: cubicfield.DEFAULT_WITNESS_BOUND, read when a scan runs
+    "witness_bound": (int, None, "prime bound for distinctness witnesses", (int,)),
+    "torsion_primes": (str, "2", "count of good primes to select, or a comma list", (int, str, list)),
+    "jobs": (int, 1, "worker processes for fiber evaluation", (int,)),
+    "config": (str, None, "flat JSON config file; CLI flags override it", ()),
+    **_OUT,
 }
-# JSON types a --config value may have; other keys take integers.  JSON
-# true/false load as bools, which Python counts as ints, and are rejected.
-_CONFIG_TYPES = {"a1": (str, int), "a4": (str, int), "torsion_primes": (int, str, list)}
+# Subcommand -> (help, positionals as (name, type, allowed values), options).
+# Its handler cmd_<name> is looked up as it runs, so a wrapper put on the module runs.
+_COMMANDS = {
+    "family-scan": ("scan fibers and emit extension certificates", (), _SCAN_OPTIONS),
+    "covering-report": ("congruence solutions, models, genus data", (("p", int, ()),), _OUT),
+    "degree-plan": ("reachable degrees for the substitution planner",
+                    (("n", int, ()), ("d_max", int, ())), _OUT),
+    "modular-verify": ("verify the eta-quotient / j identity", (),
+                       {"order": (int, 24, "truncation order of the series", ()), **_OUT}),
+    "fermat-search": (
+        "exact search of A^p = B^p + C^p over the Barlow-Abel candidates (Ribenboim 1999)",
+        (("p", int, (3, 5, 7)),),
+        {"bound": (int, 100, "search bound", ()),
+         "full": (bool, False, "list every solution, not just counts (bound <= 2*10^8)", ()),
+         **_OUT}),
+}
 
 
 class ScanConfig(NamedTuple):
@@ -60,10 +79,6 @@ class ScanConfig(NamedTuple):
         }
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    _write(dumps_canonical(doc), out_path)
-
-
 def _write(text: str, out_path: str | None) -> None:
     """Write a fully rendered document at once, so a failure leaves none of it."""
     if out_path:
@@ -80,21 +95,20 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise NtcertError("config file must hold a flat JSON object")
-    unknown = sorted(set(cfg) - set(_SCAN_DEFAULTS))
+    unknown = sorted(key for key in cfg if key not in _SCAN_OPTIONS or not _SCAN_OPTIONS[key][3])
     if unknown:
         raise InvalidInputError(f"unknown config key {unknown[0]!r}")
     return cfg
 
 
-def _merged(args: argparse.Namespace, key: str):
-    value = getattr(args, key, None)
+def _merged(args: SimpleNamespace, cfg: dict, key: str):
+    value = getattr(args, key)
     if value is not None:
         return value
-    cfg = getattr(args, "_config", {})
+    _, default, _, types = _SCAN_OPTIONS[key]
     if key not in cfg:
-        return _SCAN_DEFAULTS[key]
+        return default
     value = cfg[key]
-    types = _CONFIG_TYPES.get(key, (int,))
     if isinstance(value, bool) or not isinstance(value, types):
         names = " or ".join(t.__name__ for t in types)
         raise InvalidInputError(f"config value {key}={value!r} must be {names}")
@@ -115,21 +129,23 @@ def _parse_torsion_primes(raw) -> int | tuple[int, ...]:
     return int(text)
 
 
-def cmd_family_scan(args: argparse.Namespace) -> int:
+def cmd_family_scan(args: SimpleNamespace) -> int:
     from .cubicfield import DEFAULT_WITNESS_BOUND
+    from .exact import parse_rational
     from .family import derive_family, scan_family
     from .scandoc import dumps_scan
 
-    witness_bound = _merged(args, "witness_bound")
+    cfg = _load_config(args.config)
+    witness_bound = _merged(args, cfg, "witness_bound")
     config = ScanConfig(
-        a1=parse_rational(str(_merged(args, "a1"))),
-        a4=parse_rational(str(_merged(args, "a4"))),
-        s_height_max=_merged(args, "s_height_max"),
+        a1=parse_rational(str(_merged(args, cfg, "a1"))),
+        a4=parse_rational(str(_merged(args, cfg, "a4"))),
+        s_height_max=_merged(args, cfg, "s_height_max"),
         witness_bound=DEFAULT_WITNESS_BOUND if witness_bound is None else witness_bound,
-        torsion_primes=_parse_torsion_primes(_merged(args, "torsion_primes")),
+        torsion_primes=_parse_torsion_primes(_merged(args, cfg, "torsion_primes")),
         output_path=args.out,
     )
-    jobs = _merged(args, "jobs")
+    jobs = _merged(args, cfg, "jobs")
 
     result = scan_family(
         derive_family(config.a1, config.a4),
@@ -144,16 +160,16 @@ def cmd_family_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_covering_report(args: argparse.Namespace) -> int:
+def cmd_covering_report(args: SimpleNamespace) -> int:
     from . import coverings
 
     report = coverings.covering_report(args.p)
     doc = {"schema": SCHEMA_VERSION, **report}
-    _emit(doc, args.out)
+    _write(dumps_canonical(doc), args.out)
     return EXIT_OK
 
 
-def cmd_degree_plan(args: argparse.Namespace) -> int:
+def cmd_degree_plan(args: SimpleNamespace) -> int:
     from . import newton
     from .exact import BiPoly
 
@@ -177,16 +193,16 @@ def cmd_degree_plan(args: argparse.Namespace) -> int:
         "checks": {"corner": corner, "degree_law": degree_law},
         "b": b,
     }
-    _emit(doc, args.out)
+    _write(dumps_canonical(doc), args.out)
     return EXIT_OK if corner and degree_law else EXIT_VERIFICATION_FAILURE
 
 
-def cmd_modular_verify(args: argparse.Namespace) -> int:
+def cmd_modular_verify(args: SimpleNamespace) -> int:
     from . import qseries
 
     report = qseries.verify_eta_identity(args.order)
     doc = {"schema": SCHEMA_VERSION, **report}
-    _emit(doc, args.out)
+    _write(dumps_canonical(doc), args.out)
     passed = (
         report["printed_coefficients_match"]
         and report["j_identity_match"]
@@ -195,7 +211,7 @@ def cmd_modular_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
 
 
-def cmd_fermat_search(args: argparse.Namespace) -> int:
+def cmd_fermat_search(args: SimpleNamespace) -> int:
     from . import coverings
 
     # the listing is refused above its cap before the search runs
@@ -212,75 +228,82 @@ def cmd_fermat_search(args: argparse.Namespace) -> int:
     }
     if args.full:
         doc["solutions"] = [list(s) for s in sorted(trivial + nontrivial)]
-    _emit(doc, args.out)
+    _write(dumps_canonical(doc), args.out)
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ntcert",
-        description="Exact certificates: cubic-field fibers, coverings, degree plans, q-series identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _typed(kind, name: str, token: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise InvalidInputError(f"{name} must be an integer, not {token!r}") from None
 
-    scan = sub.add_parser("family-scan", help="scan fibers and emit extension certificates")
-    scan.add_argument("--a1", help="family coefficient a1 (rational, nonzero)")
-    scan.add_argument("--a4", help="family coefficient a4 (rational, nonzero)")
-    scan.add_argument("--s-height-max", type=int, dest="s_height_max", help="max height of s")
-    scan.add_argument("--witness-bound", type=int, dest="witness_bound", help="prime bound for distinctness witnesses")
-    scan.add_argument(
-        "--torsion-primes",
-        dest="torsion_primes",
-        help="integer = number of good primes to select; comma list = explicit primes",
-    )
-    scan.add_argument("--jobs", type=int, help="worker processes for fiber evaluation")
-    scan.add_argument("--config", help="flat JSON config file; CLI flags override it")
-    scan.add_argument("--out", help="output path (stdout if omitted)")
-    scan.set_defaults(func=cmd_family_scan)
 
-    cov = sub.add_parser("covering-report", help="congruence solutions, models, genus data")
-    cov.add_argument("p", type=int)
-    cov.add_argument("--out", help="output path (stdout if omitted)")
-    cov.set_defaults(func=cmd_covering_report)
+def _parse(argv: list[str]) -> tuple:
+    """The handler and argument namespace that argv selects by _COMMANDS,
+    or None and the usage text when argv asks for -h or --help."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, _usage(None)
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise InvalidInputError(f"{given}; choose one of {', '.join(_COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    _, positionals, options = _COMMANDS[command]
+    values = {dest: None if spec[3] else spec[1] for dest, spec in options.items()}
+    flags = {"--" + dest.replace("_", "-"): dest for dest in options}
+    given = []
+    for token in tokens:
+        if not token.startswith("-") or token[1:].isdecimal():  # -5 is a value
+            given.append(token)
+            continue
+        if token in ("-h", "--help"):
+            return None, _usage(command)
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise InvalidInputError(f"{command} has no option {flag}")
+        kind = options[flags[flag]][0]
+        if kind is bool and eq:
+            raise InvalidInputError(f"{flag} takes no value")
+        if kind is not bool and not eq and (value := next(tokens, None)) is None:
+            raise InvalidInputError(f"{flag} needs a value")
+        values[flags[flag]] = kind is bool or _typed(kind, flag, value)
+    if len(given) != len(positionals):
+        names = " ".join(name for name, _, _ in positionals) or "no positionals"
+        raise InvalidInputError(f"{command} takes {names}, got {' '.join(given) or 'none'}")
+    for (name, kind, allowed), token in zip(positionals, given):
+        values[name] = _typed(kind, name, token)
+        if allowed and values[name] not in allowed:
+            raise InvalidInputError(f"{name} must be one of {allowed}, not {token}")
+    return globals()["cmd_" + command.replace("-", "_")], SimpleNamespace(**values)
 
-    plan = sub.add_parser("degree-plan", help="reachable degrees for the substitution planner")
-    plan.add_argument("n", type=int)
-    plan.add_argument("d_max", type=int)
-    plan.add_argument("--out", help="output path (stdout if omitted)")
-    plan.set_defaults(func=cmd_degree_plan)
 
-    mod = sub.add_parser("modular-verify", help="verify the eta-quotient / j identity")
-    mod.add_argument("--order", type=int, default=24)
-    mod.add_argument("--out", help="output path (stdout if omitted)")
-    mod.set_defaults(func=cmd_modular_verify)
-
-    fer = sub.add_parser(
-        "fermat-search",
-        help="exact search of A^p = B^p + C^p over the Barlow-Abel candidates (Ribenboim 1999)",
-    )
-    fer.add_argument("p", type=int, choices=(3, 5, 7))
-    fer.add_argument("--bound", type=int, default=100)
-    fer.add_argument("--full", action="store_true", help="list every solution, not just counts (bound <= 2*10^8)")
-    fer.add_argument("--out", help="output path (stdout if omitted)")
-    fer.set_defaults(func=cmd_fermat_search)
-
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        head = "usage: ntcert <command> [options]  (ntcert <command> -h lists its options)\n"
+        rows = [(name, row[0]) for name, row in _COMMANDS.items()]
+    else:
+        text, positionals, options = _COMMANDS[command]
+        names = "".join(name + " " for name, _, _ in positionals)
+        head = f"usage: ntcert {command} {names}[options]\n\n{text}\n"
+        rows = [(name, f"{kind.__name__} in {allowed}" if allowed else kind.__name__)
+                for name, kind, allowed in positionals]
+        rows += [("--" + dest.replace("_", "-") + ("" if kind is bool else " " + kind.__name__),
+                  help_ + ("" if default in (None, False) else f" (default {default})"))
+                 for dest, (kind, default, help_, _) in options.items()]
+    return head + "".join(f"\n  {left:<22}{right}" for left, right in rows) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args._config = _load_config(getattr(args, "config", None))
-    except (OSError, ValueError, NtcertError) as exc:  # ValueError: JSON or UTF-8 decoding
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        if handler is None:
+            sys.stdout.write(args)
+            return EXIT_OK
+        return handler(args)
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
-    except (NtcertError, ValueError, OSError) as exc:
+    except (NtcertError, ValueError, OSError) as exc:  # ValueError: JSON or UTF-8 decoding too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

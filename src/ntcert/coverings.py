@@ -14,13 +14,16 @@ p^(p-1)*t^p (P. Ribenboim, Fermat's Last Theorem for Amateurs, Springer
 1999), and every candidate is confirmed in exact integer arithmetic.  It
 returns only the nontrivial solutions; the 6*bound + 1 trivial ones have a
 closed form, and `trivial_solutions` lists them when they are asked for.
+
+Fraction is imported inside triangle_nonsingular and psi_identities, the
+only functions that build a rational, so the Fermat search runs without
+loading fractions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import permutations, product
 from math import gcd as _int_gcd, isqrt
 from typing import NamedTuple
@@ -38,10 +41,20 @@ _FERMAT_BOUND_MAX = 2 * 10**8
 
 
 def solve_eq5(p: int) -> list[int]:
-    """All n in [1, p-1] with 1 + n + n^2 = 0 mod p (brute force)."""
+    """All n in [1, p-1] with 1 + n + n^2 = 0 mod p, sorted.
+
+    n = 1 at p = 3; otherwise n^3 = 1 with n != 1, so the roots are the two
+    primitive cube roots of unity, which exist only for p = 1 mod 3: w and
+    w^2 for w = g^((p-1)/3), the first such power with w != 1.
+    """
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
-    return [n for n in range(1, p) if (1 + n + n * n) % p == 0]
+    if p == 3:
+        return [1]
+    if p % 3 != 1:
+        return []
+    w = next(w for g in range(2, p) if (w := pow(g, (p - 1) // 3, p)) != 1)
+    return sorted((w, w * w % p))
 
 
 class SuperellipticModel(NamedTuple):
@@ -190,6 +203,8 @@ def triangle_nonsingular(m: int) -> bool:
     gcd(A(Y^g), B(Y^g)) = gcd(A, B)(Y^g), as a Bezout identity
     S*A + T*B = gcd(A, B) survives Y -> Y^g.  Here A1 and A2 are linear.
     """
+    from fractions import Fraction
+
     from .exact import BiPoly
 
     if m < 2:
@@ -227,6 +242,8 @@ def psi_identities(m: int) -> dict:
     (iii) the coordinate shift induces u -> 1/(1-u), which 3-cycles
         0 -> 1 -> infinity -> 0.
     """
+    from fractions import Fraction
+
     from .exact import UniPoly
 
     if m < 2:

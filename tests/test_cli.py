@@ -389,3 +389,126 @@ def test_height30_default_family_scan_bytes_are_pinned(capsys):
     assert cli.main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "1563bc3f481a51745ac8bab9a588c44bdbc312a81d3abba5201af2093ea0842c"
+
+
+# -- the argv parser -----------------------------------------------------------
+
+_SCAN_UNSET = {"a1": None, "a4": None, "s_height_max": None, "witness_bound": None,
+               "torsion_primes": None, "jobs": None, "config": None, "out": None}
+# argv -> (handler, attribute values), as argparse parsed them before the
+# table-driven parser replaced it: the seven seed-0 benchmark commands, the
+# README examples, and options mixed with positionals, given as --opt=value,
+# repeated (the last wins) and with negative values
+PARSED = {
+    ("family-scan", "--a1", "1", "--a4", "1", "--s-height-max", "8"):
+        ("cmd_family_scan", {**_SCAN_UNSET, "a1": "1", "a4": "1", "s_height_max": 8}),
+    ("family-scan", "--a1", "2", "--a4", "3", "--s-height-max", "8", "--jobs", "2"):
+        ("cmd_family_scan", {**_SCAN_UNSET, "a1": "2", "a4": "3", "s_height_max": 8, "jobs": 2}),
+    ("modular-verify", "--order", "150"): ("cmd_modular_verify", {"order": 150, "out": None}),
+    ("fermat-search", "3", "--bound", "10000"):
+        ("cmd_fermat_search", {"p": 3, "bound": 10000, "full": False, "out": None}),
+    ("fermat-search", "7", "--bound", "5000"):
+        ("cmd_fermat_search", {"p": 7, "bound": 5000, "full": False, "out": None}),
+    ("covering-report", "9901"): ("cmd_covering_report", {"p": 9901, "out": None}),
+    ("degree-plan", "30", "5000"): ("cmd_degree_plan", {"n": 30, "d_max": 5000, "out": None}),
+    ("family-scan", "--a1", "1", "--a4", "1", "--s-height-max", "20", "--out", "certs.json"):
+        ("cmd_family_scan",
+         {**_SCAN_UNSET, "a1": "1", "a4": "1", "s_height_max": 20, "out": "certs.json"}),
+    ("covering-report", "7"): ("cmd_covering_report", {"p": 7, "out": None}),
+    ("degree-plan", "3", "20"): ("cmd_degree_plan", {"n": 3, "d_max": 20, "out": None}),
+    ("modular-verify", "--order", "24"): ("cmd_modular_verify", {"order": 24, "out": None}),
+    ("modular-verify",): ("cmd_modular_verify", {"order": 24, "out": None}),
+    ("family-scan", "--a1", "-1", "--a4", "2", "--torsion-primes", "5,17", "--witness-bound",
+     "500", "--config", "c.json"):
+        ("cmd_family_scan", {**_SCAN_UNSET, "a1": "-1", "a4": "2", "witness_bound": 500,
+                             "torsion_primes": "5,17", "config": "c.json"}),
+    ("fermat-search", "--full", "5", "--bound=7", "--out=x.json"):
+        ("cmd_fermat_search", {"p": 5, "bound": 7, "full": True, "out": "x.json"}),
+    ("family-scan", "--jobs", "2", "--jobs", "3"): ("cmd_family_scan", {**_SCAN_UNSET, "jobs": 3}),
+    ("covering-report", "-5"): ("cmd_covering_report", {"p": -5, "out": None}),
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSED), ids=[" ".join(a) for a in PARSED])
+def test_argv_parses_to_the_handler_and_values_argparse_gave(argv):
+    handler, args = cli._parse(list(argv))
+    assert (handler.__name__, vars(args)) == PARSED[argv]
+    assert handler is getattr(cli, handler.__name__)
+
+
+def test_an_option_with_equals_is_the_option_and_its_value():
+    for argv in PARSED:
+        joined, i = [], 0
+        while i < len(argv):
+            token = argv[i]
+            if token.startswith("--") and "=" not in token and token != "--full":
+                token, i = f"{token}={argv[i + 1]}", i + 1
+            joined.append(token)
+            i += 1
+        handler, args = cli._parse(joined)
+        assert (handler.__name__, vars(args)) == PARSED[argv], joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["--order", "5"],
+        ["family-scan", "--bogus", "1"],
+        ["family-scan", "--s-height", "3"],  # no abbreviations
+        ["family-scan", "--s_height_max", "3"],
+        ["family-scan", "-x"],
+        ["modular-verify", "--order"],
+        ["family-scan", "--a1"],
+        ["fermat-search", "3", "--full=1"],
+        ["modular-verify", "--order", "x"],
+        ["family-scan", "--jobs", "1.5"],
+        ["degree-plan", "3", "x"],
+        ["covering-report"],
+        ["degree-plan", "3"],
+        ["covering-report", "7", "8"],
+        ["modular-verify", "5"],
+        ["fermat-search", "3", "--full", "1"],
+        ["fermat-search", "11", "--full", "--bound", "3"],
+        ["fermat-search", "2"],
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_argv_errors_exit_2_with_one_error_line(capsys, monkeypatch, argv):
+    from ntcert import coverings
+
+    def refused(*_):
+        raise AssertionError("an argv error ran the command")
+
+    monkeypatch.setattr(coverings, "trivial_solutions", refused)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"]], ids=["none", "unknown"])
+def test_a_missing_or_unknown_subcommand_lists_the_five(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    for name in ("family-scan", "covering-report", "degree-plan", "modular-verify",
+                 "fermat-search"):
+        assert name in err
+
+
+def test_help_lists_the_subcommands_and_their_options(capsys):
+    for flag in ("-h", "--help"):
+        assert cli.main([flag]) == 0
+        out = capsys.readouterr().out
+        for name in ("family-scan", "covering-report", "degree-plan", "modular-verify",
+                     "fermat-search"):
+            assert name in out
+    assert cli.main(["fermat-search", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(flag in out for flag in ("--bound", "--full", "--out"))
+    run = subprocess.run([sys.executable, "-m", "ntcert.cli", "-h"],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "fermat-search" in run.stdout

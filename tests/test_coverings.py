@@ -56,6 +56,11 @@ def test_solve_eq5_characterization_below_1000():
             assert n1 * n2 % p == 1
 
 
+def test_solve_eq5_matches_the_brute_force_scan_below_3000():
+    for p in primes_up_to(2999):
+        assert solve_eq5(p) == [n for n in range(1, p) if (1 + n + n * n) % p == 0], p
+
+
 def test_model_examples():
     m = model_from_n(7, 2)
     assert (m.r, m.s) == (2, 1)

@@ -61,8 +61,12 @@ STARTUP = {"dataclasses", "inspect"}
 # a forked scan's outcomes cross its pipes as marshal records: pickle carries
 # only a child's exception, and signal only kills a child on an early exit
 PIPE = {"pickle", "signal"}
+# argv is read by cli's own table, so no subcommand loads argparse or its gettext
+ARGPARSE = {"argparse", "gettext"}
+# fractions loads decimal; a command with no rational to build loads neither
+RATIONALS = {"fractions", "decimal"}
 # the modules outside ntcert that the probe reports
-REPORTED = sorted(POOL | STARTUP | PIPE | {"numpy"})
+REPORTED = sorted(POOL | STARTUP | PIPE | ARGPARSE | RATIONALS | {"numpy"})
 # the polynomial arithmetic, which neither the CLI's start-up nor the Fermat search runs
 POLYNOMIALS = {"exact.unipoly", "exact.bipoly", "exact.quotient"}
 
@@ -82,27 +86,32 @@ def loaded_modules(argv):
 # the degree planner needs neither quotient rings nor dense polynomials, a
 # scan that needs no rational root and no exact Q[theta] law carries its
 # fibers as coefficient tuples and loads neither, and no subcommand loads
-# exact.modpoly, the tests' root-count oracle
+# exact.modpoly, the tests' root-count oracle; none loads argparse, and
+# neither the start-up nor the series check nor the Fermat search builds a
+# rational, so they load no fractions
 SUBCOMMANDS = {
     "import-only": ([], "cli",
                     {"family", "cubicfield", "coverings", "newton", "qseries", "scandoc", "numpy",
-                     "exact.modpoly", *POLYNOMIALS, *STARTUP}),
+                     "exact.modpoly", *POLYNOMIALS, *STARTUP, *ARGPARSE, *RATIONALS}),
     "modular-verify": (["modular-verify", "--order", "12"], "qseries",
                        {"family", "cubicfield", "coverings", "exact.ellcurve", "exact.finitefield",
-                        "exact.modpoly", "scandoc", "numpy", *POLYNOMIALS, *STARTUP}),
+                        "exact.modpoly", "scandoc", "numpy", *POLYNOMIALS, *STARTUP,
+                        *ARGPARSE, *RATIONALS}),
     "degree-plan": (["degree-plan", "3", "10"], "newton",
                     {"family", "coverings", "exact.ellcurve", "exact.finitefield",
                      "exact.quotient", "exact.modpoly", "exact.unipoly", "scandoc", "numpy",
-                     *STARTUP}),
+                     *STARTUP, *ARGPARSE}),
     "covering-report": (["covering-report", "7"], "coverings",
                         {"family", "qseries", "exact.ellcurve", "exact.finitefield",
-                         "exact.modpoly", "scandoc", "numpy", *STARTUP}),
+                         "exact.modpoly", "scandoc", "numpy", *STARTUP, *ARGPARSE}),
     "fermat-search": (["fermat-search", "3", "--bound", "20"], "coverings",
                       {"family", "qseries", "exact.ellcurve", "exact.finitefield",
-                       "exact.modpoly", "scandoc", "numpy", *POLYNOMIALS, *STARTUP}),
+                       "exact.modpoly", "scandoc", "numpy", *POLYNOMIALS, *STARTUP,
+                       *ARGPARSE, *RATIONALS}),
     "family-scan": (["family-scan", "--s-height-max", "2"], "family",
                     {"coverings", "newton", "qseries", "exact.bipoly", "exact.modpoly",
-                     "exact.unipoly", "exact.quotient", "numpy", *PIPE, *POOL, *STARTUP}),
+                     "exact.unipoly", "exact.quotient", "numpy", *PIPE, *POOL, *STARTUP,
+                     *ARGPARSE}),
 }
 
 
