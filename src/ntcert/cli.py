@@ -131,7 +131,7 @@ def _parse_torsion_primes(raw) -> int | tuple[int, ...]:
 
 def cmd_family_scan(args: SimpleNamespace) -> int:
     from .cubicfield import DEFAULT_WITNESS_BOUND
-    from .exact import parse_rational
+    from .exact.rationals import parse_rational
     from .family import derive_family, scan_family
     from .scandoc import dumps_scan
 
@@ -171,7 +171,7 @@ def cmd_covering_report(args: SimpleNamespace) -> int:
 
 def cmd_degree_plan(args: SimpleNamespace) -> int:
     from . import newton
-    from .exact import BiPoly
+    from .exact.bipoly import BiPoly
 
     n, d_max = args.n, args.d_max
     achievable = newton.plan_degrees(n, d_max)

@@ -29,7 +29,7 @@ from math import gcd as _int_gcd, isqrt
 from typing import NamedTuple
 
 from .errors import InvalidInputError, VerificationError
-from .exact import is_prime
+from .exact.primes import is_prime
 
 # trivial_solutions lists all 6*bound + 1 trivial solutions in memory, so it
 # refuses bounds above this one before allocating anything; the search
@@ -145,7 +145,8 @@ def triangle_checks(m: int) -> dict:
     when m is not 2 mod 3 (equivalently p = m^2 - m + 1 is not divisible
     by 3).
     """
-    from .exact import QuotientElem, UniPoly
+    from .exact.quotient import QuotientElem
+    from .exact.unipoly import UniPoly
 
     if m < 2:
         raise InvalidInputError("m must be >= 2")
@@ -205,7 +206,7 @@ def triangle_nonsingular(m: int) -> bool:
     """
     from fractions import Fraction
 
-    from .exact import BiPoly
+    from .exact.bipoly import BiPoly
 
     if m < 2:
         raise InvalidInputError("m must be >= 2")
@@ -223,7 +224,7 @@ def _sparse_gcd_degree(h1: dict[int, Fraction], h2: dict[int, Fraction]) -> int:
     """deg gcd(h1, h2) over Q, for nonzero {exponent: coefficient}
     polynomials in Y: the exact Euclid of UniPoly.gcd on the deflated
     A1, A2 of triangle_nonsingular's docstring."""
-    from .exact import UniPoly
+    from .exact.unipoly import UniPoly
 
     lows = [min(h) for h in (h1, h2)]
     g = _int_gcd(*(e - v for h, v in zip((h1, h2), lows) for e in h)) or 1
@@ -244,7 +245,7 @@ def psi_identities(m: int) -> dict:
     """
     from fractions import Fraction
 
-    from .exact import UniPoly
+    from .exact.unipoly import UniPoly
 
     if m < 2:
         raise InvalidInputError("m must be >= 2")

@@ -39,7 +39,8 @@ from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, VerificationError
-from .exact import primes_up_to, rational_is_square
+from .exact.primes import primes_up_to
+from .exact.rationals import rational_is_square
 
 if TYPE_CHECKING:
     from .exact.unipoly import UniPoly

@@ -1,16 +1,17 @@
 """Elliptic curves over Q: the group law, reduction mod p and non-torsion.
 
+A point is a coordinate pair (x, y), and None is the point at infinity O.
 One chord-tangent law serves every field: it takes the field as an
 operation object, QuotientField for Q[x]/(f) (QuotientElem coordinates) or
-finitefield's F_p on ints, so the non-torsion check's products over F_p
-build no element objects.  Reduction mod p and nontorsion_certificate
-read a point over Q[x]/(m) as coefficient tuples (x, y, m), lowest degree
-first, so a scan reduces its points without building a polynomial.  exact.unipoly and
-exact.quotient load on demand: where a Q[x]/(m) point is built
-(FieldPoint.affine, or _exact_point for the exact fallback of
-nontorsion_certificate).  Only ntcert.errors and ntcert.exact are
-imported, so a certificate checker can use this layer without the family
-or the scan.
+finitefield's F_p on ints, and the curve's a-invariants in that field, so
+the non-torsion check's products over F_p build no element objects.
+Reduction mod p and nontorsion_certificate read a point over Q[x]/(m) as
+coefficient tuples (x, y, m), lowest degree first, so a scan reduces its
+points without building a polynomial.  exact.unipoly and exact.quotient
+load on demand, only where _exact_point builds a Q[x]/(m) point for the
+exact fallback of nontorsion_certificate.  Only ntcert.errors and
+ntcert.exact are imported, so a certificate checker can use this layer
+without the family or the scan.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .primes import is_prime
 from .rationals import _horner, _residues
 
 if TYPE_CHECKING:
-    from .quotient import QuotientElem
-    from .unipoly import UniPoly
+    from .quotient import QuotientField
 
 
 class WeierstrassCurve:
@@ -109,87 +109,17 @@ def _chord_tangent(F, a, P, Q):
     return x3, y3
 
 
-class FieldPoint:
-    """A point of the curve with coordinates in a field K.
+def _on_curve(F, a, P) -> bool:
+    """Whether the affine point P = (x, y) over F satisfies the equation with a-invariants a."""
+    add, mul = F._add, F._mul
+    a1, a2, a3, a4, a6 = a
+    x, y = P
+    return mul(y, add(add(y, mul(a1, x)), a3)) == add(mul(x, add(mul(x, add(x, a2)), a4)), a6)
 
-    ``field`` is K as an operation object: QuotientField for Q[x]/(modulus)
-    with QuotientElem coordinates (rational points use the modulus x), or
-    finitefield's F_p with int coordinates.  ``a`` holds the curve's
-    a-invariants as constants of K; given as None, they are built from the
-    field on first use, so a point that is only reduced mod p never builds
-    them.  The point at infinity has x = y = None.
-    """
 
-    __slots__ = ("curve", "field", "_a", "x", "y")
-
-    def __init__(self, curve, field, a, x=None, y=None, *, check=True):
-        self.curve, self.field, self._a, self.x, self.y = curve, field, a, x, y
-        if x is not None and check and not self._on_curve():
-            raise InvalidInputError("point does not satisfy the curve equation")
-
-    @property
-    def a(self) -> tuple:
-        if self._a is None:
-            self._a = tuple(self.field._constant(c) for c in self.curve.a_invariants)
-        return self._a
-
-    @classmethod
-    def affine(
-        cls, curve: WeierstrassCurve, modulus: UniPoly, x: QuotientElem, y: QuotientElem,
-        *, check: bool = True,
-    ) -> "FieldPoint":
-        from .quotient import QuotientField
-
-        return cls(curve, QuotientField(modulus), None, x, y, check=check)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def _coords(self):
-        return None if self.x is None else (self.x, self.y)
-
-    def _sibling(self, coords) -> "FieldPoint":
-        """The point with these coordinates (None: infinity) on the same curve over K."""
-        x, y = coords or (None, None)
-        return FieldPoint(self.curve, self.field, self._a, x, y, check=False)
-
-    def _on_curve(self) -> bool:
-        F, (a1, a2, a3, a4, a6), x, y = self.field, self.a, self.x, self.y
-        add, mul = F._add, F._mul
-        return mul(y, add(add(y, mul(a1, x)), a3)) == add(mul(x, add(mul(x, add(x, a2)), a4)), a6)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldPoint):
-            return NotImplemented
-        if self.curve != other.curve or self.field != other.field:
-            return False
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.curve, self.field, self.x, self.y))
-
-    def __repr__(self) -> str:
-        return "FieldPoint(infinity)" if self.is_infinity else f"FieldPoint(x={self.x}, y={self.y})"
-
-    def __neg__(self) -> "FieldPoint":
-        if self.is_infinity:
-            return self
-        F, (a1, _, a3, _, _), x, y = self.field, self.a, self.x, self.y
-        return self._sibling((x, F._sub(F.zero, F._add(F._add(y, F._mul(a1, x)), a3))))
-
-    def __add__(self, other: "FieldPoint") -> "FieldPoint":
-        if not isinstance(other, FieldPoint):
-            return NotImplemented
-        if self.curve != other.curve or self.field != other.field:
-            raise InvalidInputError("points on different curves or fields")
-        return self._sibling(_chord_tangent(self.field, self.a, self._coords(), other._coords()))
-
-    def scalar_mul(self, k: int) -> "FieldPoint":
-        if k < 0:
-            return (-self).scalar_mul(-k)
-        add = partial(_chord_tangent, self.field, self.a)
-        return self._sibling(_power(self._coords(), k, None, add))
+def _multiple(F, a, P, k: int):
+    """k*P for k >= 0 by square-and-multiply on the chord-tangent law; None is O."""
+    return _power(P, k, None, partial(_chord_tangent, F, a))
 
 
 # -- reduction mod p -------------------------------------------------------------
@@ -248,11 +178,11 @@ def _invariants_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, ...]:
     return _residues(curve.a_invariants, p)
 
 
-def _reduce_point(curve: WeierstrassCurve, point: tuple, p: int) -> tuple[FieldPoint, int] | None:
+def _reduce_point(curve: WeierstrassCurve, point: tuple, p: int) -> tuple[tuple, int] | None:
     """Reduce the point (x, y) over Q[z]/(m), given as the coefficient tuples
     (x, y, m), to F_p at the first root of m mod p; None when p is unusable.
 
-    Returns (Pbar, |E(F_p)|), Pbar with int coordinates; the root is found
+    Returns ((xbar, ybar), |E(F_p)|) with int coordinates; the root is found
     by Horner's rule on ints.  Any root gives a genuine residue map, so
     ramified primes are fine.  Bad reduction, a non-p-integral coordinate
     or modulus, and a modulus with no root mod p skip.
@@ -265,35 +195,23 @@ def _reduce_point(curve: WeierstrassCurve, point: tuple, p: int) -> tuple[FieldP
     root = next((r for r in range(p) if _horner(m, r) % p == 0), None)
     if root is None:
         return None
-    x, y = _horner(x, root) % p, _horner(y, root) % p
-    Pbar = FieldPoint(curve, PrimeField(p), _invariants_mod_p(curve, p), x, y, check=False)
-    if not Pbar._on_curve():
+    Pbar = _horner(x, root) % p, _horner(y, root) % p
+    if not _on_curve(PrimeField(p), _invariants_mod_p(curve, p), Pbar):
         raise VerificationError("reduction left the curve")
     return Pbar, count_points_mod_p(curve, p)
 
 
-def _coefficients(P: FieldPoint) -> tuple | None:
-    """The affine point P over Q[z]/(m) as the coefficient tuples (x, y, m); None at O."""
-    if P.is_infinity:
-        return None
-    return P.x.rep.coeffs, P.y.rep.coeffs, P.field.modulus.coeffs
-
-
-def _exact_point(curve: WeierstrassCurve, point: tuple) -> FieldPoint:
-    """The point over Q[z]/(m) with the coefficient tuples (x, y, m), for the
-    exact law; the caller has put it on the curve."""
-    from .quotient import QuotientElem
+def _exact_point(curve: WeierstrassCurve, point: tuple) -> tuple[QuotientField, tuple, tuple]:
+    """(F, a, P): the field Q[z]/(m), the curve's a-invariants in it and the
+    point with the coefficient tuples (x, y, m), for the exact law; the
+    caller has put it on the curve."""
+    from .quotient import QuotientElem, QuotientField
     from .unipoly import UniPoly
 
     x, y, m = (UniPoly(coeffs) for coeffs in point)
-    x, y = QuotientElem(x, m, validate=False), QuotientElem(y, m, validate=False)
-    return FieldPoint.affine(curve, m, x, y, check=False)
-
-
-def reduce_point_mod_p(P: FieldPoint, p: int) -> tuple[FieldPoint, int] | None:
-    """Reduce the point P over Q[z]/(m) mod p as _reduce_point does; None at O."""
-    point = _coefficients(P)
-    return None if point is None else _reduce_point(P.curve, point, p)
+    F = QuotientField(m)
+    a = tuple(F._constant(c) for c in curve.a_invariants)
+    return F, a, (QuotientElem(x, m, validate=False), QuotientElem(y, m, validate=False))
 
 
 # -- non-torsion -------------------------------------------------------------------
@@ -341,9 +259,10 @@ def nontorsion_certificate(
         if reduced is None:
             continue
         Pbar, group_order = reduced
-        if not used and not Pbar.scalar_mul(group_order).is_infinity:
+        F, a = PrimeField(p), _invariants_mod_p(curve, p)
+        if not used and _multiple(F, a, Pbar, group_order) is not None:
             raise VerificationError("the reduced group order does not annihilate the point")
-        if not Pbar.scalar_mul(bound).is_infinity:
+        if _multiple(F, a, Pbar, bound) is not None:
             return True
         used += 1
-    return not _exact_point(curve, point).scalar_mul(bound).is_infinity
+    return _multiple(*_exact_point(curve, point), bound) is not None

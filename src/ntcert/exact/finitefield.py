@@ -3,7 +3,9 @@
 An element of F_p is an int in [0, p), equality is int equality, and no
 element object is built: the field object does the arithmetic, through
 _add, _sub, _mul and _inv (underscored, as they run per element), next to
-zero.  ellcurve's one chord-tangent law takes such an object as its field.
+zero.  ellcurve's chord-tangent law and on-curve check take such an
+object as their field, with the curve's a-invariants reduced mod p, and a
+point over F_p is a pair of such ints.
 The non-torsion check reduces only at primes where the fiber has a root
 mod p, where the residue field of the cyclic cubic field is F_p, so no
 other finite field is needed.
@@ -20,12 +22,6 @@ class PrimeField:
 
     def __init__(self, p: int):
         self.p = p
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(self.p)
 
     def _add(self, a: int, b: int) -> int:
         return (a + b) % self.p

@@ -154,11 +154,5 @@ class QuotientField:
         self.modulus = modulus
         self.zero = self._constant(0)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QuotientField) and self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return hash(self.modulus)
-
     def _constant(self, c: Fraction | int) -> QuotientElem:
         return QuotientElem(UniPoly.constant(c), self.modulus, validate=False)

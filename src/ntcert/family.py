@@ -30,7 +30,7 @@ that exact.ellcurve reduces mod p.  The polynomial and quotient-ring layers
 (exact.unipoly, exact.quotient) load on demand: for rational_roots on a
 fiber with no inert head prime, for the exact Q[theta] fallback of the
 non-torsion check, and for the fiber views of FiberData and
-ExtensionCertificate and the latter's point view.
+ExtensionCertificate.
 
 The j-invariant of the family depends on a1 alone:
 
@@ -61,13 +61,13 @@ from .errors import (
     SingularCurveError,
     VerificationError,
 )
-from .exact import format_rational, iter_primes
 from .exact.ellcurve import (
-    WeierstrassCurve, _exact_point, _group_order, is_good_prime, nontorsion_certificate,
+    WeierstrassCurve, _group_order, is_good_prime, nontorsion_certificate,
 )
+from .exact.primes import iter_primes
+from .exact.rationals import format_rational
 
 if TYPE_CHECKING:
-    from .exact.ellcurve import FieldPoint
     from .exact.unipoly import UniPoly
 
 
@@ -196,11 +196,6 @@ def _fiber_point(curve: WeierstrassCurve, fd: FiberData) -> tuple:
     return _THETA, (t,) if t else (), fd.coeffs
 
 
-def point_from_fiber_data(curve: WeierstrassCurve, fd: FiberData) -> FieldPoint:
-    """(theta, t) over Q[theta]/(fiber) as a FieldPoint, checked as _fiber_point checks it."""
-    return _exact_point(curve, _fiber_point(curve, fd))
-
-
 # -- torsion bounds ------------------------------------------------------------
 
 # Given a count, torsion_bound adds good primes while the bound exceeds the
@@ -261,8 +256,8 @@ def torsion_bound(
 class ExtensionCertificate(NamedTuple):
     """Audit record for one accepted fiber.  Every accepted fiber is C3:
     it is irreducible, and fiber_at_s has proved its discriminant a square.
-    Its point is (theta, t) over Q[theta]/(fiber); the fiber and point
-    views build the UniPoly and the FieldPoint on demand."""
+    Its point is (theta, t) over Q[theta]/(fiber), as _fiber_point gives it;
+    the fiber view builds the UniPoly on demand."""
 
     galois_class = GaloisClass.C3  # unannotated: a class constant, not a field
 
@@ -282,10 +277,6 @@ class ExtensionCertificate(NamedTuple):
     witnesses: tuple[int, ...]
 
     fiber = property(_fiber_view)
-
-    @property
-    def point(self) -> FieldPoint:
-        return point_from_fiber_data(self.curve, self)  # reads s, t and coeffs, as of a FiberData
 
 
 def _certificate(curve, fd: FiberData, primes, bound: int, row) -> ExtensionCertificate:

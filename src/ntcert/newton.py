@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from .errors import InvalidInputError, VerificationError
-from .exact import BiPoly
+from .exact.bipoly import BiPoly
 
 
 def corner_check(f: BiPoly, n: int) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
-from .exact import format_rational
+from .exact.rationals import format_rational
 from .jsonio import dumps_canonical
 
 

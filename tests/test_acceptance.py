@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from ntcert import family
 from ntcert.cli import ScanConfig, main as cli_main
 from ntcert.coverings import (
     RamificationData,
@@ -25,8 +26,8 @@ from ntcert.coverings import (
 )
 from ntcert.cubicfield import DEFAULT_WITNESS_BOUND, GaloisClass, galois_class
 from ntcert.errors import InvalidInputError
-from ntcert.exact import BiPoly, QuotientElem, UniPoly, primes_up_to
-from ntcert.exact.ellcurve import FieldPoint
+from ntcert.exact import BiPoly, primes_up_to
+from ntcert.exact.ellcurve import _chord_tangent, _exact_point, _multiple, _on_curve
 from ntcert.family import closed_form_j, derive_family, scan_family
 from ntcert.jsonio import SCHEMA_VERSION
 from ntcert.newton import (
@@ -115,7 +116,8 @@ def test_criterion_04_family_scan_certificates(height20_scan):
         for cert in certs:
             assert cert.disc == cert.sqrt_disc**2  # (a) exact square
             assert cert.galois_class is GaloisClass.C3  # (b)
-            assert cert.point._on_curve()  # (c) reduction to zero
+            # (c) reduction to zero
+            assert _on_curve(*_exact_point(cert.curve, family._fiber_point(cert.curve, cert)))
             assert cert.nontorsion_checked_to >= cert.torsion_bound  # (e)
         # (d) pairwise distinctness: every earlier certificate in order, each
         # with the first witness prime of an oracle independent of the scan,
@@ -151,13 +153,14 @@ def test_criterion_05_three_torsion(height20_scan):
                 params = derive_family(a1, a4)
             except InvalidInputError:
                 continue
-            m = UniPoly.x()  # rational points live over Q[x]/(x)
-            P = FieldPoint.affine(params, m, QuotientElem.constant(0, m),
-                                  QuotientElem.constant(a4 / a1, m))
-            assert not P.is_infinity
-            assert not (P + P).is_infinity
-            assert (P + P) == -P
-            assert (P + P + P).is_infinity
+            # rational points live over Q[x]/(x)
+            F, a, P = _exact_point(params, ((), (a4 / a1,), (0, 1)))
+            twice = _chord_tangent(F, a, P, P)
+            assert twice is not None
+            x, y = P
+            assert twice == (x, -y - a[0] * x - a[2])  # -P
+            assert _chord_tangent(F, a, twice, P) is None
+            assert _multiple(F, a, P, 3) is None
             seen += 1
         result, _ = height20_scan
         assert result.certificates

@@ -76,6 +76,22 @@ def test_non_annihilating_group_order_exits_3(monkeypatch, capsys):
     assert captured.err == "error: the reduced group order does not annihilate the point\n"
 
 
+def test_a_reduced_point_off_the_curve_exits_3(monkeypatch, capsys):
+    """_reduce_point checks the reduced point against the curve mod p, here
+    against a6 + 1 in place of the curve's a6."""
+    real = ellcurve._invariants_mod_p
+
+    def shifted(curve, p):
+        *head, a6 = real(curve, p)
+        return (*head, (a6 + 1) % p)
+
+    monkeypatch.setattr(ellcurve, "_invariants_mod_p", shifted)
+    assert cli.main(["family-scan", "--s-height-max", "2"]) == cli.EXIT_VERIFICATION_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reduction left the curve\n"
+
+
 def test_linear_times_quadratic_prime_in_a_row_exits_3(monkeypatch, capsys):
     """A C3 field splits completely or is inert at every unramified prime."""
     monkeypatch.setattr(cubicfield, "_cubic_root_counts", lambda primes, *c: [1] * len(primes))

@@ -5,6 +5,7 @@ import termios
 import time
 from array import array
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -15,18 +16,21 @@ from ntcert.errors import (
     InvalidInputError,
     VerificationError,
 )
-from ntcert.exact import QuotientElem, UniPoly, count_distinct_roots, iter_primes, primes_up_to
+from ntcert.exact import UniPoly, count_distinct_roots, iter_primes, primes_up_to
 from ntcert.exact import ellcurve
 from ntcert.exact.finitefield import PrimeField
 from ntcert.exact.quotient import QuotientField
 from ntcert.exact.primes import factorize
 from ntcert.exact.ellcurve import (
-    FieldPoint,
     WeierstrassCurve,
+    _chord_tangent,
+    _exact_point,
+    _multiple,
+    _on_curve,
+    _reduce_point,
     count_points_mod_p,
     is_good_prime,
     nontorsion_certificate,
-    reduce_point_mod_p,
     trace_over_extension,
 )
 from ntcert.family import (
@@ -36,32 +40,61 @@ from ntcert.family import (
     enumerate_s_by_height,
     evaluate_fiber,
     fiber_at_s,
-    point_from_fiber_data,
     scan_family,
     torsion_bound,
 )
 from witness_oracle import first_witness
 
 
-def rational_point(curve: WeierstrassCurve, x, y) -> FieldPoint:
-    """The point (x, y) of E(Q), over Q[x]/(x) as rational points are."""
-    m = UniPoly.x()
-    return FieldPoint.affine(curve, m, QuotientElem.constant(x, m), QuotientElem.constant(y, m))
+def rational(x, y) -> tuple:
+    """The point (x, y) of E(Q) as the coefficient tuples (x, y, m) over
+    Q[z]/(z), as rational points are."""
+    return (x,), (y,), (0, 1)
 
 
-def rationals(point: FieldPoint) -> tuple[Fraction, Fraction]:
+def rational_point(curve: WeierstrassCurve, x, y) -> tuple:
+    """(F, a, P): the point (x, y) of E(Q) over Q[z]/(z) for the exact law."""
+    return _exact_point(curve, rational(x, y))
+
+
+def rationals(point: tuple) -> tuple[Fraction, Fraction]:
     """The coordinates of an affine rational point."""
-    return point.x.rep.coefficient(0), point.y.rep.coefficient(0)
+    return tuple(c.rep.coefficient(0) for c in point)
 
 
-def three_torsion(params: WeierstrassCurve) -> FieldPoint:
-    """The rational point (0, a4/a1) of the family's curve."""
+def three_torsion(params: WeierstrassCurve) -> tuple:
+    """(F, a, P) for the rational point (0, a4/a1) of the family's curve."""
     return rational_point(params, 0, params.a4 / params.a1)
 
 
-def fiber_point(params: WeierstrassCurve, s) -> FieldPoint:
-    """The point (theta, t) over Q[theta]/(fiber) at s."""
-    return point_from_fiber_data(params, fiber_at_s(params, s))
+def fiber_point(params: WeierstrassCurve, s) -> tuple:
+    """The point (theta, t) over Q[theta]/(fiber) at s, as the coefficient
+    tuples (x, y, fiber) that the scan reduces."""
+    return family._fiber_point(params, fiber_at_s(params, s))
+
+
+def negative(a, P) -> tuple:
+    """-P = (x, -y - a1*x - a3) for the affine point P = (x, y) over Q[z]/(m)."""
+    x, y = P
+    return x, -y - a[0] * x - a[2]
+
+
+def coefficients(P) -> tuple | None:
+    """The point P over Q[z]/(m) as the coefficient tuples (x, y, m); None at O."""
+    if P is None:
+        return None
+    x, y = P
+    return x.rep.coeffs, y.rep.coeffs, x.modulus.coeffs
+
+
+def reduce(curve, P, p):
+    """_reduce_point for the point P over Q[z]/(m); None at O."""
+    return None if P is None else _reduce_point(curve, coefficients(P), p)
+
+
+def residue_field(curve, p) -> tuple:
+    """(F_p, a): the residue field and the curve's a-invariants mod p."""
+    return PrimeField(p), ellcurve._invariants_mod_p(curve, p)
 
 
 def fiber_row(fd) -> tuple[int, int]:
@@ -76,12 +109,6 @@ def split_primes(fd):
 
 def fiber_torsion_bound(params, fd, primes=2):
     return torsion_bound(params, fd, fiber_row(fd), primes)
-
-
-def nontorsion(P: FieldPoint, bound, primes) -> bool:
-    """nontorsion_certificate for the point P over Q[z]/(m), as the
-    coefficient tuples it takes (None at O)."""
-    return nontorsion_certificate(P.curve, ellcurve._coefficients(P), bound, primes)
 
 
 def random_params(rng) -> WeierstrassCurve:
@@ -221,32 +248,33 @@ def test_generated_fibers_are_cyclic():
 
 def test_rational_3_torsion_examples():
     params = derive_family(1, 1)
-    P = three_torsion(params)
+    F, a, P = three_torsion(params)
     assert rationals(P) == (0, 1)
-    assert P + P == -P
-    assert P.scalar_mul(3).is_infinity and not P.scalar_mul(2).is_infinity
+    assert _chord_tangent(F, a, P, P) == negative(a, P)
+    assert _multiple(F, a, P, 3) is None and _multiple(F, a, P, 2) is not None
 
-    P23 = three_torsion(derive_family(2, 3))
+    F, a, P23 = three_torsion(derive_family(2, 3))
     assert rationals(P23) == (0, Fraction(3, 2))
-    assert P23 + P23 == -P23
-    assert P23.scalar_mul(3).is_infinity
+    assert _chord_tangent(F, a, P23, P23) == negative(a, P23)
+    assert _multiple(F, a, P23, 3) is None
 
 
 def test_rational_3_torsion_random():
     rng = random.Random(72)
     for _ in range(10):
         params = random_params(rng)
-        P = three_torsion(params)
-        assert not (P + P).is_infinity
-        assert (P + P) == -P
-        assert P.scalar_mul(3).is_infinity
+        F, a, P = three_torsion(params)
+        twice = _chord_tangent(F, a, P, P)
+        assert twice is not None
+        assert twice == negative(a, P)
+        assert _multiple(F, a, P, 3) is None
 
 
 def test_point_from_fiber_on_curve():
     params = derive_family(1, 1)
-    P = fiber_point(params, 1)
-    assert P._on_curve()
-    assert P.x.rep == UniPoly.x() and P.y.rep == UniPoly.constant(Fraction(157, 108))
+    F, a, P = _exact_point(params, fiber_point(params, 1))
+    assert _on_curve(F, a, P)
+    assert P[0].rep == UniPoly.x() and P[1].rep == UniPoly.constant(Fraction(157, 108))
 
 
 def test_evaluate_fiber_rejects_a_fiber_with_a_rational_root():
@@ -260,12 +288,10 @@ def test_evaluate_fiber_rejects_a_fiber_with_a_rational_root():
 
 def test_group_identity_and_inverse():
     params = derive_family(1, 1)
-    P = three_torsion(params)
-    O = P.scalar_mul(0)
-    assert O.is_infinity
-    assert P + O == P and O + P == P
-    assert (P + (-P)).is_infinity
-    assert P.scalar_mul(-2) == -(P + P)
+    F, a, P = three_torsion(params)
+    assert _multiple(F, a, P, 0) is None
+    assert _chord_tangent(F, a, P, None) == P == _chord_tangent(F, a, None, P)
+    assert _chord_tangent(F, a, P, negative(a, P)) is None
 
 
 def test_group_law_commutative_associative_over_q():
@@ -287,9 +313,10 @@ def test_group_law_commutative_associative_over_q():
         curve = rational_curve_through(rng, pts)
         if curve is None:
             continue
-        P, Q, R = (rational_point(curve, x, y) for x, y in pts)
-        assert P + Q == Q + P
-        assert (P + Q) + R == P + (Q + R)
+        (F, a, P), (_, _, Q), (_, _, R) = (rational_point(curve, x, y) for x, y in pts)
+        add = partial(_chord_tangent, F, a)
+        assert add(P, Q) == add(Q, P)
+        assert add(add(P, Q), R) == add(P, add(Q, R))
         done += 1
 
 
@@ -298,30 +325,17 @@ def test_group_law_associative_over_cubic_field():
     of distinct field points on one curve for exact group-law checks."""
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
-    P = point_from_fiber_data(params, fd)
-    T_rat = three_torsion(params)
-    mod = fd.fiber
-    T = FieldPoint.affine(
-        params,
-        mod,
-        QuotientElem.constant(rationals(T_rat)[0], mod),
-        QuotientElem.constant(rationals(T_rat)[1], mod),
-    )
-    pool = [P, P + P, P + T, P + P + T, (-P) + T, P + P + P, T + T + P]
-    assert all(pt._on_curve() for pt in pool if not pt.is_infinity)
+    F, a, P = _exact_point(params, family._fiber_point(params, fd))
+    _, _, T = _exact_point(params, planted_three_torsion(params, fd))
+    add = partial(_chord_tangent, F, a)
+    P2 = add(P, P)
+    pool = [P, P2, add(P, T), add(P2, T), add(negative(a, P), T), add(P2, P), add(add(T, T), P)]
+    assert all(_on_curve(F, a, pt) for pt in pool if pt is not None)
     rng = random.Random(74)
     for _ in range(50):
         A, B, C = (rng.choice(pool) for _ in range(3))
-        assert A + B == B + A
-        assert (A + B) + C == A + (B + C)
-
-
-def test_incompatible_points_rejected():
-    params = derive_family(1, 1)
-    P = three_torsion(params)
-    Q = fiber_point(params, 1)
-    with pytest.raises(InvalidInputError, match="points on different curves or fields"):
-        P + Q
+        assert add(A, B) == add(B, A)
+        assert add(add(A, B), C) == add(A, add(B, C))
 
 
 # -- reduction and torsion ----------------------------------------------------------
@@ -384,10 +398,10 @@ def test_reduction_compatible_with_addition():
         )
         if p is None:
             continue
-        P = rational_point(curve, *pts[0])
-        Q = rational_point(curve, *pts[1])
-        S = P + Q
-        if S.is_infinity:
+        F, a, P = rational_point(curve, *pts[0])
+        _, _, Q = rational_point(curve, *pts[1])
+        S = _chord_tangent(F, a, P, Q)
+        if S is None:
             exact = None
         else:
             xs, ys = rationals(S)
@@ -398,11 +412,6 @@ def test_reduction_compatible_with_addition():
             curve, reduce_rational_point(P, p), reduce_rational_point(Q, p), p
         )
         done += 1
-
-
-def fp_coords(point):
-    """The int coordinates of a point over F_p; None at infinity."""
-    return None if point.is_infinity else (point.x, point.y)
 
 
 def residue(c: Fraction, p: int) -> int:
@@ -425,25 +434,27 @@ def test_reduction_commutes_with_the_group_law_over_fp():
             fd = fiber_at_s(curve, s)
             if fd.fiber.rational_roots():
                 continue
-            P = point_from_fiber_data(curve, fd)
-            multiples = {k: P.scalar_mul(k) for k in range(2, 6)}
+            point = family._fiber_point(curve, fd)
+            F, a, P = _exact_point(curve, point)
+            multiples = {k: _multiple(F, a, P, k) for k in range(2, 6)}
             for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-                reduced = reduce_point_mod_p(P, p)
+                reduced = _reduce_point(curve, point, p)
                 if reduced is None:
                     if is_good_prime(curve, p) and all(c.denominator % p for c in fd.fiber.coeffs):
                         assert roots_mod_p(fd.fiber, p) == 0, (s, p)
                         rootless += 1
                     continue
                 Pbar, order = reduced
-                assert Pbar.field == PrimeField(p) and order == count_points_mod_p(curve, p)
-                assert Pbar.scalar_mul(order).is_infinity
-                base = oracle = fp_coords(Pbar)
+                Fp, ap = residue_field(curve, p)
+                assert order == count_points_mod_p(curve, p)
+                assert _multiple(Fp, ap, Pbar, order) is None
+                base = oracle = Pbar
                 for k, kP in multiples.items():
-                    kPbar = Pbar.scalar_mul(k)
+                    kPbar = _multiple(Fp, ap, Pbar, k)
                     # the integer law above is an independent oracle over F_p
                     oracle = modp_add(curve, oracle, base, p)
-                    assert oracle == fp_coords(kPbar)
-                    image = reduce_point_mod_p(kP, p)
+                    assert oracle == kPbar
+                    image = reduce(curve, kP, p)
                     if image is None:
                         continue  # k*P is not integral at every prime above p
                     assert image == (kPbar, order)
@@ -453,7 +464,7 @@ def test_reduction_commutes_with_the_group_law_over_fp():
 
 def test_reduced_multiples_are_the_reductions_of_the_exact_multiples():
     """At the first three primes where each point to height 4 reduces,
-    Pbar.scalar_mul(k) is the reduction of k*P under the exact Q[theta] law,
+    k*Pbar is the reduction of k*P under the exact Q[theta] law,
     k <= 6, wherever k*P reduces; where k*Pbar = O, k*P does not reduce
     there (it is not integral at that prime).  |E(F_p)| kills every Pbar."""
     checked = killed = 0
@@ -463,22 +474,24 @@ def test_reduced_multiples_are_the_reductions_of_the_exact_multiples():
             fd = fiber_at_s(params, s)
             if fd.fiber.rational_roots():
                 continue
-            P = point_from_fiber_data(params, fd)
+            point = family._fiber_point(params, fd)
+            F, a, P = _exact_point(params, point)
             exact = [P]
             for _ in range(5):
-                exact.append(exact[-1] + P)
+                exact.append(_chord_tangent(F, a, exact[-1], P))
             used = 0
             for p in primes_up_to(200):
-                reduced = reduce_point_mod_p(P, p)
+                reduced = _reduce_point(params, point, p)
                 if reduced is None:
                     continue
                 Pbar, group_order = reduced
+                Fp, ap = residue_field(params, p)
                 used += 1
-                assert Pbar.scalar_mul(group_order).is_infinity
+                assert _multiple(Fp, ap, Pbar, group_order) is None
                 for k, kP in enumerate(exact, 1):
-                    kPbar = Pbar.scalar_mul(k)
-                    image = reduce_point_mod_p(kP, p)
-                    if kPbar.is_infinity:
+                    kPbar = _multiple(Fp, ap, Pbar, k)
+                    image = reduce(params, kP, p)
+                    if kPbar is None:
                         assert image is None, (s, p, k)
                         killed += 1
                     elif image is not None:  # else k*P is not integral at every prime above p
@@ -560,33 +573,33 @@ def test_torsion_bound_prime_validation():
 
 def test_nontorsion_certificate_examples():
     params = derive_family(1, 1)
-    P = three_torsion(params)
-    assert nontorsion(P, 3, iter_primes(5)) is False
-    assert nontorsion(P, 2, iter_primes(5)) is True
-    assert nontorsion(P.scalar_mul(3), 1, iter_primes(5)) is False  # identity input
+    T = rational(0, params.a4 / params.a1)
+    assert nontorsion_certificate(params, T, 3, iter_primes(5)) is False
+    assert nontorsion_certificate(params, T, 2, iter_primes(5)) is True
+    assert nontorsion_certificate(params, None, 1, iter_primes(5)) is False  # identity input
     fd = fiber_at_s(params, 1)
     bound, _ = fiber_torsion_bound(params, fd)
-    assert nontorsion(point_from_fiber_data(params, fd), bound, split_primes(fd)) is True
+    point = family._fiber_point(params, fd)
+    assert nontorsion_certificate(params, point, bound, split_primes(fd)) is True
 
 
 def test_nontorsion_certificate_matches_naive_scan():
     """At bounds the contract admits, multiples of the order 3, the
     three-torsion point gets False, as the naive scan says."""
     params = derive_family(1, 1)
-    P = three_torsion(params)
+    F, a, P = three_torsion(params)
     for k in (3, 6, 9):
-        naive = all(not P.scalar_mul(j).is_infinity for j in range(1, k + 1))
-        assert nontorsion(P, k, iter_primes(5)) == naive is False
+        naive = all(_multiple(F, a, P, j) is not None for j in range(1, k + 1))
+        assert nontorsion_certificate(params, coefficients(P), k, iter_primes(5)) == naive is False
 
 
-def test_reduce_point_mod_p_stays_on_curve():
+def test_a_reduced_point_stays_on_curve():
     params = derive_family(1, 1)
-    Q = fiber_point(params, 1)
     p = next(split_primes(fiber_at_s(params, 1)))
-    reduced = reduce_point_mod_p(Q, p)
+    reduced = _reduce_point(params, fiber_point(params, 1), p)
     assert reduced is not None
-    point, order = reduced
-    assert point._on_curve()
+    Pbar, order = reduced
+    assert _on_curve(*residue_field(params, p), Pbar)
     assert order == count_points_mod_p(params, p)
 
 
@@ -596,12 +609,12 @@ def test_reduction_skips_a_prime_in_a_denominator_of_the_modulus():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
     m = fd.fiber.compose(UniPoly((0, 5))) * Fraction(1, 125)
-    phi = QuotientElem(UniPoly((0, 5)), m, validate=False)
-    P = FieldPoint.affine(params, m, phi, QuotientElem.constant(fd.t, m))
-    assert reduce_point_mod_p(P, 5) is None
-    Pbar, order = reduce_point_mod_p(P, 7)
-    assert order == reduce_point_mod_p(fiber_point(params, 1), 7)[1]
-    assert Pbar._on_curve()
+    point = (0, 5), (fd.t,), m.coeffs
+    assert _on_curve(*_exact_point(params, point))
+    assert _reduce_point(params, point, 5) is None
+    Pbar, order = _reduce_point(params, point, 7)
+    assert order == _reduce_point(params, fiber_point(params, 1), 7)[1]
+    assert _on_curve(*residue_field(params, 7), Pbar)
 
 
 def test_reduction_skips_a_prime_where_a_quadratic_modulus_has_no_root():
@@ -614,14 +627,16 @@ def test_reduction_skips_a_prime_where_a_quadratic_modulus_has_no_root():
     # y^2 + (a1*x + a3)*y - (x^3 + a2*x^2 + a4*x + a6), irreducible over Q
     m = UniPoly((-(x**3 + a2 * x**2 + a4 * x + a6), a1 * x + a3, 1))
     assert m.degree == 2 and not m.rational_roots()
-    P = FieldPoint.affine(curve, m, QuotientElem.constant(x, m), QuotientElem(UniPoly((0, 1)), m))
-    assert reduce_point_mod_p(P, 5) is None
-    Pbar, order = reduce_point_mod_p(P, 11)
-    assert Pbar.field == PrimeField(11) and Pbar._on_curve()
+    point = (x,), (0, 1), m.coeffs
+    F, a, P = _exact_point(curve, point)
+    assert _on_curve(F, a, P)
+    assert _reduce_point(curve, point, 5) is None
+    Pbar, order = _reduce_point(curve, point, 11)
+    assert _on_curve(*residue_field(curve, 11), Pbar)
     assert order == count_points_mod_p(curve, 11)
     for bound in range(1, 9):
-        naive = all(not P.scalar_mul(k).is_infinity for k in range(1, bound + 1))
-        assert nontorsion(P, bound, iter_primes(5)) == naive
+        naive = all(_multiple(F, a, P, k) is not None for k in range(1, bound + 1))
+        assert nontorsion_certificate(curve, point, bound, iter_primes(5)) == naive
 
 
 # -- the scan -------------------------------------------------------------------------
@@ -717,13 +732,12 @@ def test_group_law_vertical_cases():
     # y^2 = x^3 - x has rational 2-torsion at (0,0), (1,0), (-1,0)
     curve = WeierstrassCurve(0, 0, 0, -1, 0)
     for x0 in (0, 1, -1):
-        P = rational_point(curve, x0, 0)
-        assert (P + P).is_infinity
-    P = rational_point(curve, 0, 0)
-    Q = rational_point(curve, 1, 0)
-    R = P + Q
-    assert R == rational_point(curve, -1, 0)
-    assert (P + (-P)).is_infinity
+        F, a, P = rational_point(curve, x0, 0)
+        assert _chord_tangent(F, a, P, P) is None
+    F, a, P = rational_point(curve, 0, 0)
+    _, _, Q = rational_point(curve, 1, 0)
+    assert _chord_tangent(F, a, P, Q) == rational_point(curve, -1, 0)[2]
+    assert _chord_tangent(F, a, P, negative(a, P)) is None
 
 
 def test_nontorsion_certificate_exhaustive_small_bounds():
@@ -731,36 +745,32 @@ def test_nontorsion_certificate_exhaustive_small_bounds():
     a non-torsion point and the identity, at every small bound the contract
     admits: multiples of the order for the torsion points, any bound else."""
     params = derive_family(1, 1)
-    torsion3 = three_torsion(params)
-    two_torsion_curve = WeierstrassCurve(0, 0, 0, -1, 0)
-    order2 = rational_point(two_torsion_curve, 0, 0)
-    fiber_pt = fiber_point(params, 1)
-    identity = torsion3.scalar_mul(3)
-    for P, bounds in (
-        (torsion3, range(3, 13, 3)),
-        (order2, range(2, 9, 2)),
-        (fiber_pt, range(1, 9)),
-        (identity, range(1, 9)),
+    for curve, point, bounds in (
+        (params, rational(0, params.a4 / params.a1), range(3, 13, 3)),
+        (WeierstrassCurve(0, 0, 0, -1, 0), rational(0, 0), range(2, 9, 2)),
+        (params, fiber_point(params, 1), range(1, 9)),
+        (params, None, range(1, 9)),  # the identity
     ):
+        F, a, P = _exact_point(curve, point) if point else (None, None, None)
         for bound in bounds:
             naive = True
             acc = P
             for _ in range(bound):
-                if acc.is_infinity:
+                if acc is None:
                     naive = False
                     break
-                acc = acc + P
-            assert nontorsion(P, bound, iter_primes(5)) == naive, (P, bound)
+                acc = _chord_tangent(F, a, acc, P)
+            assert nontorsion_certificate(curve, point, bound, iter_primes(5)) == naive, (P, bound)
 
 
 # -- the non-torsion product and the point path ---------------------------------------
 
 
-def factor_stripping_order(Pbar, group_order):
+def factor_stripping_order(F, a, Pbar, group_order):
     """The exact order of Pbar by the older route: strip prime factors off |E(F_{p^d})|."""
     o = group_order
     for ell in factorize(group_order):
-        while o % ell == 0 and Pbar.scalar_mul(o // ell).is_infinity:
+        while o % ell == 0 and _multiple(F, a, Pbar, o // ell) is None:
             o //= ell
     return o
 
@@ -776,23 +786,25 @@ def test_bound_kills_pbar_exactly_when_the_factor_stripping_order_divides_it():
             fd = fiber_at_s(params, s)
             if fd.fiber.rational_roots():
                 continue
-            P = point_from_fiber_data(params, fd)
+            point = family._fiber_point(params, fd)
             bound, _ = fiber_torsion_bound(params, fd)
             for p in primes_up_to(31):
-                reduced = reduce_point_mod_p(P, p)
+                reduced = _reduce_point(params, point, p)
                 if reduced is None:
                     continue
                 Pbar, group_order = reduced
-                assert Pbar.scalar_mul(group_order).is_infinity
-                divides = bound % factor_stripping_order(Pbar, group_order) == 0
-                assert Pbar.scalar_mul(bound).is_infinity is divides
+                Fp, ap = residue_field(params, p)
+                assert _multiple(Fp, ap, Pbar, group_order) is None
+                divides = bound % factor_stripping_order(Fp, ap, Pbar, group_order) == 0
+                assert (_multiple(Fp, ap, Pbar, bound) is None) is divides
                 killed[divides] += 1
             # naive exact check over Q[theta]: k*P != O for k = 1..bound
+            F, a, P = _exact_point(params, point)
             multiple, naive = P, True
             for _ in range(bound - 1):
-                multiple = multiple + P
-                naive = naive and not multiple.is_infinity
-            assert nontorsion(P, bound, split_primes(fd)) is naive is True
+                multiple = _chord_tangent(F, a, multiple, P)
+                naive = naive and multiple is not None
+            assert nontorsion_certificate(params, point, bound, split_primes(fd)) is naive is True
     assert killed[True] >= 10 and killed[False] >= 10, killed
 
 
@@ -813,11 +825,10 @@ def test_nontorsion_certificate_checks_annihilation_at_the_first_usable_prime(mo
     params = derive_family(1, 1)
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(params, s)
-        P = point_from_fiber_data(params, fd)
         bound, _ = fiber_torsion_bound(params, fd)
         usable.clear()
         with pytest.raises(VerificationError, match="does not annihilate"):
-            nontorsion(P, bound, split_primes(fd))
+            nontorsion_certificate(params, family._fiber_point(params, fd), bound, split_primes(fd))
         assert len(usable) == 1
 
 
@@ -841,7 +852,8 @@ def test_primes_where_the_bound_kills_pbar_drive_the_loop_on(monkeypatch):
         and ellcurve._reduce_point(params, point, p) is not None
     ]
     killing = [
-        p for p in usable if ellcurve._reduce_point(params, point, p)[0].scalar_mul(bound).is_infinity
+        p for p in usable
+        if _multiple(*residue_field(params, p), _reduce_point(params, point, p)[0], bound) is None
     ]
     assert len(killing) >= 2
     primes = killing[:2] + [p for p in usable if p > killing[1] and p not in killing]
@@ -867,13 +879,13 @@ def test_a_forced_fallback_makes_one_exact_product(monkeypatch):
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
     bound, _ = fiber_torsion_bound(params, fd)
-    real, products = FieldPoint.scalar_mul, []
+    real, products = ellcurve._multiple, []
 
-    def counted(P, k):
-        products.append((type(P.field), k))
-        return real(P, k)
+    def counted(F, a, P, k):
+        products.append((type(F), k))
+        return real(F, a, P, k)
 
-    monkeypatch.setattr(FieldPoint, "scalar_mul", counted)
+    monkeypatch.setattr(ellcurve, "_multiple", counted)
     torsion, point = planted_three_torsion(params, fd), family._fiber_point(params, fd)
     assert nontorsion_certificate(params, torsion, bound, ()) is False
     assert products == [(QuotientField, bound)]
@@ -938,9 +950,9 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
 def test_point_construction_rejects_a_point_off_the_curve():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
-    assert point_from_fiber_data(params, fd).y.rep == UniPoly.constant(fd.t)
+    assert _exact_point(params, family._fiber_point(params, fd))[2][1].rep == UniPoly.constant(fd.t)
     with pytest.raises(VerificationError, match="off the curve"):
-        point_from_fiber_data(params, fd._replace(t=fd.t + 1))
+        family._fiber_point(params, fd._replace(t=fd.t + 1))
 
 
 def test_equal_params_give_equal_equally_hashed_curves():
@@ -1345,11 +1357,11 @@ def test_point_counts_and_reduced_invariants_are_cached_per_curve_and_prime(monk
     assert info.misses == len(used) < info.hits
     # the cached invariants are the residues of the curve's a-invariants
     for s in enumerate_s_by_height(3):
-        P = fiber_point(params, s)
+        point = fiber_point(params, s)
         for p in primes_up_to(31):
-            reduced = reduce_point_mod_p(P, p)
-            if reduced is not None:
-                assert reduced[0].a == tuple(residue(c, p) for c in params.a_invariants)
+            if _reduce_point(params, point, p) is not None:
+                invariants = ellcurve._invariants_mod_p(params, p)
+                assert invariants == tuple(residue(c, p) for c in params.a_invariants)
 
 
 def test_is_good_prime_is_cached_per_curve_and_prime():
@@ -1366,7 +1378,6 @@ def test_a_planted_torsion_point_is_still_torsion(monkeypatch):
     field gives "torsion", after bound*Pbar = O at the twelve primes tried,
     and its sum with the fiber point does not."""
     curve = derive_family(1, 1)
-    T = three_torsion(curve)
     real_reduce, reduced = ellcurve._reduce_point, []
 
     def reduce(curve, point, p):
@@ -1378,18 +1389,17 @@ def test_a_planted_torsion_point_is_still_torsion(monkeypatch):
     checked = 0
     for s in enumerate_s_by_height(3):
         fd = fiber_at_s(curve, s)
-        m = fd.fiber
-        planted = FieldPoint.affine(curve, m, *(QuotientElem.constant(c, m) for c in rationals(T)))
+        planted = planted_three_torsion(curve, fd)
         bound, _ = fiber_torsion_bound(curve, fd)
         reduced.clear()
-        assert nontorsion(planted, bound, split_primes(fd)) is False
+        assert nontorsion_certificate(curve, planted, bound, split_primes(fd)) is False
         assert sum(reduced) == ellcurve._MAX_PRIMES
-        P = point_from_fiber_data(curve, fd) + planted
-        assert nontorsion(P, bound, split_primes(fd)) is True
+        F, a, P = _exact_point(curve, family._fiber_point(curve, fd))
+        S = _chord_tangent(F, a, P, _exact_point(curve, planted)[2])
+        assert nontorsion_certificate(curve, coefficients(S), bound, split_primes(fd)) is True
         checked += 1
-    # the scan's point, as the coefficient tuples of the planted one
-    monkeypatch.setattr(family, "_fiber_point", lambda curve, fd: ellcurve._coefficients(
-        FieldPoint.affine(curve, fd.fiber, *(QuotientElem.constant(c, fd.fiber) for c in rationals(T)))))
+    # the scan's point, as the planted one
+    monkeypatch.setattr(family, "_fiber_point", planted_three_torsion)
     assert evaluate_fiber(curve, [Fraction(1), Fraction(1, 3)]) == "torsion"
     assert checked == len(enumerate_s_by_height(3))
 
@@ -1414,7 +1424,7 @@ def test_a_bound_past_the_head_walks_at_split_primes_the_kernel_finds(monkeypatc
 
     monkeypatch.setattr(ellcurve, "_reduce_point", reduce)
     monkeypatch.setattr(cubicfield, "_root_counts", counts)
-    assert nontorsion(point_from_fiber_data(curve, fd), 100, candidates) is True
+    assert nontorsion_certificate(curve, family._fiber_point(curve, fd), 100, candidates) is True
     assert walked and walked[0] == min(p for p in walked) >= 127
     assert all(roots_mod_p(fd.fiber, p) == 3 for p in walked)
     assert min(counted) == 101 and set(walked) <= set(counted)

@@ -147,7 +147,9 @@ def test_the_curve_layer_loads_neither_the_family_nor_numpy():
     )
     loaded = set(json.loads(run.stdout))
     assert "ntcert.exact.ellcurve" in loaded
-    assert not loaded & {"ntcert.family", "ntcert.cubicfield", "ntcert.exact.modpoly", "numpy"}
+    # only the exact Q[theta] fallback, in _exact_point, loads the polynomial layers
+    assert not loaded & {"ntcert.family", "ntcert.cubicfield", "ntcert.exact.modpoly",
+                         "ntcert.exact.unipoly", "ntcert.exact.quotient", "numpy"}
 
 
 def relative_imports(path, package):
@@ -178,3 +180,26 @@ def test_the_package_import_graph_has_no_cycle():
     # the tests' root-count oracle: the package's own modules never import it
     assert not [m for m, targets in graph.items() if "ntcert.exact.modpoly" in targets]
     TopologicalSorter(graph).prepare()  # raises CycleError, naming a cycle
+
+
+def test_modules_outside_exact_import_from_the_defining_submodule():
+    """No module outside exact/ reads a name through ntcert.exact's lazy
+    table, so each submodule's import is its own; the one exception is
+    count_distinct_roots in the __getattr__ hooks of family and cubicfield,
+    as no module of the package may name exact.modpoly."""
+    root = Path(ntcert.__file__).parent
+    found = set()
+    for path in root.glob("*.py"):  # every module outside exact/ lies at the top
+        tree = ast.parse(path.read_text())
+        hooks = {
+            id(node) for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__getattr__" for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in {
+                (1, "exact"), (0, "ntcert.exact"),
+            }:
+                found.update((path.stem, alias.name, id(node) in hooks) for alias in node.names)
+    assert found == {
+        ("family", "count_distinct_roots", True), ("cubicfield", "count_distinct_roots", True),
+    }
