@@ -16,10 +16,13 @@ from __future__ import annotations
 import json
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, NtcertError, VerificationError
 from .jsonio import SCHEMA_VERSION, dumps_canonical
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -34,8 +37,8 @@ _SCAN_OPTIONS = {
     "a4": (str, "1", "family coefficient a4 (rational, nonzero)", (str, int)),
     "s_height_max": (int, 10, "max height of s", (int,)),
     # None: cubicfield.DEFAULT_WITNESS_BOUND, read when a scan runs
-    "witness_bound": (int, None, "prime bound for distinctness witnesses", (int,)),
-    "torsion_primes": (str, "2", "count of good primes to select, or a comma list", (int, str, list)),
+    "witness_bound": (int, None, "prime bound for distinctness witnesses, <= 10^7", (int,)),
+    "torsion_primes": (str, "2", "count, or comma list, of 2-12 good primes (<= 10^5)", (int, str, list)),
     "jobs": (int, 1, "worker processes for fiber evaluation", (int,)),
     "config": (str, None, "flat JSON config file; CLI flags override it", ()),
     **_OUT,

@@ -15,21 +15,28 @@ p^(p-1)*t^p (P. Ribenboim, Fermat's Last Theorem for Amateurs, Springer
 returns only the nontrivial solutions; the 6*bound + 1 trivial ones have a
 closed form, and `trivial_solutions` lists them when they are asked for.
 
-Fraction is imported inside triangle_nonsingular and psi_identities, the
-only functions that build a rational, so the Fermat search runs without
-loading fractions.
+Q(rho) is exact.quotient's QuotientField over x^2 + x + 1 on UniPoly
+representatives.  Fraction and the polynomials are imported inside the
+functions that use them, so the Fermat search loads neither.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import permutations, product
 from math import gcd as _int_gcd, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, VerificationError
 from .exact.primes import is_prime
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exact.quotient import QuotientField
+    from .exact.unipoly import UniPoly
 
 # trivial_solutions lists all 6*bound + 1 trivial solutions in memory, so it
 # refuses bounds above this one before allocating anything; the search
@@ -104,20 +111,24 @@ def model_from_n(p: int, n: int) -> SuperellipticModel:
 # -- the triangle curve X^m Y + Y^m Z + Z^m X ------------------------------------
 
 
-def proj_equal(P: tuple, Q: tuple) -> bool:
-    """Projective equality of nonzero coordinate tuples of one length: every
-    2x2 cross minor vanishes, which needs no division."""
+def proj_equal(P: tuple, Q: tuple, mul=operator.mul) -> bool:
+    """Projective equality of nonzero coordinate tuples of one length: the two
+    products (by mul) of every 2x2 cross minor agree, which needs no division."""
     if len(P) != len(Q):
         raise ValueError("projective points of different dimensions")
     if all(c == 0 for c in P) or all(c == 0 for c in Q):
         raise ValueError("the zero tuple is not a projective point")
     n = len(P)
-    return all(P[i] * Q[j] - P[j] * Q[i] == 0 for i in range(n) for j in range(i + 1, n))
+    return all(mul(P[i], Q[j]) == mul(P[j], Q[i]) for i in range(n) for j in range(i + 1, n))
 
 
-def _triangle_value(m: int, P: tuple[QuotientElem, ...]) -> QuotientElem:
+def _triangle_value(F: QuotientField, m: int, P: tuple[UniPoly, ...]) -> UniPoly:
+    """X^m*Y + Y^m*Z + Z^m*X at P, in the field F."""
+    from .exact.power import _power
+
     X, Y, Z = P
-    return X**m * Y + Y**m * Z + Z**m * X
+    mul = F._mul
+    return sum((mul(_power(a, m, F.one, mul), b) for a, b in ((X, Y), (Y, Z), (Z, X))), F.zero)
 
 
 def _shift(P: tuple) -> tuple:
@@ -145,7 +156,7 @@ def triangle_checks(m: int) -> dict:
     when m is not 2 mod 3 (equivalently p = m^2 - m + 1 is not divisible
     by 3).
     """
-    from .exact.quotient import QuotientElem
+    from .exact.quotient import QuotientField
     from .exact.unipoly import UniPoly
 
     if m < 2:
@@ -156,19 +167,18 @@ def triangle_checks(m: int) -> dict:
     shift_preserves_curve = shifted_support == support
 
     # Q(rho) = Q[x]/(x^2 + x + 1), rho the class of x, a primitive cube root of unity
-    rho_modulus = UniPoly((1, 1, 1))
-    one = QuotientElem.constant(1, rho_modulus)
-    zero = QuotientElem.constant(0, rho_modulus)
+    F = QuotientField(UniPoly((1, 1, 1)))
+    one, zero, mul = F.one, F.zero, F._mul
     coord_points = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
     expected_cycle = [coord_points[2], coord_points[0], coord_points[1]]
     shift_permutes_coordinate_points = all(
-        proj_equal(_shift(P), Q) for P, Q in zip(coord_points, expected_cycle)
+        proj_equal(_shift(P), Q, mul) for P, Q in zip(coord_points, expected_cycle)
     )
 
-    rho = QuotientElem.generator(rho_modulus)
-    fixed_points = [(rho, rho * rho, one), (rho * rho, rho, one)]
-    fixed_projectively = all(proj_equal(_shift(P), P) for P in fixed_points)
-    on_curve = [_triangle_value(m, P).is_zero for P in fixed_points]
+    rho = UniPoly.x()
+    fixed_points = [(rho, mul(rho, rho), one), (mul(rho, rho), rho, one)]
+    fixed_projectively = all(proj_equal(_shift(P), P, mul) for P in fixed_points)
+    on_curve = [_triangle_value(F, m, P).is_zero for P in fixed_points]
     fixed_points_on_curve = all(on_curve)
     if on_curve[0] != on_curve[1]:
         raise VerificationError("the two fixed points disagree about lying on the curve")

@@ -46,6 +46,9 @@ if TYPE_CHECKING:
     from .exact.unipoly import UniPoly
 
 DEFAULT_WITNESS_BOUND = 1000
+# SplitTypeMatrix sieves every prime up to its bound at once (a 50 MB peak at
+# this cap), so it refuses larger bounds before allocating anything.
+_WITNESS_BOUND_MAX = 10**7
 
 
 def __getattr__(name: str):
@@ -247,8 +250,8 @@ class SplitTypeMatrix:
     """
 
     def __init__(self, bound: int = DEFAULT_WITNESS_BOUND):
-        if bound < 2:
-            raise InvalidInputError("witness bound must be >= 2")
+        if not 2 <= bound <= _WITNESS_BOUND_MAX:
+            raise InvalidInputError(f"witness bound must be between 2 and {_WITNESS_BOUND_MAX}")
         self._primes = primes_up_to(bound)
         # a prefix of self._primes, so a column indexes both
         self._head = primes_up_to(min(_FIRST_STAGE, bound))

@@ -10,7 +10,7 @@ _EXPORTS = {
     "bipoly": ("BiPoly",),
     "modpoly": ("count_distinct_roots",),
     "primes": ("divisors", "is_prime", "iter_primes", "primes_up_to"),
-    "quotient": ("QuotientElem", "irreducible_over_q"),
+    "quotient": ("QuotientField",),
     "rationals": ("format_rational", "parse_rational", "rational_is_square"),
     "unipoly": ("UniPoly",),
 }

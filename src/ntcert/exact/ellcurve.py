@@ -2,9 +2,9 @@
 
 A point is a coordinate pair (x, y), and None is the point at infinity O.
 One chord-tangent law serves every field: it takes the field as an
-operation object, QuotientField for Q[x]/(f) (QuotientElem coordinates) or
+operation object, QuotientField for Q[x]/(f) on UniPoly representatives or
 finitefield's F_p on ints, and the curve's a-invariants in that field, so
-the non-torsion check's products over F_p build no element objects.
+neither kind of product builds an element object.
 Reduction mod p and nontorsion_certificate read a point over Q[x]/(m) as
 coefficient tuples (x, y, m), lowest degree first, so a scan reduces its
 points without building a polynomial.  exact.unipoly and exact.quotient
@@ -205,13 +205,11 @@ def _exact_point(curve: WeierstrassCurve, point: tuple) -> tuple[QuotientField, 
     """(F, a, P): the field Q[z]/(m), the curve's a-invariants in it and the
     point with the coefficient tuples (x, y, m), for the exact law; the
     caller has put it on the curve."""
-    from .quotient import QuotientElem, QuotientField
+    from .quotient import QuotientField
     from .unipoly import UniPoly
 
     x, y, m = (UniPoly(coeffs) for coeffs in point)
-    F = QuotientField(m)
-    a = tuple(F._constant(c) for c in curve.a_invariants)
-    return F, a, (QuotientElem(x, m, validate=False), QuotientElem(y, m, validate=False))
+    return QuotientField(m), tuple(map(UniPoly.constant, curve.a_invariants)), (x % m, y % m)
 
 
 # -- non-torsion -------------------------------------------------------------------

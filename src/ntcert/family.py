@@ -199,9 +199,26 @@ def _fiber_point(curve: WeierstrassCurve, fd: FiberData) -> tuple:
 # -- torsion bounds ------------------------------------------------------------
 
 # Given a count, torsion_bound adds good primes while the bound exceeds the
-# target, up to this many primes in all.
+# target, up to this many primes in all; more, or a listed prime above the
+# last cap, are refused, as each costs an O(p) point count per fiber.
 _TORSION_BOUND_TARGET = 30
 _MAX_TORSION_PRIMES = 12
+_TORSION_PRIME_MAX = 10**5
+
+
+def _check_torsion_primes(primes: int | Sequence[int]) -> int:
+    """The number of torsion primes asked for, after refusing a count or list
+    that no fiber can take: scan_family runs this before its first fiber."""
+    count, listed = (primes, ()) if isinstance(primes, int) else (len(primes), primes)
+    if isinstance(primes, int) and count < 2:
+        raise InvalidInputError("at least two torsion primes are required")
+    if count < 2 or len(set(listed)) != len(listed):
+        raise InvalidInputError("at least two distinct primes are required")
+    if count > _MAX_TORSION_PRIMES:
+        raise InvalidInputError(f"at most {_MAX_TORSION_PRIMES} torsion primes are allowed")
+    if max(listed, default=0) > _TORSION_PRIME_MAX:
+        raise InvalidInputError(f"torsion prime {max(listed)} is above {_TORSION_PRIME_MAX}")
+    return count
 
 
 def torsion_bound(
@@ -214,24 +231,20 @@ def torsion_bound(
     gcd is a multiple of every torsion order, as nontorsion_certificate
     requires.  ``primes`` is a count (>= 2) of the smallest primes > 3 good
     for the curve and unramified for the fiber, or a list of at least two
-    distinct such primes, used as given.  Past a count, more primes join
+    distinct such primes, each at most 10^5, used as given; at most twelve
+    either way (_check_torsion_primes).  Past a count, more primes join
     while the bound exceeds 30, up to twelve in all: one product per prime
     decides non-torsion at any bound, so this stays only because v1
     documents pin torsion_primes and torsion_bound.  The ramified primes
     come from the discriminant that fiber_at_s proved.  d_p is 3 where the
     fiber is inert and 1 where it splits, as _root_count reads it from row.
     """
+    count = _check_torsion_primes(primes)
     bad = _bad_part(fd.coeffs, fd.disc)
     if isinstance(primes, int):
-        if primes < 2:
-            raise InvalidInputError("at least two torsion primes are required")
-        count = primes
         candidates = (p for p in iter_primes(5) if bad % p and is_good_prime(curve, p))
     else:
         candidates = tuple(primes)
-        count = len(candidates)
-        if count < 2 or len(set(candidates)) != count:
-            raise InvalidInputError("at least two distinct primes are required")
         for p in candidates:
             if not is_good_prime(curve, p):
                 raise InvalidInputError(f"{p} is not a good-reduction prime")
@@ -506,10 +519,10 @@ def scan_family(
     """
     if s_height_max < 1:
         raise InvalidInputError("s_height_max must be >= 1")
-    if witness_bound < 2:
-        raise InvalidInputError("witness_bound must be >= 2")
     if jobs < 1:
         raise InvalidInputError("jobs must be >= 1")
+    _check_torsion_primes(torsion_primes)
+    matrix = SplitTypeMatrix(witness_bound)  # which checks the bound
     s_values = enumerate_s_by_height(s_height_max)
     by_v: dict[Fraction, list[Fraction]] = {}
     for s in s_values:
@@ -517,7 +530,6 @@ def scan_family(
     groups = list(by_v.values())
     workers = min(jobs, os.cpu_count() or 1, len(groups)) if hasattr(os, "fork") else 1
     result = ScanResult(curve, fibers_tested=len(s_values))
-    matrix = SplitTypeMatrix(witness_bound)
     with ExitStack() as stack:
         readers = [
             _fork_worker(stack, curve, groups[w::workers], torsion_primes)

@@ -12,6 +12,10 @@ document of plain JSON values is written without loading fractions.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .exact.unipoly import UniPoly
 
 SCHEMA_VERSION = "v1"
 

@@ -172,7 +172,14 @@ def test_explicit_torsion_primes(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("count", [0, 1, -2])
+# primes that every fiber to height 2 at (1, 1) takes as torsion primes
+THIRTEEN_PRIMES = ",".join(map(str, (5, 17, 29, 41, 43, 47, 53, 59, 61, 67, 71, 79, 83)))
+
+
+# a count below two, and the counts, lists and primes that would stall the
+# scan, as each prime costs a point count of O(p) per fiber: all are refused
+# before the first fiber
+@pytest.mark.parametrize("count", [0, 1, -2, 13, 100000, THIRTEEN_PRIMES, "5,100003"])
 def test_torsion_prime_count_below_two_exits_2(tmp_path, capsys, count):
     code, doc = run_cli(
         ["family-scan", "--s-height-max", "2", "--torsion-primes", str(count)], capsys
@@ -242,6 +249,14 @@ def test_malformed_scan_input_exits_2(tmp_path, capsys, argv, config):
         (["family-scan", "--torsion-primes", "5,7", "--s-height-max", "2"],
          "7 ramifies in the fiber cubic"),
         (["family-scan", "--torsion-primes", "5,5"], "at least two distinct primes are required"),
+        (["family-scan", "--torsion-primes", "13"], "at most 12 torsion primes are allowed"),
+        (["family-scan", "--torsion-primes", THIRTEEN_PRIMES, "--s-height-max", "2"],
+         "at most 12 torsion primes are allowed"),
+        (["family-scan", "--torsion-primes", "5,1000000007"],
+         "torsion prime 1000000007 is above 100000"),
+        (["family-scan", "--witness-bound", "1"], "witness bound must be between 2 and 10000000"),
+        (["family-scan", "--witness-bound", "10000000000"],
+         "witness bound must be between 2 and 10000000"),
     ],
 )
 def test_failed_preconditions_exit_2_with_their_line(capsys, argv, line):

@@ -59,7 +59,7 @@ def rational_point(curve: WeierstrassCurve, x, y) -> tuple:
 
 def rationals(point: tuple) -> tuple[Fraction, Fraction]:
     """The coordinates of an affine rational point."""
-    return tuple(c.rep.coefficient(0) for c in point)
+    return tuple(c.coefficient(0) for c in point)
 
 
 def three_torsion(params: WeierstrassCurve) -> tuple:
@@ -79,17 +79,17 @@ def negative(a, P) -> tuple:
     return x, -y - a[0] * x - a[2]
 
 
-def coefficients(P) -> tuple | None:
-    """The point P over Q[z]/(m) as the coefficient tuples (x, y, m); None at O."""
+def coefficients(F, P) -> tuple | None:
+    """The point P over F = Q[z]/(m) as the coefficient tuples (x, y, m); None at O."""
     if P is None:
         return None
     x, y = P
-    return x.rep.coeffs, y.rep.coeffs, x.modulus.coeffs
+    return x.coeffs, y.coeffs, F.modulus.coeffs
 
 
-def reduce(curve, P, p):
-    """_reduce_point for the point P over Q[z]/(m); None at O."""
-    return None if P is None else _reduce_point(curve, coefficients(P), p)
+def reduce(curve, F, P, p):
+    """_reduce_point for the point P over F = Q[z]/(m); None at O."""
+    return None if P is None else _reduce_point(curve, coefficients(F, P), p)
 
 
 def residue_field(curve, p) -> tuple:
@@ -274,7 +274,7 @@ def test_point_from_fiber_on_curve():
     params = derive_family(1, 1)
     F, a, P = _exact_point(params, fiber_point(params, 1))
     assert _on_curve(F, a, P)
-    assert P[0].rep == UniPoly.x() and P[1].rep == UniPoly.constant(Fraction(157, 108))
+    assert P == (UniPoly.x(), UniPoly.constant(Fraction(157, 108)))
 
 
 def test_evaluate_fiber_rejects_a_fiber_with_a_rational_root():
@@ -454,7 +454,7 @@ def test_reduction_commutes_with_the_group_law_over_fp():
                     # the integer law above is an independent oracle over F_p
                     oracle = modp_add(curve, oracle, base, p)
                     assert oracle == kPbar
-                    image = reduce(curve, kP, p)
+                    image = reduce(curve, F, kP, p)
                     if image is None:
                         continue  # k*P is not integral at every prime above p
                     assert image == (kPbar, order)
@@ -490,7 +490,7 @@ def test_reduced_multiples_are_the_reductions_of_the_exact_multiples():
                 assert _multiple(Fp, ap, Pbar, group_order) is None
                 for k, kP in enumerate(exact, 1):
                     kPbar = _multiple(Fp, ap, Pbar, k)
-                    image = reduce(params, kP, p)
+                    image = reduce(params, F, kP, p)
                     if kPbar is None:
                         assert image is None, (s, p, k)
                         killed += 1
@@ -590,7 +590,7 @@ def test_nontorsion_certificate_matches_naive_scan():
     F, a, P = three_torsion(params)
     for k in (3, 6, 9):
         naive = all(_multiple(F, a, P, j) is not None for j in range(1, k + 1))
-        assert nontorsion_certificate(params, coefficients(P), k, iter_primes(5)) == naive is False
+        assert nontorsion_certificate(params, coefficients(F, P), k, iter_primes(5)) == naive is False
 
 
 def test_a_reduced_point_stays_on_curve():
@@ -950,7 +950,7 @@ def test_scan_tests_each_fiber_for_rational_roots_once(monkeypatch):
 def test_point_construction_rejects_a_point_off_the_curve():
     params = derive_family(1, 1)
     fd = fiber_at_s(params, 1)
-    assert _exact_point(params, family._fiber_point(params, fd))[2][1].rep == UniPoly.constant(fd.t)
+    assert _exact_point(params, family._fiber_point(params, fd))[2][1] == UniPoly.constant(fd.t)
     with pytest.raises(VerificationError, match="off the curve"):
         family._fiber_point(params, fd._replace(t=fd.t + 1))
 
@@ -1396,7 +1396,7 @@ def test_a_planted_torsion_point_is_still_torsion(monkeypatch):
         assert sum(reduced) == ellcurve._MAX_PRIMES
         F, a, P = _exact_point(curve, family._fiber_point(curve, fd))
         S = _chord_tangent(F, a, P, _exact_point(curve, planted)[2])
-        assert nontorsion_certificate(curve, coefficients(S), bound, split_primes(fd)) is True
+        assert nontorsion_certificate(curve, coefficients(F, S), bound, split_primes(fd)) is True
         checked += 1
     # the scan's point, as the planted one
     monkeypatch.setattr(family, "_fiber_point", planted_three_torsion)

@@ -48,7 +48,7 @@ def certificate_dict(cert, earlier):
         "disc": cert.disc,
         "sqrt_disc": cert.sqrt_disc,
         "galois_class": cert.galois_class.value,
-        "point": {"x": x.rep, "y": y.rep},
+        "point": {"x": x, "y": y},
         "torsion_primes": list(cert.torsion_primes),
         "torsion_bound": cert.torsion_bound,
         "nontorsion_checked_to": cert.nontorsion_checked_to,
