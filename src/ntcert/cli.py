@@ -51,7 +51,7 @@ _COMMANDS = {
     "degree-plan": ("reachable degrees for the substitution planner",
                     (("n", int, ()), ("d_max", int, ())), _OUT),
     "modular-verify": ("verify the eta-quotient / j identity", (),
-                       {"order": (int, 24, "truncation order of the series", ()), **_OUT}),
+                       {"order": (int, 24, "truncation order of the series, <= 10^5", ()), **_OUT}),
     "fermat-search": (
         "exact search of A^p = B^p + C^p over the Barlow-Abel candidates (Ribenboim 1999)",
         (("p", int, (3, 5, 7)),),

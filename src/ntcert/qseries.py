@@ -10,15 +10,13 @@ J. Symbolic Comput. 44(10), 2009): each factor is packed through
 ``to_bytes``/``from_bytes`` into one int with a signed w-byte slot per
 coefficient, the two ints are multiplied once (Karatsuba in CPython), and
 each slot of the product is read back with the borrow of the slot below.
-A series with lead +-1 is inverted by Newton's iteration b <- b*(2 - a*b);
-any other lead would leave the integers and is refused.
 
 Built on this: the Euler products prod (1 - q^n)^k from the pentagonal
-number theorem, the weight-12 eta quotient
-t = q^-1 * prod (1-q^n)^12 / prod (1-q^3n)^12 on Gamma0(3), the
-j-function via E4^3 / Delta as an independent oracle, and the exact
-verification that f = t + 27 satisfies j = f*(f+216)^3/(f-27)^3 together
-with its closed-form counterpart 256*(a^4+54)^3*a^4/(4*a^4-27)^3.
+number theorem, E4, and the exact verification that f = t + 27, with
+t = q^-1 * prod (1-q^n)^12 / prod (1-q^3n)^12 the weight-12 eta quotient
+on Gamma0(3), satisfies j = f*(f+216)^3/(f-27)^3 -- checked with every
+denominator cleared -- together with its closed-form counterpart
+256*(a^4+54)^3*a^4/(4*a^4-27)^3.
 
 The printed source expansion carries exponent 2 on the eta quotient; at
 that exponent the q-valuation would be -1/6, which cannot match the
@@ -36,6 +34,9 @@ from .exact.power import _power
 
 PRINTED_ETA_EXPONENT = 2
 IMPLEMENTED_ETA_EXPONENT = 12
+# Every series holds order + 1 ints, and time grows faster than the order, so
+# verify_eta_identity refuses larger orders before it builds any series.
+_ORDER_MAX = 10**5
 
 # Printed expansion of f = q^-1 + 15 + 54q - 76q^2 - 243q^3 + 1188q^4 - ...
 PRINTED_F_COEFFICIENTS: tuple[tuple[int, int], ...] = (
@@ -102,24 +103,6 @@ class LaurentSeries:
             return 0
         return self.coeffs[e - self.valuation]
 
-    def truncate(self, order: int) -> "LaurentSeries":
-        if order > self.order:
-            raise InvalidInputError("cannot extend a truncated series")
-        if order <= self.valuation:
-            return LaurentSeries(order, (), order)
-        return LaurentSeries(self.valuation, self.coeffs[: order - self.valuation], order)
-
-    def __add__(self, c) -> "LaurentSeries":
-        """The series plus the constant int c."""
-        if not isinstance(c, int):
-            return NotImplemented
-        if self.order <= 0:
-            raise InvalidInputError("a constant needs order > 0")
-        val = min(self.valuation, 0)
-        cs = [0] * (self.valuation - val) + list(self.coeffs)
-        cs[-val] += c
-        return LaurentSeries(val, cs, self.order)
-
     def __mul__(self, other) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -133,32 +116,16 @@ class LaurentSeries:
 
     def __pow__(self, k: int) -> "LaurentSeries":
         if k < 0:
-            return self.inverse() ** (-k)
+            raise InvalidInputError("a series power needs k >= 0")
         if k == 0 and self.order < 1:
             raise InvalidInputError("cannot represent 1 below order 1")
         return _power(self, k, LaurentSeries(0, (1,) + (0,) * (self.order - 1), self.order))
 
-    def inverse(self) -> "LaurentSeries":
-        """Inverse of a series with lead +-1; valuation negates, known length is kept."""
-        a = self.coeffs
-        if not a:
-            raise InvalidInputError("inverse of the zero series")
-        if a[0] not in (1, -1):
-            raise InvalidInputError("only a series with lead +-1 has an int inverse")
-        n = self.order - self.valuation
-        b, known = [a[0]], 1
-        while known < n:  # Newton: each pass doubles the known coefficients of 1/a
-            known = min(2 * known, n)
-            correction = [-c for c in _mul(a, b, known)]
-            correction[0] += 2
-            b = _mul(b, correction, known)
-        return LaurentSeries(-self.valuation, b, -self.valuation + n)
-
-    def dilate(self, k: int, order: int | None = None) -> "LaurentSeries":
-        """Substitute q -> q^k (k >= 1); exponents scale by k."""
+    def dilate(self, k: int, order: int) -> "LaurentSeries":
+        """Substitute q -> q^k (k >= 1), known below min(order, k * self.order)."""
         if k < 1:
             raise InvalidInputError("dilation factor must be >= 1")
-        new_order = self.order * k if order is None else min(order, self.order * k)
+        new_order = min(order, self.order * k)
         val = self.valuation * k
         if val >= new_order:
             return LaurentSeries(new_order, (), new_order)
@@ -169,6 +136,12 @@ class LaurentSeries:
     def shift(self, d: int) -> "LaurentSeries":
         """Multiply by q^d."""
         return LaurentSeries(self.valuation + d, self.coeffs, self.order + d)
+
+
+def _sum(a: LaurentSeries, b: LaurentSeries, c: int) -> LaurentSeries:
+    """a + c*b, known below the lower of the two orders."""
+    val, order = min(a.valuation, b.valuation), min(a.order, b.order)
+    return LaurentSeries(val, [a.coefficient(e) + c * b.coefficient(e) for e in range(val, order)], order)
 
 
 # -- the modular series -----------------------------------------------------------
@@ -193,17 +166,6 @@ def euler_pow(k: int, order: int) -> LaurentSeries:
     return LaurentSeries(0, base, order) ** k
 
 
-def hauptmodul_t(order: int) -> LaurentSeries:
-    """t = q^-1 * prod (1-q^n)^12 / prod (1-q^3n)^12, to the given order."""
-    if order < 2:
-        raise InvalidInputError("order must be >= 2")
-    work = order + 2
-    numer = euler_pow(12, work)
-    denom = numer.dilate(3, work)
-    t = (numer * denom.inverse()).shift(-1)
-    return t.truncate(order)
-
-
 def _sigma3_table(limit: int) -> list[int]:
     sig = [0] * (limit + 1)
     for d in range(1, limit + 1):
@@ -223,60 +185,53 @@ def eisenstein_e4(order: int) -> LaurentSeries:
     return LaurentSeries(0, coeffs, order)
 
 
-def modular_delta(order: int) -> LaurentSeries:
-    """Delta = q * prod (1 - q^n)^24."""
-    if order < 2:
-        raise InvalidInputError("order must be >= 2")
-    return euler_pow(24, order - 1).shift(1)
-
-
-def j_series(order: int) -> LaurentSeries:
-    """The j-function as E4^3 / Delta: the independent expansion oracle."""
-    if order < 2:
-        raise InvalidInputError("order must be >= 2")
-    work = order + 2
-    e4 = eisenstein_e4(work)
-    delta = modular_delta(work)
-    return (e4**3 * delta.inverse()).truncate(order)
-
-
 def verify_eta_identity(order: int) -> dict:
     """Exact verification of the eta-quotient / j-invariant identity.
 
     Three checks: (i) t + 27 reproduces the printed coefficients; (ii)
-    j = E4^3/Delta equals f*(f+216)^3/(f-27)^3 mod q^order; (iii) the closed
-    form 256*(a^4+54)^3*a^4/(4a^4-27)^3 equals the same rational function
-    under f = 4*a^4, by polynomial cross-multiplication.
+    j = E4^3/Delta equals f*(f+216)^3/(f-27)^3; (iii) the closed form
+    256*(a^4+54)^3*a^4/(4a^4-27)^3 equals the same rational function under
+    f = 4*a^4, by polynomial cross-multiplication.
 
-    (ii) is checked without series division, over the integers: (f-27)^3 =
-    t^3 is q^-3 times a unit series and Delta is q times one, so it holds
-    exactly when E4^3*(f-27)^3 = f*(f+216)^3*Delta mod q^(order-2).  The
-    exponents -3 .. order-3 need the series at order + 2.
+    With A = q^-1 * prod (1-q^n)^12 and B = prod (1-q^3n)^12, t = A/B, so
+    f - 27, f and f + 216 are A, A + 27B and A + 243B over B, and
+    Delta = q^3*A^2.  (ii) is checked with every denominator cleared, over
+    the integers: lhs = E4^3*A*B against rhs = q^3*(A+27B)*(A+243B)^3 at the
+    exponents -1 .. order-1, that is mod q^order.  The uncleared form
+    E4^3*(f-27)^3 = f*(f+216)^3*Delta mod q^(order-2) is the same statement
+    times A^2/B^4, q^-2 times a unit series, so its sides first differ 2
+    below where lhs and rhs do.  (i) needs t only to q^4: six terms of the
+    exact division A/B, B's lead being 1.
 
     ``first_mismatch`` gives the first printed coefficient that differs or,
-    failing that, the first exponent of (ii) at which the sides differ, with
-    "lhs" from E4^3*(f-27)^3 and "rhs" from f*(f+216)^3*Delta.
+    failing that, the first exponent of (ii) at which lhs and rhs differ.
+    Orders above _ORDER_MAX are refused before any series is built.
     """
-    if order < 6:
-        raise InvalidInputError("order must be >= 6")
-    work = order + 2
-    t = hauptmodul_t(work)
-    f = t + 27
+    if not 6 <= order <= _ORDER_MAX:
+        raise InvalidInputError(f"order must be between 6 and {_ORDER_MAX}")
+    numer = euler_pow(12, order + 1)
+    a = numer.shift(-1)
+    b = numer.dilate(3, order + 1)
+
+    t = []  # a/b to q^4; b's lead is 1, so each term is an int
+    for i in range(6):
+        t.append(a.coefficient(i - 1) - sum(b.coefficient(k) * t[i - k] for k in range(1, i + 1)))
+    f = dict(zip(range(-1, 5), t))
+    f[0] += 27
 
     printed_ok = True
     first_mismatch = None
     for e, expected in PRINTED_F_COEFFICIENTS:
-        got = f.coefficient(e)
-        if got != expected:
+        if f[e] != expected:
             printed_ok = False
-            first_mismatch = {"exponent": e, "lhs": str(got), "rhs": str(expected)}
+            first_mismatch = {"exponent": e, "lhs": str(f[e]), "rhs": str(expected)}
             break
 
-    e4_side = eisenstein_e4(work) ** 3 * t**3
-    f_side = f * (f + 216) ** 3 * modular_delta(work)
+    cleared_lhs = eisenstein_e4(order + 1) ** 3 * a * b
+    cleared_rhs = (_sum(a, b, 27) * _sum(a, b, 243) ** 3).shift(3)
     j_ok = True
-    for e in range(-3, order - 2):
-        lhs, rhs = e4_side.coefficient(e), f_side.coefficient(e)
+    for e in range(-1, order):
+        lhs, rhs = cleared_lhs.coefficient(e), cleared_rhs.coefficient(e)
         if lhs != rhs:
             j_ok = False
             if first_mismatch is None:

@@ -37,8 +37,9 @@ from ntcert.newton import (
     plan_degrees,
     substitute_st,
 )
-from ntcert.qseries import hauptmodul_t, j_series, verify_eta_identity
+from ntcert.qseries import verify_eta_identity
 from ntcert.scandoc import dumps_scan
+from series_oracle import hauptmodul_t, j, plus
 from witness_oracle import first_witness
 
 
@@ -65,10 +66,11 @@ def height20_scan():
 def test_criterion_01_printed_eta_coefficients():
     with criterion(1, "eta-quotient series matches the printed coefficients"):
         start = time.perf_counter()
-        f = hauptmodul_t(8) + 27
+        val, f = plus(hauptmodul_t(8), 27)
         printed = {-1: 1, 0: 15, 1: 54, 2: -76, 3: -243, 4: 1188}
         for e, c in printed.items():
-            assert f.coefficient(e) == c
+            assert f[e - val] == c
+        assert verify_eta_identity(8)["printed_coefficients_match"] is True
         assert time.perf_counter() - start < 1.0
 
 
@@ -78,10 +80,9 @@ def test_criterion_02_modular_identity_to_order_20():
         report = verify_eta_identity(20)
         assert report["j_identity_match"] is True
         assert report["first_mismatch"] is None
-        j = j_series(4)
-        assert j.coefficient(-1) == 1
-        assert j.coefficient(0) == 744
-        assert j.coefficient(1) == 196884
+        val, coeffs = j(4)
+        assert val == -1
+        assert coeffs[:3] == [1, 744, 196884]
         assert time.perf_counter() - start < 5.0
 
 

@@ -70,6 +70,20 @@ def test_modular_verify_failure_exit_code(capsys, monkeypatch):
     assert doc["first_mismatch"]["exponent"] == 5
 
 
+@pytest.mark.parametrize("order", [5, 100001])
+def test_modular_verify_order_outside_6_to_10_5_exits_2(capsys, monkeypatch, order):
+    """The order is refused before any series is built."""
+
+    def refuse(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(qseries, "eisenstein_e4", refuse)
+    monkeypatch.setattr(qseries, "euler_pow", refuse)
+    code = cli.main(["modular-verify", "--order", str(order)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: order must be between 6 and 100000\n")
+
+
 def test_fermat_search(capsys):
     code, doc = run_cli(["fermat-search", "3", "--bound", "20"], capsys)
     assert code == 0
@@ -323,6 +337,9 @@ PINNED_SCANS = {
         "92824165cd20b587ead3754001690b8b1c0ece944d13865030b3b78916a49e00",
     ("modular-verify", "--order", "150"):
         "96b633812b0e469e3712b3c7f73cb100990bac1d16f88195ffe7480fb26a64ac",
+    # the cleared sides of the j identity span 1,000 coefficients
+    ("modular-verify", "--order", "1000"):
+        "53e7654bb8fae43b42f7c74f8ad75a3d4df25f577b47a8b9847b69264f31c529",
     ("fermat-search", "3", "--bound", "10000"):
         "571ec54ca58e34e53303415a440aa10c47426aaaa070014f6c72c2ae34682447",
     ("fermat-search", "7", "--bound", "5000"):
@@ -352,6 +369,7 @@ PINNED_SCANS = {
         "serial",
         "jobs2",
         "modular150",
+        "modular1000",
         "fermat3",
         "fermat7",
         "covering9901",
